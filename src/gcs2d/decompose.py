@@ -1,11 +1,24 @@
 """Bottom-up cluster decomposition, reducibility classes, and plan extraction.
 
 Every constraint edge seeds a two-entity cluster.  Two rewrite rules then run
-to a fixpoint under a deterministic ordering: a pair rule merges two clusters
-sharing at least two entities, and a triangle rule merges three clusters that
-pairwise share exactly one two-DOF entity each (three distinct entities in
-total).  The triangle rule is restricted to two-DOF shared entities because a
-shared free-radius circle would weld clusters into a non-rigid aggregate.
+to a fixpoint: a pair rule (R2) merges two clusters sharing at least two
+entities, and a triangle rule (R1) merges three clusters that pairwise share
+exactly one two-DOF entity each (three distinct entities in total).  The
+triangle rule is restricted to two-DOF shared entities because a shared
+free-radius circle would weld clusters into a non-rigid aggregate.
+
+The rewrite is deterministic: each step applies the pair rule if any live pair
+qualifies, else the triangle rule, and within a rule picks the candidate whose
+sorted parent ids are lexicographically smallest.  The merged cluster takes
+the next unused id.  The fixpoint is found incrementally: an index maps each
+entity to the live clusters holding it, and a cluster entering the system
+(every seed in id order, then each merged cluster) is matched only against
+clusters sharing an entity with it.  Its candidates go onto two min-heaps
+keyed by sorted parent ids.  A live cluster's entity set never changes, so a
+candidate stays valid until one of its parents is merged away; such dead
+candidates are dropped when popped.  Because a fresh id is always the largest
+so far, popping the smallest live key makes the same choice as rescanning
+every live pair and triple.
 
 From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
@@ -18,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from heapq import heappop, heappush
 from typing import Union
 
 from .errors import NotReducibleError, TooSmallError, UnsupportedStepError
@@ -95,75 +108,84 @@ def seed_clusters(g: ConstraintGraph) -> list[Cluster]:
     ]
 
 
-def _next_id(clusters: list[Cluster]) -> int:
-    return max((c.id for c in clusters), default=-1) + 1
-
-
-def merge_step(
-    g: ConstraintGraph, clusters: list[Cluster]
-) -> tuple[MergeRecord, list[Cluster]] | None:
-    """Apply the first applicable merge rule, or return None at the fixpoint.
-
-    The pair rule runs before the triangle rule; within each rule candidates
-    are tried in lexicographic order of their sorted cluster ids, which makes
-    the whole rewrite deterministic.
-    """
-    ordered = sorted(clusters, key=lambda c: c.id)
-    fresh = _next_id(clusters)
-
-    for a, b in combinations(ordered, 2):
-        shared = a.entity_ids & b.entity_ids
-        if len(shared) >= 2:
-            merged = Cluster(
-                fresh,
-                a.entity_ids | b.entity_ids,
-                a.owned_constraints | b.owned_constraints,
-                MergeR2((a.id, b.id), tuple(sorted(shared))),
-            )
-            record = MergeRecord("R2", fresh, (a.id, b.id), tuple(sorted(shared)))
-            rest = [c for c in ordered if c.id not in (a.id, b.id)]
-            return record, rest + [merged]
-
-    for a, b, c in combinations(ordered, 3):
-        sab = a.entity_ids & b.entity_ids
-        sbc = b.entity_ids & c.entity_ids
-        sca = c.entity_ids & a.entity_ids
-        if not (len(sab) == len(sbc) == len(sca) == 1):
-            continue
-        (x,), (y,), (z,) = sab, sbc, sca
-        if len({x, y, z}) != 3:
-            continue
-        if any(dof(g.kind_of(v)) != 2 for v in (x, y, z)):
-            continue  # a 3-DOF hinge entity would leave the union non-rigid
-        merged = Cluster(
-            fresh,
-            a.entity_ids | b.entity_ids | c.entity_ids,
-            a.owned_constraints | b.owned_constraints | c.owned_constraints,
-            MergeR1((a.id, b.id, c.id), (x, y, z)),
-        )
-        record = MergeRecord("R1", fresh, (a.id, b.id, c.id), (x, y, z))
-        rest = [k for k in ordered if k.id not in (a.id, b.id, c.id)]
-        return record, rest + [merged]
-
-    return None
-
-
 def decompose(g: ConstraintGraph) -> DecompositionResult:
-    """Run the merge rules to a fixpoint and classify the outcome."""
+    """Run the merge rules to a fixpoint and classify the outcome.
+
+    Pairs go before triangles, and within each rule the candidate with the
+    lexicographically smallest sorted parent ids merges first; merged
+    clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  Candidates
+    are found through an entity -> live-cluster index when a cluster enters
+    and kept on two heaps, so no step rescans the live clusters.
+    """
     if g.n < 2:
         raise TooSmallError(f"decomposition needs at least 2 entities, got {g.n}")
-    clusters = seed_clusters(g)
-    everything = list(clusters)
+    two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
+    everything = seed_clusters(g)
+    live: dict[int, Cluster] = {}
+    holders: dict[str, set[int]] = {}  # entity -> ids of the live clusters holding it
+    pairs: list[tuple[int, ...]] = []
+    triangles: list[tuple[int, ...]] = []
+
+    def enter(c: Cluster) -> None:
+        """Index ``c`` and queue every candidate it completes; ``c.id`` is
+        the largest live id, so it goes last in each key."""
+        touching: dict[int, list[str]] = {}
+        for e in c.entity_ids:
+            held = holders.setdefault(e, set())
+            for k in held:
+                touching.setdefault(k, []).append(e)
+            held.add(c.id)
+        live[c.id] = c
+        hinged: dict[int, str] = {}  # neighbour -> its single, two-DOF entity shared with c
+        for k, shared in touching.items():
+            if len(shared) >= 2:
+                heappush(pairs, (k, c.id))
+            elif shared[0] in two_dof:
+                hinged[k] = shared[0]
+        # Two hops: c -x- a -y- b with b hinged to c.  Single shared entities
+        # on all three sides force x, y and z to be distinct.
+        for a, x in hinged.items():
+            a_entities = live[a].entity_ids
+            for y in a_entities:
+                if y == x or y not in two_dof:
+                    continue
+                for b in holders[y]:
+                    if b > a and b in hinged and len(a_entities & live[b].entity_ids) == 1:
+                        heappush(triangles, (a, b, c.id))
+
+    for seed in everything:
+        enter(seed)
     log: list[MergeRecord] = []
     while True:
-        step = merge_step(g, clusters)
-        if step is None:
+        parents = _pop_live(pairs, live) or _pop_live(triangles, live)
+        if parents is None:
             break
-        record, clusters = step
-        everything.append(clusters[-1])
-        log.append(record)
+        members = [live.pop(i) for i in parents]
+        for member in members:
+            for e in member.entity_ids:
+                holders[e].discard(member.id)
+        fresh = len(everything)
+        if len(members) == 2:
+            a, b = members
+            rule, shared = "R2", tuple(sorted(a.entity_ids & b.entity_ids))
+            provenance: Provenance = MergeR2(parents, shared)
+        else:
+            a, b, c = members
+            (x,), (y,), (z,) = (a.entity_ids & b.entity_ids, b.entity_ids & c.entity_ids,
+                                c.entity_ids & a.entity_ids)
+            rule, shared = "R1", (x, y, z)
+            provenance = MergeR1(parents, shared)
+        merged = Cluster(
+            fresh,
+            frozenset().union(*(m.entity_ids for m in members)),
+            frozenset().union(*(m.owned_constraints for m in members)),
+            provenance,
+        )
+        everything.append(merged)
+        log.append(MergeRecord(rule, fresh, parents, shared))
+        enter(merged)
 
-    final = tuple(sorted(clusters, key=lambda c: c.id))
+    final = tuple(sorted(live.values(), key=lambda c: c.id))
     nontrivial = sum(1 for c in final if not c.is_seed)
     all_ids = set(g.entity_ids)
     if len(final) == 1 and final[0].entity_ids == all_ids:
@@ -173,6 +195,16 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
     return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))
+
+
+def _pop_live(heap: list[tuple[int, ...]], live: dict[int, Cluster]) -> tuple[int, ...] | None:
+    """Smallest queued candidate whose parents are all still live, or None;
+    candidates with a merged-away parent are discarded on the way."""
+    while heap:
+        key = heappop(heap)
+        if all(i in live for i in key):
+            return key
+    return None
 
 
 def classify(g: ConstraintGraph) -> ReducibilityClass:

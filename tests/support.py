@@ -1,4 +1,5 @@
-"""Shared helpers: independent recounts, embedding sampling, congruence checks."""
+"""Shared helpers: independent recounts, embedding sampling, congruence checks,
+and the exhaustive reference decomposition."""
 
 from __future__ import annotations
 
@@ -7,14 +8,19 @@ import random
 from itertools import combinations
 
 from gcs2d import (
+    Cluster,
     Constraint,
     ConstraintGraph,
     ConstraintKind,
+    DecompositionResult,
     EntityKind,
     GcsError,
     LineRep,
+    MergeRecord,
     Placement,
     Point2,
+    ReducibilityClass,
+    TooSmallError,
     alignment_motions,
     build_graph,
     distance,
@@ -27,8 +33,10 @@ from gcs2d import (
     line_through_points,
     point,
     point_line_distance,
+    seed_clusters,
     unsigned_line_angle,
 )
+from gcs2d.decompose import MergeR1, MergeR2
 from gcs2d.graph import angle as angle_constraint
 
 
@@ -195,3 +203,84 @@ def solution_matches_sample(
             if all(placements_close(moved[name], sol.placements[name], tol) for name in moved):
                 return True
     return False
+
+
+def merge_step(
+    g: ConstraintGraph, clusters: list[Cluster]
+) -> tuple[MergeRecord, list[Cluster]] | None:
+    """Apply the first applicable merge rule, or return None at the fixpoint.
+
+    Exhaustive reference for :func:`gcs2d.decompose`: every live pair, then
+    every live triple, is tried in lexicographic order of sorted cluster ids
+    after each merge.  Triples are skipped a pair (a, b) at a time when a and
+    b do not share exactly one entity, which changes nothing but the time.
+    """
+    ordered = sorted(clusters, key=lambda c: c.id)
+    fresh = max((c.id for c in clusters), default=-1) + 1
+
+    for a, b in combinations(ordered, 2):
+        shared = a.entity_ids & b.entity_ids
+        if len(shared) >= 2:
+            merged = Cluster(
+                fresh,
+                a.entity_ids | b.entity_ids,
+                a.owned_constraints | b.owned_constraints,
+                MergeR2((a.id, b.id), tuple(sorted(shared))),
+            )
+            record = MergeRecord("R2", fresh, (a.id, b.id), tuple(sorted(shared)))
+            rest = [c for c in ordered if c.id not in (a.id, b.id)]
+            return record, rest + [merged]
+
+    for i, a in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            b = ordered[j]
+            sab = a.entity_ids & b.entity_ids
+            if len(sab) != 1:
+                continue  # no triple (a, b, c) qualifies; the order stays lexicographic
+            for c in ordered[j + 1:]:
+                sbc = b.entity_ids & c.entity_ids
+                sca = c.entity_ids & a.entity_ids
+                if not (len(sbc) == len(sca) == 1):
+                    continue
+                (x,), (y,), (z,) = sab, sbc, sca
+                if len({x, y, z}) != 3:
+                    continue
+                if any(dof(g.kind_of(v)) != 2 for v in (x, y, z)):
+                    continue  # a 3-DOF hinge entity would leave the union non-rigid
+                merged = Cluster(
+                    fresh,
+                    a.entity_ids | b.entity_ids | c.entity_ids,
+                    a.owned_constraints | b.owned_constraints | c.owned_constraints,
+                    MergeR1((a.id, b.id, c.id), (x, y, z)),
+                )
+                record = MergeRecord("R1", fresh, (a.id, b.id, c.id), (x, y, z))
+                rest = [k for k in ordered if k.id not in (a.id, b.id, c.id)]
+                return record, rest + [merged]
+
+    return None
+
+
+def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
+    """:func:`gcs2d.decompose` by rerunning :func:`merge_step` to the fixpoint."""
+    if g.n < 2:
+        raise TooSmallError(f"decomposition needs at least 2 entities, got {g.n}")
+    clusters = seed_clusters(g)
+    everything = list(clusters)
+    log: list[MergeRecord] = []
+    while True:
+        step = merge_step(g, clusters)
+        if step is None:
+            break
+        record, clusters = step
+        everything.append(clusters[-1])
+        log.append(record)
+
+    final = tuple(sorted(clusters, key=lambda c: c.id))
+    nontrivial = sum(1 for c in final if not c.is_seed)
+    if len(final) == 1 and final[0].entity_ids == set(g.entity_ids):
+        klass = ReducibilityClass.FULLY_REDUCIBLE
+    elif not log and len(final) > 1:
+        klass = ReducibilityClass.IRREDUCIBLE
+    else:
+        klass = ReducibilityClass.PARTIALLY_REDUCIBLE
+    return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))

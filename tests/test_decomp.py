@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcs2d import (
     AlignCluster,
+    MergeRecord,
     NotReducibleError,
     PlaceByTwoLoci,
     ReducibilityClass,
@@ -15,15 +18,20 @@ from gcs2d import (
     decompose,
     diagnose_counting,
     distance,
+    dof,
     extract_plan,
     fixture,
+    fixture_names,
     induced_subgraph,
-    merge_step,
     point,
     random_laman,
     seed_clusters,
 )
 from gcs2d.graph import free_circle, tangency
+from support import random_mixed_graph, reference_decompose
+
+# The incremental decomposition and the exhaustive reference must agree.
+DECOMPOSERS = (decompose, reference_decompose)
 
 
 class TestSeeds:
@@ -44,21 +52,25 @@ class TestMergeStep:
             [point("A"), point("B")],
             [distance("A", "B", 1.0), distance("A", "B", 1.0)],
         )
-        record, clusters = merge_step(g, seed_clusters(g))
-        assert record.rule == "R2"
-        assert record.shared == ("A", "B")
-        assert len(clusters) == 1
+        for run in DECOMPOSERS:
+            result = run(g)
+            assert result.merge_log == (MergeRecord("R2", 2, (0, 1), ("A", "B")),)
+            assert len(result.final_clusters) == 1
 
     def test_triangle_rule_on_seed_edges(self):
         g = fixture("triangle")
-        record, clusters = merge_step(g, seed_clusters(g))
-        assert record.rule == "R1"
-        assert set(record.shared) == {"A", "B", "C"}
-        assert len(clusters) == 1
+        for run in DECOMPOSERS:
+            result = run(g)
+            (record,) = result.merge_log
+            assert record.rule == "R1"
+            assert record.parents == (0, 1, 2)
+            assert set(record.shared) == {"A", "B", "C"}
+            assert len(result.final_clusters) == 1
 
     def test_k33_is_a_fixpoint(self):
         g = fixture("k33")
-        assert merge_step(g, seed_clusters(g)) is None
+        for run in DECOMPOSERS:
+            assert run(g).merge_log == ()
 
     def test_triangle_rule_skips_free_circle_hinges(self):
         # Two tangencies and one mutual tangency meet pairwise in single
@@ -67,7 +79,74 @@ class TestMergeStep:
             [free_circle("K1"), free_circle("K2"), free_circle("K3")],
             [tangency("K1", "K2"), tangency("K2", "K3"), tangency("K3", "K1")],
         )
-        assert merge_step(g, seed_clusters(g)) is None
+        for run in DECOMPOSERS:
+            assert run(g).merge_log == ()
+
+
+class TestReferenceEquivalence:
+    """Full-result equality with the exhaustive reference: same merge order,
+    ids, clusters and class."""
+
+    def test_fixtures(self):
+        for name in fixture_names():
+            g = fixture(name)
+            assert decompose(g) == reference_decompose(g), name
+
+    def test_random_laman(self):
+        # Every n in 3-40 once, then sizes leaning small, because the
+        # reference rescans every pair of clusters after each merge.
+        rng = random.Random(2024)
+        sizes = list(range(3, 41))
+        sizes += [rng.randint(3, rng.randint(3, 40)) for _ in range(500 - len(sizes))]
+        for n in sizes:
+            g = random_laman(n, rng.randrange(10**6), rng.random())
+            assert decompose(g) == reference_decompose(g)
+
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_mixed_graphs(self, rng):
+        g = random_mixed_graph(rng)
+        assert decompose(g) == reference_decompose(g)
+
+
+class TestLargeFixpoint:
+    """Graphs beyond the reference's reach: check the fixpoint directly."""
+
+    def test_partially_reducible_fixpoint(self):
+        g = random_laman(400, 1, 0.5)
+        result = decompose(g)
+        final = result.final_clusters
+        owned = sorted(i for c in final for i in c.owned_constraints)
+        assert owned == list(range(g.m))
+        # No pair shares two entities; collect the single-entity hinges.
+        hinge: dict[tuple[int, int], str] = {}
+        holders: dict[str, list[int]] = {}
+        for k, c in enumerate(final):
+            for e in c.entity_ids:
+                holders.setdefault(e, []).append(k)
+        for ks in holders.values():
+            for a, b in combinations(ks, 2):
+                shared = final[a].entity_ids & final[b].entity_ids
+                assert len(shared) == 1
+                (hinge[a, b],) = shared
+        # No triangle of two-DOF hinges on three distinct entities.
+        two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
+        neighbours: dict[int, set[int]] = {}
+        for a, b in hinge:
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+        for (a, b), x in hinge.items():
+            for c in neighbours[a] & neighbours[b]:
+                if c > b:
+                    y, z = hinge[b, c], hinge[a, c]
+                    assert not (len({x, y, z}) == 3 and {x, y, z} <= two_dof)
+        assert result.reducibility is ReducibilityClass.PARTIALLY_REDUCIBLE
+
+    def test_fully_reducible(self):
+        g = random_laman(300, 1, 0.0)
+        result = decompose(g)
+        assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
+        assert len(result.merge_log) == 298
 
 
 class TestDecompose:
@@ -193,8 +272,11 @@ class TestExtractPlan:
         # must yield a plan (or an explicit unsupported-step error; none of
         # these random point graphs should hit one).
         rng = random.Random(1)
-        for _ in range(20):
-            g = random_laman(rng.randint(3, 9), rng.randrange(10**6), rng.random())
+        graphs = [fixture("moser-spindle")]
+        graphs += [random_laman(rng.randint(3, 9), rng.randrange(10**6), rng.random())
+                   for _ in range(20)]
+        aligned = 0
+        for g in graphs:
             result = decompose(g)
             if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
                 continue
@@ -206,5 +288,7 @@ class TestExtractPlan:
                 elif isinstance(step, TriangleMerge):
                     placed.update(step.points)
                 else:
-                    placed.update(name for name, _ in step.local)
+                    placed.update(name for name, _ in step.conformers[0])
+                    aligned += 1
             assert placed == set(g.entity_ids)
+        assert aligned
