@@ -47,7 +47,7 @@ def main():
         [Constraint(c.kind, c.between, sample[c.between[0]].distance_to(sample[c.between[1]]))
          for c in g.constraints],
     )
-    plan = extract_plan(decompose(measured), measured)
+    # Plans hold no values, so the unit spindle's plan solves the measured one.
     found = enumerate_solutions(plan, measured, limit=64)
     base = measured.constraints[plan.base_constraint].between
 

@@ -23,6 +23,7 @@ from .errors import (
     NotReducibleError,
     UnderDeterminedError,
     UnsupportedStepError,
+    VerificationError,
 )
 from .graph import ConstraintGraph, graph_to_dict, parse
 from .henneberg import fixture, random_laman
@@ -86,6 +87,7 @@ _SOLVE_REASONS = {
     UnderDeterminedError: "under_determined",
     UnsupportedStepError: "unsupported_step",
     BadBranchError: "bad_branch",
+    VerificationError: "verification_failed",
 }
 
 

@@ -24,7 +24,10 @@ From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
 entity holding two constraints into the placed set), falling back to
 recombination of independently solved clusters through virtual distances and
-rigid alignment.
+rigid alignment.  Plans are purely structural: a recombination step references
+the sub-plans of its clusters and holds no number, so this module never
+solves anything and one plan serves every re-valuation of the same graph.
+:mod:`gcs2d.solve` carries plans out.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import NotReducibleError, TooSmallError, UnsupportedStepError
-from .geometry import Placement, Point2
 from .graph import ConstraintGraph, EntityKind, dof
 from .rigidity import Verdict, diagnose_pebble
 
@@ -224,40 +226,35 @@ class PlaceByTwoLoci:
     constraints: tuple[int, int]
 
 
-Conformer = tuple[tuple[str, Placement], ...]
-
-
 @dataclass(frozen=True)
 class TriangleMerge:
     """Pin down three shared points through their pairwise virtual distances.
 
-    ``distances`` holds the canonical (d01, d12, d20) for ``points``
-    (p0, p1, p2); p0 and p1 belong to the already-placed base cluster.
-    ``alternatives`` lists, per pair, every distance value the contributing
-    cluster's internal conformations admit; the executor branches over them.
+    ``points`` (p0, p1, p2) are the points the base, first and second
+    clusters share pairwise; p0 and p1 belong to the already-placed base
+    cluster.  ``clusters`` and ``plans`` name those three clusters and their
+    own plans.  The executor solves each plan in its own frame and reads the
+    candidate distances |p1 p2| (second cluster) and |p2 p0| (first cluster)
+    off every conformation.
     """
 
     points: tuple[str, str, str]
-    distances: tuple[float, float, float]
-    alternatives: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+    clusters: tuple[int, int, int]
+    plans: tuple[Plan, Plan, Plan]
 
 
 @dataclass(frozen=True)
 class AlignCluster:
     """Map a cluster solved in its own frame onto the shared pair.
 
-    ``conformers`` holds one placement set per congruence-distinct local
-    solution; the branch selector picks the conformation and the gluing side
-    (conformers whose shared-pair geometry cannot match the placed pair are
-    skipped at run time).
+    The executor solves ``plan`` in its own frame; the branch selector then
+    picks the conformation and the gluing side (conformations whose
+    shared-pair geometry cannot match the placed pair are skipped).
     """
 
     cluster: int
     shared: tuple[str, str]
-    conformers: tuple[Conformer, ...]
-
-    def local_placements(self) -> dict[str, Placement]:
-        return dict(self.conformers[0])
+    plan: Plan
 
 
 PlanStep = Union[PlaceByTwoLoci, TriangleMerge, AlignCluster]
@@ -265,26 +262,26 @@ PlanStep = Union[PlaceByTwoLoci, TriangleMerge, AlignCluster]
 
 @dataclass(frozen=True)
 class Plan:
-    """Base seed placement plus ordered construction steps."""
+    """Base seed placement plus ordered construction steps for a cluster
+    that owns ``owned_constraints``."""
 
     base_cluster: int
     base_constraint: int
     steps: tuple[PlanStep, ...]
+    owned_constraints: frozenset[int] = frozenset()
 
 
 def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
-    """Turn a full decomposition into an executable construction plan.
+    """Turn a full decomposition into a construction plan.
 
     Requires a fully reducible, structurally well-constrained graph.  Each
     merge node is replayed: if every entity introduced by the merge can be
     placed sequentially from two constraints into the already-placed set, the
     node becomes PlaceByTwoLoci steps; otherwise the non-base clusters are
-    solved in their own frames (every congruence-distinct conformation is
-    kept) and recombined through a TriangleMerge over virtual distances plus
-    rigid alignments.
+    recombined through a TriangleMerge over virtual distances plus rigid
+    alignments, which reference the clusters' own plans.  The plan holds no
+    values of ``g``, so it serves every graph with the same structure.
     """
-    from . import solve as _solve  # deferred: plan extraction replays sub-plans
-
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
     if diagnose_pebble(g).verdict is not Verdict.WELL_CONSTRAINED:
@@ -292,42 +289,26 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
 
     by_id = {c.id: c for c in result.all_clusters}
     plans: dict[int, Plan] = {}
-    locals_: dict[int, list[dict[str, Placement]]] = {}
 
-    def local_conformers(cid: int) -> list[dict[str, Placement]]:
-        if cid in locals_:
-            return locals_[cid]
+    def plan_cluster(cid: int) -> Iterator[int]:
+        """Store the plan of cluster ``cid`` in ``plans``.  A generator: it
+        yields the id of each child cluster whose plan it needs next."""
         cluster = by_id[cid]
         if cluster.is_seed:
-            conformers = [_solve.base_placements(g, cluster.provenance.constraint)]
-        else:
-            conformers = _solve.local_solutions(plan_cluster(cid), g, cluster.owned_constraints)
-        locals_[cid] = conformers
-        return conformers
-
-    def the_shared(a: Cluster, b: Cluster) -> str:
-        (only,) = a.entity_ids & b.entity_ids
-        return only
-
-    def plan_cluster(cid: int) -> Plan:
-        if cid in plans:
-            return plans[cid]
-        cluster = by_id[cid]
-        if cluster.is_seed:
-            plan = Plan(cid, cluster.provenance.constraint, ())
-            plans[cid] = plan
-            return plan
+            plans[cid] = Plan(cid, cluster.provenance.constraint, (), cluster.owned_constraints)
+            return
 
         children = [by_id[p] for p in cluster.provenance.parents]
         base_child = sorted(children, key=lambda c: (-len(c.entity_ids), c.id))[0]
-        base_plan = plan_cluster(base_child.id)
+        yield base_child.id
+        base_plan = plans[base_child.id]
         pool = sorted(cluster.owned_constraints - base_child.owned_constraints)
 
         # Sequential extension: place entities one at a time from two
         # constraints whose other endpoints are already placed.
         placed = set(base_child.entity_ids)
         used: set[int] = set()
-        seq: list[PlanStep] = []
+        steps: list[PlanStep] = []
         while placed != set(cluster.entity_ids):
             for target in sorted(set(cluster.entity_ids) - placed):
                 ready = [
@@ -338,92 +319,64 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
                     and next(e for e in g.constraints[i].between if e != target) in placed
                 ]
                 if len(ready) >= 2:
-                    seq.append(PlaceByTwoLoci(target, (ready[0], ready[1])))
+                    steps.append(PlaceByTwoLoci(target, (ready[0], ready[1])))
                     used.update(ready[:2])
                     placed.add(target)
                     break
             else:
                 break
-        if placed == set(cluster.entity_ids):
-            plan = Plan(base_plan.base_cluster, base_plan.base_constraint,
-                        base_plan.steps + tuple(seq))
-            plans[cid] = plan
-            return plan
 
-        # Recombination of independently solved clusters.
-        placed = set(base_child.entity_ids)
-        steps: list[PlanStep] = []
-        if isinstance(cluster.provenance, MergeR2):
-            other = next(c for c in children if c.id != base_child.id)
-            steps.append(_align_step(g, other, base_child.entity_ids & other.entity_ids,
-                                     local_conformers(other.id)))
-        else:
-            others = sorted((c for c in children if c.id != base_child.id), key=lambda c: c.id)
-            first, second = others
-            u = the_shared(base_child, first)
-            v = the_shared(base_child, second)
-            w = the_shared(first, second)
-            for shared_entity in (u, v, w):
-                if g.kind_of(shared_entity) is not EntityKind.POINT:
-                    raise UnsupportedStepError(
-                        f"triangle recombination needs shared points, got "
-                        f"{g.kind_of(shared_entity).value} {shared_entity!r}"
-                    )
-            base_conformers = local_conformers(base_child.id)
-            first_conformers = local_conformers(first.id)
-            second_conformers = local_conformers(second.id)
-            alt_uv = _pair_distances(base_conformers, u, v)
-            alt_vw = _pair_distances(second_conformers, v, w)
-            alt_wu = _pair_distances(first_conformers, w, u)
-            steps.append(
-                TriangleMerge(
-                    (u, v, w),
-                    (alt_uv[0], alt_vw[0], alt_wu[0]),
-                    (alt_uv, alt_vw, alt_wu),
-                )
-            )
-            placed.add(w)
-            for child, pair, conformers in (
-                (first, (u, w), first_conformers),
-                (second, (v, w), second_conformers),
-            ):
-                if child.entity_ids <= placed:
-                    continue
-                steps.append(_align_step(g, child, set(pair), conformers))
-                placed |= child.entity_ids
+        if placed != set(cluster.entity_ids):
+            # Recombination of independently solved clusters.
+            placed = set(base_child.entity_ids)
+            steps = []
+            if isinstance(cluster.provenance, MergeR2):
+                other = next(c for c in children if c.id != base_child.id)
+                yield other.id
+                steps.append(_align_step(g, other, base_child.entity_ids & other.entity_ids,
+                                         plans[other.id]))
+            else:
+                first, second = sorted((c for c in children if c.id != base_child.id),
+                                       key=lambda c: c.id)
+                (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
+                                    base_child.entity_ids & second.entity_ids,
+                                    first.entity_ids & second.entity_ids)
+                for shared_entity in (u, v, w):
+                    if g.kind_of(shared_entity) is not EntityKind.POINT:
+                        raise UnsupportedStepError(
+                            f"triangle recombination needs shared points, got "
+                            f"{g.kind_of(shared_entity).value} {shared_entity!r}"
+                        )
+                yield first.id
+                yield second.id
+                steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
+                                           (base_plan, plans[first.id], plans[second.id])))
+                placed.add(w)
+                for child, pair in ((first, (u, w)), (second, (v, w))):
+                    if child.entity_ids <= placed:
+                        continue
+                    steps.append(_align_step(g, child, set(pair), plans[child.id]))
+                    placed |= child.entity_ids
 
-        plan = Plan(base_plan.base_cluster, base_plan.base_constraint,
-                    base_plan.steps + tuple(steps))
-        plans[cid] = plan
-        return plan
+        plans[cid] = Plan(base_plan.base_cluster, base_plan.base_constraint,
+                          base_plan.steps + tuple(steps), cluster.owned_constraints)
 
-    root = result.final_clusters[0]
-    return plan_cluster(root.id)
-
-
-def _point(placements: dict[str, Placement], entity_id: str) -> Point2:
-    placement = placements[entity_id]
-    assert isinstance(placement, Point2)
-    return placement
-
-
-def _pair_distances(
-    conformers: list[dict[str, Placement]], a: str, b: str
-) -> tuple[float, ...]:
-    """Distinct |ab| values across conformations, in conformer order."""
-    values: list[float] = []
-    for conformer in conformers:
-        d = _point(conformer, a).distance_to(_point(conformer, b))
-        if not any(abs(d - seen) <= 1e-9 for seen in values):
-            values.append(d)
-    return tuple(values)
+    # A merge tree is as deep as the graph is long (a triangle strip nests one
+    # merge per point), so the builders wait on an explicit stack for the
+    # plans of their children instead of recursing.
+    root = result.final_clusters[0].id
+    pending = [plan_cluster(root)]
+    while pending:
+        child = next(pending[-1], None)
+        if child is None:
+            pending.pop()
+        elif child not in plans:
+            pending.append(plan_cluster(child))
+    return plans[root]
 
 
 def _align_step(
-    g: ConstraintGraph,
-    cluster: Cluster,
-    shared: set[str],
-    conformers: list[dict[str, Placement]],
+    g: ConstraintGraph, cluster: Cluster, shared: set[str], plan: Plan
 ) -> AlignCluster:
     def rank(entity_id: str) -> tuple[int, str]:
         return (0 if g.kind_of(entity_id) is EntityKind.POINT else 1, entity_id)
@@ -436,8 +389,7 @@ def _align_step(
             f"alignment over shared pair of kinds "
             f"({kinds[0].value}, {kinds[1].value}) is not supported"
         )
-    frozen = tuple(tuple(sorted(c.items())) for c in conformers)
-    return AlignCluster(cluster.id, (first, second), frozen)
+    return AlignCluster(cluster.id, (first, second), plan)
 
 
 # --------------------------------------------------------------- JSON mirrors
@@ -471,8 +423,6 @@ def decomposition_to_dict(result: DecompositionResult) -> dict:
 
 
 def plan_to_dict(plan: Plan, g: ConstraintGraph) -> dict:
-    from . import solve as _solve
-
     steps: list[dict] = []
     for step in plan.steps:
         if isinstance(step, PlaceByTwoLoci):
@@ -483,20 +433,12 @@ def plan_to_dict(plan: Plan, g: ConstraintGraph) -> dict:
         elif isinstance(step, TriangleMerge):
             steps.append(
                 {"type": "triangle_merge", "points": list(step.points),
-                 "distances": list(step.distances),
-                 "distance_alternatives": [list(a) for a in step.alternatives]}
+                 "clusters": list(step.clusters)}
             )
         else:
             steps.append(
-                {
-                    "type": "align_cluster",
-                    "cluster": step.cluster,
-                    "shared": list(step.shared),
-                    "conformers": [
-                        {name: _solve.placement_to_dict(p) for name, p in conformer}
-                        for conformer in step.conformers
-                    ],
-                }
+                {"type": "align_cluster", "cluster": step.cluster,
+                 "shared": list(step.shared), "plan": plan_to_dict(step.plan, g)}
             )
     return {
         "base": {

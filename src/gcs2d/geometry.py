@@ -128,9 +128,6 @@ class Motion:
         return self.apply_circle(placement)
 
 
-IDENTITY_MOTION = Motion(reflect=False, rotation=0.0, translation=(0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class Intersection:
     """Result of a quadratic intersection; ``tangent`` marks a double root."""

@@ -159,16 +159,6 @@ def diagnose_pebble(g: ConstraintGraph) -> Diagnosis:
     return _well()
 
 
-def overconstrained_witness(g: ConstraintGraph) -> frozenset[str] | None:
-    """Minimum-cardinality violating entity set, or None when none exists.
-
-    Uses the subset-enumeration oracle, so it is intended for graphs small
-    enough for :func:`diagnose_counting`.
-    """
-    diagnosis = diagnose_counting(g)
-    return diagnosis.witness
-
-
 def is_laman(g: ConstraintGraph) -> bool:
     """True iff a point-distance graph is minimally rigid in the plane."""
     for e in g.entities:

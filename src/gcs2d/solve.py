@@ -6,13 +6,19 @@ axis for incidence-style bases).  Each subsequent step resolves to line and
 circle intersections; steps with two or more roots consume one entry of the
 branch selector.  Roots are ordered by angle around their centroid and then
 lexicographically by coordinates, so selectors are stable across runs.
+
+One depth-first walker carries every plan out: :func:`execute` follows a
+selector, :func:`enumerate_solutions` tries every root.  Plans hold no values,
+so before the first step the walker solves each cluster plan a recombination
+step references, once and in the cluster's own frame, and aligns or measures
+those conformations as the steps come.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
@@ -49,6 +55,10 @@ from .graph import Constraint, ConstraintGraph, ConstraintKind, EntityKind
 DEFAULT_TOL = 1e-9
 
 X_AXIS = LineRep(math.pi / 2.0, 0.0)
+
+# Cluster id -> the cluster's congruence-distinct conformations, each solved
+# in the cluster's own frame.
+Conformers = dict[int, list[dict[str, Placement]]]
 
 
 @dataclass(frozen=True)
@@ -252,7 +262,7 @@ def _place_line(
 
 
 def _triangle_options(
-    step: TriangleMerge, placements: Mapping[str, Placement], g: ConstraintGraph
+    step: TriangleMerge, placements: Mapping[str, Placement], conformers: Conformers
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Place the one unplaced shared point from two virtual-distance circles.
 
@@ -270,11 +280,12 @@ def _triangle_options(
         )
     anchor1 = _as_point(placements, p0)
     anchor2 = _as_point(placements, p1)
+    _, first, second = step.clusters
     options: list[dict[str, Placement]] = []
     tangent = False
     failure: GcsError | None = None
-    for d12 in step.alternatives[1]:  # |p1 p2| candidates
-        for d20 in step.alternatives[2]:  # |p2 p0| candidates
+    for d12 in _pair_distances(conformers[second], p1, p2):  # |p1 p2| candidates
+        for d20 in _pair_distances(conformers[first], p2, p0):  # |p2 p0| candidates
             if d12 <= 1e-9 or d20 <= 1e-9:
                 continue
             try:
@@ -295,6 +306,18 @@ def _triangle_options(
     return options, tangent
 
 
+def _pair_distances(
+    conformers: list[dict[str, Placement]], a: str, b: str
+) -> tuple[float, ...]:
+    """Distinct |ab| values across conformations, in conformer order."""
+    values: list[float] = []
+    for conformer in conformers:
+        d = _as_point(conformer, a).distance_to(_as_point(conformer, b))
+        if not any(abs(d - seen) <= 1e-9 for seen in values):
+            values.append(d)
+    return tuple(values)
+
+
 def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
     placement = _placed(placements, entity_id)
     if not isinstance(placement, Point2):
@@ -303,7 +326,7 @@ def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
 
 
 def _align_options(
-    step: AlignCluster, placements: Mapping[str, Placement], g: ConstraintGraph
+    step: AlignCluster, placements: Mapping[str, Placement], conformers: Conformers
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Glue a locally solved cluster onto its placed shared pair.
 
@@ -316,8 +339,7 @@ def _align_options(
     )
     outcomes: list[dict[str, Placement]] = []
     failure: GcsError | None = None
-    for frozen in step.conformers:
-        local = dict(frozen)
+    for local in conformers[step.cluster]:
         unplaced = [e for e in local if e not in placements]
         if not unplaced:
             return [{}], False
@@ -334,7 +356,7 @@ def _align_options(
 
 
 def _options_for_step(
-    step, placements: Mapping[str, Placement], g: ConstraintGraph
+    step, placements: Mapping[str, Placement], g: ConstraintGraph, conformers: Conformers
 ) -> tuple[list[dict[str, Placement]], bool]:
     if isinstance(step, PlaceByTwoLoci):
         kind = g.kind_of(step.target)
@@ -344,9 +366,9 @@ def _options_for_step(
             return _place_line(step, placements, g)
         raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
     if isinstance(step, TriangleMerge):
-        return _triangle_options(step, placements, g)
+        return _triangle_options(step, placements, conformers)
     if isinstance(step, AlignCluster):
-        return _align_options(step, placements, g)
+        return _align_options(step, placements, conformers)
     raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
 
 
@@ -360,121 +382,165 @@ def execute(plan: Plan, g: ConstraintGraph, branches: Sequence[int] = ()) -> Sol
     roots; missing entries default to 0.  Raises BadBranchError for an entry
     out of range or a selector longer than the number of branching steps.
     """
-    selector = list(branches)
-    placements = dict(base_placements(g, plan.base_constraint))
-    chosen: list[int] = []
-    degenerate: list[int] = []
-    cursor = 0
-    for i, step in enumerate(plan.steps):
-        options, tangent = _options_for_step(step, placements, g)
-        if tangent:
-            degenerate.append(i)
-        pick = 0
-        if len(options) > 1:
-            if cursor < len(selector):
-                pick = selector[cursor]
-            if not 0 <= pick < len(options):
-                raise BadBranchError(
-                    f"branch {pick} out of range for step {i} with {len(options)} roots"
-                )
-            cursor += 1
-            chosen.append(pick)
-        placements.update(options[pick])
-    if cursor < len(selector):
-        raise BadBranchError(
-            f"selector has {len(selector)} entries but only {cursor} steps branch"
-        )
-    return Solution(placements, tuple(chosen), tuple(degenerate))
-
-
-def _search(
-    plan: Plan,
-    g: ConstraintGraph,
-    limit: int,
-    tol: float | None,
-) -> list[Solution]:
-    """Depth-first branch enumeration, pruning failed prefixes.
-
-    With ``tol`` set, only solutions whose residual check passes are kept.
-    Raises the first recorded failure when nothing survives.
-    """
-    if limit < 1:
-        raise BadBranchError(f"limit must be >= 1, got {limit}")
-    results: list[Solution] = []
-    first_error: list[GcsError] = []
-
-    base = base_placements(g, plan.base_constraint)
-
-    def note(exc: GcsError) -> None:
-        if not first_error:
-            first_error.append(exc)
-
-    def dfs(i: int, placements: dict[str, Placement], chosen: list[int], degen: list[int]) -> None:
-        if len(results) >= limit:
-            return
-        if i == len(plan.steps):
-            sol = Solution(dict(placements), tuple(chosen), tuple(degen))
-            if tol is not None:
-                report = verify(g, sol, tol)
-                if not report.passed:
-                    note(VerificationError(f"residual {report.max_abs} exceeds {tol}"))
-                    return
-            results.append(sol)
-            return
-        try:
-            options, tangent = _options_for_step(plan.steps[i], placements, g)
-        except GcsError as exc:
-            note(exc)
-            return
-        multi = len(options) > 1
-        next_degen = degen + [i] if tangent else degen
-        for b, outcome in enumerate(options):
-            if len(results) >= limit:
-                return
-            merged = dict(placements)
-            merged.update(outcome)
-            dfs(i + 1, merged, chosen + [b] if multi else chosen, next_degen)
-
-    dfs(0, dict(base), [], [])
-    if not results:
-        raise first_error[0] if first_error else VerificationError("no branch produced a solution")
-    return results
+    return _walk(plan, g, _solve_subplans(plan, g), tuple(branches), 1, None)[0]
 
 
 def enumerate_solutions(
     plan: Plan, g: ConstraintGraph, limit: int = 16, tol: float = DEFAULT_TOL
 ) -> list[tuple[tuple[int, ...], Solution]]:
     """All verifying solutions (up to ``limit``) in deterministic branch order."""
-    return [(sol.branches, sol) for sol in _search(plan, g, limit, tol)]
+    solutions = _walk(plan, g, _solve_subplans(plan, g), None, limit, tol)
+    return [(sol.branches, sol) for sol in solutions]
 
 
-def local_solutions(
-    plan: Plan, g: ConstraintGraph, owned: frozenset[int] | set[int], limit: int = 64
+@dataclass(slots=True)
+class _Frame:
+    """One step on the walker's path: its roots, the root taken and the last
+    one to try, and whether the step hit a tangent root."""
+
+    options: list[dict[str, Placement]]
+    pick: int
+    last: int
+    tangent: bool
+
+
+def _walk(
+    plan: Plan,
+    g: ConstraintGraph,
+    conformers: Conformers,
+    selector: tuple[int, ...] | None,
+    limit: int,
+    tol: float | None,
+) -> list[Solution]:
+    """Depth-first branch walk, pruning failed prefixes.
+
+    With a ``selector`` only the roots it names are followed (see
+    :func:`execute`); without one every root is tried.  With ``tol`` set,
+    only solutions whose residual check passes are kept.  Raises the first
+    recorded failure when nothing survives.  The path is an explicit stack
+    of frames over one placement map, so a plan may be longer than the
+    interpreter's recursion limit; backtracking deletes what a root placed,
+    which holds because every step places only entities still unplaced.
+    """
+    if limit < 1:
+        raise BadBranchError(f"limit must be >= 1, got {limit}")
+    placements = dict(base_placements(g, plan.base_constraint))
+    results: list[Solution] = []
+    failure: GcsError | None = None  # the first one recorded
+    frames: list[_Frame] = []
+    cursor = 0  # branching steps on the path, i.e. the next selector entry
+    while True:
+        i = len(frames)
+        if i < len(plan.steps):
+            try:
+                options, tangent = _options_for_step(plan.steps[i], placements, g, conformers)
+                first, last = 0, len(options) - 1
+                if selector is not None and last:
+                    first = last = selector[cursor] if cursor < len(selector) else 0
+                    if not 0 <= first < len(options):
+                        raise BadBranchError(
+                            f"branch {first} out of range for step {i} with {len(options)} roots"
+                        )
+            except GcsError as exc:
+                failure = failure or exc
+            else:
+                frames.append(_Frame(options, first, last, tangent))
+                cursor += len(options) > 1
+                placements.update(options[first])
+                continue
+        elif selector is not None and cursor < len(selector):
+            failure = failure or BadBranchError(
+                f"selector has {len(selector)} entries but only {cursor} steps branch"
+            )
+        else:
+            sol = Solution(
+                dict(placements),
+                tuple(f.pick for f in frames if len(f.options) > 1),
+                tuple(k for k, f in enumerate(frames) if f.tangent),
+            )
+            report = verify(g, sol, tol) if tol is not None else None
+            if report is None or report.passed:
+                results.append(sol)
+                if len(results) >= limit:
+                    break
+            else:
+                failure = failure or VerificationError(
+                    f"residual {report.max_abs} exceeds {tol}"
+                )
+        # Take back roots, deepest first, until a step has one left to try.
+        while frames:
+            top = frames[-1]
+            for e in top.options[top.pick]:
+                del placements[e]
+            if top.pick < top.last:
+                break
+            frames.pop()
+            cursor -= len(top.options) > 1
+        if not frames:
+            break
+        top.pick += 1
+        placements.update(top.options[top.pick])
+    if not results:
+        raise failure or VerificationError("no branch produced a solution")
+    return results
+
+
+def _solve_subplans(plan: Plan, g: ConstraintGraph) -> Conformers:
+    """Conformations of every cluster ``plan`` references, by cluster id.
+
+    Each referenced plan is solved once, after the plans it references
+    itself: depth-first in step order, and for a triangle the base, first
+    and second cluster in that order.  An explicit stack keeps deeply
+    nested plans off the recursion limit.
+    """
+    conformers: Conformers = {}
+    stack = [(-1, plan, _references(plan))]
+    while stack:
+        cid, sub, refs = stack[-1]
+        ref = next(refs, None)
+        if ref is None:
+            stack.pop()
+            if stack:
+                conformers[cid] = _local_solutions(sub, g, conformers)
+        elif ref[0] not in conformers:
+            stack.append((*ref, _references(ref[1])))
+    return conformers
+
+
+def _references(plan: Plan) -> Iterator[tuple[int, Plan]]:
+    for step in plan.steps:
+        if isinstance(step, AlignCluster):
+            yield step.cluster, step.plan
+        elif isinstance(step, TriangleMerge):
+            yield from zip(step.clusters, step.plans)
+
+
+def _local_solutions(
+    plan: Plan, g: ConstraintGraph, conformers: Conformers
 ) -> list[dict[str, Placement]]:
     """Congruence-distinct local solutions of a cluster, for recombination.
 
     Every branch assignment satisfying the cluster's own constraints is
     collected, then deduplicated up to isometry (by a rounded pairwise
     invariant signature, since alignment later supplies the motion and the
-    reflection anyway).  Non-degenerate conformations come first.
+    reflection anyway).  Non-degenerate conformations come first, and each
+    maps entities in sorted order.
     """
-    candidates = _search(plan, g, limit, tol=None)
+    candidates = _walk(plan, g, conformers, None, 64, None)
     valid = [
         s for s in candidates
-        if _max_residual(g, s.placements, owned) <= DEFAULT_TOL
+        if _max_residual(g, s.placements, plan.owned_constraints) <= DEFAULT_TOL
     ]
     if not valid:
         raise VerificationError("no branch satisfies the cluster constraints")
-    ordered = [s for s in valid if _is_generic(s.placements)]
-    ordered += [s for s in valid if not _is_generic(s.placements)]
-    conformers: list[dict[str, Placement]] = []
+    found: list[dict[str, Placement]] = []
     signatures: set[tuple] = set()
-    for sol in ordered:
+    for sol in sorted(valid, key=lambda s: not _is_generic(s.placements)):
         signature = _congruence_signature(sol.placements)
         if signature not in signatures:
             signatures.add(signature)
-            conformers.append(dict(sol.placements))
-    return conformers
+            found.append(dict(sorted(sol.placements.items())))
+    return found
 
 
 def _congruence_signature(placements: Mapping[str, Placement]) -> tuple:

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from gcs2d import serialize
+from gcs2d import fixture, serialize
 from gcs2d.cli import main
-from gcs2d.graph import build_graph, distance, point
+from gcs2d.graph import Constraint, build_graph, distance, point
 
 from support import triangle_graph
 
@@ -126,6 +126,20 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(path), "--all")
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "empty_intersection"
+
+    def test_residual_failure_has_the_same_reason_with_and_without_all(self, capsys, tmp_path):
+        # At a 1e10 length scale the spindle's residuals (~4e-6) exceed the
+        # default tolerance: both modes report it as a negative verdict.
+        g = fixture("moser-spindle")
+        scaled = build_graph(
+            g.entities, [Constraint(c.kind, c.between, c.value * 1.37e10) for c in g.constraints]
+        )
+        path = tmp_path / "spindle-1e10.json"
+        path.write_text(serialize(scaled), encoding="utf-8")
+        for extra in (("--all",), ()):
+            code, out, _ = run_cli(capsys, "solve", str(path), *extra)
+            assert code == 2
+            assert json.loads(out)["error"]["reason"] == "verification_failed"
 
     def test_over_constrained_gate(self, capsys, monkeypatch):
         _, graph_json, _ = run_cli(capsys, "fixture", "k4")

@@ -1,5 +1,8 @@
+import ast
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,7 +291,24 @@ class TestExtractPlan:
                 elif isinstance(step, TriangleMerge):
                     placed.update(step.points)
                 else:
-                    placed.update(name for name, _ in step.conformers[0])
+                    owned = step.plan.owned_constraints
+                    placed.update(e for i in owned for e in g.constraints[i].between)
                     aligned += 1
             assert placed == set(g.entity_ids)
         assert aligned
+
+
+def test_decompose_imports_nothing_from_solve():
+    # Plans are structural: decomposition never calls into the numeric layer.
+    source = Path(importlib.util.find_spec("gcs2d.decompose").origin)
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.append(module)
+            imported += [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert not [name for name in imported if "solve" in name.split(".")]

@@ -13,7 +13,6 @@ from gcs2d import (
     fixture,
     is_laman,
     line,
-    overconstrained_witness,
     point,
     random_laman,
 )
@@ -169,8 +168,8 @@ class TestOracleEquivalence:
 
 class TestWitnessAndLaman:
     def test_witness_present_iff_over(self):
-        assert overconstrained_witness(k4()) == frozenset("ABCD")
-        assert overconstrained_witness(triangle_graph(3, 4, 5)) is None
+        assert diagnose_counting(k4()).witness == frozenset("ABCD")
+        assert diagnose_counting(triangle_graph(3, 4, 5)).witness is None
 
     def test_is_laman_triangle(self):
         assert is_laman(triangle_graph(3, 4, 5))

@@ -4,12 +4,15 @@ import random
 import pytest
 
 from gcs2d import (
+    AlignCluster,
     BadBranchError,
     EmptyIntersectionError,
+    GcsError,
     MissingPlacementError,
     Motion,
     Point2,
     Solution,
+    TriangleMerge,
     UnderDeterminedError,
     build_graph,
     decompose,
@@ -21,6 +24,7 @@ from gcs2d import (
     line_through_points,
     parse,
     point,
+    random_laman,
     serialize,
     solution_from_dict,
     solution_to_dict,
@@ -297,6 +301,52 @@ class TestRandomRigidGraphs:
                 assert verify(g, sol).max_abs <= 1e-9
             solved += 1
         assert solved >= 100
+
+
+class TestPlanReuse:
+    """Plans hold no values: a plan extracted from one valuation of a graph
+    solves every other valuation exactly as that valuation's own plan does."""
+
+    @staticmethod
+    def revalued_pairs():
+        rng = random.Random(31)
+        spindle = fixture("moser-spindle")
+        pairs = [(spindle, measured_graph(spindle, sample_embedding(spindle, rng)))]
+        while len(pairs) < 5:
+            g = random_laman(rng.randint(6, 11), rng.randrange(10**6), 0.5)
+            try:
+                plan = plan_for(g)
+            except GcsError:
+                continue
+            if any(isinstance(s, (TriangleMerge, AlignCluster)) for s in plan.steps):
+                pairs.append(tuple(measured_graph(g, sample_embedding(g, rng)) for _ in "ab"))
+        return pairs
+
+    def test_one_plan_serves_new_values(self):
+        for g, g2 in self.revalued_pairs():
+            plan, own = plan_for(g), plan_for(g2)
+            assert plan == own
+            found = enumerate_solutions(plan, g2)
+            assert found == enumerate_solutions(own, g2)
+            for selector, sol in found:
+                assert execute(plan, g2, selector) == sol
+
+
+class TestDeepPlans:
+    def test_long_triangle_strip(self):
+        # Each point hangs off the two before it, so the merge tree nests one
+        # triangle merge per point and the plan has 1498 steps.
+        n = 1500
+        constraints = [distance("p0", "p1", 1.0)]
+        for i in range(2, n):
+            constraints += [distance(f"p{i - 2}", f"p{i}", 1.0),
+                            distance(f"p{i - 1}", f"p{i}", 1.0)]
+        g = build_graph([point(f"p{i}") for i in range(n)], constraints)
+        plan = plan_for(g)
+        assert len(plan.steps) == n - 2
+        assert verify(g, execute(plan, g)).passed
+        ((_, sol),) = enumerate_solutions(plan, g, limit=1)
+        assert verify(g, sol).passed
 
 
 class TestSolutionSerialization:
