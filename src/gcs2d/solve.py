@@ -490,7 +490,9 @@ def _solve_subplans(plan: Plan, g: ConstraintGraph) -> Conformers:
 
     Each referenced plan is solved once, after the plans it references
     itself: depth-first in step order, and for a triangle the base, first
-    and second cluster in that order.  An explicit stack keeps deeply
+    and second cluster in that order.  A triangle's base is solved although
+    no distance is read off it, so that a base cluster without a local
+    solution fails before the walk starts.  An explicit stack keeps deeply
     nested plans off the recursion limit.
     """
     conformers: Conformers = {}
