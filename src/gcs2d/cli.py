@@ -2,10 +2,13 @@
 
 Exit codes: 0 on success, 1 on input or system errors, 2 on well-formed runs
 with a negative verdict (under- or over-constrained, not reducible, no
-numeric solution).  Every command writes parseable output (JSON, DOT or SVG)
-to stdout; diagnostics go to stderr.  All path arguments accept ``-`` for
-stdin.  The environment variable GCS_TOL overrides the default residual
-tolerance of 1e-9.
+numeric solution).  Library errors are handled once, in :func:`main`: an
+error whose class names a ``reason`` prints ``{"error": {"reason",
+"message"[, "entity"]}}`` and exits 2; any other error writes one line to
+stderr, leaves stdout empty and exits 1.  Every command writes parseable
+output (JSON, DOT or SVG) to stdout; diagnostics go to stderr.  All path
+arguments accept ``-`` for stdin.  The environment variable GCS_TOL
+overrides the default residual tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -16,21 +19,14 @@ import os
 import sys
 
 from .decompose import decompose, decomposition_to_dict, extract_plan, plan_to_dict
-from .errors import (
-    BadBranchError,
-    EmptyIntersectionError,
-    GcsError,
-    NotReducibleError,
-    UnderDeterminedError,
-    UnsupportedStepError,
-    VerificationError,
-)
-from .graph import ConstraintGraph, graph_to_dict, parse
+from .errors import GcsError, UnderDeterminedError
+from .graph import graph_to_dict, parse
 from .henneberg import fixture, random_laman
 from .render import to_dot, to_svg
-from .rigidity import Verdict, diagnose_pebble
+from .rigidity import Diagnosis, Verdict, diagnose_pebble
 from .solve import (
     DEFAULT_TOL,
+    ResidualReport,
     enumerate_solutions,
     execute,
     solution_from_dict,
@@ -40,11 +36,12 @@ from .solve import (
 
 
 class _Failure(Exception):
-    def __init__(self, code: int, payload: dict | None = None, message: str | None = None):
-        super().__init__(message or "")
-        self.code = code
-        self.payload = payload
-        self.message = message
+    """An exit the CLI decides itself: with a ``verdict`` a negative verdict
+    (exit 2), else an input error whose message goes to stderr (exit 1)."""
+
+    def __init__(self, message: str = "", verdict: dict | None = None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 def _emit(doc: dict) -> None:
@@ -53,20 +50,13 @@ def _emit(doc: dict) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise _Failure(1, message=f"cannot read {path!r}: {exc}") from exc
-
-
-def _load_graph(path: str) -> ConstraintGraph:
-    try:
-        return parse(_read_text(path))
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Failure(f"cannot read {path!r}: {exc}") from exc
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -77,99 +67,57 @@ def _tolerance(args: argparse.Namespace) -> float:
         try:
             return float(env)
         except ValueError as exc:
-            raise _Failure(1, message=f"GCS_TOL is not a number: {env!r}") from exc
+            raise _Failure(f"GCS_TOL is not a number: {env!r}") from exc
     return DEFAULT_TOL
 
 
-_SOLVE_REASONS = {
-    NotReducibleError: "not_reducible",
-    EmptyIntersectionError: "empty_intersection",
-    UnderDeterminedError: "under_determined",
-    UnsupportedStepError: "unsupported_step",
-    BadBranchError: "bad_branch",
-    VerificationError: "verification_failed",
-}
+def _require_passed(report: ResidualReport) -> None:
+    if not report.passed:
+        raise _Failure(verdict={"reason": "verification_failed",
+                                "max_abs_residual": report.max_abs})
+
+
+def _evidence(diagnosis: Diagnosis) -> dict:
+    """The deficit or witness of a structural diagnosis, when it has one."""
+    fields: dict = {}
+    if diagnosis.deficit is not None:
+        fields["deficit"] = diagnosis.deficit
+    if diagnosis.witness is not None:
+        fields["witness"] = sorted(diagnosis.witness)
+    return fields
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
-    try:
-        diagnosis = diagnose_pebble(g)
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
-    doc: dict = {"diagnosis": diagnosis.verdict.value}
-    if diagnosis.deficit is not None:
-        doc["deficit"] = diagnosis.deficit
-    if diagnosis.witness is not None:
-        doc["witness"] = sorted(diagnosis.witness)
-    _emit(doc)
+    diagnosis = diagnose_pebble(parse(_read_text(args.path)))
+    _emit({"diagnosis": diagnosis.verdict.value, **_evidence(diagnosis)})
     return 0 if diagnosis.verdict is Verdict.WELL_CONSTRAINED else 2
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
-    try:
-        result = decompose(g)
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
-    _emit(decomposition_to_dict(result))
+    _emit(decomposition_to_dict(decompose(parse(_read_text(args.path)))))
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+    g = parse(_read_text(args.path))
     tol = _tolerance(args)
     try:
         branches = tuple(int(x) for x in args.branch.split(",")) if args.branch else ()
     except ValueError as exc:
-        raise _Failure(1, message="--branch must be a comma-separated integer list") from exc
+        raise _Failure("--branch must be a comma-separated integer list") from exc
 
-    try:
-        diagnosis = diagnose_pebble(g)
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
+    diagnosis = diagnose_pebble(g)
     if diagnosis.verdict is not Verdict.WELL_CONSTRAINED:
         reason = f"{diagnosis.verdict.value}_constrained"
-        payload: dict = {"error": {"reason": reason}}
-        if diagnosis.deficit is not None:
-            payload["error"]["deficit"] = diagnosis.deficit
-        if diagnosis.witness is not None:
-            payload["error"]["witness"] = sorted(diagnosis.witness)
-        raise _Failure(2, payload=payload)
+        raise _Failure(verdict={"reason": reason, **_evidence(diagnosis)})
 
-    try:
-        result = decompose(g)
-        plan = extract_plan(result, g)
-        if args.all:
-            found = enumerate_solutions(plan, g, limit=args.limit, tol=tol)
-            solutions = [sol for _, sol in found]
-        else:
-            sol = execute(plan, g, branches)
-            report = verify(g, sol, tol)
-            if not report.passed:
-                raise _Failure(
-                    2,
-                    payload={
-                        "error": {
-                            "reason": "verification_failed",
-                            "max_abs_residual": report.max_abs,
-                        }
-                    },
-                )
-            solutions = [sol]
-    except _Failure:
-        raise
-    except GcsError as exc:
-        reason = next(
-            (name for klass, name in _SOLVE_REASONS.items() if isinstance(exc, klass)),
-            None,
-        )
-        if reason is None:
-            raise _Failure(1, message=str(exc)) from exc
-        body: dict = {"reason": reason, "message": str(exc)}
-        if isinstance(exc, UnderDeterminedError):
-            body["entity"] = exc.entity
-        raise _Failure(2, payload={"error": body}) from exc
+    plan = extract_plan(decompose(g), g)
+    if args.all:
+        solutions = [sol for _, sol in enumerate_solutions(plan, g, limit=args.limit, tol=tol)]
+    else:
+        sol = execute(plan, g, branches)
+        _require_passed(verify(g, sol, tol))
+        solutions = [sol]
 
     doc: dict = {"solutions": [solution_to_dict(s) for s in solutions]}
     if args.emit_plan:
@@ -179,54 +127,33 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        g = random_laman(args.n, args.seed, args.p_h2)
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
-    _emit(graph_to_dict(g))
+    _emit(graph_to_dict(random_laman(args.n, args.seed, args.p_h2)))
     return 0
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    try:
-        g = fixture(args.name)
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
-    _emit(graph_to_dict(g))
+    _emit(graph_to_dict(fixture(args.name)))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    g = _load_graph(args.path)
+    g = parse(_read_text(args.path))
     if args.format == "dot":
         sys.stdout.write(to_dot(g))
         return 0
     if not args.solution:
-        raise _Failure(1, message="--format svg needs --solution")
+        raise _Failure("--format svg needs --solution")
     try:
         doc = json.loads(_read_text(args.solution))
-    except json.JSONDecodeError as exc:
-        raise _Failure(1, message=f"invalid solution JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise _Failure(f"invalid solution JSON: {exc}") from exc
     if isinstance(doc, dict) and "solutions" in doc:
         entries = doc["solutions"]
         if not isinstance(entries, list) or not entries:
-            raise _Failure(1, message="solution document lists no solutions")
+            raise _Failure("solution document lists no solutions")
         doc = entries[0]
-    try:
-        solution = solution_from_dict(doc)
-        report = verify(g, solution, _tolerance(args))
-    except GcsError as exc:
-        raise _Failure(1, message=str(exc)) from exc
-    if not report.passed:
-        raise _Failure(
-            2,
-            payload={
-                "error": {
-                    "reason": "verification_failed",
-                    "max_abs_residual": report.max_abs,
-                }
-            },
-        )
+    solution = solution_from_dict(doc)
+    _require_passed(verify(g, solution, _tolerance(args)))
     sys.stdout.write(to_svg(g, solution.placements))
     return 0
 
@@ -288,11 +215,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _Failure as failure:
-        if failure.payload is not None:
-            _emit(failure.payload)
-        if failure.message:
-            sys.stderr.write(failure.message + "\n")
-        return failure.code
+        message, verdict = str(failure), failure.verdict
+    except GcsError as exc:
+        message, verdict = str(exc), None
+        if exc.reason is not None:
+            verdict = {"reason": exc.reason, "message": message}
+            if isinstance(exc, UnderDeterminedError):
+                verdict["entity"] = exc.entity
+    if verdict is None:
+        sys.stderr.write(message + "\n")
+        return 1
+    _emit({"error": verdict})
+    return 2
 
 
 if __name__ == "__main__":

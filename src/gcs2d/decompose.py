@@ -46,45 +46,26 @@ from .rigidity import Verdict, diagnose_pebble
 
 
 @dataclass(frozen=True)
-class Seed:
-    constraint: int
-
-
-@dataclass(frozen=True)
-class MergeR1:
-    parents: tuple[int, int, int]
-    shared: tuple[str, str, str]
-
-
-@dataclass(frozen=True)
-class MergeR2:
-    parents: tuple[int, int]
-    shared: tuple[str, ...]
-
-
-Provenance = Union[Seed, MergeR1, MergeR2]
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A solvable sub-assembly: entity ids plus the constraints it owns."""
-
-    id: int
-    entity_ids: frozenset[str]
-    owned_constraints: frozenset[int]
-    provenance: Provenance
-
-    @property
-    def is_seed(self) -> bool:
-        return isinstance(self.provenance, Seed)
-
-
-@dataclass(frozen=True)
 class MergeRecord:
     rule: str  # "R1" or "R2"
     new_cluster: int
     parents: tuple[int, ...]
     shared: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """A solvable sub-assembly: entity ids plus the constraints it owns, and
+    the merge that made it (None for a seed, which owns one constraint)."""
+
+    id: int
+    entity_ids: frozenset[str]
+    owned_constraints: frozenset[int]
+    merge: MergeRecord | None = None
+
+    @property
+    def is_seed(self) -> bool:
+        return self.merge is None
 
 
 class ReducibilityClass(Enum):
@@ -105,7 +86,7 @@ class DecompositionResult:
 def seed_clusters(g: ConstraintGraph) -> list[Cluster]:
     """One elementary cluster per constraint: its two endpoints plus the edge."""
     return [
-        Cluster(i, frozenset(c.between), frozenset({i}), Seed(i))
+        Cluster(i, frozenset(c.between), frozenset({i}))
         for i, c in enumerate(g.constraints)
     ]
 
@@ -169,22 +150,20 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
         fresh = len(everything)
         if len(members) == 2:
             a, b = members
-            rule, shared = "R2", tuple(sorted(a.entity_ids & b.entity_ids))
-            provenance: Provenance = MergeR2(parents, shared)
+            record = MergeRecord("R2", fresh, parents, tuple(sorted(a.entity_ids & b.entity_ids)))
         else:
             a, b, c = members
             (x,), (y,), (z,) = (a.entity_ids & b.entity_ids, b.entity_ids & c.entity_ids,
                                 c.entity_ids & a.entity_ids)
-            rule, shared = "R1", (x, y, z)
-            provenance = MergeR1(parents, shared)
+            record = MergeRecord("R1", fresh, parents, (x, y, z))
         merged = Cluster(
             fresh,
             frozenset().union(*(m.entity_ids for m in members)),
             frozenset().union(*(m.owned_constraints for m in members)),
-            provenance,
+            record,
         )
         everything.append(merged)
-        log.append(MergeRecord(rule, fresh, parents, shared))
+        log.append(record)
         enter(merged)
 
     final = tuple(sorted(live.values(), key=lambda c: c.id))
@@ -294,11 +273,12 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
         """Store the plan of cluster ``cid`` in ``plans``.  A generator: it
         yields the id of each child cluster whose plan it needs next."""
         cluster = by_id[cid]
-        if cluster.is_seed:
-            plans[cid] = Plan(cid, cluster.provenance.constraint, (), cluster.owned_constraints)
+        if cluster.merge is None:
+            (constraint,) = cluster.owned_constraints
+            plans[cid] = Plan(cid, constraint, (), cluster.owned_constraints)
             return
 
-        children = [by_id[p] for p in cluster.provenance.parents]
+        children = [by_id[p] for p in cluster.merge.parents]
         base_child = sorted(children, key=lambda c: (-len(c.entity_ids), c.id))[0]
         yield base_child.id
         base_plan = plans[base_child.id]
@@ -330,7 +310,7 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
             # Recombination of independently solved clusters.
             placed = set(base_child.entity_ids)
             steps = []
-            if isinstance(cluster.provenance, MergeR2):
+            if cluster.merge.rule == "R2":
                 other = next(c for c in children if c.id != base_child.id)
                 yield other.id
                 steps.append(_align_step(g, other, base_child.entity_ids & other.entity_ids,

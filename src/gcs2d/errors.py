@@ -1,10 +1,17 @@
-"""Exception hierarchy shared by all gcs2d modules."""
+"""Exception hierarchy shared by all gcs2d modules.
+
+An error with a ``reason`` is a negative verdict on well-formed input: the
+CLI reports it as ``{"error": {"reason", "message"[, "entity"]}}`` on stdout
+with exit code 2.  Every other error is an input or system error (exit 1).
+"""
 
 from __future__ import annotations
 
 
 class GcsError(Exception):
     """Base class for every error raised by this package."""
+
+    reason: str | None = None
 
 
 # ---------------------------------------------------------------- graph model
@@ -55,9 +62,13 @@ class UnknownFixtureError(GcsError):
 class NotReducibleError(GcsError):
     """Plan extraction requires a fully reducible, well-constrained graph."""
 
+    reason = "not_reducible"
+
 
 class UnsupportedStepError(GcsError):
     """A merge or placement falls outside the supported geometric cases."""
+
+    reason = "unsupported_step"
 
 
 # ------------------------------------------------------------------ geometry
@@ -69,6 +80,8 @@ class ParallelError(GcsError):
 
 class EmptyIntersectionError(GcsError):
     """The requested loci do not intersect."""
+
+    reason = "empty_intersection"
 
 
 class CoincidentError(GcsError):
@@ -89,9 +102,13 @@ class LengthMismatchError(GcsError):
 class BadBranchError(GcsError):
     """A branch selector entry does not name an available root."""
 
+    reason = "bad_branch"
+
 
 class UnderDeterminedError(GcsError):
     """A construction step leaves its target with free degrees of freedom."""
+
+    reason = "under_determined"
 
     def __init__(self, entity: str, message: str | None = None):
         super().__init__(message or f"entity {entity!r} is under-determined")
@@ -104,3 +121,5 @@ class MissingPlacementError(GcsError):
 
 class VerificationError(GcsError):
     """A computed placement violates a constraint beyond tolerance."""
+
+    reason = "verification_failed"

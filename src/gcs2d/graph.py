@@ -312,7 +312,7 @@ def _constraint_from_dict(raw: object) -> Constraint:
     if not isinstance(raw, dict):
         raise ParseError(f"constraint must be an object, got {type(raw).__name__}")
     kind_name = raw.get("kind")
-    if kind_name not in _KIND_BY_NAME:
+    if not isinstance(kind_name, str) or kind_name not in _KIND_BY_NAME:
         raise ParseError(f"unknown constraint kind {kind_name!r}")
     between = raw.get("between")
     if (
@@ -345,6 +345,6 @@ def parse(text: str) -> ConstraintGraph:
     then any of the build_graph errors on semantic problems."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ParseError(f"invalid JSON: {exc}") from exc
     return graph_from_dict(doc)

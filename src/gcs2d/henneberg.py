@@ -3,13 +3,15 @@
 Two growth operations are supported: attaching a new vertex by two edges, and
 splitting an existing edge while attaching by three.  Starting from a single
 edge, these generate exactly the minimally rigid point-distance graphs, which
-also gives a randomized generator and a backtracking reduction search.
+also gives a randomized generator and a reduction search that peels
+vertices off without backtracking.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -148,13 +150,6 @@ def random_laman(n: int, seed: int, p_h2: float = 0.3) -> ConstraintGraph:
     )
 
 
-def _edge_multiset(edges: list[frozenset[str]]) -> dict[frozenset[str], int]:
-    counts: dict[frozenset[str], int] = {}
-    for e in edges:
-        counts[e] = counts.get(e, 0) + 1
-    return counts
-
-
 def _is_laman_raw(vertices: list[str], edges: list[frozenset[str]]) -> bool:
     if len(edges) != 2 * len(vertices) - 3:
         return False
@@ -164,65 +159,54 @@ def _is_laman_raw(vertices: list[str], edges: list[frozenset[str]]) -> bool:
 
 
 def reduction_sequence(g: ConstraintGraph) -> HennebergSequence | None:
-    """Search for a vertex-addition history of a point-distance graph.
+    """Find a vertex-addition history of a point-distance graph.
 
     Returns a base edge and construction-order steps whose replay reproduces
     the vertex set and edge multiset exactly, or None when the graph is not
-    minimally rigid.  The search removes degree-2 vertices directly and
-    degree-3 vertices by re-inserting one non-edge among their neighbours,
-    backtracking on dead ends.
+    minimally rigid.  Vertices are peeled off one at a time (see
+    :func:`_peel`) until one edge is left.  No choice is ever taken back:
+    removing a degree-2 vertex keeps a graph minimally rigid, a degree-3
+    removal is only taken once its re-inserted edge is checked, and every
+    minimally rigid graph on three or more vertices has a removable vertex.
     """
     _require_points(g)
-    if not _is_laman_raw(
-        sorted(g.entity_ids), [frozenset(c.between) for c in g.constraints]
-    ):
-        return None
-
     vertices = sorted(g.entity_ids)
     edges = [frozenset(c.between) for c in g.constraints]
-
-    def search(verts: list[str], eds: list[frozenset[str]]) -> HennebergSequence | None:
-        if len(verts) == 2:
-            a, b = sorted(verts)
-            return HennebergSequence((a, b), ())
-        degrees: dict[str, int] = {v: 0 for v in verts}
-        for e in eds:
-            for v in e:
-                degrees[v] += 1
-        for v in sorted(verts):
-            if degrees[v] != 2:
-                continue
-            incident = [e for e in eds if v in e]
-            nbrs = sorted({x for e in incident for x in e if x != v})
-            if len(nbrs) != 2:
-                continue  # doubled edge, cannot be minimally rigid
-            rest = [e for e in eds if v not in e]
-            sub = search([x for x in verts if x != v], rest)
-            if sub is not None:
-                return HennebergSequence(sub.base_edge, sub.steps + (H1(v, (nbrs[0], nbrs[1])),))
-        counts = _edge_multiset(eds)
-        for v in sorted(verts):
-            if degrees[v] != 3:
-                continue
-            nbrs = sorted({x for e in eds if v in e for x in e if x != v})
-            if len(nbrs) != 3:
-                continue
-            rest = [e for e in eds if v not in e]
-            others = [x for x in verts if x != v]
-            for a, b in ((nbrs[0], nbrs[1]), (nbrs[0], nbrs[2]), (nbrs[1], nbrs[2])):
-                candidate = frozenset((a, b))
-                if counts.get(candidate, 0) > 0:
-                    continue
-                trial = rest + [candidate]
-                if not _is_laman_raw(others, trial):
-                    continue
-                sub = search(others, trial)
-                if sub is not None:
-                    third = next(x for x in nbrs if x not in (a, b))
-                    return HennebergSequence(sub.base_edge, sub.steps + (H2(v, (a, b), third),))
+    if not _is_laman_raw(vertices, edges):
         return None
+    removed: list[HennebergStep] = []
+    while len(vertices) > 2:
+        step, edges = _peel(vertices, edges)
+        vertices.remove(step.new)
+        removed.append(step)
+    return HennebergSequence((vertices[0], vertices[1]), tuple(reversed(removed)))
 
-    return search(vertices, edges)
+
+def _peel(
+    vertices: list[str], edges: list[frozenset[str]]
+) -> tuple[HennebergStep, list[frozenset[str]]]:
+    """The step that removes the first removable vertex, and the edges left.
+
+    The first degree-2 vertex in sorted order goes directly; failing that,
+    the first degree-3 vertex with a neighbour pair whose new edge keeps the
+    rest minimally rigid goes by that pair (pairs tried in sorted order).
+    """
+    degree = Counter(v for e in edges for v in e)
+    for v in vertices:
+        if degree[v] == 2:
+            a, b = sorted(x for e in edges if v in e for x in e if x != v)
+            return H1(v, (a, b)), [e for e in edges if v not in e]
+    for v in vertices:
+        if degree[v] != 3:
+            continue
+        n0, n1, n2 = sorted(x for e in edges if v in e for x in e if x != v)
+        rest = [e for e in edges if v not in e]
+        others = [x for x in vertices if x != v]
+        for a, b, third in ((n0, n1, n2), (n0, n2, n1), (n1, n2, n0)):
+            trial = rest + [frozenset((a, b))]
+            if _is_laman_raw(others, trial):
+                return H2(v, (a, b), third), trial
+    raise AssertionError("a minimally rigid graph on 3+ vertices has a removable vertex")
 
 
 def replay_sequence(seq: HennebergSequence) -> ConstraintGraph:

@@ -27,6 +27,7 @@ from .errors import (
     CoincidentPointsError,
     EmptyIntersectionError,
     GcsError,
+    KindMismatchError,
     LengthMismatchError,
     MissingPlacementError,
     ParallelError,
@@ -292,8 +293,13 @@ def _triangle_options(
                 hit = intersect_circle_circle(
                     CircleRep(anchor1, d20), CircleRep(anchor2, d12)
                 )
-            except (EmptyIntersectionError, CoincidentError) as exc:
+            except EmptyIntersectionError as exc:
                 failure = failure or exc
+                continue
+            except CoincidentError:
+                failure = failure or UnderDeterminedError(
+                    p2, "coincident virtual-distance circles leave the target free"
+                )
                 continue
             tangent = tangent or hit.tangent
             for p in _order_points(list(hit.points)):
@@ -332,7 +338,9 @@ def _align_options(
 
     Runs over the cluster's conformations and, per conformation, the motions
     mapping the local pair onto the placed pair; conformations whose pair
-    geometry cannot match are skipped."""
+    geometry cannot match are skipped.  When none is left, the first to fail
+    names the verdict: a pair of another size is an empty intersection, a
+    coincident pair leaves the cluster under-determined."""
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
@@ -345,13 +353,22 @@ def _align_options(
             return [{}], False
         try:
             motions = alignment_motions((local[step.shared[0]], local[step.shared[1]]), dst)
-        except (LengthMismatchError, CoincidentPointsError) as exc:
-            failure = failure or exc
+        except LengthMismatchError as exc:
+            failure = failure or EmptyIntersectionError(
+                f"no conformation of cluster {step.cluster} fits the placed pair: {exc}"
+            )
+            continue
+        except CoincidentPointsError:
+            failure = failure or UnderDeterminedError(
+                unplaced[0], "a coincident shared pair leaves the cluster free to turn"
+            )
             continue
         for motion in motions:
             outcomes.append({e: motion.apply(local[e]) for e in unplaced})
     if not outcomes:
-        raise failure or LengthMismatchError("no conformation aligns with the placed pair")
+        raise failure or EmptyIntersectionError(
+            f"no conformation of cluster {step.cluster} fits the placed pair"
+        )
     return outcomes, False
 
 
@@ -458,7 +475,7 @@ def _walk(
                 tuple(f.pick for f in frames if len(f.options) > 1),
                 tuple(k for k, f in enumerate(frames) if f.tangent),
             )
-            report = verify(g, sol, tol) if tol is not None else None
+            report = _report(g, sol.placements, tol) if tol is not None else None
             if report is None or report.passed:
                 results.append(sol)
                 if len(results) >= limit:
@@ -626,9 +643,22 @@ def _max_residual(
     return worst
 
 
+_PLACEMENT_TYPES = {EntityKind.POINT: Point2, EntityKind.LINE: LineRep}  # else CircleRep
+
+
 def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> ResidualReport:
-    """Measure every constraint against a solution's placements."""
-    residuals = tuple(_constraint_residual(c, s.placements) for c in g.constraints)
+    """Measure every constraint against a solution's placements.  Raises
+    KindMismatchError for an entity placed as another kind."""
+    for e in g.entities:
+        placed = s.placements.get(e.id)
+        if placed is not None and not isinstance(placed, _PLACEMENT_TYPES.get(e.kind, CircleRep)):
+            raise KindMismatchError(f"{e.kind.value} {e.id!r} placed as {type(placed).__name__}")
+    return _report(g, s.placements, tol)
+
+
+def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
+    """:func:`verify` without the kind check, for placements built here."""
+    residuals = tuple(_constraint_residual(c, placements) for c in g.constraints)
     max_abs = max((abs(r) for r in residuals), default=0.0)
     return ResidualReport(residuals, max_abs, tol, max_abs <= tol)
 
@@ -644,27 +674,25 @@ def placement_to_dict(p: Placement) -> dict:
     return {"circle": {"center": [p.center.x, p.center.y], "r": p.r}}
 
 
+_SHAPES = {"point": "[x, y]", "line": "theta and c", "circle": "center and r"}
+
+
 def placement_from_dict(raw: object) -> Placement:
     if not isinstance(raw, dict) or len(raw) != 1:
         raise ParseError(f"placement must be a one-key object, got {raw!r}")
-    if "point" in raw:
-        coords = raw["point"]
-        if not (isinstance(coords, list) and len(coords) == 2):
-            raise ParseError(f"point placement needs [x, y], got {coords!r}")
-        return Point2(float(coords[0]), float(coords[1]))
-    if "line" in raw:
-        body = raw["line"]
-        if not isinstance(body, dict) or "theta" not in body or "c" not in body:
-            raise ParseError(f"line placement needs theta and c, got {body!r}")
-        return LineRep(float(body["theta"]), float(body["c"]))
-    if "circle" in raw:
-        body = raw["circle"]
-        try:
-            cx, cy = body["center"]
-            return CircleRep(Point2(float(cx), float(cy)), float(body["r"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"circle placement needs center and r, got {body!r}") from exc
-    raise ParseError(f"unknown placement shape {sorted(raw)!r}")
+    [(shape, body)] = raw.items()
+    if shape not in _SHAPES:
+        raise ParseError(f"unknown placement shape {sorted(raw)!r}")
+    try:
+        if shape == "point":
+            x, y = body if isinstance(body, list) else ()  # a JSON array only
+            return Point2(float(x), float(y))
+        if shape == "line":
+            return LineRep(float(body["theta"]), float(body["c"]))
+        cx, cy = body["center"]
+        return CircleRep(Point2(float(cx), float(cy)), float(body["r"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{shape} placement needs {_SHAPES[shape]}, got {body!r}") from exc
 
 
 def solution_to_dict(s: Solution) -> dict:
@@ -681,6 +709,9 @@ def solution_from_dict(doc: object) -> Solution:
     placements = {
         str(name): placement_from_dict(raw) for name, raw in doc["placements"].items()
     }
-    branches = tuple(int(b) for b in doc.get("branches", ()))
-    degenerate = tuple(int(i) for i in doc.get("degenerate_steps", ()))
+    try:
+        branches = tuple(int(b) for b in doc.get("branches", ()))
+        degenerate = tuple(int(i) for i in doc.get("degenerate_steps", ()))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError("'branches' and 'degenerate_steps' must list integers") from exc
     return Solution(placements, branches, degenerate)

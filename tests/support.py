@@ -36,7 +36,6 @@ from gcs2d import (
     seed_clusters,
     unsigned_line_angle,
 )
-from gcs2d.decompose import MergeR1, MergeR2
 from gcs2d.graph import angle as angle_constraint
 
 
@@ -221,13 +220,13 @@ def merge_step(
     for a, b in combinations(ordered, 2):
         shared = a.entity_ids & b.entity_ids
         if len(shared) >= 2:
+            record = MergeRecord("R2", fresh, (a.id, b.id), tuple(sorted(shared)))
             merged = Cluster(
                 fresh,
                 a.entity_ids | b.entity_ids,
                 a.owned_constraints | b.owned_constraints,
-                MergeR2((a.id, b.id), tuple(sorted(shared))),
+                record,
             )
-            record = MergeRecord("R2", fresh, (a.id, b.id), tuple(sorted(shared)))
             rest = [c for c in ordered if c.id not in (a.id, b.id)]
             return record, rest + [merged]
 
@@ -247,13 +246,13 @@ def merge_step(
                     continue
                 if any(dof(g.kind_of(v)) != 2 for v in (x, y, z)):
                     continue  # a 3-DOF hinge entity would leave the union non-rigid
+                record = MergeRecord("R1", fresh, (a.id, b.id, c.id), (x, y, z))
                 merged = Cluster(
                     fresh,
                     a.entity_ids | b.entity_ids | c.entity_ids,
                     a.owned_constraints | b.owned_constraints | c.owned_constraints,
-                    MergeR1((a.id, b.id, c.id), (x, y, z)),
+                    record,
                 )
-                record = MergeRecord("R1", fresh, (a.id, b.id, c.id), (x, y, z))
                 rest = [k for k in ordered if k.id not in (a.id, b.id, c.id)]
                 return record, rest + [merged]
 

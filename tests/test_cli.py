@@ -1,8 +1,11 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import gcs2d.errors
 from gcs2d import fixture, serialize
 from gcs2d.cli import main
 from gcs2d.graph import Constraint, build_graph, distance, point
@@ -218,6 +221,102 @@ class TestRender:
         )
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "verification_failed"
+
+
+# cli-catalog sketch c00088 (seed 804): a moser-spindle at about 1e-8 scale
+# whose measured lengths no conformation of one cluster fits.
+SPINDLE_1E8 = {
+    "entities": [{"id": v, "kind": "point"} for v in "OABCDEF"],
+    "constraints": [
+        {"kind": "distance", "between": list(pair), "value": value}
+        for pair, value in (
+            ("OA", 8.434051238987323e-09), ("OB", 1.4253902772658273e-08),
+            ("AB", 8.134566253812927e-09), ("AC", 1.0628795158391376e-08),
+            ("BC", 7.755339173950591e-09), ("OD", 1.5330342892356925e-08),
+            ("OE", 8.379943365855547e-09), ("DE", 2.070916200017833e-08),
+            ("DF", 7.908587998876984e-09), ("EF", 1.2982273443021738e-08),
+            ("CF", 2.0772741820249455e-08),
+        )
+    ],
+}
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize("extra", [("--all",), ()])
+    def test_alignment_dead_end_is_an_empty_intersection(self, capsys, tmp_path, extra):
+        path = tmp_path / "spindle-1e-8.json"
+        path.write_text(json.dumps(SPINDLE_1E8), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path), "--tol", "1e-17", *extra)
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "empty_intersection"
+        assert err == ""
+
+    def test_every_reason_is_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"reasons\s+are(.*?)\.", readme, re.S).group(1)
+        documented = set(re.findall(r"`([a-z_]+)`", listed))
+        classes = [gcs2d.errors.GcsError]
+        for klass in classes:
+            classes.extend(klass.__subclasses__())
+        reasons = {klass.reason for klass in classes if klass.reason is not None}
+        assert len(documented) == 8 and len(reasons) == 6
+        assert reasons <= documented
+
+
+class TestMalformedInput:
+    """Input errors exit 1 with one line on stderr and nothing on stdout."""
+
+    def assert_input_error(self, code, out, err):
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def render_svg(self, capsys, graph_file, tmp_path, solution_text):
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(solution_text, encoding="utf-8")
+        return run_cli(
+            capsys, "render", graph_file, "--format", "svg", "--solution", str(sol_path)
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"placements": {"C": {"point": ["x", 0]}}},
+            {"branches": ["a"]},
+            {"placements": {"L": {"line": {"theta": None, "c": 0}}}},
+            {"placements": {"A": {"line": {"theta": 0.0, "c": 0.0}}}},
+        ],
+        ids=["non-numeric-coordinate", "non-integer-branch", "null-line-parameter",
+             "point-placed-as-a-line"],
+    )
+    def test_bad_solution(self, capsys, triangle_file, tmp_path, change):
+        doc = {"placements": {"A": {"point": [0, 0]}, "B": {"point": [3, 0]},
+                              "C": {"point": [0, 4]}}, "branches": []}
+        doc["placements"].update(change.get("placements", {}))
+        doc["branches"] = change.get("branches", doc["branches"])
+        self.assert_input_error(*self.render_svg(capsys, triangle_file, tmp_path,
+                                                 json.dumps(doc)))
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"entities": [{"id": "\xe9"}]}')
+        self.assert_input_error(*run_cli(capsys, "analyze", str(path)))
+
+    def test_list_as_constraint_kind(self, capsys, tmp_path):
+        doc = json.loads(serialize(triangle_graph(3, 4, 5)))
+        doc["constraints"][0]["kind"] = ["distance"]
+        path = tmp_path / "list-kind.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_input_error(*run_cli(capsys, "analyze", str(path)))
+
+    def test_deeply_nested_graph(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        self.assert_input_error(*run_cli(capsys, "analyze", str(path)))
+
+    def test_deeply_nested_solution(self, capsys, triangle_file, tmp_path):
+        self.assert_input_error(*self.render_svg(capsys, triangle_file, tmp_path,
+                                                 "[" * 100_000))
 
 
 def test_usage_errors_exit_one(capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from gcs2d import (
+    H1,
     BadValueError,
     DuplicateIdError,
     KindMismatchError,
@@ -145,6 +146,30 @@ class TestReduction:
             replay = replay_sequence(seq)
             assert set(replay.entity_ids) == set(g.entity_ids)
             assert edge_multiset(replay) == edge_multiset(g)
+
+
+    def test_long_reduction_replays_without_recursion(self):
+        # 1198 removals: deeper than the interpreter's default recursion
+        # limit.  The steps are replayed on an edge multiset here, since
+        # replay_sequence re-validates the whole graph after every step.
+        g = random_laman(1200, 1, 0.0)
+        seq = reduction_sequence(g)
+        assert seq is not None
+        vertices = set(seq.base_edge)
+        edges = Counter({frozenset(seq.base_edge): 1})
+        for step in seq.steps:
+            assert step.new not in vertices
+            if isinstance(step, H1):
+                assert set(step.attach) <= vertices and len(set(step.attach)) == 2
+                edges.update(frozenset((step.new, v)) for v in step.attach)
+            else:
+                split = frozenset(step.split_edge)
+                assert edges[split] > 0 and step.third in vertices - split
+                edges[split] -= 1
+                edges.update(frozenset((step.new, v)) for v in (*step.split_edge, step.third))
+            vertices.add(step.new)
+        assert vertices == set(g.entity_ids)
+        assert +edges == edge_multiset(g)
 
 
 class TestFixtures:

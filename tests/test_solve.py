@@ -125,6 +125,42 @@ class TestFailureModes:
         with pytest.raises(UnderDeterminedError):
             execute(plan, g)
 
+    @staticmethod
+    def align_onto(ab):
+        """Execute a hand-built plan that places A, B at distance ``ab`` and
+        aligns onto them the triangle ABC solved with |AB| = 1."""
+        from gcs2d.decompose import Plan, PlaceByTwoLoci
+
+        g = build_graph(
+            [point("A"), point("B"), point("C")],
+            [distance("A", "B", ab), distance("A", "B", 1.0),
+             distance("A", "C", 1.0), distance("B", "C", 1.0)],
+        )
+        triangle = Plan(1, 1, (PlaceByTwoLoci("C", (2, 3)),), frozenset({1, 2, 3}))
+        execute(Plan(0, 0, (AlignCluster(4, ("A", "B"), triangle),)), g)
+
+    def test_alignment_length_mismatch_is_an_empty_intersection(self):
+        with pytest.raises(EmptyIntersectionError, match="segment lengths differ"):
+            self.align_onto(0.5)
+
+    def test_alignment_onto_coincident_pair_is_under_determined(self):
+        with pytest.raises(UnderDeterminedError) as err:
+            self.align_onto(1e-10)
+        assert err.value.entity == "C"
+
+    def test_coincident_virtual_circles_are_under_determined(self):
+        from gcs2d.decompose import Plan
+
+        g = build_graph(
+            [point("A"), point("B"), point("C")],
+            [distance("A", "B", 1e-10), distance("C", "A", 1.0), distance("B", "C", 1.0)],
+        )
+        edges = tuple(Plan(i, i, (), frozenset({i})) for i in range(3))
+        merge = TriangleMerge(("A", "B", "C"), (0, 1, 2), edges)
+        with pytest.raises(UnderDeterminedError) as err:
+            execute(Plan(0, 0, (merge,)), g)
+        assert err.value.entity == "C"
+
 
 class TestMoserSpindle:
     def test_eight_verified_solutions(self):
