@@ -282,6 +282,17 @@ def serialize(g: ConstraintGraph) -> str:
     return json.dumps(graph_to_dict(g), indent=2)
 
 
+def _float(raw: int | float | None, what: str) -> float | None:
+    """A JSON number as a float, ``None`` kept; ParseError for an integer too
+    large for a float."""
+    if raw is None:
+        return None
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float") from None
+
+
 def _entity_from_dict(raw: object) -> Entity:
     if not isinstance(raw, dict):
         raise ParseError(f"entity must be an object, got {type(raw).__name__}")
@@ -301,7 +312,7 @@ def _entity_from_dict(raw: object) -> Entity:
         if radius is not None and not isinstance(radius, (int, float)):
             raise ParseError(f"circle {entity_id!r} radius must be a number")
         ek = EntityKind.CIRCLE_FIXED_RADIUS if known else EntityKind.CIRCLE_FREE_RADIUS
-        return Entity(entity_id, ek, radius=float(radius) if radius is not None else None)
+        return Entity(entity_id, ek, radius=_float(radius, f"circle {entity_id!r} radius"))
     raise ParseError(f"unknown entity kind {kind!r}")
 
 
@@ -325,7 +336,7 @@ def _constraint_from_dict(raw: object) -> Constraint:
     if value is not None and not isinstance(value, (int, float)):
         raise ParseError(f"constraint value must be a number, got {value!r}")
     return Constraint(_KIND_BY_NAME[kind_name], (between[0], between[1]),
-                      float(value) if value is not None else None)
+                      _float(value, "constraint value"))
 
 
 def graph_from_dict(doc: object) -> ConstraintGraph:

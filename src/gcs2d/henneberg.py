@@ -13,13 +13,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Container, Union
 
 from .errors import (
     BadValueError,
     DuplicateIdError,
     KindMismatchError,
     MissingEdgeError,
+    UnknownEndpointError,
     UnknownFixtureError,
 )
 from .graph import (
@@ -82,12 +83,7 @@ def _require_points(g: ConstraintGraph) -> None:
 def extend_h1(g: ConstraintGraph, new_id: str, u: str, w: str) -> ConstraintGraph:
     """Add ``new_id`` joined to ``u`` and ``w`` by placeholder distances."""
     _require_points(g)
-    if new_id in g.entity_ids:
-        raise DuplicateIdError(f"entity id {new_id!r} already present")
-    g.entity(u)
-    g.entity(w)
-    if u == w:
-        raise BadValueError("attachment vertices must be distinct")
+    _attachments(set(g.entity_ids), H1(new_id, (u, w)))
     return build_graph(
         list(g.entities) + [point(new_id)],
         list(g.constraints)
@@ -99,12 +95,7 @@ def extend_h2(g: ConstraintGraph, new_id: str, split_edge: tuple[str, str], z: s
     """Split the edge (u, w): delete it and join ``new_id`` to u, w and ``z``."""
     _require_points(g)
     u, w = split_edge
-    if new_id in g.entity_ids:
-        raise DuplicateIdError(f"entity id {new_id!r} already present")
-    for v in (u, w, z):
-        g.entity(v)
-    if z in (u, w):
-        raise BadValueError("third attachment vertex must differ from the split edge")
+    _attachments(set(g.entity_ids), H2(new_id, (u, w), z))
     remaining = list(g.constraints)
     for i, c in enumerate(remaining):
         if c.kind is ConstraintKind.DISTANCE and frozenset(c.between) == frozenset((u, w)):
@@ -210,15 +201,46 @@ def _peel(
 
 
 def replay_sequence(seq: HennebergSequence) -> ConstraintGraph:
-    """Rebuild a graph from a base edge by applying the recorded steps."""
+    """Rebuild a graph from a base edge by applying the recorded steps.
+
+    Each step gets the checks :func:`extend_h1` and :func:`extend_h2` make,
+    but on a vertex map and an edge map, and the graph is built once at the
+    end, so a long sequence replays in linear time.  Every edge a step adds
+    joins its new vertex, so no two edges join the same pair, and the edge
+    map keeps the order those functions give the constraints.
+    """
     a, b = seq.base_edge
-    g = build_graph([point(a), point(b)], [distance(a, b, PLACEHOLDER_DISTANCE)])
+    build_graph([point(a), point(b)], [distance(a, b, PLACEHOLDER_DISTANCE)])  # checks the base
+    vertices = dict.fromkeys((a, b))
+    edges = {frozenset((a, b)): (a, b)}
     for step in seq.steps:
-        if isinstance(step, H1):
-            g = extend_h1(g, step.new, *step.attach)
-        else:
-            g = extend_h2(g, step.new, step.split_edge, step.third)
-    return g
+        attach = _attachments(vertices, step)
+        if isinstance(step, H2):
+            u, w = step.split_edge
+            if edges.pop(frozenset((u, w)), None) is None:
+                raise MissingEdgeError(f"no distance edge between {u!r} and {w!r}")
+        vertices[step.new] = None
+        edges.update((frozenset((step.new, v)), (step.new, v)) for v in attach)
+    return build_graph(
+        [point(v) for v in vertices],
+        [distance(x, y, PLACEHOLDER_DISTANCE) for x, y in edges.values()],
+    )
+
+
+def _attachments(present: Container[str], step: HennebergStep) -> tuple[str, ...]:
+    """The vertices a step joins its new vertex to, once checked: the new id
+    is fresh, the attachment vertices are present, none is attached twice."""
+    attach = step.attach if isinstance(step, H1) else (*step.split_edge, step.third)
+    if step.new in present:
+        raise DuplicateIdError(f"entity id {step.new!r} already present")
+    for v in attach:
+        if v not in present:
+            raise UnknownEndpointError(f"no entity with id {v!r}")
+    if isinstance(step, H1) and attach[0] == attach[1]:
+        raise BadValueError("attachment vertices must be distinct")
+    if isinstance(step, H2) and step.third in step.split_edge:
+        raise BadValueError("third attachment vertex must differ from the split edge")
+    return attach
 
 
 # -------------------------------------------------------------------- fixtures

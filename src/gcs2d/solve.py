@@ -12,6 +12,15 @@ selector, :func:`enumerate_solutions` tries every root.  Plans hold no values,
 so before the first step the walker solves each cluster plan a recombination
 step references, once and in the cluster's own frame, and aligns or measures
 those conformations as the steps come.
+
+Every step reads a fixed set of placed entities: the other endpoints of a
+two-loci step's constraints, a triangle merge's three points, an alignment's
+shared pair.  When a step has no roots, the walker jumps back to the latest
+step that placed one of them (conflict-directed backjumping), since no choice
+made in between can give the step roots; the step it lands on keeps that
+blame and, once out of roots itself, jumps on by it.  Once a solution or a residual failure is reached, the steps
+on its path take back roots one at a time again, so the solutions, their
+order and the reported failure are those of plain chronological backtracking.
 """
 
 from __future__ import annotations
@@ -413,12 +422,29 @@ def enumerate_solutions(
 @dataclass(slots=True)
 class _Frame:
     """One step on the walker's path: its roots, the root taken and the last
-    one to try, and whether the step hit a tangent root."""
+    one to try, whether the step hit a tangent root, and the earlier frames
+    it blames for running out of roots (``None`` once it must backtrack
+    chronologically)."""
 
     options: list[dict[str, Placement]]
     pick: int
     last: int
     tangent: bool
+    conflicts: set[int] | None
+
+
+def _reads(step, g: ConstraintGraph) -> tuple[str, ...] | None:
+    """The entities whose placements a step's roots depend on, or ``None``
+    for a step the walker does not know."""
+    if isinstance(step, PlaceByTwoLoci):
+        return tuple(
+            e for idx in step.constraints for e in g.constraints[idx].between if e != step.target
+        )
+    if isinstance(step, TriangleMerge):
+        return step.points
+    if isinstance(step, AlignCluster):
+        return step.shared
+    return None
 
 
 def _walk(
@@ -438,17 +464,35 @@ def _walk(
     of frames over one placement map, so a plan may be longer than the
     interpreter's recursion limit; backtracking deletes what a root placed,
     which holds because every step places only entities still unplaced.
+
+    Dead ends backjump (conflict-directed backjumping, Prosser 1993).  A
+    step's roots depend only on the placements of its reads, and which
+    entities are placed before it only on the plan, so a step without roots
+    stays so until a frame that placed one of its reads takes another root.
+    The walk jumps back to the latest such frame and adds those placers to
+    the frames it blames; a frame starts out blaming the placers of its own
+    reads, and once out of roots it jumps on by what it blames.  A skipped
+    subtree holds no leaf, so the solutions, their order and the first
+    failure are those of chronological backtracking.  Once a leaf (a
+    solution or a residual failure) is reached, every frame on its path
+    backtracks chronologically, as do the frames below a step that cannot be
+    blamed on its reads (an unknown step type or a missing placement).
     """
     if limit < 1:
         raise BadBranchError(f"limit must be >= 1, got {limit}")
     placements = dict(base_placements(g, plan.base_constraint))
+    reads = [_reads(step, g) for step in plan.steps]
+    placer = dict.fromkeys(placements, -1)  # entity -> frame that placed it, -1: the base
     results: list[Solution] = []
     failure: GcsError | None = None  # the first one recorded
     frames: list[_Frame] = []
     cursor = 0  # branching steps on the path, i.e. the next selector entry
     while True:
         i = len(frames)
+        blame: set[int] | None = None  # frames to blame for a dead end; None: chronological
         if i < len(plan.steps):
+            if reads[i] is not None:
+                blame = {placer[e] for e in reads[i] if e in placements}
             try:
                 options, tangent = _options_for_step(plan.steps[i], placements, g, conformers)
                 first, last = 0, len(options) - 1
@@ -460,37 +504,54 @@ def _walk(
                         )
             except GcsError as exc:
                 failure = failure or exc
+                if isinstance(exc, MissingPlacementError):
+                    blame = None
             else:
-                frames.append(_Frame(options, first, last, tangent))
+                frames.append(_Frame(options, first, last, tangent, blame))
                 cursor += len(options) > 1
                 placements.update(options[first])
+                for e in options[first]:  # every root of a step places the same entities
+                    placer[e] = i
                 continue
-        elif selector is not None and cursor < len(selector):
-            failure = failure or BadBranchError(
-                f"selector has {len(selector)} entries but only {cursor} steps branch"
-            )
-        else:
-            sol = Solution(
-                dict(placements),
-                tuple(f.pick for f in frames if len(f.options) > 1),
-                tuple(k for k, f in enumerate(frames) if f.tangent),
-            )
-            report = _report(g, sol.placements, tol) if tol is not None else None
-            if report is None or report.passed:
-                results.append(sol)
-                if len(results) >= limit:
-                    break
-            else:
-                failure = failure or VerificationError(
-                    f"residual {report.max_abs} exceeds {tol}"
+        else:  # a leaf: no frame on its path may jump past another any more
+            for f in frames:
+                f.conflicts = None
+            if selector is not None and cursor < len(selector):
+                failure = failure or BadBranchError(
+                    f"selector has {len(selector)} entries but only {cursor} steps branch"
                 )
-        # Take back roots, deepest first, until a step has one left to try.
+            else:
+                sol = Solution(
+                    dict(placements),
+                    tuple(f.pick for f in frames if len(f.options) > 1),
+                    tuple(k for k, f in enumerate(frames) if f.tangent),
+                )
+                report = _report(g, sol.placements, tol) if tol is not None else None
+                if report is None or report.passed:
+                    results.append(sol)
+                    if len(results) >= limit:
+                        break
+                else:
+                    failure = failure or VerificationError(
+                        f"residual {report.max_abs} exceeds {tol}"
+                    )
+        # Take back roots, deepest first, up to the latest blamed frame (the
+        # previous one when backtracking chronologically), until a step has
+        # one left to try.
         while frames:
-            top = frames[-1]
+            k = len(frames) - 1
+            top = frames[k]
             for e in top.options[top.pick]:
                 del placements[e]
-            if top.pick < top.last:
-                break
+            if blame is None or k in blame:
+                if blame is None:
+                    top.conflicts = None
+                elif top.conflicts is not None:
+                    top.conflicts |= blame
+                    top.conflicts.discard(k)
+                if top.pick < top.last:
+                    break
+                blame = top.conflicts
             frames.pop()
             cursor -= len(top.options) > 1
         if not frames:

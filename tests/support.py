@@ -1,13 +1,15 @@
 """Shared helpers: independent recounts, embedding sampling, congruence checks,
-and the exhaustive reference decomposition."""
+the exhaustive reference decomposition and the chronological reference walker."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 from gcs2d import (
+    BadBranchError,
     Cluster,
     Constraint,
     ConstraintGraph,
@@ -20,7 +22,9 @@ from gcs2d import (
     Placement,
     Point2,
     ReducibilityClass,
+    Solution,
     TooSmallError,
+    VerificationError,
     alignment_motions,
     build_graph,
     distance,
@@ -36,7 +40,9 @@ from gcs2d import (
     seed_clusters,
     unsigned_line_angle,
 )
+from gcs2d.decompose import Plan
 from gcs2d.graph import angle as angle_constraint
+from gcs2d.solve import Conformers, _options_for_step, _report, base_placements
 
 
 def triangle_graph(ab: float, ac: float, bc: float) -> ConstraintGraph:
@@ -150,6 +156,20 @@ def sample_embedding(g: ConstraintGraph, rng: random.Random) -> dict[str, Placem
         if ok:
             return placements
     raise AssertionError("could not sample a generic embedding")
+
+
+def grid_embedding(g: ConstraintGraph, rng: random.Random) -> dict[str, Placement]:
+    """Points on distinct cells of a ceil(sqrt(2n))-square unit grid, jittered
+    inside the middle 60% of their cell, as the benchmark's sketch sampler
+    places them: any two points end up at least 0.4 apart, at any n."""
+    side = max(1, math.ceil(math.sqrt(2 * g.n)))
+    cells = rng.sample(range(side * side), g.n)
+    placements: dict[str, Placement] = {}
+    for e, cell in zip(g.entities, cells):
+        assert e.kind is EntityKind.POINT, "the grid sampler places points only"
+        i, j = divmod(cell, side)
+        placements[e.id] = Point2(i + rng.uniform(0.2, 0.8), j + rng.uniform(0.2, 0.8))
+    return placements
 
 
 def measured_graph(g: ConstraintGraph, placements: dict[str, Placement]) -> ConstraintGraph:
@@ -283,3 +303,88 @@ def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
     return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))
+
+
+@dataclass(slots=True)
+class _ChronoFrame:
+    options: list[dict[str, Placement]]
+    pick: int
+    last: int
+    tangent: bool
+
+
+def reference_walk(
+    plan: Plan,
+    g: ConstraintGraph,
+    conformers: Conformers,
+    selector: tuple[int, ...] | None,
+    limit: int,
+    tol: float | None,
+) -> list[Solution]:
+    """:func:`gcs2d.solve._walk` with chronological backtracking only.
+
+    Exhaustive reference for the backjumping walker: every dead end takes
+    back the previous step's root, so every subtree is visited.  Same
+    arguments, results and errors.
+    """
+    if limit < 1:
+        raise BadBranchError(f"limit must be >= 1, got {limit}")
+    placements = dict(base_placements(g, plan.base_constraint))
+    results: list[Solution] = []
+    failure: GcsError | None = None  # the first one recorded
+    frames: list[_ChronoFrame] = []
+    cursor = 0  # branching steps on the path, i.e. the next selector entry
+    while True:
+        i = len(frames)
+        if i < len(plan.steps):
+            try:
+                options, tangent = _options_for_step(plan.steps[i], placements, g, conformers)
+                first, last = 0, len(options) - 1
+                if selector is not None and last:
+                    first = last = selector[cursor] if cursor < len(selector) else 0
+                    if not 0 <= first < len(options):
+                        raise BadBranchError(
+                            f"branch {first} out of range for step {i} with {len(options)} roots"
+                        )
+            except GcsError as exc:
+                failure = failure or exc
+            else:
+                frames.append(_ChronoFrame(options, first, last, tangent))
+                cursor += len(options) > 1
+                placements.update(options[first])
+                continue
+        elif selector is not None and cursor < len(selector):
+            failure = failure or BadBranchError(
+                f"selector has {len(selector)} entries but only {cursor} steps branch"
+            )
+        else:
+            sol = Solution(
+                dict(placements),
+                tuple(f.pick for f in frames if len(f.options) > 1),
+                tuple(k for k, f in enumerate(frames) if f.tangent),
+            )
+            report = _report(g, sol.placements, tol) if tol is not None else None
+            if report is None or report.passed:
+                results.append(sol)
+                if len(results) >= limit:
+                    break
+            else:
+                failure = failure or VerificationError(
+                    f"residual {report.max_abs} exceeds {tol}"
+                )
+        # Take back roots, deepest first, until a step has one left to try.
+        while frames:
+            top = frames[-1]
+            for e in top.options[top.pick]:
+                del placements[e]
+            if top.pick < top.last:
+                break
+            frames.pop()
+            cursor -= len(top.options) > 1
+        if not frames:
+            break
+        top.pick += 1
+        placements.update(top.options[top.pick])
+    if not results:
+        raise failure or VerificationError("no branch produced a solution")
+    return results

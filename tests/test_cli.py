@@ -309,6 +309,19 @@ class TestMalformedInput:
         path.write_text(json.dumps(doc), encoding="utf-8")
         self.assert_input_error(*run_cli(capsys, "analyze", str(path)))
 
+    @pytest.mark.parametrize("field", ["value", "radius"])
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path, field):
+        doc = json.loads(serialize(triangle_graph(3, 4, 5)))
+        if field == "value":
+            doc["constraints"][0]["value"] = 10**400
+        else:
+            doc["entities"].append(
+                {"id": "K", "kind": "circle", "radius_known": True, "radius": 10**400}
+            )
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_input_error(*run_cli(capsys, "analyze", str(path)))
+
     def test_deeply_nested_graph(self, capsys, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100_000, encoding="utf-8")

@@ -1,12 +1,16 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from gcs2d import (
     H1,
+    H2,
     BadValueError,
     DuplicateIdError,
+    GcsError,
+    HennebergSequence,
     KindMismatchError,
     MissingEdgeError,
     UnknownFixtureError,
@@ -26,8 +30,14 @@ from gcs2d import (
 )
 
 
-def single_edge():
-    return build_graph([point("A"), point("B")], [distance("A", "B", 1.0)])
+def single_edge(a="A", b="B"):
+    return build_graph([point(a), point(b)], [distance(a, b, 1.0)])
+
+
+def extend(g, step):
+    if isinstance(step, H1):
+        return extend_h1(g, step.new, *step.attach)
+    return extend_h2(g, step.new, step.split_edge, step.third)
 
 
 def edge_multiset(g):
@@ -148,28 +158,38 @@ class TestReduction:
             assert edge_multiset(replay) == edge_multiset(g)
 
 
+    def test_replay_equals_extending_step_by_step(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            seq = reduction_sequence(random_laman(rng.randint(2, 30), rng.randrange(10**6),
+                                                  rng.random()))
+            g = single_edge(*seq.base_edge)
+            for step in seq.steps:
+                g = extend(g, step)
+            assert replay_sequence(seq) == g
+
+    @pytest.mark.parametrize(
+        "bad",
+        [H1("C", ("A", "B")), H1("E", ("A", "Z")), H1("E", ("A", "A")),
+         H2("E", ("A", "D"), "A"), H2("E", ("A", "Z"), "C"), H2("E", ("A", "B"), "C")],
+        ids=["duplicate-id", "unknown-vertex", "repeated-vertex", "third-on-split-edge",
+             "unknown-split-vertex", "missing-split-edge"],
+    )
+    def test_replay_makes_the_checks_of_extend(self, bad):
+        prefix = (H1("C", ("A", "B")), H2("D", ("A", "B"), "C"))
+        with pytest.raises(GcsError) as expected:
+            extend(replay_sequence(HennebergSequence(("A", "B"), prefix)), bad)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            replay_sequence(HennebergSequence(("A", "B"), prefix + (bad,)))
+
     def test_long_reduction_replays_without_recursion(self):
-        # 1198 removals: deeper than the interpreter's default recursion
-        # limit.  The steps are replayed on an edge multiset here, since
-        # replay_sequence re-validates the whole graph after every step.
+        # 1198 removals: deeper than the interpreter's default recursion limit.
         g = random_laman(1200, 1, 0.0)
         seq = reduction_sequence(g)
         assert seq is not None
-        vertices = set(seq.base_edge)
-        edges = Counter({frozenset(seq.base_edge): 1})
-        for step in seq.steps:
-            assert step.new not in vertices
-            if isinstance(step, H1):
-                assert set(step.attach) <= vertices and len(set(step.attach)) == 2
-                edges.update(frozenset((step.new, v)) for v in step.attach)
-            else:
-                split = frozenset(step.split_edge)
-                assert edges[split] > 0 and step.third in vertices - split
-                edges[split] -= 1
-                edges.update(frozenset((step.new, v)) for v in (*step.split_edge, step.third))
-            vertices.add(step.new)
-        assert vertices == set(g.entity_ids)
-        assert +edges == edge_multiset(g)
+        replay = replay_sequence(seq)
+        assert set(replay.entity_ids) == set(g.entity_ids)
+        assert edge_multiset(replay) == edge_multiset(g)
 
 
 class TestFixtures:

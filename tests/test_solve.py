@@ -21,6 +21,7 @@ from gcs2d import (
     execute,
     extract_plan,
     fixture,
+    fixture_names,
     line_through_points,
     parse,
     point,
@@ -32,8 +33,13 @@ from gcs2d import (
     verify,
 )
 
+import gcs2d.solve as solve_module
+
 from support import (
+    grid_embedding,
     measured_graph,
+    random_mixed_graph,
+    reference_walk,
     sample_embedding,
     solution_matches_sample,
     triangle_graph,
@@ -366,6 +372,82 @@ class TestPlanReuse:
             assert found == enumerate_solutions(own, g2)
             for selector, sol in found:
                 assert execute(plan, g2, selector) == sol
+
+
+class TestWalkerEquivalence:
+    """Backjumping changes which subtrees the walker visits, never what it
+    returns: selectors, placements, degenerate steps and errors equal those of
+    the chronological reference walker, for enumeration and for replays."""
+
+    @staticmethod
+    def outcomes(plan, g):
+        def run(call):
+            try:
+                found = call()
+            except GcsError as exc:
+                return type(exc), str(exc)
+            if isinstance(found, Solution):
+                return found.branches, repr(found.placements), found.degenerate_steps
+            return [(sel, repr(sol.placements), sol.degenerate_steps) for sel, sol in found]
+
+        out = [run(lambda: enumerate_solutions(plan, g, limit=limit)) for limit in (1, 16, 64)]
+        found = [sel for sel, _, _ in out[-1]] if isinstance(out[-1], list) else []
+        too_long = (found[0] if found else ()) + (0,) * (len(plan.steps) + 1)
+        for selector in [(), *found, (7,), too_long]:
+            out.append(run(lambda: execute(plan, g, selector)))
+        return out
+
+    def assert_same(self, monkeypatch, g):
+        try:
+            plan = plan_for(g)
+        except GcsError:
+            return False
+        walked = self.outcomes(plan, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(solve_module, "_walk", reference_walk)
+            assert walked == self.outcomes(plan, g)
+        return True
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, monkeypatch, name):
+        self.assert_same(monkeypatch, fixture(name))
+
+    def test_measured_random_laman(self, monkeypatch):
+        rng = random.Random(4242)
+        planned = 0
+        for n in range(4, 15):
+            for _ in range(8):
+                g = random_laman(n, rng.randrange(10**6), rng.random())
+                planned += self.assert_same(monkeypatch, measured_graph(g, grid_embedding(g, rng)))
+        assert planned >= 50
+
+    def test_random_mixed_graphs(self, monkeypatch):
+        rng = random.Random(9)
+        # Few random mixed graphs are fully reducible; 3000 give a handful.
+        planned = sum(self.assert_same(monkeypatch, random_mixed_graph(rng)) for _ in range(3000))
+        assert planned >= 5
+
+    def test_recombination_plans(self, monkeypatch):
+        for pair in TestPlanReuse.revalued_pairs():
+            for g in pair:
+                assert self.assert_same(monkeypatch, g)
+
+    def test_dead_ends_jump_over_unrelated_steps(self, monkeypatch):
+        # Chronological backtracking evaluates 678,069 steps on this graph.
+        g = random_laman(40, 5, 0.0)
+        g = measured_graph(g, grid_embedding(g, random.Random(0)))
+        plan = plan_for(g)
+        calls = 0
+        options_for_step = solve_module._options_for_step
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return options_for_step(*args)
+
+        monkeypatch.setattr(solve_module, "_options_for_step", counted)
+        assert len(enumerate_solutions(plan, g, limit=16)) == 16
+        assert calls < 10_000
 
 
 class TestDeepPlans:
