@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,21 +61,21 @@ def _read_text(path: str) -> str:
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("GCS_TOL")
-    if env:
+    tol, env = getattr(args, "tol", None), os.environ.get("GCS_TOL")
+    if tol is None and env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise _Failure(f"GCS_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+    if tol is not None and not tol >= 0.0:  # NaN fails the comparison too
+        raise _Failure(f"the tolerance must be a non-negative number, got {tol}")
+    return DEFAULT_TOL if tol is None else tol
 
 
 def _require_passed(report: ResidualReport) -> None:
-    if not report.passed:
-        raise _Failure(verdict={"reason": "verification_failed",
-                                "max_abs_residual": report.max_abs})
+    if not report.passed:  # a NaN residual is reported as null: stdout stays strict JSON
+        raise _Failure(verdict={"reason": "verification_failed", "max_abs_residual":
+                                None if math.isnan(report.max_abs) else report.max_abs})
 
 
 def _evidence(diagnosis: Diagnosis) -> dict:
@@ -105,6 +106,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         branches = tuple(int(x) for x in args.branch.split(",")) if args.branch else ()
     except ValueError as exc:
         raise _Failure("--branch must be a comma-separated integer list") from exc
+    if args.limit < 1:
+        raise _Failure(f"--limit must be at least 1, got {args.limit}")
 
     diagnosis = diagnose_pebble(g)
     if diagnosis.verdict is not Verdict.WELL_CONSTRAINED:

@@ -25,9 +25,9 @@ replayed with a preference for sequential placements (any still-unplaced
 entity holding two constraints into the placed set), falling back to
 recombination of independently solved clusters through virtual distances and
 rigid alignment.  Plans are purely structural: a recombination step references
-the sub-plans of its clusters and holds no number, so this module never
-solves anything and one plan serves every re-valuation of the same graph.
-:mod:`gcs2d.solve` carries plans out.
+the sub-plans of the clusters it reads and holds no number, so this module
+never solves anything and one plan serves every re-valuation of the same
+graph.  :mod:`gcs2d.solve` carries plans out.
 """
 
 from __future__ import annotations
@@ -211,15 +211,15 @@ class TriangleMerge:
 
     ``points`` (p0, p1, p2) are the points the base, first and second
     clusters share pairwise; p0 and p1 belong to the already-placed base
-    cluster.  ``clusters`` and ``plans`` name those three clusters and their
-    own plans.  The executor solves each plan in its own frame and reads the
-    candidate distances |p1 p2| (second cluster) and |p2 p0| (first cluster)
-    off every conformation.
+    cluster.  ``clusters`` names those three clusters; ``plans`` holds the
+    first and second cluster's own plans, the only ones read: the executor
+    solves each in its own frame and reads the candidate distances |p1 p2|
+    (second cluster) and |p2 p0| (first cluster) off every conformation.
     """
 
     points: tuple[str, str, str]
     clusters: tuple[int, int, int]
-    plans: tuple[Plan, Plan, Plan]
+    plans: tuple[Plan, Plan]
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,7 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
                 yield first.id
                 yield second.id
                 steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
-                                           (base_plan, plans[first.id], plans[second.id])))
+                                           (plans[first.id], plans[second.id])))
                 placed.add(w)
                 for child, pair in ((first, (u, w)), (second, (v, w))):
                     if child.entity_ids <= placed:

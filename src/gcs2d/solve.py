@@ -9,25 +9,26 @@ lexicographically by coordinates, so selectors are stable across runs.
 
 One depth-first walker carries every plan out: :func:`execute` follows a
 selector, :func:`enumerate_solutions` tries every root.  Plans hold no values,
-so before the first step the walker solves each cluster plan a recombination
-step references, once and in the cluster's own frame, and aligns or measures
-those conformations as the steps come.
+so a recombination step solves the cluster plans it reads, in each cluster's
+own frame, when the walk first reaches it; later reads in the same call reuse
+those conformations.  A triangle's base is placed already and never solved.
 
 Every step reads a fixed set of placed entities: the other endpoints of a
 two-loci step's constraints, a triangle merge's three points, an alignment's
 shared pair.  When a step has no roots, the walker jumps back to the latest
 step that placed one of them (conflict-directed backjumping), since no choice
 made in between can give the step roots; the step it lands on keeps that
-blame and, once out of roots itself, jumps on by it.  Once a solution or a residual failure is reached, the steps
-on its path take back roots one at a time again, so the solutions, their
-order and the reported failure are those of plain chronological backtracking.
+blame and, once out of roots itself, jumps on by it.  Once a solution or a
+residual failure is reached, the steps on its path take back roots one at a
+time again, so the solutions, their order and the reported failure are those
+of plain chronological backtracking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
@@ -67,8 +68,8 @@ DEFAULT_TOL = 1e-9
 X_AXIS = LineRep(math.pi / 2.0, 0.0)
 
 # Cluster id -> the cluster's congruence-distinct conformations, each solved
-# in the cluster's own frame.
-Conformers = dict[int, list[dict[str, Placement]]]
+# in the cluster's own frame, or the error solving it raised.
+Conformers = dict[int, list[dict[str, Placement]] | GcsError]
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Signed residual (measured minus specified) per constraint."""
+    """Signed residual (measured minus specified) per constraint; ``max_abs``
+    is NaN when one is not finite."""
 
     residuals: tuple[float, ...]
     max_abs: float
@@ -272,7 +274,8 @@ def _place_line(
 
 
 def _triangle_options(
-    step: TriangleMerge, placements: Mapping[str, Placement], conformers: Conformers
+    step: TriangleMerge, placements: Mapping[str, Placement], g: ConstraintGraph,
+    conformers: Conformers,
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Place the one unplaced shared point from two virtual-distance circles.
 
@@ -288,14 +291,15 @@ def _triangle_options(
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced"
         )
+    first, second = (_conformations(cluster, sub, g, conformers)
+                     for cluster, sub in zip(step.clusters[1:], step.plans))
     anchor1 = _as_point(placements, p0)
     anchor2 = _as_point(placements, p1)
-    _, first, second = step.clusters
     options: list[dict[str, Placement]] = []
     tangent = False
     failure: GcsError | None = None
-    for d12 in _pair_distances(conformers[second], p1, p2):  # |p1 p2| candidates
-        for d20 in _pair_distances(conformers[first], p2, p0):  # |p2 p0| candidates
+    for d12 in _pair_distances(second, p1, p2):  # |p1 p2| candidates
+        for d20 in _pair_distances(first, p2, p0):  # |p2 p0| candidates
             if d12 <= 1e-9 or d20 <= 1e-9:
                 continue
             try:
@@ -341,7 +345,8 @@ def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
 
 
 def _align_options(
-    step: AlignCluster, placements: Mapping[str, Placement], conformers: Conformers
+    step: AlignCluster, placements: Mapping[str, Placement], g: ConstraintGraph,
+    conformers: Conformers,
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Glue a locally solved cluster onto its placed shared pair.
 
@@ -350,13 +355,14 @@ def _align_options(
     geometry cannot match are skipped.  When none is left, the first to fail
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined."""
+    conformations = _conformations(step.cluster, step.plan, g, conformers)
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
     )
     outcomes: list[dict[str, Placement]] = []
     failure: GcsError | None = None
-    for local in conformers[step.cluster]:
+    for local in conformations:
         unplaced = [e for e in local if e not in placements]
         if not unplaced:
             return [{}], False
@@ -392,9 +398,9 @@ def _options_for_step(
             return _place_line(step, placements, g)
         raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
     if isinstance(step, TriangleMerge):
-        return _triangle_options(step, placements, conformers)
+        return _triangle_options(step, placements, g, conformers)
     if isinstance(step, AlignCluster):
-        return _align_options(step, placements, conformers)
+        return _align_options(step, placements, g, conformers)
     raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
 
 
@@ -408,14 +414,14 @@ def execute(plan: Plan, g: ConstraintGraph, branches: Sequence[int] = ()) -> Sol
     roots; missing entries default to 0.  Raises BadBranchError for an entry
     out of range or a selector longer than the number of branching steps.
     """
-    return _walk(plan, g, _solve_subplans(plan, g), tuple(branches), 1, None)[0]
+    return _walk(plan, g, {}, tuple(branches), 1, None)[0]
 
 
 def enumerate_solutions(
     plan: Plan, g: ConstraintGraph, limit: int = 16, tol: float = DEFAULT_TOL
 ) -> list[tuple[tuple[int, ...], Solution]]:
     """All verifying solutions (up to ``limit``) in deterministic branch order."""
-    solutions = _walk(plan, g, _solve_subplans(plan, g), None, limit, tol)
+    solutions = _walk(plan, g, {}, None, limit, tol)
     return [(sol.branches, sol) for sol in solutions]
 
 
@@ -563,36 +569,26 @@ def _walk(
     return results
 
 
-def _solve_subplans(plan: Plan, g: ConstraintGraph) -> Conformers:
-    """Conformations of every cluster ``plan`` references, by cluster id.
+def _conformations(
+    cluster: int, plan: Plan, g: ConstraintGraph, conformers: Conformers
+) -> list[dict[str, Placement]]:
+    """The conformations of ``cluster``, solved from ``plan`` on first read;
+    ``conformers`` keeps them, or the error, for later reads and nested walks.
 
-    Each referenced plan is solved once, after the plans it references
-    itself: depth-first in step order, and for a triangle the base, first
-    and second cluster in that order.  A triangle's base is solved although
-    no distance is read off it, so that a base cluster without a local
-    solution fails before the walk starts.  An explicit stack keeps deeply
-    nested plans off the recursion limit.
-    """
-    conformers: Conformers = {}
-    stack = [(-1, plan, _references(plan))]
-    while stack:
-        cid, sub, refs = stack[-1]
-        ref = next(refs, None)
-        if ref is None:
-            stack.pop()
-            if stack:
-                conformers[cid] = _local_solutions(sub, g, conformers)
-        elif ref[0] not in conformers:
-            stack.append((*ref, _references(ref[1])))
-    return conformers
-
-
-def _references(plan: Plan) -> Iterator[tuple[int, Plan]]:
-    for step in plan.steps:
-        if isinstance(step, AlignCluster):
-            yield step.cluster, step.plan
-        elif isinstance(step, TriangleMerge):
-            yield from zip(step.clusters, step.plans)
+    Only the clusters a step reads are solved, never a triangle's base, so
+    walks nest only as deep as first, second and aligned clusters nest: a
+    chain of recombinations that each extend the growing cluster stays one
+    nested walk deep.  A cluster without conformations fails its step on
+    every path, an ordinary dead end for the walker."""
+    if cluster not in conformers:
+        try:
+            conformers[cluster] = _local_solutions(plan, g, conformers)
+        except GcsError as exc:
+            conformers[cluster] = exc
+    found = conformers[cluster]
+    if isinstance(found, GcsError):
+        raise found.with_traceback(None)
+    return found
 
 
 def _local_solutions(
@@ -609,7 +605,8 @@ def _local_solutions(
     candidates = _walk(plan, g, conformers, None, 64, None)
     valid = [
         s for s in candidates
-        if _max_residual(g, s.placements, plan.owned_constraints) <= DEFAULT_TOL
+        if _worst(_constraint_residual(g.constraints[i], s.placements)
+                  for i in plan.owned_constraints) <= DEFAULT_TOL
     ]
     if not valid:
         raise VerificationError("no branch satisfies the cluster constraints")
@@ -695,13 +692,11 @@ def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> 
     return external if abs(external) <= abs(internal) else internal
 
 
-def _max_residual(
-    g: ConstraintGraph, placements: Mapping[str, Placement], indices
-) -> float:
-    worst = 0.0
-    for i in sorted(indices):
-        worst = max(worst, abs(_constraint_residual(g.constraints[i], placements)))
-    return worst
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest |residual|, or NaN when one is not finite, so that it
+    fails every tolerance."""
+    magnitudes = list(map(abs, residuals))
+    return max(magnitudes, default=0.0) if all(map(math.isfinite, magnitudes)) else math.nan
 
 
 _PLACEMENT_TYPES = {EntityKind.POINT: Point2, EntityKind.LINE: LineRep}  # else CircleRep
@@ -720,7 +715,7 @@ def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> Residua
 def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
     """:func:`verify` without the kind check, for placements built here."""
     residuals = tuple(_constraint_residual(c, placements) for c in g.constraints)
-    max_abs = max((abs(r) for r in residuals), default=0.0)
+    max_abs = _worst(residuals)
     return ResidualReport(residuals, max_abs, tol, max_abs <= tol)
 
 

@@ -155,6 +155,15 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", triangle_file, "--all")
         assert code == 0
 
+    @pytest.mark.parametrize("extra", [("--all",), ()])
+    def test_overflow_to_nan_is_a_residual_failure(self, capsys, tmp_path, extra):
+        # |AB|^2 overflows at this scale, so C is placed at (NaN, NaN).
+        path = tmp_path / "triangle-1e160.json"
+        path.write_text(serialize(triangle_graph(3e160, 4e160, 5e160)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "solve", str(path), *extra)
+        assert code == 2
+        assert strict_json(out)["error"]["reason"] == "verification_failed"
+
 
 class TestGenerateAndFixture:
     def test_generate_emits_laman_graph(self, capsys):
@@ -221,6 +230,26 @@ class TestRender:
         )
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "verification_failed"
+
+    def test_nan_solution_rejected(self, capsys, triangle_file, tmp_path):
+        sol_path = tmp_path / "nan.json"
+        sol_path.write_text(
+            '{"placements": {"A": {"point": [0, 0]}, "B": {"point": [3, 0]},'
+            ' "C": {"point": [NaN, NaN]}}}', encoding="utf-8"
+        )
+        code, out, _ = run_cli(
+            capsys, "render", triangle_file, "--format", "svg", "--solution", str(sol_path)
+        )
+        assert code == 2
+        assert strict_json(out)["error"] == {"reason": "verification_failed",
+                                             "max_abs_residual": None}
+
+
+def strict_json(text):
+    """Parse JSON that holds no NaN or Infinity token."""
+    def reject(token):
+        raise AssertionError(f"stdout holds {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 # cli-catalog sketch c00088 (seed 804): a moser-spindle at about 1e-8 scale
@@ -330,6 +359,21 @@ class TestMalformedInput:
     def test_deeply_nested_solution(self, capsys, triangle_file, tmp_path):
         self.assert_input_error(*self.render_svg(capsys, triangle_file, tmp_path,
                                                  "[" * 100_000))
+
+    @pytest.mark.parametrize("extra", [("--all", "--tol", "nan"), ("--tol", "-1"),
+                                       ("--all", "--limit", "0"), ("--limit", "-3")])
+    def test_malformed_tolerance_or_limit(self, capsys, triangle_file, extra):
+        self.assert_input_error(*run_cli(capsys, "solve", triangle_file, *extra))
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_malformed_tolerance_from_the_environment(self, capsys, triangle_file, tmp_path,
+                                                      monkeypatch, value):
+        monkeypatch.setenv("GCS_TOL", value)
+        self.assert_input_error(*run_cli(capsys, "solve", triangle_file))
+        solution = {"placements": {"A": {"point": [0, 0]}, "B": {"point": [3, 0]},
+                                   "C": {"point": [0, 4]}}}
+        self.assert_input_error(*self.render_svg(capsys, triangle_file, tmp_path,
+                                                 json.dumps(solution)))
 
 
 def test_usage_errors_exit_one(capsys):

@@ -162,7 +162,7 @@ class TestFailureModes:
             [distance("A", "B", 1e-10), distance("C", "A", 1.0), distance("B", "C", 1.0)],
         )
         edges = tuple(Plan(i, i, (), frozenset({i})) for i in range(3))
-        merge = TriangleMerge(("A", "B", "C"), (0, 1, 2), edges)
+        merge = TriangleMerge(("A", "B", "C"), (0, 1, 2), edges[1:])
         with pytest.raises(UnderDeterminedError) as err:
             execute(Plan(0, 0, (merge,)), g)
         assert err.value.entity == "C"
@@ -317,6 +317,15 @@ class TestVerify:
         with pytest.raises(MissingPlacementError):
             verify(g, Solution(partial, (), ()))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_residual_fails_every_tolerance(self, value):
+        # C's residuals come after the finite one of AB, where max() would drop a NaN.
+        g = triangle_graph(3, 4, 5)
+        placements = {"A": Point2(0.0, 0.0), "B": Point2(3.0, 0.0), "C": Point2(value, value)}
+        report = verify(g, Solution(placements, ()), tol=math.inf)
+        assert math.isnan(report.max_abs)
+        assert not report.passed
+
 
 class TestRandomRigidGraphs:
     def test_fully_reducible_graphs_solve_or_fail_honestly(self):
@@ -465,6 +474,102 @@ class TestDeepPlans:
         assert verify(g, execute(plan, g)).passed
         ((_, sol),) = enumerate_solutions(plan, g, limit=1)
         assert verify(g, sol).passed
+
+
+def recombination_chain(length):
+    """A triangle strip a, b, c1..cL (each point joined to the two before it)
+    and, per level j, a fresh point x_j tied to the adjacent strip points
+    s_j, s_j+1 through two rigid strips s, t1, t2, t3, x_j (each point joined
+    to the two before it; t1 only to s).  Every level is a triangle
+    recombination whose base is the strip grown so far.  Values are measured
+    from the grid embedding with seed 0."""
+    strip = ["a", "b"] + [f"c{k}" for k in range(1, length + 1)]
+    pairs = [("a", "b")] + [(strip[k - d], strip[k]) for k in range(2, len(strip)) for d in (2, 1)]
+    names = list(strip)
+    for j in range(1, length + 1):
+        x = f"x{j}"
+        names.append(x)
+        for end in strip[j : j + 2]:
+            t1, t2, t3 = (f"{end}_{x}_{i}" for i in (1, 2, 3))
+            names += [t1, t2, t3]
+            pairs += [(end, t1), (end, t2), (t1, t2), (t1, t3), (t2, t3), (t2, x), (t3, x)]
+    g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
+    return measured_graph(g, grid_embedding(g, random.Random(0)))
+
+
+def nested_triangles(levels):
+    """A cluster between points p and q: at level 0 a rigid strip p, t1, t2,
+    t3, q; at level k a fresh point r and three level k - 1 clusters between
+    p and r, r and q, p and q.  Each level nests one triangle recombination
+    inside the first and second clusters of the next."""
+    names, pairs = ["p", "q"], []
+
+    def fresh():
+        names.append(f"v{len(names)}")
+        return names[-1]
+
+    def cluster(p, q, level):
+        if level == 0:
+            t1, t2, t3 = fresh(), fresh(), fresh()
+            pairs.extend([(p, t1), (p, t2), (t1, t2), (t1, t3), (t2, t3), (t2, q), (t3, q)])
+            return
+        r = fresh()
+        for a, b in ((p, r), (r, q), (p, q)):
+            cluster(a, b, level - 1)
+
+    cluster("p", "q", levels)
+    g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
+    return measured_graph(g, grid_embedding(g, random.Random(0)))
+
+
+class TestRecombinationReads:
+    """A recombination step solves only the clusters it reads off, each once
+    per call, so nested walks go only as deep as those clusters nest."""
+
+    @staticmethod
+    def count_local_solves(monkeypatch):
+        calls, depth = [], [0, 0]  # plans solved; current and deepest nesting
+        local_solutions = solve_module._local_solutions
+
+        def counted(plan, *args):
+            calls.append(plan)
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return local_solutions(plan, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(solve_module, "_local_solutions", counted)
+        return calls, depth
+
+    def test_chain_solves_first_and_second_clusters_once_and_never_a_base(self, monkeypatch):
+        length = 30
+        g = recombination_chain(length)
+        plan = plan_for(g)
+        merges = [s for s in plan.steps if isinstance(s, TriangleMerge)]
+        aligns = [s for s in plan.steps if isinstance(s, AlignCluster)]
+        assert len(merges) == length and len(aligns) == 2 * length
+        read = [sub for merge in merges for sub in merge.plans]
+        calls, depth = self.count_local_solves(monkeypatch)
+        ((_, sol),) = enumerate_solutions(plan, g, limit=1)
+        assert verify(g, sol).passed
+        # Each read cluster is one 7-constraint strip; a base holds the grown strip.
+        assert sorted(map(id, calls)) == sorted(map(id, read))
+        assert all(len(sub.owned_constraints) == 7 for sub in calls)
+        assert depth[1] == 1
+
+    def test_nested_clusters_solve_as_the_eager_pre_pass_did(self, monkeypatch):
+        levels = 4
+        g = nested_triangles(levels)
+        plan = plan_for(g)
+        calls, depth = self.count_local_solves(monkeypatch)
+        found = enumerate_solutions(plan, g, limit=16)
+        # The selectors that solving every referenced cluster before the walk gave.
+        assert [sel for sel, _ in found] == [(0,) * 14 + (k,) for k in range(16)]
+        assert all(verify(g, sol).passed for _, sol in found)
+        assert len(calls) == len(set(map(id, calls)))
+        assert depth[1] == levels
 
 
 class TestSolutionSerialization:
