@@ -292,7 +292,7 @@ def _triangle_options(
             "triangle merge expects exactly the third shared point unplaced"
         )
     first, second = (_conformations(cluster, sub, g, conformers)
-                     for cluster, sub in zip(step.clusters[1:], step.plans))
+                     for cluster, sub in zip(step.clusters[1:], step.plans, strict=True))
     anchor1 = _as_point(placements, p0)
     anchor2 = _as_point(placements, p1)
     options: list[dict[str, Placement]] = []
@@ -512,6 +512,8 @@ def _walk(
                 failure = failure or exc
                 if isinstance(exc, MissingPlacementError):
                     blame = None
+                elif any(exc is found for found in conformers.values()):
+                    blame = set()  # a cluster without conformations: no path has a leaf
             else:
                 frames.append(_Frame(options, first, last, tangent, blame))
                 cursor += len(options) > 1
@@ -576,10 +578,9 @@ def _conformations(
     ``conformers`` keeps them, or the error, for later reads and nested walks.
 
     Only the clusters a step reads are solved, never a triangle's base, so
-    walks nest only as deep as first, second and aligned clusters nest: a
-    chain of recombinations that each extend the growing cluster stays one
-    nested walk deep.  A cluster without conformations fails its step on
-    every path, an ordinary dead end for the walker."""
+    walks nest only as deep as first, second and aligned clusters nest.  A
+    cluster without conformations fails its step on every path, so no leaf
+    exists: the walker ends when it meets a stored error."""
     if cluster not in conformers:
         try:
             conformers[cluster] = _local_solutions(plan, g, conformers)

@@ -167,6 +167,15 @@ class TestFailureModes:
             execute(Plan(0, 0, (merge,)), g)
         assert err.value.entity == "C"
 
+    def test_merge_with_a_base_plan_is_refused(self):
+        from gcs2d.decompose import Plan
+
+        g = triangle_graph(3, 4, 5)
+        edges = tuple(Plan(i, i, (), frozenset({i})) for i in range(3))
+        merge = TriangleMerge(("A", "B", "C"), (0, 1, 2), edges)  # base, first, second
+        with pytest.raises(ValueError):
+            execute(Plan(0, 0, (merge,)), g)
+
 
 class TestMoserSpindle:
     def test_eight_verified_solutions(self):
@@ -570,6 +579,29 @@ class TestRecombinationReads:
         assert all(verify(g, sol).passed for _, sol in found)
         assert len(calls) == len(set(map(id, calls)))
         assert depth[1] == levels
+
+    def test_cluster_without_conformations_ends_the_walk(self, monkeypatch):
+        # One strip of the last level cannot close, so no branch of any
+        # earlier step can lead to a solution.
+        length = 10
+        g = recombination_chain(length)
+        constraints = list(g.constraints)
+        k = next(k for k, c in enumerate(constraints) if f"x{length}" in c.between)
+        constraints[k] = distance(*constraints[k].between, 50 * constraints[k].value)
+        g = build_graph(g.entities, constraints)
+        plan = plan_for(g)
+        evaluations = {id(step): 0 for step in plan.steps}
+        options_for_step = solve_module._options_for_step
+
+        def counted(step, *args):
+            if id(step) in evaluations:
+                evaluations[id(step)] += 1
+            return options_for_step(step, *args)
+
+        monkeypatch.setattr(solve_module, "_options_for_step", counted)
+        with pytest.raises(EmptyIntersectionError, match=f"x{length}"):
+            enumerate_solutions(plan, g, limit=16)
+        assert max(evaluations.values()) == 1
 
 
 class TestSolutionSerialization:
