@@ -8,7 +8,12 @@ error whose class names a ``reason`` prints ``{"error": {"reason",
 stderr, leaves stdout empty and exits 1.  Every command writes parseable
 output (JSON, DOT or SVG) to stdout; diagnostics go to stderr.  All path
 arguments accept ``-`` for stdin.  The environment variable GCS_TOL
-overrides the default residual tolerance of 1e-9.
+overrides the default residual tolerance of 1e-9.  A reader that closes
+stdout early (``gcs2d generate --n 3000 | head``) ends the run with one
+stderr line and exit 1.
+
+:func:`main` returns the exit code and may be called any number of times in
+one process; it builds its parser on the first call and reuses it after.
 """
 
 from __future__ import annotations
@@ -209,10 +214,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what stdout still buffers to /dev/null, so that the
+        # interpreter's own flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("gcs2d: stdout was closed before the output was written\n")
+        return 1
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    try:
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

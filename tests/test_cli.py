@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gcs2d.cli
 import gcs2d.errors
-from gcs2d import fixture, serialize
+from gcs2d import decompose, execute, extract_plan, fixture, serialize, solution_to_dict
 from gcs2d.cli import main
 from gcs2d.graph import Constraint, build_graph, distance, point
 
@@ -381,3 +385,101 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def gcs2d_process(*argv: str, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE):
+    """``python -m gcs2d`` in a fresh interpreter, with the current environment."""
+    return subprocess.Popen([sys.executable, "-m", "gcs2d", *argv], stdin=stdin,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_closed_stdout_pipe_exits_one_with_one_stderr_line():
+    proc = gcs2d_process("generate", "--n", "3000")
+    assert proc.stdout.read(100)
+    proc.stdout.close()  # the reader goes away while gcs2d is still writing
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+class TestOneProcess:
+    """In-process ``main`` calls reuse one parser and behave like fresh processes."""
+
+    def test_many_calls_build_one_parser(self, capsys, monkeypatch):
+        real, built = gcs2d.cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(gcs2d.cli, "_parser", None)
+        monkeypatch.setattr(gcs2d.cli, "build_parser", counting_build_parser)
+        for argv in (["fixture", "triangle"], ["solve"], ["generate", "--n", "5"],
+                     ["fixture", "k4"], ["--help"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(built) == 1
+        assert real() is not real()
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path, triangle_file):
+        spindle = fixture("moser-spindle")
+        # At this length scale the spindle's residuals (~4e-6) fail the
+        # default tolerance and pass 0.1, so a leaked --tol shows.
+        scaled = build_graph(spindle.entities, [Constraint(c.kind, c.between, c.value * 1.37e10)
+                                                for c in spindle.constraints])
+        g = triangle_graph(3, 4, 5)
+        solution = json.dumps(solution_to_dict(execute(extract_plan(decompose(g), g), g, ())))
+
+        def write(name: str, text: str) -> str:
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+
+        tri = triangle_file
+        sp = write("spindle.json", serialize(spindle))
+        sc = write("scaled.json", serialize(scaled))
+        prism = write("prism.json", serialize(fixture("three-prism")))
+        sol = write("solution.json", solution)
+        calls = [  # (argv, stdin, GCS_TOL)
+            (["fixture", "moser-spindle"], "", None),
+            (["analyze", sp], "", None),
+            (["analyze", "-"], serialize(fixture("k4")), None),
+            (["classify", prism], "", None),
+            (["solve", sp, "--all", "--limit", "1"], "", None),
+            (["solve", sp, "--all"], "", None),
+            (["solve", sp, "--limit", "x"], "", None),
+            (["solve", tri, "--branch", "9"], "", None),
+            (["solve", tri, "--branch", "1", "--emit-plan"], "", None),
+            (["solve", sc, "--tol", "0.1"], "", None),
+            (["solve", sc], "", None),
+            (["solve", sc, "--all", "--tol", "0.1"], "", "1e-12"),
+            (["solve", sc, "--all"], "", "1e-12"),
+            (["solve", sc], "", "0.1"),
+            (["generate", "--n", "6", "--seed", "3"], "", None),
+            (["generate", "--n", "6"], "", None),
+            (["no-such-command"], "", None),
+            (["render", tri], "", None),
+            (["render", tri, "--format", "svg", "--solution", sol], "", None),
+            (["render", tri, "--format", "svg"], "", None),
+            (["render", tri, "--format", "png"], "", None),
+            (["--help"], "", None),
+            (["solve", "--help"], "", None),
+            (["fixture", "triangle"], "", None),
+        ]
+        monkeypatch.setattr(gcs2d.cli, "_parser", None)
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width on both sides
+        for argv, stdin, tol in calls:
+            if tol is None:
+                monkeypatch.delenv("GCS_TOL", raising=False)
+            else:
+                monkeypatch.setenv("GCS_TOL", tol)
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            in_process = (main(argv), *capsys.readouterr())
+            proc = gcs2d_process(*argv, stdin=subprocess.PIPE)
+            out, err = proc.communicate(stdin, timeout=60)
+            assert in_process == (proc.returncode, out, err), argv
