@@ -14,6 +14,10 @@ stderr line and exit 1.
 
 :func:`main` returns the exit code and may be called any number of times in
 one process; it builds its parser on the first call and reuses it after.
+Consecutive calls on graphs of one structure (the same entity ids and kinds
+and constraint kinds and endpoints, in order: a sketch and its re-valued or
+rescaled copies) share one diagnosis, decomposition and plan; parsing,
+numeric search, verification and output still run on every call.
 """
 
 from __future__ import annotations
@@ -24,9 +28,16 @@ import math
 import os
 import sys
 
-from .decompose import decompose, decomposition_to_dict, extract_plan, plan_to_dict
+from .decompose import (
+    DecompositionResult,
+    Plan,
+    decompose,
+    decomposition_to_dict,
+    extract_plan,
+    plan_to_dict,
+)
 from .errors import GcsError, UnderDeterminedError
-from .graph import graph_to_dict, parse
+from .graph import ConstraintGraph, graph_to_dict, parse
 from .henneberg import fixture, random_laman
 from .render import to_dot, to_svg
 from .rigidity import Diagnosis, Verdict, diagnose_pebble
@@ -51,7 +62,11 @@ class _Failure(Exception):
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    # Two writes, not one per encoder chunk.  The newline goes on its own:
+    # with unbuffered stdout (python -u) a text stream drops what a pipe
+    # left unwritten when its reader went away, and only the next write
+    # raises the BrokenPipeError that main reports.
+    sys.stdout.write(json.dumps(doc, indent=2))
     sys.stdout.write("\n")
 
 
@@ -93,14 +108,63 @@ def _evidence(diagnosis: Diagnosis) -> dict:
     return fields
 
 
+class _Analysis:
+    """The structural analysis of one graph structure: its diagnosis,
+    decomposition and plan, each computed on first use.
+
+    None of the three reads a value, so they serve every graph whose entity
+    ids and kinds and constraint kinds and endpoints, in order, equal
+    ``key``.  A layer that raises stores nothing, so the next call runs it
+    again and raises the same error.  The layers are looked up as module
+    globals at call time, so a caller that patches them sees the calls.
+    """
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self._diagnosis: Diagnosis | None = None
+        self._decomposition: DecompositionResult | None = None
+        self._plan: Plan | None = None
+
+    def diagnosis(self, g: ConstraintGraph) -> Diagnosis:
+        if self._diagnosis is None:
+            self._diagnosis = diagnose_pebble(g)
+        return self._diagnosis
+
+    def decomposition(self, g: ConstraintGraph) -> DecompositionResult:
+        if self._decomposition is None:
+            self._decomposition = decompose(g)
+        return self._decomposition
+
+    def plan(self, g: ConstraintGraph) -> Plan:
+        if self._plan is None:
+            self._plan = extract_plan(self.decomposition(g), g)
+        return self._plan
+
+
+# The analysis of the last structure a command read.  One entry serves
+# consecutive calls on one sketch and on its re-valued copies.
+_last: _Analysis | None = None
+
+
+def _analysis(g: ConstraintGraph) -> _Analysis:
+    global _last
+    key = (tuple((e.id, e.kind) for e in g.entities),
+           tuple((c.kind, c.between) for c in g.constraints))
+    if _last is None or _last.key != key:
+        _last = _Analysis(key)
+    return _last
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    diagnosis = diagnose_pebble(parse(_read_text(args.path)))
+    g = parse(_read_text(args.path))
+    diagnosis = _analysis(g).diagnosis(g)
     _emit({"diagnosis": diagnosis.verdict.value, **_evidence(diagnosis)})
     return 0 if diagnosis.verdict is Verdict.WELL_CONSTRAINED else 2
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    _emit(decomposition_to_dict(decompose(parse(_read_text(args.path)))))
+    g = parse(_read_text(args.path))
+    _emit(decomposition_to_dict(_analysis(g).decomposition(g)))
     return 0
 
 
@@ -114,12 +178,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit < 1:
         raise _Failure(f"--limit must be at least 1, got {args.limit}")
 
-    diagnosis = diagnose_pebble(g)
+    analysis = _analysis(g)
+    diagnosis = analysis.diagnosis(g)
     if diagnosis.verdict is not Verdict.WELL_CONSTRAINED:
         reason = f"{diagnosis.verdict.value}_constrained"
         raise _Failure(verdict={"reason": reason, **_evidence(diagnosis)})
 
-    plan = extract_plan(decompose(g), g)
+    plan = analysis.plan(g)
     if args.all:
         solutions = [sol for _, sol in enumerate_solutions(plan, g, limit=args.limit, tol=tol)]
     else:

@@ -37,7 +37,7 @@ from .graph import (
     point,
     tangency,
 )
-from .rigidity import _pebble_run
+from .rigidity import is_laman_edges
 
 PLACEHOLDER_DISTANCE = 1.0
 
@@ -142,11 +142,7 @@ def random_laman(n: int, seed: int, p_h2: float = 0.3) -> ConstraintGraph:
 
 
 def _is_laman_raw(vertices: list[str], edges: list[frozenset[str]]) -> bool:
-    if len(edges) != 2 * len(vertices) - 3:
-        return False
-    pairs = [tuple(sorted(e)) for e in edges]
-    state, _, leftover = _pebble_run(vertices, {v: 2 for v in vertices}, pairs)
-    return state == "ok" and leftover == 0
+    return is_laman_edges(vertices, [tuple(sorted(e)) for e in edges])
 
 
 def reduction_sequence(g: ConstraintGraph) -> HennebergSequence | None:

@@ -167,4 +167,16 @@ def is_laman(g: ConstraintGraph) -> bool:
     for c in g.constraints:
         if c.kind is not ConstraintKind.DISTANCE:
             raise KindMismatchError(f"constraint {c.between} is not a distance")
-    return diagnose_pebble(g).verdict is Verdict.WELL_CONSTRAINED
+    _require_size(g)
+    return is_laman_edges(list(g.entity_ids), [c.between for c in g.constraints])
+
+
+def is_laman_edges(vertices: list[str], edges: list[tuple[str, str]]) -> bool:
+    """True iff ``edges`` (pairs of ``vertices``, repeats allowed) make a
+    minimally rigid bar framework on ``vertices`` in the plane: exactly
+    2|V| - 3 edges and no subset of k >= 2 vertices spanning more than
+    2k - 3 of them."""
+    if len(edges) != 2 * len(vertices) - 3:
+        return False
+    state, _, leftover = _pebble_run(vertices, {v: 2 for v in vertices}, edges)
+    return state == "ok" and leftover == 0

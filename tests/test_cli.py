@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,18 @@ import gcs2d.cli
 import gcs2d.errors
 from gcs2d import decompose, execute, extract_plan, fixture, serialize, solution_to_dict
 from gcs2d.cli import main
-from gcs2d.graph import Constraint, build_graph, distance, point
+from gcs2d.graph import (
+    Constraint,
+    build_graph,
+    distance,
+    fixed_circle,
+    free_circle,
+    incidence,
+    point,
+    point_line_distance,
+)
 
-from support import triangle_graph
+from support import measured_graph, sample_embedding, triangle_graph
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -483,3 +494,128 @@ class TestOneProcess:
             proc = gcs2d_process(*argv, stdin=subprocess.PIPE)
             out, err = proc.communicate(stdin, timeout=60)
             assert in_process == (proc.returncode, out, err), argv
+
+
+def scaled(g, factor):
+    return build_graph(g.entities, [Constraint(c.kind, c.between, c.value * factor)
+                                    for c in g.constraints])
+
+
+def structure_variants():
+    """Named graphs in the order the memo tests visit them: the Moser spindle
+    and copies with new values or lengths scaled by 1e-10 and 1e10, with
+    graphs of the same entity ids but another structure between them."""
+    spindle = fixture("moser-spindle")
+    cons = list(spindle.constraints)
+    swapped = [cons[1], cons[0], *cons[2:]]
+    moved = [*cons[:-1], distance("C", "E", 1.0)]  # C-F becomes C-E
+    on_circle = [*cons, incidence("O", "G"), incidence("A", "G")]
+    aux = fixture("quad-angle-aux")
+    aux_cons = list(aux.constraints)
+    assert aux_cons[0] == incidence("A", "LAD")
+    return [
+        ("spindle", spindle),
+        ("revalued", measured_graph(spindle, sample_embedding(spindle, random.Random(5)))),
+        ("fixed circle", build_graph([*spindle.entities, fixed_circle("G", 1.0)], on_circle)),
+        ("free circle", build_graph([*spindle.entities, free_circle("G")], on_circle)),
+        ("x1e-10", scaled(spindle, 1e-10)),
+        ("swapped", build_graph(spindle.entities, swapped)),
+        ("x1e10", scaled(spindle, 1e10)),
+        ("moved", build_graph(spindle.entities, moved)),
+        ("quad-angle-aux", aux),
+        ("kind changed", build_graph(aux.entities,
+                                     [point_line_distance("A", "LAD", 0.25), *aux_cons[1:]])),
+        ("spindle again", spindle),
+    ]
+
+
+class TestStructureReuse:
+    """Consecutive calls on one graph structure share one diagnosis,
+    decomposition and plan, and no call's output depends on the call before."""
+
+    LAYERS = ("diagnose_pebble", "decompose", "extract_plan")
+
+    @staticmethod
+    def call(capsys, argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    def test_outputs_equal_those_of_a_fresh_memo(self, capsys, monkeypatch, tmp_path):
+        calls, expected = [], []
+
+        def fresh(argv):
+            monkeypatch.setattr(gcs2d.cli, "_last", None)
+            calls.append(argv)
+            expected.append(self.call(capsys, argv))
+            return expected[-1]
+
+        tolerance = {"x1e-10": "1e-19", "x1e10": "10"}  # 1e-9 at the copy's scale
+        for name, g in structure_variants():
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize(g), encoding="utf-8")
+            fresh(["analyze", str(path)])
+            fresh(["classify", str(path)])
+            solve = ["solve", str(path), "--tol", tolerance.get(name, "1e-9")]
+            code, out, _ = fresh([*solve, "--all", "--emit-plan"])
+            for sol in json.loads(out)["solutions"] if code == 0 else ():
+                fresh([*solve, "--branch", ",".join(map(str, sol["branches"]))])
+            fresh([*solve, "--branch", "7,7,7,7,7,7,7,7"])
+        assert {code for code, _, _ in expected} == {0, 2}
+        assert sum("--branch" in argv for argv in calls) > 100  # not only the bad ones
+
+        monkeypatch.setattr(gcs2d.cli, "_last", None)
+        for argv, want in zip(calls, expected):
+            assert self.call(capsys, argv) == want, argv
+
+    def count_layer_calls(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+        for name in self.LAYERS:
+            def counted(*args, real=getattr(gcs2d.cli, name), name=name):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(gcs2d.cli, name, counted)
+        monkeypatch.setattr(gcs2d.cli, "_last", None)
+        return counts
+
+    def test_each_run_of_one_structure_is_analysed_once(self, capsys, monkeypatch, tmp_path):
+        variants = dict(structure_variants())
+        runs = [["spindle", "revalued", "x1e-10", "x1e10"], ["swapped"], ["spindle again"],
+                ["quad-angle-aux"], ["kind changed"], ["quad-angle-aux"]]
+        counts = self.count_layer_calls(monkeypatch)
+        for i, run in enumerate(runs, start=1):
+            for name in run:
+                path = tmp_path / f"{name}.json"
+                path.write_text(serialize(variants[name]), encoding="utf-8")
+                for argv in (["analyze"], ["classify"], ["solve", "--all", "--emit-plan"],
+                             ["solve"], ["solve", "--branch", "1"]):
+                    self.call(capsys, [argv[0], str(path), *argv[1:]])
+            assert counts == {name: i for name in self.LAYERS}, run
+
+    def test_errors_are_not_kept(self, capsys, monkeypatch, tmp_path):
+        counts = self.count_layer_calls(monkeypatch)
+        one_point = tmp_path / "one-point.json"
+        one_point.write_text(serialize(build_graph([point("A")], [])), encoding="utf-8")
+        prism = tmp_path / "prism.json"
+        prism.write_text(serialize(fixture("three-prism")), encoding="utf-8")
+        first = [self.call(capsys, ["analyze", str(one_point)]) for _ in range(3)]
+        assert first[0][0] == 1 and "at least 2 entities" in first[0][2]
+        assert first == [first[0]] * 3 and counts["diagnose_pebble"] == 3
+        second = [self.call(capsys, ["solve", str(prism)]) for _ in range(3)]
+        assert json.loads(second[0][1])["error"]["reason"] == "not_reducible"
+        assert second == [second[0]] * 3
+        assert counts == {"diagnose_pebble": 4, "decompose": 1, "extract_plan": 3}
+
+    def test_an_unsupported_step_is_not_kept(self, capsys, monkeypatch, tmp_path):
+        counts = self.count_layer_calls(monkeypatch)
+
+        def unsupported(*args):
+            counts["unsupported"] += 1
+            raise gcs2d.errors.UnsupportedStepError("no step for this pair")
+
+        monkeypatch.setattr(gcs2d.cli, "extract_plan", unsupported)
+        path = tmp_path / "triangle.json"
+        path.write_text(serialize(triangle_graph(3, 4, 5)), encoding="utf-8")
+        outs = [self.call(capsys, ["solve", str(path)]) for _ in range(2)]
+        assert outs[0] == outs[1] and json.loads(outs[0][1])["error"] == {
+            "reason": "unsupported_step", "message": "no step for this pair"}
+        assert counts["unsupported"] == 2 and counts["decompose"] == 1

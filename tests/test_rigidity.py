@@ -17,6 +17,7 @@ from gcs2d import (
     random_laman,
 )
 from gcs2d.graph import angle
+from gcs2d.rigidity import is_laman_edges
 
 from support import subset_violates, triangle_graph
 
@@ -188,3 +189,15 @@ class TestWitnessAndLaman:
         g = build_graph([line("L1"), line("L2")], [angle("L1", "L2", 1.0)])
         with pytest.raises(KindMismatchError):
             is_laman(g)
+
+    def test_raw_edge_check_matches_the_counting_oracle(self):
+        # Laman graphs, and the same with one edge added, removed or repeated.
+        rng = random.Random(17)
+        for _ in range(60):
+            g = random_laman(rng.randint(2, 9), rng.randrange(10**6), rng.random())
+            for h in (g, mutate_add_edge(g, rng), mutate_remove_edge(g, rng),
+                      build_graph(g.entities, list(g.constraints) + [g.constraints[0]])):
+                expected = diagnose_counting(h).verdict is Verdict.WELL_CONSTRAINED
+                edges = [c.between for c in h.constraints]
+                assert is_laman_edges(list(h.entity_ids), edges) is expected
+                assert is_laman(h) is expected

@@ -6,7 +6,10 @@ import pytest
 from gcs2d import (
     AlignCluster,
     BadBranchError,
+    Constraint,
+    ConstraintKind,
     EmptyIntersectionError,
+    Entity,
     GcsError,
     MissingPlacementError,
     Motion,
@@ -16,6 +19,7 @@ from gcs2d import (
     UnderDeterminedError,
     build_graph,
     decompose,
+    diagnose_pebble,
     distance,
     enumerate_solutions,
     execute,
@@ -390,6 +394,53 @@ class TestPlanReuse:
             assert found == enumerate_solutions(own, g2)
             for selector, sol in found:
                 assert execute(plan, g2, selector) == sol
+
+    @staticmethod
+    def structural_outcomes(g):
+        """What the three structural layers return on ``g``, or the type and
+        message of the error each raises."""
+        out = []
+        for layer in (diagnose_pebble, decompose, plan_for):
+            try:
+                out.append(layer(g))
+            except GcsError as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    @staticmethod
+    def with_values(g, value, radius):
+        """``g`` with each constraint value replaced by ``value(constraint)``
+        and each fixed radius ``r`` by ``radius(r)``."""
+        return build_graph(
+            [Entity(e.id, e.kind, None if e.radius is None else radius(e.radius))
+             for e in g.entities],
+            [Constraint(c.kind, c.between, None if c.value is None else value(c))
+             for c in g.constraints])
+
+    def test_structural_layers_read_no_values(self):
+        # Diagnosis, decomposition and plan (or the error each raises) are
+        # the same for every valuation of a structure, so one analysis may
+        # serve them all.
+        rng = random.Random(37)
+        graphs = [fixture(name) for name in fixture_names()]
+        while len(graphs) < 24:
+            g = random_laman(rng.randint(4, 14), rng.randrange(10**6), rng.random())
+            graphs.append(measured_graph(g, grid_embedding(g, rng)))
+
+        def fresh(c):
+            if c.kind is ConstraintKind.ANGLE:
+                return rng.uniform(0.1, math.pi - 0.1)
+            return rng.uniform(0.5, 3.0)
+
+        def scaled(factor):
+            return lambda c: c.value if c.kind is ConstraintKind.ANGLE else c.value * factor
+
+        for g in graphs:
+            expected = self.structural_outcomes(g)
+            copies = [self.with_values(g, fresh, lambda r: rng.uniform(0.5, 3.0))]
+            copies += [self.with_values(g, scaled(f), lambda r, f=f: r * f) for f in (1e-10, 1e10)]
+            for copy in copies:
+                assert self.structural_outcomes(copy) == expected
 
 
 class TestWalkerEquivalence:
