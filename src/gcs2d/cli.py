@@ -61,13 +61,17 @@ class _Failure(Exception):
         self.verdict = verdict
 
 
+def _write(text: str) -> None:
+    # Two writes, the last character on its own: with unbuffered stdout
+    # (python -u) a text stream drops what a pipe left unwritten when its
+    # reader went away, and only the next write raises the BrokenPipeError
+    # that main reports.
+    sys.stdout.write(text[:-1])
+    sys.stdout.write(text[-1:])
+
+
 def _emit(doc: dict) -> None:
-    # Two writes, not one per encoder chunk.  The newline goes on its own:
-    # with unbuffered stdout (python -u) a text stream drops what a pipe
-    # left unwritten when its reader went away, and only the next write
-    # raises the BrokenPipeError that main reports.
-    sys.stdout.write(json.dumps(doc, indent=2))
-    sys.stdout.write("\n")
+    _write(json.dumps(doc, indent=2) + "\n")  # encoded at once, not written per chunk
 
 
 def _read_text(path: str) -> str:
@@ -212,7 +216,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     g = parse(_read_text(args.path))
     if args.format == "dot":
-        sys.stdout.write(to_dot(g))
+        _write(to_dot(g))
         return 0
     if not args.solution:
         raise _Failure("--format svg needs --solution")
@@ -227,7 +231,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         doc = entries[0]
     solution = solution_from_dict(doc)
     _require_passed(verify(g, solution, _tolerance(args)))
-    sys.stdout.write(to_svg(g, solution.placements))
+    _write(to_svg(g, solution.placements))
     return 0
 
 

@@ -197,26 +197,36 @@ def intersect_circle_circle(k1: CircleRep, k2: CircleRep, eps: float = EPS) -> I
     Raises CoincidentError for identical circles and EmptyIntersectionError
     for disjoint or nested ones.
     """
-    d = k1.center.distance_to(k2.center)
+    roots, tangent = circle_circle_roots(
+        k1.center.x, k1.center.y, k1.r, k2.center.x, k2.center.y, k2.r, eps
+    )
+    return Intersection(tuple(Point2(x, y) for x, y in roots), tangent)
+
+
+def circle_circle_roots(
+    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float, eps: float = EPS
+) -> tuple[tuple[tuple[float, float], ...], bool]:
+    """:func:`intersect_circle_circle` on coordinates: the (x, y) roots of
+    the circles about (x1, y1) and (x2, y2), and whether they touch at a
+    double root.  Raises the same errors."""
+    d = math.hypot(x1 - x2, y1 - y2)
     if d <= eps:
-        if abs(k1.r - k2.r) <= eps:
+        if abs(r1 - r2) <= eps:
             raise CoincidentError("circles coincide")
         raise EmptyIntersectionError("concentric circles with different radii")
-    outer = d - (k1.r + k2.r)
-    inner = d - abs(k1.r - k2.r)
+    outer = d - (r1 + r2)
+    inner = d - abs(r1 - r2)
     tangent = abs(outer) <= eps or abs(inner) <= eps
     if not tangent and (outer > 0 or inner < 0):
         raise EmptyIntersectionError("circles do not intersect")
-    a = (d * d + k1.r * k1.r - k2.r * k2.r) / (2.0 * d)
-    ux = (k2.center.x - k1.center.x) / d
-    uy = (k2.center.y - k1.center.y) / d
-    base = Point2(k1.center.x + a * ux, k1.center.y + a * uy)
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    ux = (x2 - x1) / d
+    uy = (y2 - y1) / d
+    bx, by = x1 + a * ux, y1 + a * uy
     if tangent:
-        return Intersection((base,), tangent=True)
-    h = math.sqrt(max(k1.r * k1.r - a * a, 0.0))
-    return Intersection(
-        (Point2(base.x - h * uy, base.y + h * ux), Point2(base.x + h * uy, base.y - h * ux))
-    )
+        return ((bx, by),), True
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    return ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)), False
 
 
 def line_through_points(p: Point2, q: Point2, eps: float = EPS) -> LineRep:

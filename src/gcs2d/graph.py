@@ -147,6 +147,12 @@ class ConstraintGraph:
     def _entity_map(self) -> dict[str, Entity]:
         return {e.id: e for e in self.entities}
 
+    @cached_property
+    def _analyses(self) -> dict[str, object]:
+        """Structural results the other layers keep with the graph, by name:
+        a graph never changes, so neither do they."""
+        return {}
+
     @property
     def n(self) -> int:
         return len(self.entities)

@@ -145,8 +145,19 @@ def _pebble_run(
 
 
 def diagnose_pebble(g: ConstraintGraph) -> Diagnosis:
-    """Pebble-game analysis; verdict-equivalent to :func:`diagnose_counting`."""
+    """Pebble-game analysis; verdict-equivalent to :func:`diagnose_counting`.
+
+    The diagnosis is kept with ``g``, so later calls on the same graph (such
+    as the one :func:`gcs2d.decompose.extract_plan` makes) play no second
+    game."""
     _require_size(g)
+    kept = g._analyses
+    if "pebble" not in kept:
+        kept["pebble"] = _pebble_diagnosis(g)
+    return kept["pebble"]
+
+
+def _pebble_diagnosis(g: ConstraintGraph) -> Diagnosis:
     ids = list(g.entity_ids)
     dofs = {e.id: dof(e.kind) for e in g.entities}
     edges = [c.between for c in g.constraints]

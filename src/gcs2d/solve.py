@@ -22,13 +22,26 @@ blame and, once out of roots itself, jumps on by it.  Once a solution or a
 residual failure is reached, the steps on its path take back roots one at a
 time again, so the solutions, their order and the reported failure are those
 of plain chronological backtracking.
+
+A walk binds each step once, before it starts, into a kernel: a function of
+the placements made so far that returns the step's roots.  Binding resolves
+the step's constraints, their other endpoints and values, the target's kind
+and each locus's kind, so a kernel only reads anchors and intersects.  A
+point placed at two distances, the common step, gets its roots straight from
+the anchors' coordinates through :func:`circle_circle_roots`, the arithmetic
+of :func:`intersect_circle_circle`.  Each constraint's residual is bound the
+same way for the check at a leaf.  An error met while binding is raised when
+the kernel runs, so errors, their order and the walk's blame are those of
+resolving every step afresh at each evaluation, as the reference walker in
+``tests/support.py`` still does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
@@ -47,11 +60,13 @@ from .errors import (
     VerificationError,
 )
 from .geometry import (
+    EPS,
     CircleRep,
     LineRep,
     Placement,
     Point2,
     alignment_motions,
+    circle_circle_roots,
     fold_angle,
     intersect_circle_circle,
     intersect_line_circle,
@@ -137,14 +152,22 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
     return {a: CircleRep(Point2(0.0, 0.0), r1), b: CircleRep(Point2(r1 + r2, 0.0), r2)}
 
 
-# ------------------------------------------------------------- step resolution
+# ---------------------------------------------------------------- step kernels
+
+# A bound step: from the placements made so far, its roots (each a map of the
+# entities the step places) and whether it met a tangent (double) root.
+Kernel = Callable[[Mapping[str, Placement]], tuple[list[dict[str, Placement]], bool]]
 
 
 def _placed(placements: Mapping[str, Placement], entity_id: str) -> Placement:
     try:
         return placements[entity_id]
     except KeyError:
-        raise MissingPlacementError(f"entity {entity_id!r} has no placement yet") from None
+        raise _missing(entity_id) from None
+
+
+def _missing(entity_id: str) -> MissingPlacementError:
+    return MissingPlacementError(f"entity {entity_id!r} has no placement yet")
 
 
 def _other_endpoint(c: Constraint, target: str) -> str:
@@ -156,37 +179,144 @@ def _other_endpoint(c: Constraint, target: str) -> str:
     raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
 
 
+def _raising(exc: GcsError) -> Callable[[Mapping[str, Placement]], NoReturn]:
+    """A bound step, or part of one, that raises ``exc`` whenever it runs."""
+
+    def fail(placements: Mapping[str, Placement]) -> NoReturn:
+        raise exc.with_traceback(None)
+
+    return fail
+
+
 def _order_points(points: list[Point2]) -> list[Point2]:
     if len(points) < 2:
         return points
     cx = sum(p.x for p in points) / len(points)
     cy = sum(p.y for p in points) / len(points)
-
-    def key(p: Point2) -> tuple[float, float, float]:
-        return (math.atan2(p.y - cy, p.x - cx) % (2.0 * math.pi), p.x, p.y)
-
-    return sorted(points, key=key)
+    return sorted(points, key=lambda p: _root_key(p.x, p.y, cx, cy))
 
 
-def _point_loci(
-    c: Constraint, target: str, placements: Mapping[str, Placement]
-) -> list[Placement]:
-    anchor = _placed(placements, _other_endpoint(c, target))
-    if c.kind is ConstraintKind.DISTANCE:
-        if not isinstance(anchor, Point2):
+def _root_key(x: float, y: float, cx: float, cy: float) -> tuple[float, float, float]:
+    """Roots sort by their angle around the centroid (cx, cy) of all of a
+    step's roots, then by their coordinates."""
+    return (math.atan2(y - cy, x - cx) % (2.0 * math.pi), x, y)
+
+
+def _bind(step, g: ConstraintGraph, conformers: Conformers) -> Kernel:
+    """Resolve a plan step against the graph once: its constraints, their
+    other endpoints and values, the target's kind and each locus's kind.
+    An error met here is raised each time the kernel runs, where evaluating
+    the step raises it."""
+    try:
+        if isinstance(step, PlaceByTwoLoci):
+            kind = g.kind_of(step.target)
+            if kind is EntityKind.POINT:
+                return _bind_point(step, g)
+            if kind is EntityKind.LINE:
+                return _bind_line(step, g)
+            raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
+        if isinstance(step, TriangleMerge):
+            return lambda placements: _triangle_options(step, placements, g, conformers)
+        if isinstance(step, AlignCluster):
+            return lambda placements: _align_options(step, placements, g, conformers)
+        raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
+    except GcsError as exc:
+        return _raising(exc)
+
+
+def _bind_point(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
+    target = step.target
+    first, second = g.constraints[step.constraints[0]], g.constraints[step.constraints[1]]
+    # A distance no circle can have takes the general way, whose CircleRep
+    # raises BadValueError after the anchors before it are checked.
+    if all(c.kind is ConstraintKind.DISTANCE and target in c.between and 0 < c.value < math.inf
+           for c in (first, second)):
+        return _bind_two_distances(target, _other_endpoint(first, target), first.value,
+                                   _other_endpoint(second, target), second.value)
+    loci_a, loci_b = _bind_point_loci(first, target), _bind_point_loci(second, target)
+
+    def place(placements: Mapping[str, Placement]) -> tuple[list[dict[str, Placement]], bool]:
+        group_a, group_b = loci_a(placements), loci_b(placements)
+        points: list[Point2] = []
+        tangent = False
+        coincident = False
+        for la in group_a:
+            for lb in group_b:
+                pts, tan, coin = _intersect_loci(la, lb)
+                tangent = tangent or tan
+                coincident = coincident or coin
+                for p in pts:
+                    if not any(p.close_to(q) for q in points):
+                        points.append(p)
+        if not points:
+            if coincident:
+                raise UnderDeterminedError(target, "coincident loci leave the target free")
+            raise EmptyIntersectionError(f"no locus intersection places {target!r}")
+        return [{target: p} for p in _order_points(points)], tangent
+
+    return place
+
+
+def _bind_two_distances(target: str, a: str, ra: float, b: str, rb: float) -> Kernel:
+    """A point at distance ``ra`` from ``a`` and ``rb`` from ``b``: the
+    circle-circle case of :func:`_bind_point`, computed from coordinates."""
+
+    def place(placements: Mapping[str, Placement]) -> tuple[list[dict[str, Placement]], bool]:
+        p = _placed(placements, a)
+        if not isinstance(p, Point2):
             raise UnsupportedStepError("distance locus needs a placed point anchor")
-        return [CircleRep(anchor, c.value)]
-    if c.kind is ConstraintKind.INCIDENCE:
-        if isinstance(anchor, (LineRep, CircleRep)):
-            return [anchor]
-        raise UnsupportedStepError("incidence locus needs a placed line or circle")
-    if c.kind is ConstraintKind.POINT_LINE_DISTANCE:
-        if not isinstance(anchor, LineRep):
-            raise UnsupportedStepError("offset locus needs a placed line anchor")
-        if c.value == 0.0:
-            return [anchor]
-        return [LineRep(anchor.theta, anchor.c + c.value), LineRep(anchor.theta, anchor.c - c.value)]
-    raise UnsupportedStepError(f"no point locus for a {c.kind.value} constraint")
+        q = _placed(placements, b)
+        if not isinstance(q, Point2):
+            raise UnsupportedStepError("distance locus needs a placed point anchor")
+        try:
+            roots, tangent = circle_circle_roots(p.x, p.y, ra, q.x, q.y, rb)
+        except EmptyIntersectionError:
+            raise EmptyIntersectionError(f"no locus intersection places {target!r}") from None
+        except CoincidentError:
+            raise UnderDeterminedError(target, "coincident loci leave the target free") from None
+        if tangent:
+            return [{target: Point2(*roots[0])}], True
+        (x1, y1), (x2, y2) = roots
+        if math.hypot(x2 - x1, y2 - y1) <= EPS:  # one root, as _bind_point merges them
+            return [{target: Point2(x1, y1)}], False
+        # The centroid as _order_points sums it, from 0.
+        cx, cy = (0.0 + x1 + x2) / 2, (0.0 + y1 + y2) / 2
+        if _root_key(x2, y2, cx, cy) < _root_key(x1, y1, cx, cy):
+            x1, y1, x2, y2 = x2, y2, x1, y1
+        return [{target: Point2(x1, y1)}, {target: Point2(x2, y2)}], False
+
+    return place
+
+
+def _bind_point_loci(
+    c: Constraint, target: str
+) -> Callable[[Mapping[str, Placement]], list[Placement]]:
+    """The loci ``c`` leaves a point ``target`` on, given the placements."""
+    try:
+        anchor_id = _other_endpoint(c, target)
+    except UnsupportedStepError as exc:
+        return _raising(exc)
+    kind, value = c.kind, c.value
+
+    def loci(placements: Mapping[str, Placement]) -> list[Placement]:
+        anchor = _placed(placements, anchor_id)
+        if kind is ConstraintKind.DISTANCE:
+            if not isinstance(anchor, Point2):
+                raise UnsupportedStepError("distance locus needs a placed point anchor")
+            return [CircleRep(anchor, value)]
+        if kind is ConstraintKind.INCIDENCE:
+            if isinstance(anchor, (LineRep, CircleRep)):
+                return [anchor]
+            raise UnsupportedStepError("incidence locus needs a placed line or circle")
+        if kind is ConstraintKind.POINT_LINE_DISTANCE:
+            if not isinstance(anchor, LineRep):
+                raise UnsupportedStepError("offset locus needs a placed line anchor")
+            if value == 0.0:
+                return [anchor]
+            return [LineRep(anchor.theta, anchor.c + value), LineRep(anchor.theta, anchor.c - value)]
+        raise UnsupportedStepError(f"no point locus for a {kind.value} constraint")
+
+    return loci
 
 
 def _intersect_loci(a: Placement, b: Placement) -> tuple[list[Point2], bool, bool]:
@@ -213,64 +343,59 @@ def _intersect_loci(a: Placement, b: Placement) -> tuple[list[Point2], bool, boo
     raise UnsupportedStepError("loci must be lines or circles")
 
 
-def _place_point(
-    step: PlaceByTwoLoci, placements: Mapping[str, Placement], g: ConstraintGraph
-) -> tuple[list[dict[str, Placement]], bool]:
-    group_a = _point_loci(g.constraints[step.constraints[0]], step.target, placements)
-    group_b = _point_loci(g.constraints[step.constraints[1]], step.target, placements)
-    points: list[Point2] = []
-    tangent = False
-    coincident = False
-    for la in group_a:
-        for lb in group_b:
-            pts, tan, coin = _intersect_loci(la, lb)
-            tangent = tangent or tan
-            coincident = coincident or coin
-            for p in pts:
-                if not any(p.close_to(q) for q in points):
-                    points.append(p)
-    if not points:
-        if coincident:
-            raise UnderDeterminedError(step.target, "coincident loci leave the target free")
-        raise EmptyIntersectionError(f"no locus intersection places {step.target!r}")
-    ordered = _order_points(points)
-    return [{step.target: p} for p in ordered], tangent
+def _bind_line(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
+    target = step.target
+    sources = [_bind_line_anchor(g.constraints[idx], target) for idx in step.constraints]
+
+    def place(placements: Mapping[str, Placement]) -> tuple[list[dict[str, Placement]], bool]:
+        anchors = [source(placements) for source in sources]
+        anchors.sort(key=lambda item: item[0] != "point")
+        tags = tuple(tag for tag, _, _ in anchors)
+        if tags == ("point", "point"):
+            p, q = anchors[0][1], anchors[1][1]
+            try:
+                result = line_through_points(p, q)
+            except CoincidentPointsError:
+                raise UnderDeterminedError(target, "both incident points coincide") from None
+            return [{target: result}], False
+        if tags == ("point", "angle"):
+            p = anchors[0][1]
+            ref, alpha = anchors[1][1], anchors[1][2]
+            first = line_through_point_angle(p, ref, alpha, branch=0)
+            second = line_through_point_angle(p, ref, alpha, branch=1)
+            lines = [first] if lines_close(first, second) else [first, second]
+            lines.sort(key=lambda l: (l.theta, l.c))
+            return [{target: l} for l in lines], False
+        # Two angle constraints fix the direction twice but never the offset.
+        raise UnderDeterminedError(target, "angles fix the direction but not the offset")
+
+    return place
 
 
-def _place_line(
-    step: PlaceByTwoLoci, placements: Mapping[str, Placement], g: ConstraintGraph
-) -> tuple[list[dict[str, Placement]], bool]:
-    anchors: list[tuple[str, Placement, float | None]] = []
-    for idx in step.constraints:
-        c = g.constraints[idx]
-        anchor = _placed(placements, _other_endpoint(c, step.target))
-        if c.kind is ConstraintKind.INCIDENCE and isinstance(anchor, Point2):
-            anchors.append(("point", anchor, None))
-        elif c.kind is ConstraintKind.ANGLE and isinstance(anchor, LineRep):
-            anchors.append(("angle", anchor, c.value))
-        else:
+def _bind_line_anchor(
+    c: Constraint, target: str
+) -> Callable[[Mapping[str, Placement]], tuple[str, Placement, float | None]]:
+    """What ``c`` pins a line ``target`` to, given the placements: a point
+    it passes through, or a line and the angle it meets it at."""
+    try:
+        anchor_id = _other_endpoint(c, target)
+    except UnsupportedStepError as exc:
+        return _raising(exc)
+    kind = c.kind
+    tag, shape, value = {
+        ConstraintKind.INCIDENCE: ("point", Point2, None),
+        ConstraintKind.ANGLE: ("angle", LineRep, c.value),
+    }.get(kind, ("", (), None))
+
+    def anchor(placements: Mapping[str, Placement]) -> tuple[str, Placement, float | None]:
+        placed = _placed(placements, anchor_id)
+        if not isinstance(placed, shape):
             raise UnsupportedStepError(
-                f"cannot place line {step.target!r} from a {c.kind.value} constraint"
+                f"cannot place line {target!r} from a {kind.value} constraint"
             )
-    anchors.sort(key=lambda item: item[0] != "point")
-    tags = tuple(tag for tag, _, _ in anchors)
-    if tags == ("point", "point"):
-        p, q = anchors[0][1], anchors[1][1]
-        try:
-            result = line_through_points(p, q)
-        except CoincidentPointsError:
-            raise UnderDeterminedError(step.target, "both incident points coincide") from None
-        return [{step.target: result}], False
-    if tags == ("point", "angle"):
-        p = anchors[0][1]
-        ref, alpha = anchors[1][1], anchors[1][2]
-        first = line_through_point_angle(p, ref, alpha, branch=0)
-        second = line_through_point_angle(p, ref, alpha, branch=1)
-        lines = [first] if lines_close(first, second) else [first, second]
-        lines.sort(key=lambda l: (l.theta, l.c))
-        return [{step.target: l} for l in lines], False
-    # Two angle constraints fix the direction twice but never the offset.
-    raise UnderDeterminedError(step.target, "angles fix the direction but not the offset")
+        return tag, placed, value
+
+    return anchor
 
 
 def _triangle_options(
@@ -387,23 +512,6 @@ def _align_options(
     return outcomes, False
 
 
-def _options_for_step(
-    step, placements: Mapping[str, Placement], g: ConstraintGraph, conformers: Conformers
-) -> tuple[list[dict[str, Placement]], bool]:
-    if isinstance(step, PlaceByTwoLoci):
-        kind = g.kind_of(step.target)
-        if kind is EntityKind.POINT:
-            return _place_point(step, placements, g)
-        if kind is EntityKind.LINE:
-            return _place_line(step, placements, g)
-        raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
-    if isinstance(step, TriangleMerge):
-        return _triangle_options(step, placements, g, conformers)
-    if isinstance(step, AlignCluster):
-        return _align_options(step, placements, g, conformers)
-    raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
-
-
 # ------------------------------------------------------------------- execution
 
 
@@ -487,6 +595,8 @@ def _walk(
     if limit < 1:
         raise BadBranchError(f"limit must be >= 1, got {limit}")
     placements = dict(base_placements(g, plan.base_constraint))
+    kernels = [_bind(step, g, conformers) for step in plan.steps]
+    residuals = None if tol is None else [_bind_residual(c) for c in g.constraints]
     reads = [_reads(step, g) for step in plan.steps]
     placer = dict.fromkeys(placements, -1)  # entity -> frame that placed it, -1: the base
     results: list[Solution] = []
@@ -500,7 +610,7 @@ def _walk(
             if reads[i] is not None:
                 blame = {placer[e] for e in reads[i] if e in placements}
             try:
-                options, tangent = _options_for_step(plan.steps[i], placements, g, conformers)
+                options, tangent = kernels[i](placements)
                 first, last = 0, len(options) - 1
                 if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0
@@ -528,21 +638,16 @@ def _walk(
                 failure = failure or BadBranchError(
                     f"selector has {len(selector)} entries but only {cursor} steps branch"
                 )
-            else:
-                sol = Solution(
+            elif residuals is None or (worst := _worst([r(placements) for r in residuals])) <= tol:
+                results.append(Solution(
                     dict(placements),
                     tuple(f.pick for f in frames if len(f.options) > 1),
                     tuple(k for k, f in enumerate(frames) if f.tangent),
-                )
-                report = _report(g, sol.placements, tol) if tol is not None else None
-                if report is None or report.passed:
-                    results.append(sol)
-                    if len(results) >= limit:
-                        break
-                else:
-                    failure = failure or VerificationError(
-                        f"residual {report.max_abs} exceeds {tol}"
-                    )
+                ))
+                if len(results) >= limit:
+                    break
+            else:
+                failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
         # Take back roots, deepest first, up to the latest blamed frame (the
         # previous one when backtracking chronologically), until a step has
         # one left to try.
@@ -568,6 +673,9 @@ def _walk(
         placements.update(top.options[top.pick])
     if not results:
         raise failure or VerificationError("no branch produced a solution")
+    # A recorded failure's traceback holds this frame, so dropping it frees
+    # the walk's state now, not at the next cycle collection.
+    failure = None
     return results
 
 
@@ -693,6 +801,23 @@ def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> 
     return external if abs(external) <= abs(internal) else internal
 
 
+def _bind_residual(c: Constraint) -> Callable[[Mapping[str, Placement]], float]:
+    """:func:`_constraint_residual` of ``c`` as a function of the
+    placements; a distance's endpoints and value are resolved once."""
+    if c.kind is not ConstraintKind.DISTANCE:
+        return partial(_constraint_residual, c)
+    (a, b), value = c.between, c.value
+
+    def distance_residual(placements: Mapping[str, Placement]) -> float:
+        try:
+            pa, pb = placements[a], placements[b]
+        except KeyError as exc:  # the first of a, b without a placement
+            raise _missing(exc.args[0]) from None
+        return math.hypot(pa.x - pb.x, pa.y - pb.y) - value
+
+    return distance_residual
+
+
 def _worst(residuals: Iterable[float]) -> float:
     """The largest |residual|, or NaN when one is not finite, so that it
     fails every tolerance."""
@@ -714,7 +839,7 @@ def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> Residua
 
 
 def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
-    """:func:`verify` without the kind check, for placements built here."""
+    """:func:`verify` without the kind check."""
     residuals = tuple(_constraint_residual(c, placements) for c in g.constraints)
     max_abs = _worst(residuals)
     return ResidualReport(residuals, max_abs, tol, max_abs <= tol)

@@ -1,5 +1,6 @@
 """Shared helpers: independent recounts, embedding sampling, congruence checks,
-the exhaustive reference decomposition and the chronological reference walker."""
+the exhaustive reference decomposition and the chronological reference walker
+with its unbound step resolution."""
 
 from __future__ import annotations
 
@@ -40,9 +41,25 @@ from gcs2d import (
     seed_clusters,
     unsigned_line_angle,
 )
-from gcs2d.decompose import Plan
+from gcs2d.decompose import AlignCluster, PlaceByTwoLoci, Plan, TriangleMerge
+from gcs2d.errors import (
+    CoincidentPointsError,
+    EmptyIntersectionError,
+    MissingPlacementError,
+    UnderDeterminedError,
+    UnsupportedStepError,
+)
+from gcs2d.geometry import CircleRep, line_through_point_angle
 from gcs2d.graph import angle as angle_constraint
-from gcs2d.solve import Conformers, _options_for_step, _report, base_placements
+from gcs2d.solve import (
+    Conformers,
+    _align_options,
+    _intersect_loci,
+    _order_points,
+    _report,
+    _triangle_options,
+    base_placements,
+)
 
 
 def triangle_graph(ab: float, ac: float, bc: float) -> ConstraintGraph:
@@ -305,6 +322,122 @@ def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
     return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))
 
 
+# The unbound step resolution the walker's kernels replace: every evaluation
+# looks up the step's constraints, their other endpoints and the locus kinds
+# again.  Kept here as the reference the kernels are checked against.
+
+
+def _placed(placements: dict[str, Placement], entity_id: str) -> Placement:
+    try:
+        return placements[entity_id]
+    except KeyError:
+        raise MissingPlacementError(f"entity {entity_id!r} has no placement yet") from None
+
+
+def _other_endpoint(c: Constraint, target: str) -> str:
+    a, b = c.between
+    if target == a:
+        return b
+    if target == b:
+        return a
+    raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
+
+
+def _point_loci(c: Constraint, target: str, placements: dict[str, Placement]) -> list[Placement]:
+    anchor = _placed(placements, _other_endpoint(c, target))
+    if c.kind is ConstraintKind.DISTANCE:
+        if not isinstance(anchor, Point2):
+            raise UnsupportedStepError("distance locus needs a placed point anchor")
+        return [CircleRep(anchor, c.value)]
+    if c.kind is ConstraintKind.INCIDENCE:
+        if isinstance(anchor, (LineRep, CircleRep)):
+            return [anchor]
+        raise UnsupportedStepError("incidence locus needs a placed line or circle")
+    if c.kind is ConstraintKind.POINT_LINE_DISTANCE:
+        if not isinstance(anchor, LineRep):
+            raise UnsupportedStepError("offset locus needs a placed line anchor")
+        if c.value == 0.0:
+            return [anchor]
+        return [LineRep(anchor.theta, anchor.c + c.value), LineRep(anchor.theta, anchor.c - c.value)]
+    raise UnsupportedStepError(f"no point locus for a {c.kind.value} constraint")
+
+
+def _place_point(
+    step: PlaceByTwoLoci, placements: dict[str, Placement], g: ConstraintGraph
+) -> tuple[list[dict[str, Placement]], bool]:
+    group_a = _point_loci(g.constraints[step.constraints[0]], step.target, placements)
+    group_b = _point_loci(g.constraints[step.constraints[1]], step.target, placements)
+    points: list[Point2] = []
+    tangent = False
+    coincident = False
+    for la in group_a:
+        for lb in group_b:
+            pts, tan, coin = _intersect_loci(la, lb)
+            tangent = tangent or tan
+            coincident = coincident or coin
+            for p in pts:
+                if not any(p.close_to(q) for q in points):
+                    points.append(p)
+    if not points:
+        if coincident:
+            raise UnderDeterminedError(step.target, "coincident loci leave the target free")
+        raise EmptyIntersectionError(f"no locus intersection places {step.target!r}")
+    ordered = _order_points(points)
+    return [{step.target: p} for p in ordered], tangent
+
+
+def _place_line(
+    step: PlaceByTwoLoci, placements: dict[str, Placement], g: ConstraintGraph
+) -> tuple[list[dict[str, Placement]], bool]:
+    anchors: list[tuple[str, Placement, float | None]] = []
+    for idx in step.constraints:
+        c = g.constraints[idx]
+        anchor = _placed(placements, _other_endpoint(c, step.target))
+        if c.kind is ConstraintKind.INCIDENCE and isinstance(anchor, Point2):
+            anchors.append(("point", anchor, None))
+        elif c.kind is ConstraintKind.ANGLE and isinstance(anchor, LineRep):
+            anchors.append(("angle", anchor, c.value))
+        else:
+            raise UnsupportedStepError(
+                f"cannot place line {step.target!r} from a {c.kind.value} constraint"
+            )
+    anchors.sort(key=lambda item: item[0] != "point")
+    tags = tuple(tag for tag, _, _ in anchors)
+    if tags == ("point", "point"):
+        p, q = anchors[0][1], anchors[1][1]
+        try:
+            result = line_through_points(p, q)
+        except CoincidentPointsError:
+            raise UnderDeterminedError(step.target, "both incident points coincide") from None
+        return [{step.target: result}], False
+    if tags == ("point", "angle"):
+        p = anchors[0][1]
+        ref, alpha = anchors[1][1], anchors[1][2]
+        first = line_through_point_angle(p, ref, alpha, branch=0)
+        second = line_through_point_angle(p, ref, alpha, branch=1)
+        lines = [first] if lines_close(first, second) else [first, second]
+        lines.sort(key=lambda l: (l.theta, l.c))
+        return [{step.target: l} for l in lines], False
+    raise UnderDeterminedError(step.target, "angles fix the direction but not the offset")
+
+
+def _options_for_step(
+    step, placements: dict[str, Placement], g: ConstraintGraph, conformers: Conformers
+) -> tuple[list[dict[str, Placement]], bool]:
+    if isinstance(step, PlaceByTwoLoci):
+        kind = g.kind_of(step.target)
+        if kind is EntityKind.POINT:
+            return _place_point(step, placements, g)
+        if kind is EntityKind.LINE:
+            return _place_line(step, placements, g)
+        raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
+    if isinstance(step, TriangleMerge):
+        return _triangle_options(step, placements, g, conformers)
+    if isinstance(step, AlignCluster):
+        return _align_options(step, placements, g, conformers)
+    raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
+
+
 @dataclass(slots=True)
 class _ChronoFrame:
     options: list[dict[str, Placement]]
@@ -321,10 +454,12 @@ def reference_walk(
     limit: int,
     tol: float | None,
 ) -> list[Solution]:
-    """:func:`gcs2d.solve._walk` with chronological backtracking only.
+    """:func:`gcs2d.solve._walk` with chronological backtracking only, and
+    every step resolved afresh on each evaluation by :func:`_options_for_step`.
 
-    Exhaustive reference for the backjumping walker: every dead end takes
-    back the previous step's root, so every subtree is visited.  Same
+    Exhaustive reference for the walker and its bound step kernels: every
+    dead end takes back the previous step's root, so every subtree is
+    visited, and the leaf check is :func:`gcs2d.solve.verify`'s.  Same
     arguments, results and errors.
     """
     if limit < 1:

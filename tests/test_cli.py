@@ -401,17 +401,33 @@ def test_usage_errors_exit_one(capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def gcs2d_process(*argv: str, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE):
-    """``python -m gcs2d`` in a fresh interpreter, with the current environment."""
+def gcs2d_process(*argv: str, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, **env: str):
+    """``python -m gcs2d`` in a fresh interpreter, with the current
+    environment plus ``env``."""
     return subprocess.Popen([sys.executable, "-m", "gcs2d", *argv], stdin=stdin,
                             stdout=stdout, stderr=subprocess.PIPE, text=True,
-                            env={**os.environ, "PYTHONPATH": str(SRC)})
+                            env={**os.environ, "PYTHONPATH": str(SRC), **env})
 
 
 def test_closed_stdout_pipe_exits_one_with_one_stderr_line():
     proc = gcs2d_process("generate", "--n", "3000")
     assert proc.stdout.read(100)
     proc.stdout.close()  # the reader goes away while gcs2d is still writing
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_closed_stdout_pipe_under_render_exits_one(tmp_path):
+    # Unbuffered stdout loses what a closed pipe did not take without an
+    # error; the render must still notice the reader went away.
+    big = tmp_path / "big.json"
+    with big.open("w") as handle:
+        gcs2d_process("generate", "--n", "3000", stdout=handle).communicate(timeout=60)
+    proc = gcs2d_process("render", str(big), "--format", "dot", PYTHONUNBUFFERED="1")
+    assert proc.stdout.read(100)
+    proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in err

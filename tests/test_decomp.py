@@ -20,6 +20,7 @@ from gcs2d import (
     classify,
     decompose,
     diagnose_counting,
+    diagnose_pebble,
     distance,
     dof,
     extract_plan,
@@ -248,6 +249,31 @@ class TestExtractPlan:
         g = fixture("k4")
         with pytest.raises(NotReducibleError):
             extract_plan(decompose(g), g)
+
+    def test_one_pebble_game_per_graph(self, monkeypatch):
+        import gcs2d.rigidity
+
+        games = []
+        pebble_run = gcs2d.rigidity._pebble_run
+
+        def counted(*args):
+            games.append(args)
+            return pebble_run(*args)
+
+        monkeypatch.setattr(gcs2d.rigidity, "_pebble_run", counted)
+        g = fixture("moser-spindle")
+        assert diagnose_pebble(g).verdict is Verdict.WELL_CONSTRAINED
+        extract_plan(decompose(g), g)
+        assert len(games) == 1
+        # An over-constrained graph that decomposes fully, never diagnosed
+        # before: extract_plan plays the game itself and refuses the graph.
+        k4 = fixture("k4")
+        assert decompose(k4).reducibility is ReducibilityClass.FULLY_REDUCIBLE
+        with pytest.raises(NotReducibleError, match="well-constrained"):
+            extract_plan(decompose(k4), k4)
+        assert len(games) == 2
+        assert diagnose_pebble(k4).verdict is Verdict.OVER_CONSTRAINED
+        assert len(games) == 2
 
     def test_plan_references_each_constraint_at_most_once(self):
         # Base + placement steps + aligned clusters must not share constraint

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from gcs2d import (
     Solution,
     TriangleMerge,
     UnderDeterminedError,
+    VerificationError,
+    angle,
     build_graph,
     decompose,
     diagnose_pebble,
@@ -25,10 +28,14 @@ from gcs2d import (
     execute,
     extract_plan,
     fixture,
+    fixed_circle,
     fixture_names,
+    incidence,
+    line,
     line_through_points,
     parse,
     point,
+    point_line_distance,
     random_laman,
     serialize,
     solution_from_dict,
@@ -38,6 +45,7 @@ from gcs2d import (
 )
 
 import gcs2d.solve as solve_module
+from gcs2d.decompose import Plan, PlaceByTwoLoci
 
 from support import (
     grid_embedding,
@@ -52,6 +60,25 @@ from support import (
 
 def plan_for(g):
     return extract_plan(decompose(g), g)
+
+
+def count_evaluations(monkeypatch) -> Counter:
+    """Count the runs of every step kernel the walker binds from now on, by
+    the id of the plan step, so that every step evaluation is seen."""
+    evaluations: Counter = Counter()
+    bind = solve_module._bind
+
+    def counted_bind(step, *args):
+        kernel = bind(step, *args)
+
+        def counted(placements):
+            evaluations[id(step)] += 1
+            return kernel(placements)
+
+        return counted
+
+    monkeypatch.setattr(solve_module, "_bind", counted_bind)
+    return evaluations
 
 
 class TestTriangle:
@@ -444,9 +471,11 @@ class TestPlanReuse:
 
 
 class TestWalkerEquivalence:
-    """Backjumping changes which subtrees the walker visits, never what it
-    returns: selectors, placements, degenerate steps and errors equal those of
-    the chronological reference walker, for enumeration and for replays."""
+    """Backjumping and bound step kernels change which subtrees the walker
+    visits and how a step is evaluated, never what it returns: selectors,
+    placements, degenerate steps and errors equal those of the chronological
+    reference walker, which resolves every step afresh, for enumeration and
+    for replays."""
 
     @staticmethod
     def outcomes(plan, g):
@@ -466,16 +495,19 @@ class TestWalkerEquivalence:
             out.append(run(lambda: execute(plan, g, selector)))
         return out
 
-    def assert_same(self, monkeypatch, g):
-        try:
-            plan = plan_for(g)
-        except GcsError:
-            return False
+    def assert_same(self, monkeypatch, g, plan=None):
+        """Compare on ``plan``, by default the graph's own; returns the
+        outcomes, or None for a graph without a plan."""
+        if plan is None:
+            try:
+                plan = plan_for(g)
+            except GcsError:
+                return None
         walked = self.outcomes(plan, g)
         with monkeypatch.context() as patch:
             patch.setattr(solve_module, "_walk", reference_walk)
             assert walked == self.outcomes(plan, g)
-        return True
+        return walked
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_fixtures(self, monkeypatch, name):
@@ -487,36 +519,91 @@ class TestWalkerEquivalence:
         for n in range(4, 15):
             for _ in range(8):
                 g = random_laman(n, rng.randrange(10**6), rng.random())
-                planned += self.assert_same(monkeypatch, measured_graph(g, grid_embedding(g, rng)))
+                g = measured_graph(g, grid_embedding(g, rng))
+                planned += self.assert_same(monkeypatch, g) is not None
         assert planned >= 50
+
+    @pytest.mark.parametrize("n", range(16, 21))
+    def test_measured_henneberg_one_graphs(self, monkeypatch, n):
+        # The benchmark's solve workload: fully reducible, every step a
+        # two-distance placement, values measured from a grid embedding.
+        rng = random.Random(n)
+        for _ in range(2):
+            g = random_laman(n, rng.randrange(10**6), 0.0)
+            g = measured_graph(g, grid_embedding(g, rng))
+            assert len(self.assert_same(monkeypatch, g)[2]) >= 1
+
+    def test_tangent_root(self, monkeypatch):
+        walked = self.assert_same(monkeypatch, fixture("degenerate-triangle"))
+        assert walked[0][0][2] == (0,)  # step 0 met a double root
+
+    def test_coincident_loci(self, monkeypatch):
+        g = build_graph(
+            [point("A"), point("B"), point("C")],
+            [distance("A", "B", 1.0), distance("A", "C", 2.0), distance("A", "C", 2.0)],
+        )
+        walked = self.assert_same(monkeypatch, g, Plan(0, 0, (PlaceByTwoLoci("C", (1, 2)),)))
+        assert walked[0] == (UnderDeterminedError, "coincident loci leave the target free")
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0])
+    def test_point_line_steps(self, monkeypatch, offset):
+        g = build_graph(
+            [line("L"), point("A"), point("P"), line("M")],
+            [incidence("A", "L"), point_line_distance("P", "L", offset), distance("A", "P", 2.0),
+             incidence("P", "M"), angle("L", "M", 1.0)],
+        )
+        plan = Plan(0, 0, (PlaceByTwoLoci("P", (1, 2)), PlaceByTwoLoci("M", (3, 4))))
+        walked = self.assert_same(monkeypatch, g, plan)
+        assert len(walked[2]) == (4 if offset else 2) * 2  # loci roots, then two lines each
+
+    def test_point_on_fixed_circle(self, monkeypatch):
+        g = build_graph(
+            [fixed_circle("K", 2.0), point("P"), point("Q")],
+            [incidence("P", "K"), incidence("Q", "K"), distance("P", "Q", 2.0)],
+        )
+        assert len(self.assert_same(monkeypatch, g)[2]) == 2
+
+    def test_nan_residual(self, monkeypatch):
+        # Squared lengths overflow, so the third point lands at (nan, nan).
+        walked = self.assert_same(monkeypatch, triangle_graph(1e300, 1e300, 1e300))
+        assert walked[0] == (VerificationError, "residual nan exceeds 1e-09")
+
+    def test_malformed_steps_fail_when_reached(self, monkeypatch):
+        # A broken step after or before a sound one: the walk fails with the
+        # error that evaluating the steps in order meets first, although a
+        # kernel resolves its constraints before the walk starts.
+        g = build_graph(
+            [point("A"), point("B"), point("C"), point("D"), fixed_circle("K", 1.0)],
+            [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
+             distance("C", "D", 1.0), distance("B", "D", 1.0), incidence("D", "K")],
+        )
+        place_c = PlaceByTwoLoci("C", (1, 2))
+        for second in [PlaceByTwoLoci("D", (3, 1)), PlaceByTwoLoci("D", (5, 3)),
+                       PlaceByTwoLoci("K", (5, 3)), PlaceByTwoLoci("E", (3, 4)), "not a step"]:
+            for steps in [(place_c, second), (second, place_c)]:
+                walked = self.assert_same(monkeypatch, g, Plan(0, 0, steps))
+                assert isinstance(walked[0], tuple) and issubclass(walked[0][0], GcsError)
 
     def test_random_mixed_graphs(self, monkeypatch):
         rng = random.Random(9)
         # Few random mixed graphs are fully reducible; 3000 give a handful.
-        planned = sum(self.assert_same(monkeypatch, random_mixed_graph(rng)) for _ in range(3000))
+        planned = sum(self.assert_same(monkeypatch, random_mixed_graph(rng)) is not None
+                      for _ in range(3000))
         assert planned >= 5
 
     def test_recombination_plans(self, monkeypatch):
         for pair in TestPlanReuse.revalued_pairs():
             for g in pair:
-                assert self.assert_same(monkeypatch, g)
+                assert self.assert_same(monkeypatch, g) is not None
 
     def test_dead_ends_jump_over_unrelated_steps(self, monkeypatch):
         # Chronological backtracking evaluates 678,069 steps on this graph.
         g = random_laman(40, 5, 0.0)
         g = measured_graph(g, grid_embedding(g, random.Random(0)))
         plan = plan_for(g)
-        calls = 0
-        options_for_step = solve_module._options_for_step
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return options_for_step(*args)
-
-        monkeypatch.setattr(solve_module, "_options_for_step", counted)
+        evaluations = count_evaluations(monkeypatch)
         assert len(enumerate_solutions(plan, g, limit=16)) == 16
-        assert calls < 10_000
+        assert 0 < evaluations.total() < 10_000
 
 
 class TestDeepPlans:
@@ -641,18 +728,10 @@ class TestRecombinationReads:
         constraints[k] = distance(*constraints[k].between, 50 * constraints[k].value)
         g = build_graph(g.entities, constraints)
         plan = plan_for(g)
-        evaluations = {id(step): 0 for step in plan.steps}
-        options_for_step = solve_module._options_for_step
-
-        def counted(step, *args):
-            if id(step) in evaluations:
-                evaluations[id(step)] += 1
-            return options_for_step(step, *args)
-
-        monkeypatch.setattr(solve_module, "_options_for_step", counted)
+        evaluations = count_evaluations(monkeypatch)
         with pytest.raises(EmptyIntersectionError, match=f"x{length}"):
             enumerate_solutions(plan, g, limit=16)
-        assert max(evaluations.values()) == 1
+        assert max(evaluations[id(step)] for step in plan.steps) == 1
 
 
 class TestSolutionSerialization:
