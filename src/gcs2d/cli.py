@@ -14,10 +14,10 @@ stderr line and exit 1.
 
 :func:`main` returns the exit code and may be called any number of times in
 one process; it builds its parser on the first call and reuses it after.
-Consecutive calls on graphs of one structure (the same entity ids and kinds
-and constraint kinds and endpoints, in order: a sketch and its re-valued or
-rescaled copies) share one diagnosis, decomposition and plan; parsing,
-numeric search, verification and output still run on every call.
+Consecutive calls on graphs of one structure (a sketch and its re-valued or
+rescaled copies) share one diagnosis, decomposition and plan, which the
+library keeps by structure (``ConstraintGraph._analyses``); parsing, numeric
+search, verification and output still run on every call.
 """
 
 from __future__ import annotations
@@ -28,16 +28,9 @@ import math
 import os
 import sys
 
-from .decompose import (
-    DecompositionResult,
-    Plan,
-    decompose,
-    decomposition_to_dict,
-    extract_plan,
-    plan_to_dict,
-)
+from .decompose import decompose, decomposition_to_dict, extract_plan, plan_to_dict
 from .errors import GcsError, UnderDeterminedError
-from .graph import ConstraintGraph, graph_to_dict, parse
+from .graph import graph_to_dict, parse
 from .henneberg import fixture, random_laman
 from .render import to_dot, to_svg
 from .rigidity import Diagnosis, Verdict, diagnose_pebble
@@ -112,63 +105,16 @@ def _evidence(diagnosis: Diagnosis) -> dict:
     return fields
 
 
-class _Analysis:
-    """The structural analysis of one graph structure: its diagnosis,
-    decomposition and plan, each computed on first use.
-
-    None of the three reads a value, so they serve every graph whose entity
-    ids and kinds and constraint kinds and endpoints, in order, equal
-    ``key``.  A layer that raises stores nothing, so the next call runs it
-    again and raises the same error.  The layers are looked up as module
-    globals at call time, so a caller that patches them sees the calls.
-    """
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        self._diagnosis: Diagnosis | None = None
-        self._decomposition: DecompositionResult | None = None
-        self._plan: Plan | None = None
-
-    def diagnosis(self, g: ConstraintGraph) -> Diagnosis:
-        if self._diagnosis is None:
-            self._diagnosis = diagnose_pebble(g)
-        return self._diagnosis
-
-    def decomposition(self, g: ConstraintGraph) -> DecompositionResult:
-        if self._decomposition is None:
-            self._decomposition = decompose(g)
-        return self._decomposition
-
-    def plan(self, g: ConstraintGraph) -> Plan:
-        if self._plan is None:
-            self._plan = extract_plan(self.decomposition(g), g)
-        return self._plan
-
-
-# The analysis of the last structure a command read.  One entry serves
-# consecutive calls on one sketch and on its re-valued copies.
-_last: _Analysis | None = None
-
-
-def _analysis(g: ConstraintGraph) -> _Analysis:
-    global _last
-    key = (tuple((e.id, e.kind) for e in g.entities),
-           tuple((c.kind, c.between) for c in g.constraints))
-    if _last is None or _last.key != key:
-        _last = _Analysis(key)
-    return _last
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = parse(_read_text(args.path))
-    diagnosis = _analysis(g).diagnosis(g)
+    diagnosis = diagnose_pebble(g)
     _emit({"diagnosis": diagnosis.verdict.value, **_evidence(diagnosis)})
     return 0 if diagnosis.verdict is Verdict.WELL_CONSTRAINED else 2
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = parse(_read_text(args.path))
-    _emit(decomposition_to_dict(_analysis(g).decomposition(g)))
+    _emit(decomposition_to_dict(decompose(g)))
     return 0
 
 
@@ -182,13 +128,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit < 1:
         raise _Failure(f"--limit must be at least 1, got {args.limit}")
 
-    analysis = _analysis(g)
-    diagnosis = analysis.diagnosis(g)
+    diagnosis = diagnose_pebble(g)
     if diagnosis.verdict is not Verdict.WELL_CONSTRAINED:
         reason = f"{diagnosis.verdict.value}_constrained"
         raise _Failure(verdict={"reason": reason, **_evidence(diagnosis)})
 
-    plan = analysis.plan(g)
+    plan = extract_plan(decompose(g), g)
     if args.all:
         solutions = [sol for _, sol in enumerate_solutions(plan, g, limit=args.limit, tol=tol)]
     else:

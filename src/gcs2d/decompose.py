@@ -99,9 +99,20 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
     clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  Candidates
     are found through an entity -> live-cluster index when a cluster enters
     and kept on two heaps, so no step rescans the live clusters.
+
+    The result is kept with ``g``'s structure (``ConstraintGraph._analyses``),
+    so a later call on ``g`` or on a re-valued copy runs no second fixpoint.
     """
     if g.n < 2:
         raise TooSmallError(f"decomposition needs at least 2 entities, got {g.n}")
+    kept = g._analyses
+    result = kept.get("decompose")
+    if result is None:
+        result = kept["decompose"] = _fixpoint(g)
+    return result
+
+
+def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
     everything = seed_clusters(g)
     live: dict[int, Cluster] = {}
@@ -259,13 +270,24 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     node becomes PlaceByTwoLoci steps; otherwise the non-base clusters are
     recombined through a TriangleMerge over virtual distances plus rigid
     alignments, which reference the clusters' own plans.  The plan holds no
-    values of ``g``, so it serves every graph with the same structure.
+    values of ``g``, so it serves every graph with the same structure: it is
+    kept with ``g``'s structure together with ``result``, and a later call
+    with that same ``result`` object returns it again.  Both refusals run on
+    every call.
     """
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
     if diagnose_pebble(g).verdict is not Verdict.WELL_CONSTRAINED:
         raise NotReducibleError("plan extraction needs a well-constrained graph")
+    kept = g._analyses
+    built_from, plan = kept.get("plan", (None, None))
+    if built_from is not result:
+        plan = _build_plan(result, g)
+        kept["plan"] = (result, plan)
+    return plan
 
+
+def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     by_id = {c.id: c for c in result.all_clusters}
     plans: dict[int, Plan] = {}
 

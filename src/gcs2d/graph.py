@@ -149,9 +149,23 @@ class ConstraintGraph:
 
     @cached_property
     def _analyses(self) -> dict[str, object]:
-        """Structural results the other layers keep with the graph, by name:
-        a graph never changes, so neither do they."""
-        return {}
+        """Structural results the other layers keep, by name, for the graph's
+        structure: its entity ids and kinds and constraint kinds and
+        endpoints, in order.  No structural layer reads a value, so a
+        re-valued or rescaled copy of a graph gets the same dict when no
+        other structure was analysed in between.  The graph keeps the dict
+        it got, whatever is analysed later."""
+        global _last_structure
+        key = (tuple((e.id, e.kind) for e in self.entities),
+               tuple((c.kind, c.between) for c in self.constraints))
+        # One read of the pair: another thread may replace it meanwhile, and
+        # the dict returned must be the one stored with ``key``.  A race
+        # costs at most a second analysis, never another structure's results.
+        last_key, kept = _last_structure
+        if last_key != key:
+            kept = {}
+            _last_structure = (key, kept)
+        return kept
 
     @property
     def n(self) -> int:
@@ -176,6 +190,11 @@ class ConstraintGraph:
 
     def dof_total(self) -> int:
         return sum(dof(e.kind) for e in self.entities)
+
+
+# The structure analysed last, as (key, results): the analyses of one
+# structure serve every graph of it until another structure is analysed.
+_last_structure: tuple[tuple | None, dict[str, object]] = (None, {})
 
 
 def build_graph(entities: Iterable[Entity], constraints: Iterable[Constraint]) -> ConstraintGraph:
@@ -288,11 +307,13 @@ def serialize(g: ConstraintGraph) -> str:
     return json.dumps(graph_to_dict(g), indent=2)
 
 
-def _float(raw: int | float | None, what: str) -> float | None:
-    """A JSON number as a float, ``None`` kept; ParseError for an integer too
-    large for a float."""
+def _float(raw: object, what: str) -> float | None:
+    """A JSON number as a float, ``None`` kept; ParseError for any other
+    value (a boolean too) and for an integer too large for a float."""
     if raw is None:
         return None
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{what} must be a number, got {raw!r}")
     try:
         return float(raw)
     except OverflowError:
@@ -314,11 +335,9 @@ def _entity_from_dict(raw: object) -> Entity:
         known = raw.get("radius_known")
         if not isinstance(known, bool):
             raise ParseError(f"circle {entity_id!r} needs a boolean radius_known")
-        radius = raw.get("radius")
-        if radius is not None and not isinstance(radius, (int, float)):
-            raise ParseError(f"circle {entity_id!r} radius must be a number")
+        radius = _float(raw.get("radius"), f"circle {entity_id!r} radius")
         ek = EntityKind.CIRCLE_FIXED_RADIUS if known else EntityKind.CIRCLE_FREE_RADIUS
-        return Entity(entity_id, ek, radius=_float(radius, f"circle {entity_id!r} radius"))
+        return Entity(entity_id, ek, radius=radius)
     raise ParseError(f"unknown entity kind {kind!r}")
 
 
@@ -338,11 +357,8 @@ def _constraint_from_dict(raw: object) -> Constraint:
         or not all(isinstance(x, str) for x in between)
     ):
         raise ParseError(f"constraint 'between' must list two entity ids, got {between!r}")
-    value = raw.get("value")
-    if value is not None and not isinstance(value, (int, float)):
-        raise ParseError(f"constraint value must be a number, got {value!r}")
     return Constraint(_KIND_BY_NAME[kind_name], (between[0], between[1]),
-                      _float(value, "constraint value"))
+                      _float(raw.get("value"), "constraint value"))
 
 
 def graph_from_dict(doc: object) -> ConstraintGraph:

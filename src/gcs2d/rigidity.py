@@ -147,9 +147,9 @@ def _pebble_run(
 def diagnose_pebble(g: ConstraintGraph) -> Diagnosis:
     """Pebble-game analysis; verdict-equivalent to :func:`diagnose_counting`.
 
-    The diagnosis is kept with ``g``, so later calls on the same graph (such
-    as the one :func:`gcs2d.decompose.extract_plan` makes) play no second
-    game."""
+    The diagnosis is kept with ``g``'s structure, so later calls on ``g`` or
+    on a re-valued copy (such as the one :func:`gcs2d.decompose.extract_plan`
+    makes) play no second game."""
     _require_size(g)
     kept = g._analyses
     if "pebble" not in kept:

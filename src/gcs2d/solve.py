@@ -859,6 +859,20 @@ def placement_to_dict(p: Placement) -> dict:
 _SHAPES = {"point": "[x, y]", "line": "theta and c", "circle": "center and r"}
 
 
+def _number(raw: object) -> float:
+    """A JSON number as a float; TypeError for any other value, a boolean too."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"{raw!r} is not a number")
+    return float(raw)
+
+
+def _integer(raw: object) -> int:
+    """A JSON integer; TypeError for any other value, a boolean too."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise TypeError(f"{raw!r} is not an integer")
+    return raw
+
+
 def placement_from_dict(raw: object) -> Placement:
     if not isinstance(raw, dict) or len(raw) != 1:
         raise ParseError(f"placement must be a one-key object, got {raw!r}")
@@ -868,11 +882,11 @@ def placement_from_dict(raw: object) -> Placement:
     try:
         if shape == "point":
             x, y = body if isinstance(body, list) else ()  # a JSON array only
-            return Point2(float(x), float(y))
+            return Point2(_number(x), _number(y))
         if shape == "line":
-            return LineRep(float(body["theta"]), float(body["c"]))
+            return LineRep(_number(body["theta"]), _number(body["c"]))
         cx, cy = body["center"]
-        return CircleRep(Point2(float(cx), float(cy)), float(body["r"]))
+        return CircleRep(Point2(_number(cx), _number(cy)), _number(body["r"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{shape} placement needs {_SHAPES[shape]}, got {body!r}") from exc
 
@@ -892,8 +906,8 @@ def solution_from_dict(doc: object) -> Solution:
         str(name): placement_from_dict(raw) for name, raw in doc["placements"].items()
     }
     try:
-        branches = tuple(int(b) for b in doc.get("branches", ()))
-        degenerate = tuple(int(i) for i in doc.get("degenerate_steps", ()))
-    except (TypeError, ValueError, OverflowError) as exc:
+        branches = tuple(_integer(b) for b in doc.get("branches", ()))
+        degenerate = tuple(_integer(i) for i in doc.get("degenerate_steps", ()))
+    except TypeError as exc:
         raise ParseError("'branches' and 'degenerate_steps' must list integers") from exc
     return Solution(placements, branches, degenerate)

@@ -4,8 +4,10 @@ with its unbound step resolution."""
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -320,6 +322,25 @@ def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
     return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))
+
+
+def count_structural_work(monkeypatch) -> Counter:
+    """Count from now on the structural computations the library runs, not
+    the calls that find a kept result: pebble games (``games``),
+    decomposition fixpoints (``fixpoints``) and plan builds (``plans``)."""
+    counts: Counter = Counter()
+    for module, name, label in (("rigidity", "_pebble_diagnosis", "games"),
+                                ("decompose", "_fixpoint", "fixpoints"),
+                                ("decompose", "_build_plan", "plans")):
+        # The package exports a function named decompose, so the module is
+        # looked up by its full name.
+        module = importlib.import_module(f"gcs2d.{module}")
+
+        def counted(*args, real=getattr(module, name), label=label):
+            counts[label] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 # The unbound step resolution the walker's kernels replace: every evaluation

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -5,13 +6,13 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import gcs2d.cli
 import gcs2d.errors
+import gcs2d.graph
 from gcs2d import decompose, execute, extract_plan, fixture, serialize, solution_to_dict
 from gcs2d.cli import main
 from gcs2d.graph import (
@@ -25,7 +26,9 @@ from gcs2d.graph import (
     point_line_distance,
 )
 
-from support import measured_graph, sample_embedding, triangle_graph
+from support import count_structural_work, measured_graph, sample_embedding, triangle_graph
+
+decompose_module = importlib.import_module("gcs2d.decompose")  # gcs2d.decompose is the function
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -549,8 +552,6 @@ class TestStructureReuse:
     """Consecutive calls on one graph structure share one diagnosis,
     decomposition and plan, and no call's output depends on the call before."""
 
-    LAYERS = ("diagnose_pebble", "decompose", "extract_plan")
-
     @staticmethod
     def call(capsys, argv):
         code = main(argv)
@@ -560,7 +561,7 @@ class TestStructureReuse:
         calls, expected = [], []
 
         def fresh(argv):
-            monkeypatch.setattr(gcs2d.cli, "_last", None)
+            monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
             calls.append(argv)
             expected.append(self.call(capsys, argv))
             return expected[-1]
@@ -579,25 +580,15 @@ class TestStructureReuse:
         assert {code for code, _, _ in expected} == {0, 2}
         assert sum("--branch" in argv for argv in calls) > 100  # not only the bad ones
 
-        monkeypatch.setattr(gcs2d.cli, "_last", None)
+        monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
         for argv, want in zip(calls, expected):
             assert self.call(capsys, argv) == want, argv
-
-    def count_layer_calls(self, monkeypatch) -> Counter:
-        counts: Counter = Counter()
-        for name in self.LAYERS:
-            def counted(*args, real=getattr(gcs2d.cli, name), name=name):
-                counts[name] += 1
-                return real(*args)
-            monkeypatch.setattr(gcs2d.cli, name, counted)
-        monkeypatch.setattr(gcs2d.cli, "_last", None)
-        return counts
 
     def test_each_run_of_one_structure_is_analysed_once(self, capsys, monkeypatch, tmp_path):
         variants = dict(structure_variants())
         runs = [["spindle", "revalued", "x1e-10", "x1e10"], ["swapped"], ["spindle again"],
                 ["quad-angle-aux"], ["kind changed"], ["quad-angle-aux"]]
-        counts = self.count_layer_calls(monkeypatch)
+        counts = count_structural_work(monkeypatch)
         for i, run in enumerate(runs, start=1):
             for name in run:
                 path = tmp_path / f"{name}.json"
@@ -605,33 +596,41 @@ class TestStructureReuse:
                 for argv in (["analyze"], ["classify"], ["solve", "--all", "--emit-plan"],
                              ["solve"], ["solve", "--branch", "1"]):
                     self.call(capsys, [argv[0], str(path), *argv[1:]])
-            assert counts == {name: i for name in self.LAYERS}, run
+            assert counts == {"games": i, "fixpoints": i, "plans": i}, run
+
+    def test_analyze_then_solve_plays_one_game(self, capsys, monkeypatch, tmp_path):
+        # The plan extraction's own well-constrainedness check finds the
+        # diagnosis ``analyze`` made on another graph object.
+        counts = count_structural_work(monkeypatch)
+        path = tmp_path / "spindle.json"
+        path.write_text(serialize(fixture("moser-spindle")), encoding="utf-8")
+        assert self.call(capsys, ["analyze", str(path)])[0] == 0
+        assert self.call(capsys, ["solve", str(path), "--all"])[0] == 0
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 1}
 
     def test_errors_are_not_kept(self, capsys, monkeypatch, tmp_path):
-        counts = self.count_layer_calls(monkeypatch)
+        counts = count_structural_work(monkeypatch)
         one_point = tmp_path / "one-point.json"
         one_point.write_text(serialize(build_graph([point("A")], [])), encoding="utf-8")
         prism = tmp_path / "prism.json"
         prism.write_text(serialize(fixture("three-prism")), encoding="utf-8")
         first = [self.call(capsys, ["analyze", str(one_point)]) for _ in range(3)]
         assert first[0][0] == 1 and "at least 2 entities" in first[0][2]
-        assert first == [first[0]] * 3 and counts["diagnose_pebble"] == 3
+        assert first == [first[0]] * 3 and not counts
         second = [self.call(capsys, ["solve", str(prism)]) for _ in range(3)]
         assert json.loads(second[0][1])["error"]["reason"] == "not_reducible"
         assert second == [second[0]] * 3
-        assert counts == {"diagnose_pebble": 4, "decompose": 1, "extract_plan": 3}
+        assert counts == {"games": 1, "fixpoints": 1}  # refused before any plan build
 
     def test_an_unsupported_step_is_not_kept(self, capsys, monkeypatch, tmp_path):
-        counts = self.count_layer_calls(monkeypatch)
-
         def unsupported(*args):
-            counts["unsupported"] += 1
             raise gcs2d.errors.UnsupportedStepError("no step for this pair")
 
-        monkeypatch.setattr(gcs2d.cli, "extract_plan", unsupported)
+        monkeypatch.setattr(decompose_module, "_build_plan", unsupported)
+        counts = count_structural_work(monkeypatch)
         path = tmp_path / "triangle.json"
         path.write_text(serialize(triangle_graph(3, 4, 5)), encoding="utf-8")
         outs = [self.call(capsys, ["solve", str(path)]) for _ in range(2)]
         assert outs[0] == outs[1] and json.loads(outs[0][1])["error"] == {
             "reason": "unsupported_step", "message": "no step for this pair"}
-        assert counts["unsupported"] == 2 and counts["decompose"] == 1
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 2}

@@ -1,6 +1,9 @@
 import ast
 import importlib.util
 import random
+import sys
+import threading
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcs2d import (
     AlignCluster,
+    Constraint,
     MergeRecord,
     NotReducibleError,
     PlaceByTwoLoci,
@@ -32,7 +36,13 @@ from gcs2d import (
     seed_clusters,
 )
 from gcs2d.graph import free_circle, tangency
-from support import random_mixed_graph, reference_decompose
+from support import (
+    count_structural_work,
+    measured_graph,
+    random_mixed_graph,
+    reference_decompose,
+    sample_embedding,
+)
 
 # The incremental decomposition and the exhaustive reference must agree.
 DECOMPOSERS = (decompose, reference_decompose)
@@ -322,6 +332,103 @@ class TestExtractPlan:
                     aligned += 1
             assert placed == set(g.entity_ids)
         assert aligned
+
+
+class TestStructureMemo:
+    """Graphs of one structure share one diagnosis, decomposition and plan
+    through the library API alone; another structure in between starts
+    afresh, and a caller's own decomposition gets its own plan."""
+
+    @staticmethod
+    def analyse(g):
+        result = decompose(g)
+        return diagnose_pebble(g), result, extract_plan(result, g)
+
+    @staticmethod
+    def scaled(g, factor):
+        return build_graph(g.entities, [Constraint(c.kind, c.between, c.value * factor)
+                                        for c in g.constraints])
+
+    def test_revalued_and_rescaled_copies_share_one_analysis(self, monkeypatch):
+        spindle = fixture("moser-spindle")
+        revalued = measured_graph(spindle, sample_embedding(spindle, random.Random(5)))
+        assert revalued != spindle
+        counts = count_structural_work(monkeypatch)
+        first = self.analyse(spindle)
+        for g in (revalued, self.scaled(spindle, 1e-10), self.scaled(spindle, 1e10)):
+            assert all(got is kept for got, kept in zip(self.analyse(g), first))
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 1}
+
+    def test_another_structure_in_between_is_analysed_afresh(self, monkeypatch):
+        a, b = fixture("moser-spindle"), fixture("quad-angle-aux")
+        counts = count_structural_work(monkeypatch)
+        first = self.analyse(a)
+        self.analyse(b)
+        again = self.analyse(build_graph(a.entities, a.constraints))
+        assert again == first and again[1] is not first[1] and again[2] is not first[2]
+        assert counts == {"games": 3, "fixpoints": 3, "plans": 3}
+        # A graph keeps the results it got, whatever was analysed since.
+        assert all(got is kept for got, kept in zip(self.analyse(a), first))
+        assert counts == {"games": 3, "fixpoints": 3, "plans": 3}
+
+    def test_a_foreign_result_gets_its_own_plan(self, monkeypatch):
+        g = fixture("moser-spindle")
+        counts = count_structural_work(monkeypatch)
+        kept = extract_plan(decompose(g), g)
+        own = reference_decompose(g)
+        assert own == decompose(g) and own is not decompose(g)
+        plan = extract_plan(own, g)
+        assert plan == kept and plan is not kept and counts["plans"] == 2
+        assert extract_plan(own, g) is plan and counts["plans"] == 2
+        # A result whose root is an inner cluster gets that cluster's plan.
+        inner = next(c for c in reversed(own.all_clusters[:-1]) if not c.is_seed)
+        part = replace(own, final_clusters=(inner,))
+        assert extract_plan(part, g).owned_constraints == inner.owned_constraints
+        assert inner.owned_constraints != kept.owned_constraints and counts["plans"] == 3
+
+    def test_refusals_run_on_every_call(self, monkeypatch):
+        g = fixture("moser-spindle")
+        result = decompose(g)
+        extract_plan(result, g)
+        partial = replace(result, reducibility=ReducibilityClass.PARTIALLY_REDUCIBLE)
+        for _ in range(2):
+            with pytest.raises(NotReducibleError, match="partially_reducible"):
+                extract_plan(partial, g)
+        k4 = fixture("k4")
+        counts = count_structural_work(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotReducibleError, match="well-constrained"):
+                extract_plan(decompose(k4), k4)
+        assert counts == {"games": 1, "fixpoints": 1}
+
+    def test_threads_alternating_two_structures_get_their_own(self):
+        shapes = [fixture("moser-spindle"), fixture("quad-angle-aux")]
+        expected = [self.analyse(g) for g in shapes]
+        wrong: list[tuple] = []
+
+        def worker(start: int) -> None:
+            for i in range(300):
+                k = (start + i) % 2
+                g = build_graph(shapes[k].entities, shapes[k].constraints)
+                try:
+                    got = self.analyse(g)
+                except Exception as exc:  # another structure's results may raise here
+                    got = exc
+                if got != expected[k]:
+                    wrong.append((k, got))
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=worker, args=(k % 2,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
 
 
 def test_decompose_imports_nothing_from_solve():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -227,6 +228,20 @@ class TestSerialization:
         for _ in range(100):
             g = random_mixed_graph(rng)
             assert parse(serialize(g)) == g
+
+    @pytest.mark.parametrize("number", [True, False, "3"])
+    @pytest.mark.parametrize("field", ["value", "radius"])
+    def test_a_non_number_is_no_number(self, field, number):
+        # JSON booleans are no numbers, though Python's bool is an int.
+        doc = {"entities": [{"id": "A", "kind": "point"}, {"id": "B", "kind": "point"},
+                            {"id": "C", "kind": "circle", "radius_known": True, "radius": 1.5}],
+               "constraints": [{"kind": "distance", "between": ["A", "B"], "value": 2.0}]}
+        if field == "value":
+            doc["constraints"][0]["value"] = number
+        else:
+            doc["entities"][2]["radius"] = number
+        with pytest.raises(ParseError, match="must be a number"):
+            parse(json.dumps(doc))
 
     @given(
         st.lists(

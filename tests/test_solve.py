@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from gcs2d import (
     GcsError,
     MissingPlacementError,
     Motion,
+    ParseError,
     Point2,
     Solution,
     TriangleMerge,
@@ -44,6 +46,7 @@ from gcs2d import (
     verify,
 )
 
+import gcs2d.graph
 import gcs2d.solve as solve_module
 from gcs2d.decompose import Plan, PlaceByTwoLoci
 
@@ -425,7 +428,9 @@ class TestPlanReuse:
     @staticmethod
     def structural_outcomes(g):
         """What the three structural layers return on ``g``, or the type and
-        message of the error each raises."""
+        message of the error each raises.  Nothing analysed before is
+        reused: a copy would otherwise get the kept results of ``g``."""
+        gcs2d.graph._last_structure = (None, {})
         out = []
         for layer in (diagnose_pebble, decompose, plan_for):
             try:
@@ -735,6 +740,30 @@ class TestRecombinationReads:
 
 
 class TestSolutionSerialization:
+    @pytest.mark.parametrize("change", [
+        {"placements": {"A": {"point": [True, False]}}},
+        {"placements": {"L": {"line": {"theta": True, "c": 0.0}}}},
+        {"placements": {"L": {"line": {"theta": 0.5, "c": False}}}},
+        {"placements": {"O": {"circle": {"center": [0.0, True], "r": 1.0}}}},
+        {"placements": {"O": {"circle": {"center": [0.0, 0.0], "r": True}}}},
+        {"placements": {"A": {"point": ["1", 0.0]}}},
+        {"branches": [True]},
+        {"branches": [1.0]},
+        {"branches": "10"},
+        {"degenerate_steps": [False]},
+    ], ids=["point", "theta", "c", "center", "r", "string-coordinate", "branch", "float-branch",
+            "string-branches", "degenerate-step"])
+    def test_only_json_numbers_parse(self, change):
+        # JSON booleans (and strings) are no numbers, though Python's bool is an int.
+        doc = {"placements": {"A": {"point": [0.0, 1.0]}, "L": {"line": {"theta": 0.5, "c": 1.0}},
+                              "O": {"circle": {"center": [0.0, 0.0], "r": 1.0}}},
+               "branches": [0, 1], "degenerate_steps": [1]}
+        solution_from_dict(doc)
+        doc["placements"].update(change.get("placements", {}))
+        doc.update({key: value for key, value in change.items() if key != "placements"})
+        with pytest.raises(ParseError):
+            solution_from_dict(json.loads(json.dumps(doc)))
+
     def test_round_trip(self):
         g = fixture("quad-angle-aux")
         sol = enumerate_solutions(plan_for(g), g, limit=1)[0][1]
