@@ -32,10 +32,9 @@ graph.  :mod:`gcs2d.solve` carries plans out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import NotReducibleError, TooSmallError, UnsupportedStepError
 from .graph import ConstraintGraph, EntityKind, dof
@@ -45,16 +44,14 @@ from .rigidity import Verdict, diagnose_pebble
 # ------------------------------------------------------------------- clusters
 
 
-@dataclass(frozen=True)
-class MergeRecord:
+class MergeRecord(NamedTuple):
     rule: str  # "R1" or "R2"
     new_cluster: int
     parents: tuple[int, ...]
     shared: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A solvable sub-assembly: entity ids plus the constraints it owns, and
     the merge that made it (None for a seed, which owns one constraint)."""
 
@@ -74,8 +71,7 @@ class ReducibilityClass(Enum):
     IRREDUCIBLE = "irreducible"
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     final_clusters: tuple[Cluster, ...]
     merge_log: tuple[MergeRecord, ...]
     reducibility: ReducibilityClass
@@ -207,8 +203,7 @@ def classify(g: ConstraintGraph) -> ReducibilityClass:
 # ------------------------------------------------------------------ plan model
 
 
-@dataclass(frozen=True)
-class PlaceByTwoLoci:
+class PlaceByTwoLoci(NamedTuple):
     """Place ``target`` at an intersection of the loci induced by two
     constraints whose other endpoints are already placed."""
 
@@ -216,8 +211,7 @@ class PlaceByTwoLoci:
     constraints: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TriangleMerge:
+class TriangleMerge(NamedTuple):
     """Pin down three shared points through their pairwise virtual distances.
 
     ``points`` (p0, p1, p2) are the points the base, first and second
@@ -233,8 +227,7 @@ class TriangleMerge:
     plans: tuple[Plan, Plan]
 
 
-@dataclass(frozen=True)
-class AlignCluster:
+class AlignCluster(NamedTuple):
     """Map a cluster solved in its own frame onto the shared pair.
 
     The executor solves ``plan`` in its own frame; the branch selector then
@@ -250,8 +243,7 @@ class AlignCluster:
 PlanStep = Union[PlaceByTwoLoci, TriangleMerge, AlignCluster]
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """Base seed placement plus ordered construction steps for a cluster
     that owns ``owned_constraints``."""
 

@@ -9,8 +9,7 @@ equations to roughly 1e-12 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import (
     BadValueError,
@@ -24,8 +23,7 @@ from .errors import (
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(NamedTuple):
     x: float
     y: float
 
@@ -36,24 +34,31 @@ class Point2:
         return self.distance_to(other) <= tol
 
 
-@dataclass(frozen=True)
-class LineRep:
-    """Line in normal form; theta is folded into [0, pi) on construction."""
+def _checked_make(cls, fields):
+    """``_make`` (which ``_replace`` calls) through the class's ``__new__``."""
+    return cls(*fields)
 
+
+class _Line(NamedTuple):
     theta: float
     c: float
 
-    def __post_init__(self):
-        t, c = self.theta, self.c
-        k = math.floor(t / math.pi)
-        t -= k * math.pi
-        if t >= math.pi:  # guard against rounding at the fold boundary
-            t -= math.pi
+
+class LineRep(_Line):
+    """Line in normal form, a NamedTuple whose ``__new__`` folds theta into
+    [0, pi), negating ``c`` on odd folds; ``_replace`` and unpickling fold too."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta: float, c: float):
+        k = math.floor(theta / math.pi)
+        theta -= k * math.pi
+        if theta >= math.pi:  # guard against rounding at the fold boundary
+            theta -= math.pi
             k += 1
-        if k % 2:
-            c = -c
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "c", c)
+        return tuple.__new__(cls, (theta, -c if k % 2 else c))
+
+    _make = classmethod(_checked_make)
 
     @property
     def normal(self) -> tuple[float, float]:
@@ -76,21 +81,28 @@ class LineRep:
         return Point2(p.x - s * nx, p.y - s * ny)
 
 
-@dataclass(frozen=True)
-class CircleRep:
+class _Circle(NamedTuple):
     center: Point2
     r: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.r) or self.r <= 0:
-            raise BadValueError(f"circle radius must be finite and > 0, got {self.r}")
+
+class CircleRep(_Circle):
+    """Circle about ``center``; ``__new__`` checks ``r`` is finite and > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: Point2, r: float):
+        if not math.isfinite(r) or r <= 0:
+            raise BadValueError(f"circle radius must be finite and > 0, got {r}")
+        return tuple.__new__(cls, (center, r))
+
+    _make = classmethod(_checked_make)
 
 
 Placement = Union[Point2, LineRep, CircleRep]
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(NamedTuple):
     """Isometry applied as reflection (across the x axis, if set), then
     rotation, then translation."""
 
@@ -128,8 +140,7 @@ class Motion:
         return self.apply_circle(placement)
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(NamedTuple):
     """Result of a quadratic intersection; ``tangent`` marks a double root."""
 
     points: tuple[Point2, ...]
@@ -219,13 +230,18 @@ def circle_circle_roots(
     tangent = abs(outer) <= eps or abs(inner) <= eps
     if not tangent and (outer > 0 or inner < 0):
         raise EmptyIntersectionError("circles do not intersect")
-    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    # Squares of lengths past about 1e154 overflow, so huge circles are
+    # solved in units of their largest length; below 1e150 the unit is 1.
+    s = max(d, r1, r2)
+    s = s if s > 1e150 else 1.0
+    ds, r1s, r2s = d / s, r1 / s, r2 / s
+    a = (ds * ds + r1s * r1s - r2s * r2s) / (2.0 * ds)
     ux = (x2 - x1) / d
     uy = (y2 - y1) / d
-    bx, by = x1 + a * ux, y1 + a * uy
+    bx, by = x1 + a * s * ux, y1 + a * s * uy
     if tangent:
         return ((bx, by),), True
-    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    h = math.sqrt(max(r1s * r1s - a * a, 0.0)) * s
     return ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)), False
 
 

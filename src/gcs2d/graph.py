@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BadValueError,
@@ -52,8 +51,7 @@ def dof(kind: EntityKind) -> int:
     return _DOF[kind]
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """A named geometric entity.  ``radius`` is set iff the kind fixes it."""
 
     id: str
@@ -107,8 +105,7 @@ def _base_shape(kind: EntityKind) -> str:
     return kind.value
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One scalar equation between two distinct entities."""
 
     kind: ConstraintKind
@@ -136,12 +133,15 @@ def tangency(a: str, b: str) -> Constraint:
     return Constraint(ConstraintKind.TANGENCY, (a, b))
 
 
-@dataclass(frozen=True)
-class ConstraintGraph:
-    """An immutable constraint graph.  Build through :func:`build_graph`."""
-
+class _Graph(NamedTuple):
     entities: tuple[Entity, ...]
     constraints: tuple[Constraint, ...]
+
+
+class ConstraintGraph(_Graph):
+    """An immutable constraint graph.  Build through :func:`build_graph`.
+    A NamedTuple with an instance dict (no ``__slots__``) for the cached
+    properties below; equality and hashing read the two fields only."""
 
     @cached_property
     def _entity_map(self) -> dict[str, Entity]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Container, Union
+from typing import Callable, Container, NamedTuple, Union
 
 from .errors import (
     BadValueError,
@@ -42,16 +41,14 @@ from .rigidity import is_laman_edges
 PLACEHOLDER_DISTANCE = 1.0
 
 
-@dataclass(frozen=True)
-class H1:
+class H1(NamedTuple):
     """Attach ``new`` to two existing vertices."""
 
     new: str
     attach: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class H2:
+class H2(NamedTuple):
     """Attach ``new`` to both ends of ``split_edge`` plus ``third``, deleting
     the split edge."""
 
@@ -63,8 +60,7 @@ class H2:
 HennebergStep = Union[H1, H2]
 
 
-@dataclass(frozen=True)
-class HennebergSequence:
+class HennebergSequence(NamedTuple):
     """A base edge plus steps that replay, in order, to a target graph."""
 
     base_edge: tuple[str, str]

@@ -9,9 +9,9 @@ always genuine count violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import KindMismatchError, TooSmallError
 from .graph import ConstraintGraph, ConstraintKind, EntityKind, deficiency, dof
@@ -23,8 +23,7 @@ class Verdict(Enum):
     OVER_CONSTRAINED = "over"
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(NamedTuple):
     """Outcome of a structural analysis.
 
     ``deficit`` is set for under-constrained graphs (missing equation count);

@@ -39,9 +39,8 @@ resolving every step afresh at each evaluation, as the reference walker in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
@@ -87,8 +86,7 @@ X_AXIS = LineRep(math.pi / 2.0, 0.0)
 Conformers = dict[int, list[dict[str, Placement]] | GcsError]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Placements for every entity, plus the branch choices that produced
     them and the indices of steps that hit a tangent (double) root."""
 
@@ -101,8 +99,7 @@ class Solution:
         return bool(self.degenerate_steps)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Signed residual (measured minus specified) per constraint; ``max_abs``
     is NaN when one is not finite."""
 
@@ -533,18 +530,18 @@ def enumerate_solutions(
     return [(sol.branches, sol) for sol in solutions]
 
 
-@dataclass(slots=True)
 class _Frame:
     """One step on the walker's path: its roots, the root taken and the last
     one to try, whether the step hit a tangent root, and the earlier frames
     it blames for running out of roots (``None`` once it must backtrack
     chronologically)."""
 
-    options: list[dict[str, Placement]]
-    pick: int
-    last: int
-    tangent: bool
-    conflicts: set[int] | None
+    __slots__ = ("options", "pick", "last", "tangent", "conflicts")
+
+    def __init__(self, options: list[dict[str, Placement]], pick: int, last: int,
+                 tangent: bool, conflicts: set[int] | None):
+        self.options, self.pick, self.last = options, pick, last
+        self.tangent, self.conflicts = tangent, conflicts
 
 
 def _reads(step, g: ConstraintGraph) -> tuple[str, ...] | None:

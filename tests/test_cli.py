@@ -174,13 +174,18 @@ class TestSolve:
         assert code == 0
 
     @pytest.mark.parametrize("extra", [("--all",), ()])
-    def test_overflow_to_nan_is_a_residual_failure(self, capsys, tmp_path, extra):
-        # |AB|^2 overflows at this scale, so C is placed at (NaN, NaN).
+    def test_lengths_past_1e154_solve(self, capsys, tmp_path, extra):
+        # |AB|^2 overflows at this scale, so the roots are found in units of
+        # the largest length; C once landed at (NaN, NaN).
         path = tmp_path / "triangle-1e160.json"
         path.write_text(serialize(triangle_graph(3e160, 4e160, 5e160)), encoding="utf-8")
         code, out, _ = run_cli(capsys, "solve", str(path), *extra)
-        assert code == 2
-        assert strict_json(out)["error"]["reason"] == "verification_failed"
+        assert code == 0
+        solutions = strict_json(out)["solutions"]
+        assert [s["branches"] for s in solutions] == ([[0], [1]] if extra else [[0]])
+        for s, y in zip(solutions, (4e160, -4e160)):
+            x_c, y_c = s["placements"]["C"]["point"]
+            assert abs(x_c) <= 1e-15 * 4e160 and y_c == pytest.approx(y, rel=1e-15)
 
 
 class TestGenerateAndFixture:

@@ -3,7 +3,6 @@ import importlib.util
 import random
 import sys
 import threading
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -382,7 +381,7 @@ class TestStructureMemo:
         assert extract_plan(own, g) is plan and counts["plans"] == 2
         # A result whose root is an inner cluster gets that cluster's plan.
         inner = next(c for c in reversed(own.all_clusters[:-1]) if not c.is_seed)
-        part = replace(own, final_clusters=(inner,))
+        part = own._replace(final_clusters=(inner,))
         assert extract_plan(part, g).owned_constraints == inner.owned_constraints
         assert inner.owned_constraints != kept.owned_constraints and counts["plans"] == 3
 
@@ -390,7 +389,7 @@ class TestStructureMemo:
         g = fixture("moser-spindle")
         result = decompose(g)
         extract_plan(result, g)
-        partial = replace(result, reducibility=ReducibilityClass.PARTIALLY_REDUCIBLE)
+        partial = result._replace(reducibility=ReducibilityClass.PARTIALLY_REDUCIBLE)
         for _ in range(2):
             with pytest.raises(NotReducibleError, match="partially_reducible"):
                 extract_plan(partial, g)

@@ -130,6 +130,17 @@ class TestCircleCircle:
         with pytest.raises(EmptyIntersectionError):
             intersect_circle_circle(CircleRep(Point2(0, 0), 5.0), CircleRep(Point2(1, 0), 1.0))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_lengths_past_1e154(self, scale):
+        # Their squares overflow, so the roots are found in units of the largest length.
+        hit = intersect_circle_circle(CircleRep(Point2(0, 0), 5 * scale),
+                                      CircleRep(Point2(6 * scale, 0), 5 * scale))
+        roots = sorted(c / scale for p in hit.points for c in p)
+        assert roots == pytest.approx([-4.0, 3.0, 3.0, 4.0], rel=1e-15)
+        hit = intersect_circle_circle(CircleRep(Point2(0, 0), scale),
+                                      CircleRep(Point2(2 * scale, 0), scale))
+        assert hit.tangent and hit.points == (Point2(scale, 0.0),)
+
     def test_symmetry(self):
         a = CircleRep(Point2(0, 0), 5.0)
         b = CircleRep(Point2(6, 0), 5.0)

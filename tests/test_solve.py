@@ -20,7 +20,6 @@ from gcs2d import (
     Solution,
     TriangleMerge,
     UnderDeterminedError,
-    VerificationError,
     angle,
     build_graph,
     decompose,
@@ -568,10 +567,11 @@ class TestWalkerEquivalence:
         )
         assert len(self.assert_same(monkeypatch, g)[2]) == 2
 
-    def test_nan_residual(self, monkeypatch):
-        # Squared lengths overflow, so the third point lands at (nan, nan).
+    def test_lengths_past_1e154(self, monkeypatch):
+        # Squared lengths overflow, so the roots are found in units of the
+        # largest length; the third point once landed at (nan, nan).
         walked = self.assert_same(monkeypatch, triangle_graph(1e300, 1e300, 1e300))
-        assert walked[0] == (VerificationError, "residual nan exceeds 1e-09")
+        assert [branches for branches, _, _ in walked[1]] == [(0,), (1,)]
 
     def test_malformed_steps_fail_when_reached(self, monkeypatch):
         # A broken step after or before a sound one: the walk fails with the

@@ -1,0 +1,104 @@
+"""Contracts of the value types (points, lines, circles, graph records,
+clusters, plans and solutions), and what a cold import loads."""
+
+import copy
+import math
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from gcs2d import (
+    BadValueError,
+    CircleRep,
+    Cluster,
+    LineRep,
+    MergeRecord,
+    Plan,
+    Point2,
+    Solution,
+    distance,
+    fixture,
+    parse,
+    serialize,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("theta, folds", [
+    (0.25, 0), (math.pi, 1), (-math.pi / 2, -1), (2 * math.pi + 0.25, 2), (3 * math.pi + 0.25, 3),
+])
+def test_line_folds_theta_into_range_and_flips_c_on_odd_folds(theta, folds):
+    l = LineRep(theta, 2.0)
+    assert 0 <= l.theta < math.pi
+    assert l.theta == pytest.approx(theta - folds * math.pi, abs=1e-12)
+    assert l.c == (-2.0 if folds % 2 else 2.0)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_circle_rejects_a_radius_not_finite_and_positive(r):
+    with pytest.raises(BadValueError):
+        CircleRep(Point2(0.0, 0.0), r)
+
+
+def test_replace_folds_and_checks_like_construction():
+    l = LineRep(0.25, 2.0)._replace(theta=math.pi + 0.25)
+    assert type(l) is LineRep and l == LineRep(math.pi + 0.25, 2.0) and l.c == -2.0
+    with pytest.raises(BadValueError):
+        CircleRep(Point2(0.0, 0.0), 1.0)._replace(r=-1.0)
+
+
+def test_fields_are_read_only():
+    values = [
+        (Point2(1.0, 2.0), "x"),
+        (distance("a", "b", 1.0), "value"),
+        (Cluster(0, frozenset("ab"), frozenset({0})), "entity_ids"),
+        (Plan(0, 0, ()), "steps"),
+        (Solution({"a": Point2(0.0, 0.0)}, ()), "branches"),
+        (fixture("triangle"), "constraints"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+@pytest.mark.parametrize("make", [lambda: LineRep(3 * math.pi + 0.25, 2.0),
+                                  lambda: parse(serialize(fixture("moser-spindle")))],
+                         ids=["line", "graph"])
+def test_pickle_and_deepcopy_give_an_equal_object(make):
+    value = make()
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and type(copied) is type(value)
+        assert hash(copied) == hash(value)
+
+
+def test_graph_copies_keep_their_cached_lookups():
+    g = parse(serialize(fixture("moser-spindle")))
+    last = g.entity(g.entities[-1].id)  # caches the id -> entity map
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied.entity(last.id) == last and copied.kind_of(last.id) is last.kind
+
+
+def test_repr():
+    assert repr(Point2(0.0, 4.0)) == "Point2(x=0.0, y=4.0)"
+    record = MergeRecord("R1", 5, (1, 2, 3), ("a", "b", "c"))
+    assert repr(record) == ("MergeRecord(rule='R1', new_cluster=5, parents=(1, 2, 3), "
+                            "shared=('a', 'b', 'c'))")
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # -S keeps site-packages' start-up hooks out of the process, so only
+    # what the package and its parser import is loaded.
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import gcs2d, gcs2d.cli\n"
+        "gcs2d.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
