@@ -10,15 +10,18 @@ free-radius circle would weld clusters into a non-rigid aggregate.
 The rewrite is deterministic: each step applies the pair rule if any live pair
 qualifies, else the triangle rule, and within a rule picks the candidate whose
 sorted parent ids are lexicographically smallest.  The merged cluster takes
-the next unused id.  The fixpoint is found incrementally: an index maps each
-entity to the live clusters holding it, and a cluster entering the system
-(every seed in id order, then each merged cluster) is matched only against
-clusters sharing an entity with it.  Its candidates go onto two min-heaps
-keyed by sorted parent ids.  A live cluster's entity set never changes, so a
-candidate stays valid until one of its parents is merged away; such dead
-candidates are dropped when popped.  Because a fresh id is always the largest
-so far, popping the smallest live key makes the same choice as rescanning
-every live pair and triple.
+the next unused id.  The fixpoint is found incrementally, with candidates on
+two min-heaps keyed by sorted parent ids.  One pass over the constraints
+queues the seeds' candidates: constraints on the same two entities pair up,
+and each graph triangle over two-DOF entities gives a triple.  Then an index
+maps each entity to the live clusters holding it, and a merged cluster is
+matched only against clusters sharing an entity with it; its triangle
+partners are found by grouping the neighbours hinged to it by their far
+two-DOF entity.  A live cluster's entity set never changes, so a candidate
+stays valid until one of its parents is merged away; such dead candidates
+are dropped when popped.  Because a fresh id is always the largest so far,
+popping the smallest live key makes the same choice as rescanning every
+live pair and triple.
 
 From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
@@ -33,7 +36,7 @@ graph.  :mod:`gcs2d.solve` carries plans out.
 from __future__ import annotations
 
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterator, NamedTuple, Union
 
 from .errors import NotReducibleError, TooSmallError, UnsupportedStepError
@@ -92,9 +95,11 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
 
     Pairs go before triangles, and within each rule the candidate with the
     lexicographically smallest sorted parent ids merges first; merged
-    clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  Candidates
-    are found through an entity -> live-cluster index when a cluster enters
-    and kept on two heaps, so no step rescans the live clusters.
+    clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  The seeds'
+    candidates come from one pass over the constraints; a merged cluster's
+    come through an entity -> live-cluster index, its triangle partners
+    grouped by their far two-DOF entity.  Candidates wait on two heaps, so
+    no step rescans the live clusters.
 
     The result is kept with ``g``'s structure (``ConstraintGraph._analyses``),
     so a later call on ``g`` or on a re-valued copy runs no second fixpoint.
@@ -111,40 +116,68 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
 def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
     everything = seed_clusters(g)
-    live: dict[int, Cluster] = {}
-    holders: dict[str, set[int]] = {}  # entity -> ids of the live clusters holding it
+    live = {c.id: c for c in everything}
+    holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}  # entity -> live holders
+    # The seeds' candidates: two seeds on one pair of entities, in either
+    # order, and three spanning a triangle u < v < w of two-DOF entities.
+    joins: dict[str, dict[str, list[int]]] = {e: {} for e in g.entity_ids}  # seeds by ends
     pairs: list[tuple[int, ...]] = []
+    for i, (_, (a, b), _) in enumerate(g.constraints):
+        holders[a].add(i)
+        holders[b].add(i)
+        ids = joins[a].get(b)
+        if ids is None:
+            joins[a][b] = joins[b][a] = [i]
+        else:
+            pairs += [(j, i) for j in ids]
+            ids.append(i)
     triangles: list[tuple[int, ...]] = []
+    for u in two_dof:
+        near_u = joins[u]
+        for v, uv in near_u.items():
+            if v > u and v in two_dof:
+                near_v = joins[v]
+                for w in near_u.keys() & near_v.keys():
+                    if w > v and w in two_dof:
+                        triangles += [tuple(sorted((i, j, k)))
+                                      for i in uv for j in near_v[w] for k in near_u[w]]
+    heapify(pairs)
+    heapify(triangles)
 
     def enter(c: Cluster) -> None:
-        """Index ``c`` and queue every candidate it completes; ``c.id`` is
-        the largest live id, so it goes last in each key."""
-        touching: dict[int, list[str]] = {}
+        """Index merged cluster ``c`` and queue every candidate it completes;
+        ``c.id`` is the largest live id, so it goes last in each key."""
+        hinge: dict[int, str] = {}  # neighbour -> the first entity it shares with c
+        paired: set[int] = set()  # neighbours sharing two or more
         for e in c.entity_ids:
-            held = holders.setdefault(e, set())
+            held = holders[e]
             for k in held:
-                touching.setdefault(k, []).append(e)
+                if k in hinge:
+                    paired.add(k)
+                else:
+                    hinge[k] = e
             held.add(c.id)
         live[c.id] = c
-        hinged: dict[int, str] = {}  # neighbour -> its single, two-DOF entity shared with c
-        for k, shared in touching.items():
-            if len(shared) >= 2:
-                heappush(pairs, (k, c.id))
-            elif shared[0] in two_dof:
-                hinged[k] = shared[0]
-        # Two hops: c -x- a -y- b with b hinged to c.  Single shared entities
-        # on all three sides force x, y and z to be distinct.
-        for a, x in hinged.items():
-            a_entities = live[a].entity_ids
-            for y in a_entities:
-                if y == x or y not in two_dof:
-                    continue
-                for b in holders[y]:
-                    if b > a and b in hinged and len(a_entities & live[b].entity_ids) == 1:
-                        heappush(triangles, (a, b, c.id))
+        for k in paired:
+            heappush(pairs, (k, c.id))
+        # Neighbours hinged to c (a single, two-DOF shared entity), by each
+        # of their other two-DOF entities: two neighbours in one group that
+        # share nothing else close a triangle with c.  Single shared
+        # entities on all three sides force the three hinges to differ.
+        far: dict[str, list[int]] = {}
+        for k, x in hinge.items():
+            if x in two_dof and k not in paired:
+                for y in live[k].entity_ids:
+                    if y != x and y in two_dof:
+                        far.setdefault(y, []).append(k)
+        for group in far.values():
+            if len(group) > 1:
+                for n, a in enumerate(group):
+                    a_entities = live[a].entity_ids
+                    for b in group[n + 1:]:
+                        if len(a_entities & live[b].entity_ids) == 1:
+                            heappush(triangles, (a, b, c.id) if a < b else (b, a, c.id))
 
-    for seed in everything:
-        enter(seed)
     log: list[MergeRecord] = []
     while True:
         parents = _pop_live(pairs, live) or _pop_live(triangles, live)
@@ -190,7 +223,7 @@ def _pop_live(heap: list[tuple[int, ...]], live: dict[int, Cluster]) -> tuple[in
     candidates with a merged-away parent are discarded on the way."""
     while heap:
         key = heappop(heap)
-        if all(i in live for i in key):
+        if all(map(live.__contains__, key)):
             return key
     return None
 

@@ -195,7 +195,11 @@ def intersect_line_circle(l: LineRep, k: CircleRep, eps: float = EPS) -> Interse
         return Intersection((foot,), tangent=True)
     if gap > 0:
         raise EmptyIntersectionError("line misses the circle")
-    h = math.sqrt(k.r * k.r - s * s)
+    # Squares of lengths past about 1e154 overflow, so a huge circle is solved
+    # in units of its radius (the largest length here); below 1e150 the unit is 1.
+    unit = k.r if k.r > 1e150 else 1.0
+    r, s = k.r / unit, s / unit
+    h = math.sqrt(r * r - s * s) * unit
     dx, dy = l.direction
     return Intersection(
         (Point2(foot.x + h * dx, foot.y + h * dy), Point2(foot.x - h * dx, foot.y - h * dy))

@@ -83,26 +83,32 @@ class ConstraintKind(Enum):
     TANGENCY = "tangency"
 
 
-# Admissible unordered endpoint kind pairs, by base shape (point/line/circle).
-_ADMISSIBLE: dict[ConstraintKind, tuple[frozenset[str], ...]] = {
-    ConstraintKind.DISTANCE: (frozenset({"point"}),),
-    ConstraintKind.POINT_LINE_DISTANCE: (frozenset({"point", "line"}),),
-    ConstraintKind.INCIDENCE: (frozenset({"point", "line"}), frozenset({"point", "circle"})),
-    ConstraintKind.ANGLE: (frozenset({"line"}),),
-    ConstraintKind.TANGENCY: (frozenset({"line", "circle"}), frozenset({"circle"})),
+# Validation tables, keyed by kind values (``kind._value_``, a plain attribute,
+# where an enum member's hash, ``.value`` and ``is_circle`` run Python code).
+# Base shape of each entity kind: both circle kinds admit the same constraints.
+_SHAPE = {"point": "point", "line": "line",
+          "circle_fixed_radius": "circle", "circle_free_radius": "circle"}
+
+# Admissible (constraint kind, shape, shape) triples, in either endpoint order.
+_ADMISSIBLE = {
+    (kind, *ends)
+    for kind, s, t in (("distance", "point", "point"), ("point_line_distance", "point", "line"),
+                       ("incidence", "point", "line"), ("incidence", "point", "circle"),
+                       ("angle", "line", "line"), ("tangency", "line", "circle"),
+                       ("tangency", "circle", "circle"))
+    for ends in ((s, t), (t, s))
 }
 
-_VALUED = {
-    ConstraintKind.DISTANCE,
-    ConstraintKind.POINT_LINE_DISTANCE,
-    ConstraintKind.ANGLE,
+# Value check per constraint kind: a test that a (finite) value is out of
+# range and the message for endpoints a, b and value v; None where the kind
+# carries no value.
+_VALUE_CHECK = {
+    "distance": (lambda v: v <= 0, "distance {a!r},{b!r} must be > 0, got {v}"),
+    "point_line_distance": (lambda v: v < 0, "point-line distance {a!r},{b!r} must be >= 0"),
+    "angle": (lambda v: not 0 < v < math.pi, "angle {a!r},{b!r} must lie in (0, pi), got {v}"),
+    "incidence": None,
+    "tangency": None,
 }
-
-
-def _base_shape(kind: EntityKind) -> str:
-    if kind.is_circle:
-        return "circle"
-    return kind.value
 
 
 class Constraint(NamedTuple):
@@ -207,47 +213,45 @@ def build_graph(entities: Iterable[Entity], constraints: Iterable[Constraint]) -
     ents = tuple(entities)
     cons = tuple(constraints)
 
-    seen: set[str] = set()
-    for ent in ents:
-        if not ent.id or not isinstance(ent.id, str):
-            raise BadValueError(f"entity id must be a nonempty string, got {ent.id!r}")
-        if ent.id in seen:
-            raise DuplicateIdError(f"duplicate entity id {ent.id!r}")
-        seen.add(ent.id)
-        if ent.kind is EntityKind.CIRCLE_FIXED_RADIUS:
-            if ent.radius is None:
-                raise BadValueError(f"circle {ent.id!r} has a fixed radius but no radius value")
-            if not math.isfinite(ent.radius) or ent.radius <= 0:
-                raise BadValueError(f"circle {ent.id!r} radius must be finite and > 0")
-        elif ent.radius is not None:
-            raise BadValueError(f"entity {ent.id!r} of kind {ent.kind.value} cannot carry a radius")
+    shapes: dict[str, str] = {}  # entity id -> base shape
+    for entity_id, kind, radius in ents:
+        if not entity_id or not isinstance(entity_id, str):
+            raise BadValueError(f"entity id must be a nonempty string, got {entity_id!r}")
+        if entity_id in shapes:
+            raise DuplicateIdError(f"duplicate entity id {entity_id!r}")
+        kind_name = kind._value_
+        shapes[entity_id] = _SHAPE[kind_name]
+        if kind_name == "circle_fixed_radius":
+            if radius is None:
+                raise BadValueError(f"circle {entity_id!r} has a fixed radius but no radius value")
+            if not math.isfinite(radius) or radius <= 0:
+                raise BadValueError(f"circle {entity_id!r} radius must be finite and > 0")
+        elif radius is not None:
+            raise BadValueError(f"entity {entity_id!r} of kind {kind_name} cannot carry a radius")
 
-    by_id = {e.id: e for e in ents}
-    for con in cons:
-        a, b = con.between
-        for end in (a, b):
-            if end not in by_id:
-                raise UnknownEndpointError(f"constraint endpoint {end!r} is not an entity")
+    for kind, (a, b), value in cons:
+        if a not in shapes:
+            raise UnknownEndpointError(f"constraint endpoint {a!r} is not an entity")
+        if b not in shapes:
+            raise UnknownEndpointError(f"constraint endpoint {b!r} is not an entity")
         if a == b:
             raise SelfLoopError(f"constraint joins {a!r} to itself")
-        shapes = frozenset({_base_shape(by_id[a].kind), _base_shape(by_id[b].kind)})
-        if shapes not in _ADMISSIBLE[con.kind]:
+        kind_name = kind._value_
+        if (kind_name, shapes[a], shapes[b]) not in _ADMISSIBLE:
+            kinds = {e.id: e.kind._value_ for e in ents}
             raise KindMismatchError(
-                f"{con.kind.value} not admissible between {by_id[a].kind.value} and {by_id[b].kind.value}"
+                f"{kind_name} not admissible between {kinds[a]} and {kinds[b]}"
             )
-        if con.kind in _VALUED:
-            if con.value is None:
-                raise BadValueError(f"{con.kind.value} constraint between {a!r},{b!r} needs a value")
-            if not math.isfinite(con.value):
-                raise BadValueError(f"{con.kind.value} value must be finite")
-            if con.kind is ConstraintKind.DISTANCE and con.value <= 0:
-                raise BadValueError(f"distance {a!r},{b!r} must be > 0, got {con.value}")
-            if con.kind is ConstraintKind.POINT_LINE_DISTANCE and con.value < 0:
-                raise BadValueError(f"point-line distance {a!r},{b!r} must be >= 0")
-            if con.kind is ConstraintKind.ANGLE and not 0 < con.value < math.pi:
-                raise BadValueError(f"angle {a!r},{b!r} must lie in (0, pi), got {con.value}")
-        elif con.value is not None:
-            raise BadValueError(f"{con.kind.value} constraint carries no value")
+        check = _VALUE_CHECK[kind_name]
+        if check is None:
+            if value is not None:
+                raise BadValueError(f"{kind_name} constraint carries no value")
+        elif value is None:
+            raise BadValueError(f"{kind_name} constraint between {a!r},{b!r} needs a value")
+        elif not math.isfinite(value):
+            raise BadValueError(f"{kind_name} value must be finite")
+        elif check[0](value):
+            raise BadValueError(check[1].format(a=a, b=b, v=value))
 
     return ConstraintGraph(ents, cons)
 
@@ -320,45 +324,10 @@ def _float(raw: object, what: str) -> float | None:
         raise ParseError(f"{what} is too large for a float") from None
 
 
-def _entity_from_dict(raw: object) -> Entity:
-    if not isinstance(raw, dict):
-        raise ParseError(f"entity must be an object, got {type(raw).__name__}")
-    entity_id = raw.get("id")
-    if not isinstance(entity_id, str) or not entity_id:
-        raise ParseError(f"entity id must be a nonempty string, got {entity_id!r}")
-    kind = raw.get("kind")
-    if kind == "point":
-        return Entity(entity_id, EntityKind.POINT)
-    if kind == "line":
-        return Entity(entity_id, EntityKind.LINE)
-    if kind == "circle":
-        known = raw.get("radius_known")
-        if not isinstance(known, bool):
-            raise ParseError(f"circle {entity_id!r} needs a boolean radius_known")
-        radius = _float(raw.get("radius"), f"circle {entity_id!r} radius")
-        ek = EntityKind.CIRCLE_FIXED_RADIUS if known else EntityKind.CIRCLE_FREE_RADIUS
-        return Entity(entity_id, ek, radius=radius)
-    raise ParseError(f"unknown entity kind {kind!r}")
-
-
 _KIND_BY_NAME = {k.value: k for k in ConstraintKind}
-
-
-def _constraint_from_dict(raw: object) -> Constraint:
-    if not isinstance(raw, dict):
-        raise ParseError(f"constraint must be an object, got {type(raw).__name__}")
-    kind_name = raw.get("kind")
-    if not isinstance(kind_name, str) or kind_name not in _KIND_BY_NAME:
-        raise ParseError(f"unknown constraint kind {kind_name!r}")
-    between = raw.get("between")
-    if (
-        not isinstance(between, list)
-        or len(between) != 2
-        or not all(isinstance(x, str) for x in between)
-    ):
-        raise ParseError(f"constraint 'between' must list two entity ids, got {between!r}")
-    return Constraint(_KIND_BY_NAME[kind_name], (between[0], between[1]),
-                      _float(raw.get("value"), "constraint value"))
+# Bound once: on Python 3.11 each ``EntityKind.X`` lookup costs about an enum hash.
+_POINT, _LINE = EntityKind.POINT, EntityKind.LINE
+_CIRCLE = {True: EntityKind.CIRCLE_FIXED_RADIUS, False: EntityKind.CIRCLE_FREE_RADIUS}
 
 
 def graph_from_dict(doc: object) -> ConstraintGraph:
@@ -368,8 +337,41 @@ def graph_from_dict(doc: object) -> ConstraintGraph:
     raw_constraints = doc.get("constraints")
     if not isinstance(raw_entities, list) or not isinstance(raw_constraints, list):
         raise ParseError("graph document needs 'entities' and 'constraints' arrays")
-    entities = [_entity_from_dict(e) for e in raw_entities]
-    constraints = [_constraint_from_dict(c) for c in raw_constraints]
+    entities = []
+    for raw in raw_entities:
+        if not isinstance(raw, dict):
+            raise ParseError(f"entity must be an object, got {type(raw).__name__}")
+        entity_id = raw.get("id")
+        if not isinstance(entity_id, str) or not entity_id:
+            raise ParseError(f"entity id must be a nonempty string, got {entity_id!r}")
+        kind = raw.get("kind")
+        if kind == "point":
+            entities.append(Entity(entity_id, _POINT))
+        elif kind == "line":
+            entities.append(Entity(entity_id, _LINE))
+        elif kind == "circle":
+            known = raw.get("radius_known")
+            if not isinstance(known, bool):
+                raise ParseError(f"circle {entity_id!r} needs a boolean radius_known")
+            radius = _float(raw.get("radius"), f"circle {entity_id!r} radius")
+            entities.append(Entity(entity_id, _CIRCLE[known], radius))
+        else:
+            raise ParseError(f"unknown entity kind {kind!r}")
+    constraints = []
+    for raw in raw_constraints:
+        if not isinstance(raw, dict):
+            raise ParseError(f"constraint must be an object, got {type(raw).__name__}")
+        kind_name = raw.get("kind")
+        if not isinstance(kind_name, str) or kind_name not in _KIND_BY_NAME:
+            raise ParseError(f"unknown constraint kind {kind_name!r}")
+        between = raw.get("between")
+        if (not isinstance(between, list) or len(between) != 2
+                or not isinstance(between[0], str) or not isinstance(between[1], str)):
+            raise ParseError(f"constraint 'between' must list two entity ids, got {between!r}")
+        value = raw.get("value")
+        if type(value) is not float:
+            value = _float(value, "constraint value")
+        constraints.append(Constraint(_KIND_BY_NAME[kind_name], (between[0], between[1]), value))
     return build_graph(entities, constraints)
 
 

@@ -22,6 +22,7 @@ from gcs2d.graph import (
     fixed_circle,
     free_circle,
     incidence,
+    line,
     point,
     point_line_distance,
 )
@@ -186,6 +187,23 @@ class TestSolve:
         for s, y in zip(solutions, (4e160, -4e160)):
             x_c, y_c = s["placements"]["C"]["point"]
             assert abs(x_c) <= 1e-15 * 4e160 and y_c == pytest.approx(y, rel=1e-15)
+
+    def test_line_and_circle_past_1e154_solve(self, capsys, tmp_path):
+        # B lies on the circle of radius |AB| about A and on a parallel to L:
+        # that step squared lengths near 1e321 and exited 2 with "residual nan".
+        g = build_graph([line("L"), point("A"), point("B")],
+                        [incidence("A", "L"), distance("A", "B", 5e160),
+                         point_line_distance("B", "L", 3e160)])
+        path = tmp_path / "line-circle-1e160.json"
+        path.write_text(serialize(g), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--all")
+        assert code == 0
+        solutions = strict_json(out)["solutions"]
+        # A at the origin and L along the x axis: B at (+-4e160, +-3e160).
+        assert [s["branches"] for s in solutions] == [[0], [1], [2], [3]]
+        corners = sorted(tuple(s["placements"]["B"]["point"]) for s in solutions)
+        assert [c for corner in corners for c in corner] == pytest.approx(
+            [-4e160, -3e160, -4e160, 3e160, 4e160, -3e160, 4e160, 3e160], rel=1e-15)
 
 
 class TestGenerateAndFixture:

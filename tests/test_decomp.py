@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gcs2d import (
     AlignCluster,
     Constraint,
+    EntityKind,
     MergeRecord,
     NotReducibleError,
     PlaceByTwoLoci,
@@ -34,7 +35,7 @@ from gcs2d import (
     random_laman,
     seed_clusters,
 )
-from gcs2d.graph import free_circle, tangency
+from gcs2d.graph import fixed_circle, free_circle, incidence, tangency
 from support import (
     count_structural_work,
     measured_graph,
@@ -120,6 +121,53 @@ class TestReferenceEquivalence:
     def test_random_mixed_graphs(self, rng):
         g = random_mixed_graph(rng)
         assert decompose(g) == reference_decompose(g)
+
+    def test_random_mixed_graph_sweep(self):
+        for seed in range(2000):
+            g = random_mixed_graph(random.Random(seed))
+            assert decompose(g) == reference_decompose(g), seed
+
+    def test_reversed_and_repeated_parallel_constraints(self):
+        # Constraints on the same two entities, in either order, pair up
+        # whichever way round they were written.
+        g = build_graph(
+            [point("P0"), fixed_circle("C0", 1.0), point("P1"), fixed_circle("C1", 2.0),
+             point("P2")],
+            [tangency("C0", "C1"), tangency("C1", "C0")] * 3
+            + [distance("P0", "P1", 1.0), distance("P2", "P1", 1.0)],
+        )
+        result = decompose(g)
+        assert result == reference_decompose(g)
+        assert [r.parents for r in result.merge_log] == [(0, 1), (2, 3), (4, 5), (8, 9),
+                                                         (10, 11)]
+
+    def test_parallel_seeds_inside_a_triangle(self):
+        g = build_graph(
+            [point("A"), point("B"), point("C"), point("D")],
+            [distance("A", "B", 3.0), distance("B", "C", 4.0), distance("B", "A", 3.0),
+             distance("C", "A", 5.0), distance("A", "C", 5.0), distance("C", "D", 1.0),
+             distance("D", "B", 1.0), distance("D", "C", 1.0)],
+        )
+        result = decompose(g)
+        assert result == reference_decompose(g)
+        assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
+
+    @pytest.mark.parametrize("hinge", [free_circle("K"), fixed_circle("K", 1.0)])
+    def test_circle_hinges_of_a_merged_cluster(self, hinge):
+        # The merged triangle ABC meets the incidences A-K and B-K in A and
+        # B, and they meet each other in K: a triangle only if K has two
+        # degrees of freedom.
+        g = build_graph(
+            [point("A"), point("B"), point("C"), hinge, point("D")],
+            [distance("A", "B", 3.0), distance("B", "C", 4.0), distance("C", "A", 5.0),
+             incidence("A", "K"), incidence("K", "B"), incidence("D", "K"),
+             distance("D", "A", 1.0)],
+        )
+        result = decompose(g)
+        assert result == reference_decompose(g)
+        rules = [r.rule for r in result.merge_log]
+        assert rules == (["R1"] if hinge.kind is EntityKind.CIRCLE_FREE_RADIUS
+                         else ["R1", "R1", "R1"])
 
 
 class TestLargeFixpoint:

@@ -107,6 +107,17 @@ class TestLineCircle:
             assert abs(l.signed_offset(p)) <= 1e-9 * scale
             assert abs(p.distance_to(k.center) - k.r) <= 1e-9 * scale
 
+    def test_lengths_past_1e154(self):
+        # Their squares overflow, so the roots are found in units of the radius.
+        l, k = LineRep(math.pi / 2, 0.0), CircleRep(Point2(0, 1e160), 2e160)
+        hit = intersect_line_circle(l, k)
+        assert sorted(p.x / 1e160 for p in hit.points) == pytest.approx([-3**0.5, 3**0.5],
+                                                                       rel=1e-15)
+        for p in hit.points:
+            assert math.isfinite(p.x) and math.isfinite(p.y)
+            assert abs(l.signed_offset(p)) <= 1e-15 * k.r
+            assert p.distance_to(k.center) == pytest.approx(k.r, rel=1e-15)
+
 
 class TestCircleCircle:
     def test_two_roots(self):

@@ -7,8 +7,12 @@ from hypothesis import given, strategies as st
 
 from gcs2d import (
     BadValueError,
+    Constraint,
+    ConstraintKind,
     DuplicateIdError,
+    Entity,
     EntityKind,
+    GcsError,
     KindMismatchError,
     ParseError,
     SelfLoopError,
@@ -25,6 +29,7 @@ from gcs2d import (
     line,
     parse,
     point,
+    point_line_distance,
     serialize,
 )
 from gcs2d.graph import angle, tangency
@@ -257,3 +262,300 @@ class TestSerialization:
         ]
         g = build_graph(entities, constraints)
         assert parse(serialize(g)) == g
+
+
+# ------------------------------------------------------- validation, pinned
+
+# Every error branch of document parsing and graph building, with the exact
+# error type and message, including inputs with two faults, where the table
+# shows which check fires first: parse errors (entities, then constraints)
+# before build errors; entity checks before constraint checks; within a
+# constraint an unknown endpoint, then a self loop, then a kind mismatch,
+# then its value.
+
+_A, _B = ({"id": x, "kind": "point"} for x in "AB")
+_L = {"id": "L", "kind": "line"}
+_M = {"id": "M", "kind": "line"}
+_K = {"id": "K", "kind": "circle", "radius_known": False}
+
+
+def _con(kind, a, b, **value):
+    return {"kind": kind, "between": [a, b], **value}
+
+
+def _doc(entities, constraints=()):
+    return {"entities": list(entities), "constraints": list(constraints)}
+
+
+def _circle(**fields):
+    return {"id": "C", "kind": "circle", **fields}
+
+
+_DOCUMENT_ERRORS = [
+    # graph_from_dict
+    ("not an object", [], ParseError, "graph document must be a JSON object"),
+    ("no constraints", {"entities": []}, ParseError,
+     "graph document needs 'entities' and 'constraints' arrays"),
+    ("entities not an array", {"entities": {}, "constraints": []}, ParseError,
+     "graph document needs 'entities' and 'constraints' arrays"),
+    # entities
+    ("entity not an object", _doc([1]), ParseError, "entity must be an object, got int"),
+    ("entity without id", _doc([{"kind": "point"}]), ParseError,
+     "entity id must be a nonempty string, got None"),
+    ("empty entity id", _doc([{"id": "", "kind": "point"}]), ParseError,
+     "entity id must be a nonempty string, got ''"),
+    ("numeric entity id", _doc([{"id": 3, "kind": "point"}]), ParseError,
+     "entity id must be a nonempty string, got 3"),
+    ("unknown entity kind", _doc([{"id": "S", "kind": "sphere"}]), ParseError,
+     "unknown entity kind 'sphere'"),
+    ("entity without kind", _doc([{"id": "S"}]), ParseError, "unknown entity kind None"),
+    ("circle without radius_known", _doc([_circle(radius=1.0)]), ParseError,
+     "circle 'C' needs a boolean radius_known"),
+    ("numeric radius_known", _doc([_circle(radius_known=1, radius=1.0)]), ParseError,
+     "circle 'C' needs a boolean radius_known"),
+    ("string radius", _doc([_circle(radius_known=True, radius="1")]), ParseError,
+     "circle 'C' radius must be a number, got '1'"),
+    ("boolean radius", _doc([_circle(radius_known=True, radius=True)]), ParseError,
+     "circle 'C' radius must be a number, got True"),
+    ("huge integer radius", _doc([_circle(radius_known=True, radius=10**400)]), ParseError,
+     "circle 'C' radius is too large for a float"),
+    # constraints
+    ("constraint not an object", _doc([_A, _B], ["AB"]), ParseError,
+     "constraint must be an object, got str"),
+    ("unknown constraint kind", _doc([_A, _B], [_con("parallel", "A", "B")]), ParseError,
+     "unknown constraint kind 'parallel'"),
+    ("numeric constraint kind", _doc([_A, _B], [_con(1, "A", "B")]), ParseError,
+     "unknown constraint kind 1"),
+    ("constraint without kind", _doc([_A, _B], [{"between": ["A", "B"]}]), ParseError,
+     "unknown constraint kind None"),
+    ("between a string", _doc([_A, _B], [{"kind": "incidence", "between": "AB"}]), ParseError,
+     "constraint 'between' must list two entity ids, got 'AB'"),
+    ("between three ids", _doc([_A, _B], [{"kind": "incidence", "between": ["A", "B", "A"]}]),
+     ParseError, "constraint 'between' must list two entity ids, got ['A', 'B', 'A']"),
+    ("between a number", _doc([_A, _B], [{"kind": "incidence", "between": ["A", 2]}]),
+     ParseError, "constraint 'between' must list two entity ids, got ['A', 2]"),
+    ("string value", _doc([_A, _B], [_con("distance", "A", "B", value="1")]), ParseError,
+     "constraint value must be a number, got '1'"),
+    ("boolean value", _doc([_A, _B], [_con("distance", "A", "B", value=False)]), ParseError,
+     "constraint value must be a number, got False"),
+    ("huge integer value", _doc([_A, _B], [_con("distance", "A", "B", value=10**400)]),
+     ParseError, "constraint value is too large for a float"),
+    # entity checks of build_graph
+    ("duplicate id", _doc([_A, _B, {"id": "A", "kind": "line"}]), DuplicateIdError,
+     "duplicate entity id 'A'"),
+    ("fixed circle without radius", _doc([_circle(radius_known=True)]), BadValueError,
+     "circle 'C' has a fixed radius but no radius value"),
+    ("zero radius", _doc([_circle(radius_known=True, radius=0)]), BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("negative radius", _doc([_circle(radius_known=True, radius=-2.0)]), BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("nan radius", _doc([_circle(radius_known=True, radius=math.nan)]), BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("infinite radius", _doc([_circle(radius_known=True, radius=math.inf)]), BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("free circle with radius", _doc([_circle(radius_known=False, radius=1.0)]), BadValueError,
+     "entity 'C' of kind circle_free_radius cannot carry a radius"),
+    # constraint checks of build_graph
+    ("unknown first endpoint", _doc([_A], [_con("distance", "Z", "A", value=1.0)]),
+     UnknownEndpointError, "constraint endpoint 'Z' is not an entity"),
+    ("unknown second endpoint", _doc([_A], [_con("distance", "A", "Z", value=1.0)]),
+     UnknownEndpointError, "constraint endpoint 'Z' is not an entity"),
+    ("self loop", _doc([_A], [_con("distance", "A", "A", value=1.0)]), SelfLoopError,
+     "constraint joins 'A' to itself"),
+    ("kind mismatch", _doc([_A, _L], [_con("distance", "A", "L", value=1.0)]),
+     KindMismatchError, "distance not admissible between point and line"),
+    ("distance without value", _doc([_A, _B], [_con("distance", "A", "B")]), BadValueError,
+     "distance constraint between 'A','B' needs a value"),
+    ("angle without value", _doc([_L, _M], [_con("angle", "L", "M")]), BadValueError,
+     "angle constraint between 'L','M' needs a value"),
+    ("nan distance", _doc([_A, _B], [_con("distance", "A", "B", value=math.nan)]),
+     BadValueError, "distance value must be finite"),
+    ("infinite point-line distance", _doc([_A, _L], [_con("point_line_distance", "A", "L",
+                                                            value=-math.inf)]),
+     BadValueError, "point_line_distance value must be finite"),
+    ("zero distance", _doc([_A, _B], [_con("distance", "A", "B", value=0)]), BadValueError,
+     "distance 'A','B' must be > 0, got 0.0"),
+    ("negative distance", _doc([_A, _B], [_con("distance", "B", "A", value=-1.5)]),
+     BadValueError, "distance 'B','A' must be > 0, got -1.5"),
+    ("negative point-line distance", _doc([_A, _L], [_con("point_line_distance", "L", "A",
+                                                          value=-0.5)]),
+     BadValueError, "point-line distance 'L','A' must be >= 0"),
+    ("zero angle", _doc([_L, _M], [_con("angle", "L", "M", value=0)]), BadValueError,
+     "angle 'L','M' must lie in (0, pi), got 0.0"),
+    ("straight angle", _doc([_L, _M], [_con("angle", "L", "M", value=math.pi)]),
+     BadValueError, f"angle 'L','M' must lie in (0, pi), got {math.pi}"),
+    ("reflex angle", _doc([_L, _M], [_con("angle", "M", "L", value=4)]), BadValueError,
+     "angle 'M','L' must lie in (0, pi), got 4.0"),
+    ("incidence with value", _doc([_A, _L], [_con("incidence", "A", "L", value=0.0)]),
+     BadValueError, "incidence constraint carries no value"),
+    ("tangency with value", _doc([_L, _K], [_con("tangency", "K", "L", value=1.0)]),
+     BadValueError, "tangency constraint carries no value"),
+    # two faults: the first check in order fires
+    ("parse error in a later entity before a build error in an earlier one",
+     _doc([_circle(radius_known=True, radius=-1.0), {"id": "", "kind": "point"}]),
+     ParseError, "entity id must be a nonempty string, got ''"),
+    ("constraint parse error before an entity build error",
+     _doc([_A, _A], [_con("parallel", "A", "B")]), ParseError,
+     "unknown constraint kind 'parallel'"),
+    ("entity parse error before a constraint parse error",
+     _doc([{"id": "S", "kind": "sphere"}], [_con("parallel", "A", "B")]), ParseError,
+     "unknown entity kind 'sphere'"),
+    ("duplicate id before a bad radius on the same entity",
+     _doc([_circle(radius_known=False), _circle(radius_known=True, radius=-1.0)]),
+     DuplicateIdError, "duplicate entity id 'C'"),
+    ("an earlier entity's bad radius before a later duplicate",
+     _doc([_circle(radius_known=True, radius=-1.0), _A, _A]), BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("entity error before constraint error",
+     _doc([_A, _A], [_con("distance", "A", "Z", value=1.0)]), DuplicateIdError,
+     "duplicate entity id 'A'"),
+    ("both endpoints unknown: the first is named",
+     _doc([_A], [_con("distance", "Y", "Z", value=1.0)]), UnknownEndpointError,
+     "constraint endpoint 'Y' is not an entity"),
+    ("unknown endpoint before self loop",
+     _doc([_A], [_con("distance", "Z", "Z", value=1.0)]), UnknownEndpointError,
+     "constraint endpoint 'Z' is not an entity"),
+    ("unknown endpoint before kind mismatch",
+     _doc([_A], [_con("angle", "A", "Z", value=1.0)]), UnknownEndpointError,
+     "constraint endpoint 'Z' is not an entity"),
+    ("self loop before kind mismatch",
+     _doc([_A], [_con("angle", "A", "A", value=1.0)]), SelfLoopError,
+     "constraint joins 'A' to itself"),
+    ("self loop before value", _doc([_L], [_con("angle", "L", "L", value=0.0)]),
+     SelfLoopError, "constraint joins 'L' to itself"),
+    ("kind mismatch before bad value",
+     _doc([_A, _B], [_con("angle", "A", "B", value=0.0)]), KindMismatchError,
+     "angle not admissible between point and point"),
+    ("kind mismatch before missing value",
+     _doc([_A, _L], [_con("distance", "L", "A")]), KindMismatchError,
+     "distance not admissible between line and point"),
+    ("kind mismatch before a value where none belongs",
+     _doc([_A, _B], [_con("tangency", "A", "B", value=1.0)]), KindMismatchError,
+     "tangency not admissible between point and point"),
+    ("an earlier constraint's value before a later unknown endpoint",
+     _doc([_A, _B], [_con("distance", "A", "B", value=-1.0),
+                     _con("distance", "A", "Z", value=1.0)]), BadValueError,
+     "distance 'A','B' must be > 0, got -1.0"),
+    ("an earlier constraint's unknown endpoint before a later self loop",
+     _doc([_A, _B], [_con("distance", "A", "Z", value=1.0),
+                     _con("distance", "B", "B", value=1.0)]), UnknownEndpointError,
+     "constraint endpoint 'Z' is not an entity"),
+]
+
+
+@pytest.mark.parametrize("doc, error, message",
+                         [case[1:] for case in _DOCUMENT_ERRORS],
+                         ids=[case[0] for case in _DOCUMENT_ERRORS])
+def test_document_error(doc, error, message):
+    with pytest.raises(GcsError) as info:
+        parse(json.dumps(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+_BUILD_ERRORS = [
+    ("empty entity id", [point("")], [], BadValueError,
+     "entity id must be a nonempty string, got ''"),
+    ("numeric entity id", [point(5)], [], BadValueError,
+     "entity id must be a nonempty string, got 5"),
+    ("duplicate id", [point("A"), line("A")], [], DuplicateIdError,
+     "duplicate entity id 'A'"),
+    ("fixed circle without radius", [Entity("C", EntityKind.CIRCLE_FIXED_RADIUS)], [],
+     BadValueError, "circle 'C' has a fixed radius but no radius value"),
+    ("negative radius", [fixed_circle("C", -2.0)], [], BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("nan radius", [fixed_circle("C", math.nan)], [], BadValueError,
+     "circle 'C' radius must be finite and > 0"),
+    ("point with radius", [Entity("A", EntityKind.POINT, 1.0)], [], BadValueError,
+     "entity 'A' of kind point cannot carry a radius"),
+    ("line with radius", [Entity("L", EntityKind.LINE, 1.0)], [], BadValueError,
+     "entity 'L' of kind line cannot carry a radius"),
+    ("free circle with radius", [Entity("C", EntityKind.CIRCLE_FREE_RADIUS, 1.0)], [],
+     BadValueError, "entity 'C' of kind circle_free_radius cannot carry a radius"),
+    ("unknown endpoint", [point("A")], [distance("A", "Z", 1.0)], UnknownEndpointError,
+     "constraint endpoint 'Z' is not an entity"),
+    ("self loop", [point("A")], [distance("A", "A", 1.0)], SelfLoopError,
+     "constraint joins 'A' to itself"),
+    ("kind mismatch", [point("A"), fixed_circle("C", 1.0)], [tangency("A", "C")],
+     KindMismatchError, "tangency not admissible between point and circle_fixed_radius"),
+    ("missing value", [line("L"), line("M")], [Constraint(ConstraintKind.ANGLE, ("L", "M"))],
+     BadValueError, "angle constraint between 'L','M' needs a value"),
+    ("nan value", [point("A"), line("L")], [point_line_distance("A", "L", math.nan)],
+     BadValueError, "point_line_distance value must be finite"),
+    ("zero distance", [point("A"), point("B")], [distance("A", "B", 0)], BadValueError,
+     "distance 'A','B' must be > 0, got 0"),
+    ("negative point-line distance", [point("A"), line("L")],
+     [point_line_distance("A", "L", -1e-300)], BadValueError,
+     "point-line distance 'A','L' must be >= 0"),
+    ("angle past pi", [line("L"), line("M")], [angle("L", "M", 3.5)], BadValueError,
+     "angle 'L','M' must lie in (0, pi), got 3.5"),
+    ("incidence with value", [point("A"), free_circle("K")],
+     [Constraint(ConstraintKind.INCIDENCE, ("A", "K"), 0.0)], BadValueError,
+     "incidence constraint carries no value"),
+    ("entity error before constraint error", [point(""), point("A")],
+     [distance("A", "Z", 1.0)], BadValueError, "entity id must be a nonempty string, got ''"),
+    ("self loop before kind mismatch", [point("A")], [angle("A", "A", 1.0)], SelfLoopError,
+     "constraint joins 'A' to itself"),
+    ("kind mismatch before value", [line("L"), point("A")], [distance("L", "A", -1.0)],
+     KindMismatchError, "distance not admissible between line and point"),
+]
+
+
+@pytest.mark.parametrize("entities, constraints, error, message",
+                         [case[1:] for case in _BUILD_ERRORS],
+                         ids=[case[0] for case in _BUILD_ERRORS])
+def test_build_error(entities, constraints, error, message):
+    with pytest.raises(GcsError) as info:
+        build_graph(entities, constraints)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+# Which constraint kinds may join which entity kinds, in either order.
+_ADMISSIBLE_KINDS = {
+    ("distance", "point", "point"),
+    ("point_line_distance", "point", "line"),
+    ("point_line_distance", "line", "point"),
+    ("incidence", "point", "line"),
+    ("incidence", "line", "point"),
+    ("incidence", "point", "circle_fixed_radius"),
+    ("incidence", "circle_fixed_radius", "point"),
+    ("incidence", "point", "circle_free_radius"),
+    ("incidence", "circle_free_radius", "point"),
+    ("angle", "line", "line"),
+    ("tangency", "line", "circle_fixed_radius"),
+    ("tangency", "circle_fixed_radius", "line"),
+    ("tangency", "line", "circle_free_radius"),
+    ("tangency", "circle_free_radius", "line"),
+    ("tangency", "circle_fixed_radius", "circle_fixed_radius"),
+    ("tangency", "circle_fixed_radius", "circle_free_radius"),
+    ("tangency", "circle_free_radius", "circle_fixed_radius"),
+    ("tangency", "circle_free_radius", "circle_free_radius"),
+}
+_ENTITY_DOCS = {
+    "point": {"kind": "point"},
+    "line": {"kind": "line"},
+    "circle_fixed_radius": {"kind": "circle", "radius_known": True, "radius": 1.5},
+    "circle_free_radius": {"kind": "circle", "radius_known": False},
+}
+_VALUES = {"distance": 1.0, "point_line_distance": 1.0, "angle": 1.0}
+
+
+@pytest.mark.parametrize("kind_b", list(_ENTITY_DOCS))
+@pytest.mark.parametrize("kind_a", list(_ENTITY_DOCS))
+@pytest.mark.parametrize("constraint_kind",
+                         ["distance", "point_line_distance", "incidence", "angle", "tangency"])
+def test_admissible_kinds(constraint_kind, kind_a, kind_b):
+    constraint = _con(constraint_kind, "U", "V")
+    if constraint_kind in _VALUES:
+        constraint["value"] = _VALUES[constraint_kind]
+    doc = _doc([{"id": "U", **_ENTITY_DOCS[kind_a]}, {"id": "V", **_ENTITY_DOCS[kind_b]}],
+               [constraint])
+    text = json.dumps(doc)
+    if (constraint_kind, kind_a, kind_b) in _ADMISSIBLE_KINDS:
+        g = parse(text)
+        assert [e.kind.value for e in g.entities] == [kind_a, kind_b]
+        assert g.constraints[0].kind.value == constraint_kind
+        assert parse(serialize(g)) == g
+    else:
+        with pytest.raises(KindMismatchError) as info:
+            parse(text)
+        assert str(info.value) == f"{constraint_kind} not admissible between {kind_a} and {kind_b}"
