@@ -35,10 +35,6 @@ class Diagnosis(NamedTuple):
     deficit: int | None = None
     witness: frozenset[str] | None = None
 
-    @property
-    def is_well_constrained(self) -> bool:
-        return self.verdict is Verdict.WELL_CONSTRAINED
-
 
 def _well() -> Diagnosis:
     return Diagnosis(Verdict.WELL_CONSTRAINED)

@@ -7,11 +7,12 @@ circle intersections; steps with two or more roots consume one entry of the
 branch selector.  Roots are ordered by angle around their centroid and then
 lexicographically by coordinates, so selectors are stable across runs.
 
-One depth-first walker carries every plan out: :func:`execute` follows a
-selector, :func:`enumerate_solutions` tries every root.  Plans hold no values,
-so a recombination step solves the cluster plans it reads, in each cluster's
-own frame, when the walk first reaches it; later reads in the same call reuse
-those conformations.  A triangle's base is placed already and never solved.
+One depth-first walker yields each solution at its leaf: :func:`execute`
+takes the first on a selector's path, :func:`enumerate_solutions` up to
+``limit``.  Plans hold no values, so a recombination step solves the cluster
+plans it reads, in each cluster's own frame, when the walk first reaches it;
+later reads in the same call reuse those conformations.  A triangle's base is
+placed already and never solved.
 
 Every step reads a fixed set of placed entities: the other endpoints of a
 two-loci step's constraints, a triangle merge's three points, an alignment's
@@ -40,7 +41,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
@@ -440,11 +442,14 @@ def _triangle_options(
             for p in _order_points(list(hit.points)):
                 if not any(p.close_to(existing[p2]) for existing in options):
                     options.append({p2: p})
-    if not options:
-        raise failure or EmptyIntersectionError(
-            f"no virtual-distance circles intersect to place {p2!r}"
-        )
-    return options, tangent
+    try:
+        if not options:
+            raise failure or EmptyIntersectionError(
+                f"no virtual-distance circles intersect to place {p2!r}"
+            )
+        return options, tangent
+    finally:
+        failure = None  # a caught failure's traceback holds this frame
 
 
 def _pair_distances(
@@ -502,11 +507,14 @@ def _align_options(
             continue
         for motion in motions:
             outcomes.append({e: motion.apply(local[e]) for e in unplaced})
-    if not outcomes:
-        raise failure or EmptyIntersectionError(
-            f"no conformation of cluster {step.cluster} fits the placed pair"
-        )
-    return outcomes, False
+    try:
+        if not outcomes:
+            raise failure or EmptyIntersectionError(
+                f"no conformation of cluster {step.cluster} fits the placed pair"
+            )
+        return outcomes, False
+    finally:
+        failure = None  # a raised failure's traceback holds this frame
 
 
 # ------------------------------------------------------------------- execution
@@ -519,15 +527,16 @@ def execute(plan: Plan, g: ConstraintGraph, branches: Sequence[int] = ()) -> Sol
     roots; missing entries default to 0.  Raises BadBranchError for an entry
     out of range or a selector longer than the number of branching steps.
     """
-    return _walk(plan, g, {}, tuple(branches), 1, None)[0]
+    return next(_walk(plan, g, {}, tuple(branches), None))
 
 
 def enumerate_solutions(
     plan: Plan, g: ConstraintGraph, limit: int = 16, tol: float = DEFAULT_TOL
 ) -> list[tuple[tuple[int, ...], Solution]]:
     """All verifying solutions (up to ``limit``) in deterministic branch order."""
-    solutions = _walk(plan, g, {}, None, limit, tol)
-    return [(sol.branches, sol) for sol in solutions]
+    if limit < 1:
+        raise BadBranchError(f"limit must be >= 1, got {limit}")
+    return [(sol.branches, sol) for sol in islice(_walk(plan, g, {}, None, tol), limit)]
 
 
 class _Frame:
@@ -563,18 +572,18 @@ def _walk(
     g: ConstraintGraph,
     conformers: Conformers,
     selector: tuple[int, ...] | None,
-    limit: int,
     tol: float | None,
-) -> list[Solution]:
-    """Depth-first branch walk, pruning failed prefixes.
+) -> Iterator[Solution]:
+    """Depth-first branch walk, pruning failed prefixes, that yields each
+    solution at its leaf; the rest of the tree waits for the next pull.
 
     With a ``selector`` only the roots it names are followed (see
     :func:`execute`); without one every root is tried.  With ``tol`` set,
-    only solutions whose residual check passes are kept.  Raises the first
-    recorded failure when nothing survives.  The path is an explicit stack
-    of frames over one placement map, so a plan may be longer than the
-    interpreter's recursion limit; backtracking deletes what a root placed,
-    which holds because every step places only entities still unplaced.
+    only solutions whose residual check passes are yielded.  Raises the
+    first recorded failure if it ends without having yielded anything.  The
+    path is an explicit stack of frames over one placement map, so a plan
+    may be longer than the interpreter's recursion limit; backtracking
+    deletes what a root placed, as every step places only unplaced entities.
 
     Dead ends backjump (conflict-directed backjumping, Prosser 1993).  A
     step's roots depend only on the placements of its reads, and which
@@ -589,14 +598,12 @@ def _walk(
     backtracks chronologically, as do the frames below a step that cannot be
     blamed on its reads (an unknown step type or a missing placement).
     """
-    if limit < 1:
-        raise BadBranchError(f"limit must be >= 1, got {limit}")
     placements = dict(base_placements(g, plan.base_constraint))
     kernels = [_bind(step, g, conformers) for step in plan.steps]
     residuals = None if tol is None else [_bind_residual(c) for c in g.constraints]
     reads = [_reads(step, g) for step in plan.steps]
     placer = dict.fromkeys(placements, -1)  # entity -> frame that placed it, -1: the base
-    results: list[Solution] = []
+    yielded = False
     failure: GcsError | None = None  # the first one recorded
     frames: list[_Frame] = []
     cursor = 0  # branching steps on the path, i.e. the next selector entry
@@ -636,13 +643,12 @@ def _walk(
                     f"selector has {len(selector)} entries but only {cursor} steps branch"
                 )
             elif residuals is None or (worst := _worst([r(placements) for r in residuals])) <= tol:
-                results.append(Solution(
+                yielded, failure = True, None  # a failure is raised only if none is yielded
+                yield Solution(
                     dict(placements),
                     tuple(f.pick for f in frames if len(f.options) > 1),
                     tuple(k for k, f in enumerate(frames) if f.tangent),
-                ))
-                if len(results) >= limit:
-                    break
+                )
             else:
                 failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
         # Take back roots, deepest first, up to the latest blamed frame (the
@@ -668,12 +674,11 @@ def _walk(
             break
         top.pick += 1
         placements.update(top.options[top.pick])
-    if not results:
-        raise failure or VerificationError("no branch produced a solution")
-    # A recorded failure's traceback holds this frame, so dropping it frees
-    # the walk's state now, not at the next cycle collection.
-    failure = None
-    return results
+    try:
+        if not yielded:
+            raise failure or VerificationError("no branch produced a solution")
+    finally:
+        failure = None  # its traceback holds this frame: drop it to free the walk's state
 
 
 def _conformations(
@@ -708,22 +713,17 @@ def _local_solutions(
     reflection anyway).  Non-degenerate conformations come first, and each
     maps entities in sorted order.
     """
-    candidates = _walk(plan, g, conformers, None, 64, None)
     valid = [
-        s for s in candidates
+        s for s in islice(_walk(plan, g, conformers, None, None), 64)
         if _worst(_constraint_residual(g.constraints[i], s.placements)
                   for i in plan.owned_constraints) <= DEFAULT_TOL
     ]
     if not valid:
         raise VerificationError("no branch satisfies the cluster constraints")
-    found: list[dict[str, Placement]] = []
-    signatures: set[tuple] = set()
+    firsts: dict[tuple, Solution] = {}  # congruence signature -> its first solution
     for sol in sorted(valid, key=lambda s: not _is_generic(s.placements)):
-        signature = _congruence_signature(sol.placements)
-        if signature not in signatures:
-            signatures.add(signature)
-            found.append(dict(sorted(sol.placements.items())))
-    return found
+        firsts.setdefault(_congruence_signature(sol.placements), sol)
+    return [dict(sorted(sol.placements.items())) for sol in firsts.values()]
 
 
 def _congruence_signature(placements: Mapping[str, Placement]) -> tuple:

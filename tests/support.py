@@ -8,6 +8,7 @@ import importlib
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -472,21 +473,18 @@ def reference_walk(
     g: ConstraintGraph,
     conformers: Conformers,
     selector: tuple[int, ...] | None,
-    limit: int,
     tol: float | None,
-) -> list[Solution]:
+) -> Iterator[Solution]:
     """:func:`gcs2d.solve._walk` with chronological backtracking only, and
     every step resolved afresh on each evaluation by :func:`_options_for_step`.
 
     Exhaustive reference for the walker and its bound step kernels: every
     dead end takes back the previous step's root, so every subtree is
     visited, and the leaf check is :func:`gcs2d.solve.verify`'s.  Same
-    arguments, results and errors.
+    arguments, solutions (yielded one at a time) and errors.
     """
-    if limit < 1:
-        raise BadBranchError(f"limit must be >= 1, got {limit}")
     placements = dict(base_placements(g, plan.base_constraint))
-    results: list[Solution] = []
+    yielded = False
     failure: GcsError | None = None  # the first one recorded
     frames: list[_ChronoFrame] = []
     cursor = 0  # branching steps on the path, i.e. the next selector entry
@@ -521,9 +519,8 @@ def reference_walk(
             )
             report = _report(g, sol.placements, tol) if tol is not None else None
             if report is None or report.passed:
-                results.append(sol)
-                if len(results) >= limit:
-                    break
+                yielded = True
+                yield sol
             else:
                 failure = failure or VerificationError(
                     f"residual {report.max_abs} exceeds {tol}"
@@ -541,6 +538,5 @@ def reference_walk(
             break
         top.pick += 1
         placements.update(top.options[top.pick])
-    if not results:
+    if not yielded:
         raise failure or VerificationError("no branch produced a solution")
-    return results

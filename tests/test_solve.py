@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -737,6 +738,99 @@ class TestRecombinationReads:
         with pytest.raises(EmptyIntersectionError, match=f"x{length}"):
             enumerate_solutions(plan, g, limit=16)
         assert max(evaluations[id(step)] for step in plan.steps) == 1
+
+
+def measured_laman_40():
+    g = random_laman(40, 5, 0.0)
+    return measured_graph(g, grid_embedding(g, random.Random(0)))
+
+
+def cannot_close():
+    """A triangle ABC of side 1 and D at 1 from C but 9 from B: no branch
+    places D."""
+    return build_graph(
+        [point(v) for v in "ABCD"],
+        [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
+         distance("C", "D", 1.0), distance("B", "D", 9.0)],
+    )
+
+
+class TestLazyWalk:
+    """The walker yields each solution when it reaches its leaf, so a caller
+    stops the search where it stops taking solutions, and a walk frees its
+    state however it ends."""
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_is_refused(self, monkeypatch, limit):
+        g = triangle_graph(3, 4, 5)
+        plan = plan_for(g)
+        evaluations = count_evaluations(monkeypatch)
+        with pytest.raises(BadBranchError, match=rf"^limit must be >= 1, got {limit}$"):
+            enumerate_solutions(plan, g, limit=limit)
+        assert not evaluations
+
+    def test_first_solution_evaluates_only_the_steps_up_to_its_leaf(self, monkeypatch):
+        g = measured_laman_40()
+        plan = plan_for(g)
+        evaluations = count_evaluations(monkeypatch)
+        leaves = []  # one residual check per leaf reached
+        worst = solve_module._worst
+        monkeypatch.setattr(solve_module, "_worst", lambda found: leaves.append(1) or worst(found))
+        walk = solve_module._walk(plan, g, {}, None, solve_module.DEFAULT_TOL)
+        assert not evaluations  # nothing runs before the first solution is asked for
+        first = next(walk)
+        up_to_first_leaf = evaluations.copy()
+        walk.close()
+        assert len(leaves) == 1
+
+        evaluations.clear()
+        leaves.clear()
+        assert enumerate_solutions(plan, g, limit=1) == [(first.branches, first)]
+        assert evaluations == up_to_first_leaf and len(leaves) == 1
+        evaluations.clear()
+        assert len(enumerate_solutions(plan, g, limit=16)) == 16
+        assert evaluations.total() > up_to_first_leaf.total()
+
+        # A replay follows one path: each step once up to the leaf, or up
+        # to the first step without roots.
+        evaluations.clear()
+        assert execute(plan, g, first.branches) == first
+        assert evaluations == Counter(id(step) for step in plan.steps)
+        evaluations.clear()
+        with pytest.raises(EmptyIntersectionError):
+            execute(plan, g)
+        reached = [evaluations[id(step)] for step in plan.steps]
+        assert reached == sorted(reached, reverse=True) and set(reached) == {0, 1}
+
+    @staticmethod
+    def leaves_no_cycle(call):
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                call()
+            except GcsError:
+                pass
+            return gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_every_walk_frees_its_state(self):
+        laman, closing, chain = measured_laman_40(), cannot_close(), recombination_chain(3)
+        laman_plan, closing_plan, chain_plan = map(plan_for, (laman, closing, chain))
+        ((selector, _),) = enumerate_solutions(laman_plan, laman, limit=1)
+        calls = {
+            "first of many": lambda: enumerate_solutions(laman_plan, laman, limit=1),
+            "stops at limit": lambda: enumerate_solutions(laman_plan, laman, limit=16),
+            "replay": lambda: execute(laman_plan, laman, selector),
+            "replay into a dead end": lambda: execute(laman_plan, laman),
+            "selector out of range": lambda: execute(laman_plan, laman, (9,)),
+            "no branch closes": lambda: enumerate_solutions(closing_plan, closing),
+            "no replay closes": lambda: execute(closing_plan, closing),
+            "recombination": lambda: enumerate_solutions(chain_plan, chain),
+            "recombination replay": lambda: execute(chain_plan, chain),
+        }
+        assert [name for name, call in calls.items() if not self.leaves_no_cycle(call)] == []
 
 
 class TestSolutionSerialization:
