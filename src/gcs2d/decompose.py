@@ -15,9 +15,10 @@ two min-heaps keyed by sorted parent ids.  One pass over the constraints
 queues the seeds' candidates: constraints on the same two entities pair up,
 and each graph triangle over two-DOF entities gives a triple.  Then an index
 maps each entity to the live clusters holding it, and a merged cluster is
-matched only against clusters sharing an entity with it; its triangle
-partners are found by grouping the neighbours hinged to it by their far
-two-DOF entity.  A live cluster's entity set never changes, so a candidate
+matched only against clusters sharing an entity with it, found in the same
+pass over its entities that puts it in the index in place of its parents;
+its triangle partners are found by grouping the neighbours hinged to it by
+their far two-DOF entity.  A live cluster's entity set never changes, so a candidate
 stays valid until one of its parents is merged away; such dead candidates
 are dropped when popped.  Because a fresh id is always the largest so far,
 popping the smallest live key makes the same choice as rescanning every
@@ -84,10 +85,11 @@ class DecompositionResult(NamedTuple):
 
 def seed_clusters(g: ConstraintGraph) -> list[Cluster]:
     """One elementary cluster per constraint: its two endpoints plus the edge."""
-    return [
-        Cluster(i, frozenset(c.between), frozenset({i}))
-        for i, c in enumerate(g.constraints)
-    ]
+    # Seeds, merged clusters and merge records are built with
+    # ``tuple.__new__``: a NamedTuple's own ``__new__`` is Python code, and
+    # the fixpoint makes a cluster per constraint and two tuples per merge.
+    return [tuple.__new__(Cluster, (i, frozenset(c.between), frozenset((i,)), None))
+            for i, c in enumerate(g.constraints)]
 
 
 def decompose(g: ConstraintGraph) -> DecompositionResult:
@@ -116,7 +118,7 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
 def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
     everything = seed_clusters(g)
-    live = {c.id: c for c in everything}
+    live = dict(enumerate(everything))  # a cluster's id is its index
     holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}  # entity -> live holders
     # The seeds' candidates: two seeds on one pair of entities, in either
     # order, and three spanning a triangle u < v < w of two-DOF entities.
@@ -144,13 +146,17 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     heapify(pairs)
     heapify(triangles)
 
-    def enter(c: Cluster) -> None:
-        """Index merged cluster ``c`` and queue every candidate it completes;
-        ``c.id`` is the largest live id, so it goes last in each key."""
+    def enter(c: Cluster, parents: tuple[int, ...]) -> None:
+        """Index merged cluster ``c`` in place of its ``parents`` and queue
+        every candidate it completes; ``c.id`` is the largest live id, so it
+        goes last in each key.  ``c`` holds every entity of its parents, so
+        one pass over its entities drops them from the index."""
+        gone = set(parents)
         hinge: dict[int, str] = {}  # neighbour -> the first entity it shares with c
         paired: set[int] = set()  # neighbours sharing two or more
         for e in c.entity_ids:
             held = holders[e]
+            held -= gone
             for k in held:
                 if k in hinge:
                     paired.add(k)
@@ -183,33 +189,28 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
         parents = _pop_live(pairs, live) or _pop_live(triangles, live)
         if parents is None:
             break
-        members = [live.pop(i) for i in parents]
-        for member in members:
-            for e in member.entity_ids:
-                holders[e].discard(member.id)
         fresh = len(everything)
-        if len(members) == 2:
-            a, b = members
-            record = MergeRecord("R2", fresh, parents, tuple(sorted(a.entity_ids & b.entity_ids)))
+        if len(parents) == 2:
+            p, q = live.pop(parents[0]), live.pop(parents[1])
+            a, b = p.entity_ids, q.entity_ids
+            record = tuple.__new__(MergeRecord, ("R2", fresh, parents, tuple(sorted(a & b))))
+            entities, owned = a | b, p.owned_constraints | q.owned_constraints
         else:
-            a, b, c = members
-            (x,), (y,), (z,) = (a.entity_ids & b.entity_ids, b.entity_ids & c.entity_ids,
-                                c.entity_ids & a.entity_ids)
-            record = MergeRecord("R1", fresh, parents, (x, y, z))
-        merged = Cluster(
-            fresh,
-            frozenset().union(*(m.entity_ids for m in members)),
-            frozenset().union(*(m.owned_constraints for m in members)),
-            record,
-        )
+            p, q, r = live.pop(parents[0]), live.pop(parents[1]), live.pop(parents[2])
+            a, b, c = p.entity_ids, q.entity_ids, r.entity_ids
+            (x,), (y,), (z,) = a & b, b & c, c & a
+            record = tuple.__new__(MergeRecord, ("R1", fresh, parents, (x, y, z)))
+            entities = a | b | c
+            owned = p.owned_constraints | q.owned_constraints | r.owned_constraints
+        merged = tuple.__new__(Cluster, (fresh, entities, owned, record))
         everything.append(merged)
         log.append(record)
-        enter(merged)
+        enter(merged, parents)
 
-    final = tuple(sorted(live.values(), key=lambda c: c.id))
+    # Ids grow in the order clusters go live, so ``live`` is in id order.
+    final = tuple(live.values())
     nontrivial = sum(1 for c in final if not c.is_seed)
-    all_ids = set(g.entity_ids)
-    if len(final) == 1 and final[0].entity_ids == all_ids:
+    if len(final) == 1 and final[0].entity_ids == set(g.entity_ids):
         klass = ReducibilityClass.FULLY_REDUCIBLE
     elif not log and len(final) > 1:
         klass = ReducibilityClass.IRREDUCIBLE

@@ -114,6 +114,11 @@ class UnderDeterminedError(GcsError):
         super().__init__(message or f"entity {entity!r} is under-determined")
         self.entity = entity
 
+    def __reduce__(self):
+        # Pickle and ``copy`` rebuild an exception as ``cls(*args)``, and
+        # ``args`` holds the message only.
+        return type(self), (self.entity, *self.args), self.__dict__
+
 
 class MissingPlacementError(GcsError):
     """A solution does not place every entity the operation needs."""

@@ -38,17 +38,14 @@ class EntityKind(Enum):
         return self in (EntityKind.CIRCLE_FIXED_RADIUS, EntityKind.CIRCLE_FREE_RADIUS)
 
 
-_DOF = {
-    EntityKind.POINT: 2,
-    EntityKind.LINE: 2,
-    EntityKind.CIRCLE_FIXED_RADIUS: 2,
-    EntityKind.CIRCLE_FREE_RADIUS: 3,
-}
+# Keyed by kind value: ``kind._value_`` is a plain attribute, where hashing an
+# enum member runs Python code, and the structural layers ask per entity.
+_DOF = {"point": 2, "line": 2, "circle_fixed_radius": 2, "circle_free_radius": 3}
 
 
 def dof(kind: EntityKind) -> int:
     """Degrees of freedom of an entity kind (2, except 3 for a free-radius circle)."""
-    return _DOF[kind]
+    return _DOF[kind._value_]
 
 
 class Entity(NamedTuple):

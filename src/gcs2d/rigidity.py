@@ -5,6 +5,11 @@ oracle (exponential, intended for graphs of up to roughly 20 entities) and a
 pebble game that scales to large graphs.  Both return the same verdict class
 on every input; witness sets for over-constrained graphs may differ but are
 always genuine count violations.
+
+The pebble game (Jacobs & Hendrickson 1997) plays on dense entity indices;
+the tests keep the same game played on dicts keyed by id as
+``reference_pebble_run`` and check that both return the same verdict, witness
+and leftover pebbles.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import KindMismatchError, TooSmallError
-from .graph import ConstraintGraph, ConstraintKind, EntityKind, deficiency, dof
+from .graph import ConstraintGraph, deficiency, dof
 
 
 class Verdict(Enum):
@@ -90,53 +95,63 @@ def _pebble_run(
     ("over", witness, 0) triple on the first rejected edge, where the witness
     is the set of vertices reachable from {u, v} in the directed graph, or
     ("ok", None, leftover) with the free pebbles beyond the 3 rigid motions.
+
+    Ids are numbered once, pebble counts and out-arcs live in lists, and a
+    search marks the vertices it visits with its own stamp.  Searches and arc
+    reversals follow the order of the dict-based ``reference_pebble_run`` in
+    the tests, so both return the same triple.
     """
-    pebbles = dict(dofs)
-    out: dict[str, list[str]] = {v: [] for v in ids}
-
-    def find_pebble(start: str, avoid: tuple[str, str]) -> bool:
-        # Depth-first search along directed edges for a free pebble outside
-        # the inserted pair; on success the path is reversed and the pebble
-        # moves to ``start``.
-        parent: dict[str, str] = {start: start}
-        stack = [start]
-        while stack:
-            vertex = stack.pop()
-            for nxt in out[vertex]:
-                if nxt in parent:
-                    continue
-                parent[nxt] = vertex
-                if pebbles[nxt] > 0 and nxt not in avoid:
-                    pebbles[nxt] -= 1
-                    pebbles[start] += 1
-                    node = nxt
-                    while node != start:
-                        prev = parent[node]
-                        out[prev].remove(node)
-                        out[node].append(prev)
-                        node = prev
-                    return True
-                stack.append(nxt)
-        return False
-
-    def reachable(u: str, v: str) -> frozenset[str]:
-        seen = {u, v}
-        stack = [u, v]
-        while stack:
-            vertex = stack.pop()
-            for nxt in out[vertex]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
-
-    for u, v in edges:
+    index = {v: i for i, v in enumerate(ids)}
+    pebbles = [dofs[v] for v in ids]
+    out: list[list[int]] = [[] for _ in ids]
+    stamps = [0] * len(ids)  # the search that last visited each vertex
+    parent = [0] * len(ids)  # the vertex it was reached from in that search
+    stamp = 0
+    for a, b in edges:
+        u, v = index[a], index[b]
         while pebbles[u] + pebbles[v] < 4:
-            if not (find_pebble(u, (u, v)) or find_pebble(v, (u, v))):
-                return "over", reachable(u, v), 0
+            # Depth-first search along directed edges, from u and then from
+            # v, for a free pebble outside {u, v}; on success the path is
+            # reversed and the pebble moves to the start.
+            for start in (u, v):
+                stamp += 1
+                stamps[start] = stamp
+                stack = [start]
+                found = -1
+                while stack and found < 0:
+                    vertex = stack.pop()
+                    for nxt in out[vertex]:
+                        if stamps[nxt] != stamp:
+                            stamps[nxt] = stamp
+                            parent[nxt] = vertex
+                            if pebbles[nxt] > 0 and nxt != u and nxt != v:
+                                found = nxt
+                                break
+                            stack.append(nxt)
+                if found >= 0:
+                    pebbles[found] -= 1
+                    pebbles[start] += 1
+                    while found != start:
+                        prev = parent[found]
+                        out[prev].remove(found)
+                        out[found].append(prev)
+                        found = prev
+                    break
+            else:
+                # No pebble anywhere: the vertices reachable from {u, v}
+                # span more edges than their degrees of freedom allow.
+                stamp += 1
+                stamps[u] = stamps[v] = stamp
+                seen = [u, v]
+                for vertex in seen:
+                    for nxt in out[vertex]:
+                        if stamps[nxt] != stamp:
+                            stamps[nxt] = stamp
+                            seen.append(nxt)
+                return "over", frozenset([ids[k] for k in seen]), 0
         out[u].append(v)
         pebbles[u] -= 1
-    return "ok", None, sum(pebbles.values()) - 3
+    return "ok", None, sum(pebbles) - 3
 
 
 def diagnose_pebble(g: ConstraintGraph) -> Diagnosis:
@@ -168,10 +183,10 @@ def _pebble_diagnosis(g: ConstraintGraph) -> Diagnosis:
 def is_laman(g: ConstraintGraph) -> bool:
     """True iff a point-distance graph is minimally rigid in the plane."""
     for e in g.entities:
-        if e.kind is not EntityKind.POINT:
+        if e.kind._value_ != "point":
             raise KindMismatchError(f"entity {e.id!r} is not a point")
     for c in g.constraints:
-        if c.kind is not ConstraintKind.DISTANCE:
+        if c.kind._value_ != "distance":
             raise KindMismatchError(f"constraint {c.between} is not a distance")
     _require_size(g)
     return is_laman_edges(list(g.entity_ids), [c.between for c in g.constraints])

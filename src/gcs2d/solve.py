@@ -179,12 +179,26 @@ def _other_endpoint(c: Constraint, target: str) -> str:
 
 
 def _raising(exc: GcsError) -> Callable[[Mapping[str, Placement]], NoReturn]:
-    """A bound step, or part of one, that raises ``exc`` whenever it runs."""
+    """A bound step, or part of one, that raises a copy of ``exc`` whenever
+    it runs."""
+    kept = _fresh(exc)
 
     def fail(placements: Mapping[str, Placement]) -> NoReturn:
-        raise exc.with_traceback(None)
+        raise _fresh(kept)
 
     return fail
+
+
+def _fresh(exc: GcsError) -> GcsError:
+    """A copy of ``exc``, built as ``copy.copy`` builds it, without its
+    traceback, cause or context.  An error that is kept to be raised again
+    is kept and raised as such copies: a raised error's traceback holds the
+    frames it passed, and through them whatever keeps the error."""
+    made, args, *state = exc.__reduce__()
+    fresh = made(*args)
+    for attributes in state:
+        fresh.__dict__.update(attributes)
+    return fresh
 
 
 def _order_points(points: list[Point2]) -> list[Point2]:
@@ -567,6 +581,16 @@ def _reads(step, g: ConstraintGraph) -> tuple[str, ...] | None:
     return None
 
 
+def _clusters_read(step) -> tuple[int, ...]:
+    """The clusters whose conformations a step reads.  Whether it reads them
+    depends on the plan only, not on the path."""
+    if isinstance(step, TriangleMerge):
+        return step.clusters[1:]
+    if isinstance(step, AlignCluster):
+        return (step.cluster,)
+    return ()
+
+
 def _walk(
     plan: Plan,
     g: ConstraintGraph,
@@ -626,8 +650,11 @@ def _walk(
                 failure = failure or exc
                 if isinstance(exc, MissingPlacementError):
                     blame = None
-                elif any(exc is found for found in conformers.values()):
-                    blame = set()  # a cluster without conformations: no path has a leaf
+                elif any(isinstance(conformers.get(k), GcsError)
+                         for k in _clusters_read(plan.steps[i])):
+                    # The step reads a cluster without conformations: it
+                    # raises on every path, so no path has a leaf.
+                    blame = set()
             else:
                 frames.append(_Frame(options, first, last, tangent, blame))
                 cursor += len(options) > 1
@@ -685,20 +712,21 @@ def _conformations(
     cluster: int, plan: Plan, g: ConstraintGraph, conformers: Conformers
 ) -> list[dict[str, Placement]]:
     """The conformations of ``cluster``, solved from ``plan`` on first read;
-    ``conformers`` keeps them, or the error, for later reads and nested walks.
+    ``conformers`` keeps them, or a copy of the error, for later reads and
+    nested walks, and each read of an error raises a fresh copy of it.
 
     Only the clusters a step reads are solved, never a triangle's base, so
     walks nest only as deep as first, second and aligned clusters nest.  A
     cluster without conformations fails its step on every path, so no leaf
-    exists: the walker ends when it meets a stored error."""
+    exists: the walker ends when a step that reads such a cluster fails."""
     if cluster not in conformers:
         try:
             conformers[cluster] = _local_solutions(plan, g, conformers)
         except GcsError as exc:
-            conformers[cluster] = exc
+            conformers[cluster] = _fresh(exc)
     found = conformers[cluster]
     if isinstance(found, GcsError):
-        raise found.with_traceback(None)
+        raise _fresh(found)
     return found
 
 

@@ -1,6 +1,6 @@
-"""Shared helpers: independent recounts, embedding sampling, congruence checks,
-the exhaustive reference decomposition and the chronological reference walker
-with its unbound step resolution."""
+"""Shared helpers: independent recounts, the dict-based reference pebble game,
+embedding sampling, congruence checks, the exhaustive reference decomposition
+and the chronological reference walker with its unbound step resolution."""
 
 from __future__ import annotations
 
@@ -88,6 +88,68 @@ def brute_force_min_witness(g: ConstraintGraph) -> frozenset[str] | None:
             if subset_violates(g, frozenset(subset)):
                 return frozenset(subset)
     return None
+
+
+def reference_pebble_run(
+    ids: list[str], dofs: dict[str, int], edges: list[tuple[str, str]]
+) -> tuple[str, frozenset[str] | None, int]:
+    """The pebble game on dicts keyed by id, with a fresh ``parent`` dict
+    per search: the reference :func:`gcs2d.rigidity._pebble_run` must match
+    triple for triple.
+
+    Each vertex starts with as many pebbles as it has degrees of freedom.
+    Inserting an edge (u, v) requires 4 free pebbles across {u, v}; pebbles
+    are gathered by reversing directed paths.  Returns a
+    ("over", witness, 0) triple on the first rejected edge, where the witness
+    is the set of vertices reachable from {u, v} in the directed graph, or
+    ("ok", None, leftover) with the free pebbles beyond the 3 rigid motions.
+    """
+    pebbles = dict(dofs)
+    out: dict[str, list[str]] = {v: [] for v in ids}
+
+    def find_pebble(start: str, avoid: tuple[str, str]) -> bool:
+        # Depth-first search along directed edges for a free pebble outside
+        # the inserted pair; on success the path is reversed and the pebble
+        # moves to ``start``.
+        parent: dict[str, str] = {start: start}
+        stack = [start]
+        while stack:
+            vertex = stack.pop()
+            for nxt in out[vertex]:
+                if nxt in parent:
+                    continue
+                parent[nxt] = vertex
+                if pebbles[nxt] > 0 and nxt not in avoid:
+                    pebbles[nxt] -= 1
+                    pebbles[start] += 1
+                    node = nxt
+                    while node != start:
+                        prev = parent[node]
+                        out[prev].remove(node)
+                        out[node].append(prev)
+                        node = prev
+                    return True
+                stack.append(nxt)
+        return False
+
+    def reachable(u: str, v: str) -> frozenset[str]:
+        seen = {u, v}
+        stack = [u, v]
+        while stack:
+            vertex = stack.pop()
+            for nxt in out[vertex]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return frozenset(seen)
+
+    for u, v in edges:
+        while pebbles[u] + pebbles[v] < 4:
+            if not (find_pebble(u, (u, v)) or find_pebble(v, (u, v))):
+                return "over", reachable(u, v), 0
+        out[u].append(v)
+        pebbles[u] -= 1
+    return "ok", None, sum(pebbles.values()) - 3
 
 
 def random_mixed_graph(rng: random.Random) -> ConstraintGraph:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import gcs2d.henneberg
 from gcs2d import (
     KindMismatchError,
     TooSmallError,
@@ -10,16 +11,19 @@ from gcs2d import (
     diagnose_counting,
     diagnose_pebble,
     distance,
+    dof,
     fixture,
+    fixture_names,
     is_laman,
     line,
     point,
     random_laman,
+    reduction_sequence,
 )
 from gcs2d.graph import angle
-from gcs2d.rigidity import is_laman_edges
+from gcs2d.rigidity import _pebble_run, is_laman_edges
 
-from support import subset_violates, triangle_graph
+from support import random_mixed_graph, reference_pebble_run, subset_violates, triangle_graph
 
 
 def k4():
@@ -201,3 +205,61 @@ class TestWitnessAndLaman:
                 edges = [c.between for c in h.constraints]
                 assert is_laman_edges(list(h.entity_ids), edges) is expected
                 assert is_laman(h) is expected
+
+
+def game_input(g):
+    """What ``_pebble_diagnosis`` hands the game: ids, DOF per id and edges."""
+    dofs = {e.id: dof(e.kind) for e in g.entities}
+    return list(g.entity_ids), dofs, [c.between for c in g.constraints]
+
+
+class TestReferenceGame:
+    """The game on indices returns the dict-based game's exact triple:
+    verdict, witness and leftover pebbles."""
+
+    @staticmethod
+    def same_game(ids, dofs, edges):
+        return _pebble_run(ids, dofs, edges) == reference_pebble_run(ids, dofs, edges)
+
+    def test_fixtures(self):
+        assert [name for name in fixture_names()
+                if not self.same_game(*game_input(fixture(name)))] == []
+
+    def test_mixed_entity_graphs(self):
+        outcomes = []
+        for seed in range(5000):
+            args = game_input(random_mixed_graph(random.Random(seed)))
+            assert self.same_game(*args), seed
+            outcomes.append(_pebble_run(*args)[0])
+        assert outcomes.count("over") == 1731  # so witnesses get compared
+
+    def test_laman_graphs_with_an_edge_removed_or_repeated(self):
+        rng = random.Random(7)
+        for n in range(3, 121):
+            g = random_laman(n, n, (n % 4) / 4)
+            ids, dofs, edges = game_input(g)
+            removed = list(edges)
+            del removed[rng.randrange(len(removed))]
+            repeated = list(edges)
+            repeated.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+            for variant in (edges, removed, repeated):
+                assert self.same_game(ids, dofs, variant), n
+            assert _pebble_run(ids, dofs, repeated)[0] == "over"
+
+    def test_reduction_edge_lists(self, monkeypatch):
+        checked = []
+        is_laman_raw = gcs2d.henneberg._is_laman_raw
+
+        def recorded(vertices, edges):
+            checked.append((list(vertices), [tuple(sorted(e)) for e in edges]))
+            return is_laman_raw(vertices, edges)
+
+        monkeypatch.setattr(gcs2d.henneberg, "_is_laman_raw", recorded)
+        rng = random.Random(3)
+        for n in range(3, 40):
+            g = random_laman(n, rng.randrange(10**6), rng.random())
+            assert reduction_sequence(g) is not None
+            assert reduction_sequence(mutate_add_edge(g, rng)) is None
+        assert len(checked) > 200
+        assert [k for k, (vertices, edges) in enumerate(checked)
+                if not self.same_game(vertices, {v: 2 for v in vertices}, edges)] == []

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -650,6 +651,16 @@ def recombination_chain(length):
     return measured_graph(g, grid_embedding(g, random.Random(0)))
 
 
+def broken_chain(length):
+    """:func:`recombination_chain` with one distance of its last level's
+    strips stretched fifty-fold, so that strip cannot close."""
+    g = recombination_chain(length)
+    constraints = list(g.constraints)
+    k = next(k for k, c in enumerate(constraints) if f"x{length}" in c.between)
+    constraints[k] = distance(*constraints[k].between, 50 * constraints[k].value)
+    return build_graph(g.entities, constraints)
+
+
 def nested_triangles(levels):
     """A cluster between points p and q: at level 0 a rigid strip p, t1, t2,
     t3, q; at level k a fresh point r and three level k - 1 clusters between
@@ -728,11 +739,7 @@ class TestRecombinationReads:
         # One strip of the last level cannot close, so no branch of any
         # earlier step can lead to a solution.
         length = 10
-        g = recombination_chain(length)
-        constraints = list(g.constraints)
-        k = next(k for k, c in enumerate(constraints) if f"x{length}" in c.between)
-        constraints[k] = distance(*constraints[k].between, 50 * constraints[k].value)
-        g = build_graph(g.entities, constraints)
+        g = broken_chain(length)
         plan = plan_for(g)
         evaluations = count_evaluations(monkeypatch)
         with pytest.raises(EmptyIntersectionError, match=f"x{length}"):
@@ -753,6 +760,12 @@ def cannot_close():
         [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
          distance("C", "D", 1.0), distance("B", "D", 9.0)],
     )
+
+
+class Mystery(NamedTuple):
+    """A plan step of a type the walker does not know."""
+
+    target: str
 
 
 class TestLazyWalk:
@@ -817,8 +830,12 @@ class TestLazyWalk:
 
     def test_every_walk_frees_its_state(self):
         laman, closing, chain = measured_laman_40(), cannot_close(), recombination_chain(3)
-        laman_plan, closing_plan, chain_plan = map(plan_for, (laman, closing, chain))
+        broken = broken_chain(10)
+        laman_plan, closing_plan, chain_plan, broken_plan = map(
+            plan_for, (laman, closing, chain, broken))
         ((selector, _),) = enumerate_solutions(laman_plan, laman, limit=1)
+        triangle = triangle_graph(3, 4, 5)
+        unknown_step = Plan(0, 0, (PlaceByTwoLoci("C", (1, 2)), Mystery("C")))
         calls = {
             "first of many": lambda: enumerate_solutions(laman_plan, laman, limit=1),
             "stops at limit": lambda: enumerate_solutions(laman_plan, laman, limit=16),
@@ -829,6 +846,10 @@ class TestLazyWalk:
             "no replay closes": lambda: execute(closing_plan, closing),
             "recombination": lambda: enumerate_solutions(chain_plan, chain),
             "recombination replay": lambda: execute(chain_plan, chain),
+            "cluster without conformations": lambda: enumerate_solutions(broken_plan, broken),
+            "replay into such a cluster": lambda: execute(broken_plan, broken),
+            "unknown step type": lambda: enumerate_solutions(unknown_step, triangle),
+            "replay of an unknown step type": lambda: execute(unknown_step, triangle),
         }
         assert [name for name, call in calls.items() if not self.leaves_no_cycle(call)] == []
 

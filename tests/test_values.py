@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gcs2d import errors
 from gcs2d import (
     BadValueError,
     CircleRep,
@@ -73,6 +74,24 @@ def test_pickle_and_deepcopy_give_an_equal_object(make):
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert copied == value and type(copied) is type(value)
         assert hash(copied) == hash(value)
+
+
+def error_instances():
+    made = []
+    for name, klass in sorted(vars(errors).items()):
+        if isinstance(klass, type) and issubclass(klass, errors.GcsError):
+            if klass is errors.UnderDeterminedError:
+                made += [klass("p7", "coincident loci leave the target free"), klass("p7")]
+            else:
+                made.append(klass(f"a {name}"))
+    return made
+
+
+@pytest.mark.parametrize("error", error_instances(), ids=repr)
+def test_errors_pickle_and_copy_with_their_message_and_entity(error):
+    for copied in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(copied) is type(error) and str(copied) == str(error)
+        assert getattr(copied, "entity", None) == getattr(error, "entity", None)
 
 
 def test_graph_copies_keep_their_cached_lookups():
