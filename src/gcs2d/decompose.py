@@ -355,36 +355,33 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
                 break
 
         if placed != set(cluster.entity_ids):
-            # Recombination of independently solved clusters.
+            # Recombination of independently solved clusters.  Only a
+            # triangle merge gets here: in a graph with no over-constrained
+            # subset, the parents of a pair merge hold the same entities, so
+            # the base child places them all.
             placed = set(base_child.entity_ids)
             steps = []
-            if cluster.merge.rule == "R2":
-                other = next(c for c in children if c.id != base_child.id)
-                yield other.id
-                steps.append(_align_step(g, other, base_child.entity_ids & other.entity_ids,
-                                         plans[other.id]))
-            else:
-                first, second = sorted((c for c in children if c.id != base_child.id),
-                                       key=lambda c: c.id)
-                (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
-                                    base_child.entity_ids & second.entity_ids,
-                                    first.entity_ids & second.entity_ids)
-                for shared_entity in (u, v, w):
-                    if g.kind_of(shared_entity) is not EntityKind.POINT:
-                        raise UnsupportedStepError(
-                            f"triangle recombination needs shared points, got "
-                            f"{g.kind_of(shared_entity).value} {shared_entity!r}"
-                        )
-                yield first.id
-                yield second.id
-                steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
-                                           (plans[first.id], plans[second.id])))
-                placed.add(w)
-                for child, pair in ((first, (u, w)), (second, (v, w))):
-                    if child.entity_ids <= placed:
-                        continue
-                    steps.append(_align_step(g, child, set(pair), plans[child.id]))
-                    placed |= child.entity_ids
+            first, second = sorted((c for c in children if c.id != base_child.id),
+                                   key=lambda c: c.id)
+            (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
+                                base_child.entity_ids & second.entity_ids,
+                                first.entity_ids & second.entity_ids)
+            for shared_entity in (u, v, w):
+                if g.kind_of(shared_entity) is not EntityKind.POINT:
+                    raise UnsupportedStepError(
+                        f"triangle recombination needs shared points, got "
+                        f"{g.kind_of(shared_entity).value} {shared_entity!r}"
+                    )
+            yield first.id
+            yield second.id
+            steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
+                                       (plans[first.id], plans[second.id])))
+            placed.add(w)
+            for child, pair in ((first, (u, w)), (second, (v, w))):
+                if child.entity_ids <= placed:
+                    continue
+                steps.append(_align_step(g, child, set(pair), plans[child.id]))
+                placed |= child.entity_ids
 
         plans[cid] = Plan(base_plan.base_cluster, base_plan.base_constraint,
                           base_plan.steps + tuple(steps), cluster.owned_constraints)

@@ -17,7 +17,6 @@ from typing import Callable, Container, NamedTuple, Union
 from .errors import (
     BadValueError,
     DuplicateIdError,
-    KindMismatchError,
     MissingEdgeError,
     UnknownEndpointError,
     UnknownFixtureError,
@@ -25,7 +24,6 @@ from .errors import (
 from .graph import (
     ConstraintGraph,
     ConstraintKind,
-    EntityKind,
     angle,
     build_graph,
     distance,
@@ -36,7 +34,7 @@ from .graph import (
     point,
     tangency,
 )
-from .rigidity import is_laman_edges
+from .rigidity import _require_points, is_laman_edges
 
 PLACEHOLDER_DISTANCE = 1.0
 
@@ -65,15 +63,6 @@ class HennebergSequence(NamedTuple):
 
     base_edge: tuple[str, str]
     steps: tuple[HennebergStep, ...]
-
-
-def _require_points(g: ConstraintGraph) -> None:
-    for e in g.entities:
-        if e.kind is not EntityKind.POINT:
-            raise KindMismatchError(f"entity {e.id!r} is not a point")
-    for c in g.constraints:
-        if c.kind is not ConstraintKind.DISTANCE:
-            raise KindMismatchError(f"constraint {c.between} is not a distance")
 
 
 def extend_h1(g: ConstraintGraph, new_id: str, u: str, w: str) -> ConstraintGraph:

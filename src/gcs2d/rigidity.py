@@ -180,14 +180,19 @@ def _pebble_diagnosis(g: ConstraintGraph) -> Diagnosis:
     return _well()
 
 
-def is_laman(g: ConstraintGraph) -> bool:
-    """True iff a point-distance graph is minimally rigid in the plane."""
+def _require_points(g: ConstraintGraph) -> None:
+    """Raise KindMismatchError unless ``g`` has only points and distances."""
     for e in g.entities:
         if e.kind._value_ != "point":
             raise KindMismatchError(f"entity {e.id!r} is not a point")
     for c in g.constraints:
         if c.kind._value_ != "distance":
             raise KindMismatchError(f"constraint {c.between} is not a distance")
+
+
+def is_laman(g: ConstraintGraph) -> bool:
+    """True iff a point-distance graph is minimally rigid in the plane."""
+    _require_points(g)
     _require_size(g)
     return is_laman_edges(list(g.entity_ids), [c.between for c in g.constraints])
 

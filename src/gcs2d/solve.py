@@ -24,17 +24,19 @@ residual failure is reached, the steps on its path take back roots one at a
 time again, so the solutions, their order and the reported failure are those
 of plain chronological backtracking.
 
-A walk binds each step once, before it starts, into a kernel: a function of
-the placements made so far that returns the step's roots.  Binding resolves
-the step's constraints, their other endpoints and values, the target's kind
-and each locus's kind, so a kernel only reads anchors and intersects.  A
-point placed at two distances, the common step, gets its roots straight from
-the anchors' coordinates through :func:`circle_circle_roots`, the arithmetic
-of :func:`intersect_circle_circle`.  Each constraint's residual is bound the
-same way for the check at a leaf.  An error met while binding is raised when
-the kernel runs, so errors, their order and the walk's blame are those of
-resolving every step afresh at each evaluation, as the reference walker in
-``tests/support.py`` still does.
+A walk binds each step once, before it starts, into one record: a kernel, a
+function of the placements made so far that returns the step's roots; the
+entities the step reads; and the clusters whose conformations it reads.
+Only binding looks at a step's type, so the walker treats every step alike.
+Binding resolves the step's constraints, their other endpoints and values,
+the target's kind and each locus's kind, so a kernel only reads anchors and
+intersects.  A point placed at two distances, the common step, gets its roots
+straight from the anchors' coordinates through :func:`circle_circle_roots`,
+the arithmetic of :func:`intersect_circle_circle`.  Each constraint's
+residual is bound the same way for the check at a leaf.  An error met while
+binding is raised when the kernel runs, so errors, their order and the walk's
+blame are those of resolving every step afresh at each evaluation, as the
+reference walker in ``tests/support.py`` still does.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
 
 # ---------------------------------------------------------------- step kernels
 
-# A bound step: from the placements made so far, its roots (each a map of the
+# A step kernel: from the placements made so far, its roots (each a map of the
 # entities the step places) and whether it met a tangent (double) root.
 Kernel = Callable[[Mapping[str, Placement]], tuple[list[dict[str, Placement]], bool]]
 
@@ -215,26 +217,38 @@ def _root_key(x: float, y: float, cx: float, cy: float) -> tuple[float, float, f
     return (math.atan2(y - cy, x - cx) % (2.0 * math.pi), x, y)
 
 
-def _bind(step, g: ConstraintGraph, conformers: Conformers) -> Kernel:
-    """Resolve a plan step against the graph once: its constraints, their
-    other endpoints and values, the target's kind and each locus's kind.
-    An error met here is raised each time the kernel runs, where evaluating
-    the step raises it."""
-    try:
-        if isinstance(step, PlaceByTwoLoci):
+def _bind(
+    step, g: ConstraintGraph, conformers: Conformers
+) -> tuple[Kernel, tuple[str, ...] | None, tuple[int, ...]]:
+    """Resolve a plan step against the graph once, into what the walker
+    reads of it: its kernel, the entities whose placements its roots depend
+    on (``None`` for a step the walker does not know) and the clusters whose
+    conformations it reads, which depend on the plan only, not on the path.
+    Binding the kernel resolves the step's constraints, their other
+    endpoints and values, the target's kind and each locus's kind; an error
+    met there is raised each time the kernel runs, where evaluating the step
+    raises it."""
+    if isinstance(step, PlaceByTwoLoci):
+        try:
             kind = g.kind_of(step.target)
             if kind is EntityKind.POINT:
-                return _bind_point(step, g)
-            if kind is EntityKind.LINE:
-                return _bind_line(step, g)
-            raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
-        if isinstance(step, TriangleMerge):
-            return lambda placements: _triangle_options(step, placements, g, conformers)
-        if isinstance(step, AlignCluster):
-            return lambda placements: _align_options(step, placements, g, conformers)
-        raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
-    except GcsError as exc:
-        return _raising(exc)
+                kernel = _bind_point(step, g)
+            elif kind is EntityKind.LINE:
+                kernel = _bind_line(step, g)
+            else:
+                raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
+        except GcsError as exc:
+            kernel = _raising(exc)
+        reads = tuple(e for idx in step.constraints for e in g.constraints[idx].between
+                      if e != step.target)
+        return kernel, reads, ()
+    if isinstance(step, TriangleMerge):
+        return (lambda placements: _triangle_options(step, placements, g, conformers),
+                step.points, step.clusters[1:])
+    if isinstance(step, AlignCluster):
+        return (lambda placements: _align_options(step, placements, g, conformers),
+                step.shared, (step.cluster,))
+    return _raising(UnsupportedStepError(f"unknown plan step {type(step).__name__}")), None, ()
 
 
 def _bind_point(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
@@ -567,30 +581,6 @@ class _Frame:
         self.tangent, self.conflicts = tangent, conflicts
 
 
-def _reads(step, g: ConstraintGraph) -> tuple[str, ...] | None:
-    """The entities whose placements a step's roots depend on, or ``None``
-    for a step the walker does not know."""
-    if isinstance(step, PlaceByTwoLoci):
-        return tuple(
-            e for idx in step.constraints for e in g.constraints[idx].between if e != step.target
-        )
-    if isinstance(step, TriangleMerge):
-        return step.points
-    if isinstance(step, AlignCluster):
-        return step.shared
-    return None
-
-
-def _clusters_read(step) -> tuple[int, ...]:
-    """The clusters whose conformations a step reads.  Whether it reads them
-    depends on the plan only, not on the path."""
-    if isinstance(step, TriangleMerge):
-        return step.clusters[1:]
-    if isinstance(step, AlignCluster):
-        return (step.cluster,)
-    return ()
-
-
 def _walk(
     plan: Plan,
     g: ConstraintGraph,
@@ -608,6 +598,8 @@ def _walk(
     path is an explicit stack of frames over one placement map, so a plan
     may be longer than the interpreter's recursion limit; backtracking
     deletes what a root placed, as every step places only unplaced entities.
+    Each step is read through the record :func:`_bind` makes of it, never
+    through its type.
 
     Dead ends backjump (conflict-directed backjumping, Prosser 1993).  A
     step's roots depend only on the placements of its reads, and which
@@ -620,12 +612,12 @@ def _walk(
     failure are those of chronological backtracking.  Once a leaf (a
     solution or a residual failure) is reached, every frame on its path
     backtracks chronologically, as do the frames below a step that cannot be
-    blamed on its reads (an unknown step type or a missing placement).
+    blamed on its reads (a step of an unknown type, bound without reads, or
+    a missing placement).
     """
     placements = dict(base_placements(g, plan.base_constraint))
-    kernels = [_bind(step, g, conformers) for step in plan.steps]
+    steps = [_bind(step, g, conformers) for step in plan.steps]
     residuals = None if tol is None else [_bind_residual(c) for c in g.constraints]
-    reads = [_reads(step, g) for step in plan.steps]
     placer = dict.fromkeys(placements, -1)  # entity -> frame that placed it, -1: the base
     yielded = False
     failure: GcsError | None = None  # the first one recorded
@@ -634,11 +626,12 @@ def _walk(
     while True:
         i = len(frames)
         blame: set[int] | None = None  # frames to blame for a dead end; None: chronological
-        if i < len(plan.steps):
-            if reads[i] is not None:
-                blame = {placer[e] for e in reads[i] if e in placements}
+        if i < len(steps):
+            kernel, reads, clusters = steps[i]
+            if reads is not None:
+                blame = {placer[e] for e in reads if e in placements}
             try:
-                options, tangent = kernels[i](placements)
+                options, tangent = kernel(placements)
                 first, last = 0, len(options) - 1
                 if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0
@@ -650,8 +643,7 @@ def _walk(
                 failure = failure or exc
                 if isinstance(exc, MissingPlacementError):
                     blame = None
-                elif any(isinstance(conformers.get(k), GcsError)
-                         for k in _clusters_read(plan.steps[i])):
+                elif any(isinstance(conformers.get(k), GcsError) for k in clusters):
                     # The step reads a cluster without conformations: it
                     # raises on every path, so no path has a leaf.
                     blame = set()

@@ -25,6 +25,7 @@ from gcs2d.graph import (
     line,
     point,
     point_line_distance,
+    tangency,
 )
 
 from support import count_structural_work, measured_graph, sample_embedding, triangle_graph
@@ -250,6 +251,23 @@ class TestRender:
         )
         assert code == 0
         assert out.startswith("<svg")
+
+    def test_svg_of_solved_circles(self, capsys, tmp_path):
+        path = tmp_path / "circles.json"
+        g = build_graph([fixed_circle("K1", 1.0), fixed_circle("K2", 2.0)], [tangency("K1", "K2")])
+        path.write_text(serialize(g), encoding="utf-8")
+        code, solved, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0
+        [solution] = json.loads(solved)["solutions"]
+        assert solution["placements"]["K2"] == {"circle": {"center": [3.0, 0.0], "r": 2.0}}
+        sol_path = tmp_path / "sols.json"
+        sol_path.write_text(solved, encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "render", str(path), "--format", "svg", "--solution", str(sol_path)
+        )
+        assert code == 0
+        assert out.count('fill="none" stroke="darkseagreen"') == 2
+        assert ">K1</text>" in out and ">K2</text>" in out
 
     def test_svg_requires_solution(self, capsys, triangle_file):
         code, _, err = run_cli(capsys, "render", triangle_file, "--format", "svg")

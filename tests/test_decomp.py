@@ -3,6 +3,7 @@ import importlib.util
 import random
 import sys
 import threading
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -264,6 +265,35 @@ class TestDecompose:
                 kept = tuple(g.constraints[i] for i in sorted(cluster.owned_constraints))
                 sub = build_graph(sub.entities, kept)
                 assert diagnose_counting(sub).verdict is Verdict.WELL_CONSTRAINED
+
+    def test_pair_merges_join_clusters_on_the_same_entities(self):
+        """Without an over-constrained subset, both parents of a pair (R2)
+        merge hold the same entities, so plan extraction never recombines a
+        pair merge.  A cluster's slack, its entities' DOF - 3 - its
+        constraints, is never negative in such a graph.  A seed on two
+        two-DOF entities has slack 0, a triangle merge (hinged on three
+        distinct two-DOF entities) the sum of its parents' and a pair merge
+        sharing d >= 4 DOF s1 + s2 + 3 - d: clusters of two-DOF entities
+        cannot pair-merge.  A cluster holding a free-radius circle stays on
+        two entities: as a triangle part it lacks a second two-DOF hinge,
+        and a pair partner must hold both of its entities."""
+        rng = random.Random(3)
+        graphs = [random_mixed_graph(random.Random(seed)) for seed in range(2000)]
+        for n in range(4, 12):
+            g = random_laman(n, rng.randrange(10**6), rng.random())
+            a, b = rng.sample(g.entity_ids, 2)
+            graphs += [g, build_graph(g.entities, g.constraints + (distance(a, b, 1.0),))]
+        seen = Counter()
+        for g in graphs:
+            over = diagnose_pebble(g).verdict is Verdict.OVER_CONSTRAINED
+            result = decompose(g)
+            by_id = {c.id: c.entity_ids for c in result.all_clusters}
+            for record in result.merge_log:
+                if record.rule == "R2":
+                    p, q = (by_id[k] for k in record.parents)
+                    assert over or p == q
+                    seen[over, p == q] += 1
+        assert seen[False, True] >= 20 and seen[True, False] >= 5
 
     def test_too_small(self):
         with pytest.raises(TooSmallError):

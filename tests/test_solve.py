@@ -43,6 +43,7 @@ from gcs2d import (
     serialize,
     solution_from_dict,
     solution_to_dict,
+    tangency,
     unsigned_line_angle,
     verify,
 )
@@ -73,13 +74,13 @@ def count_evaluations(monkeypatch) -> Counter:
     bind = solve_module._bind
 
     def counted_bind(step, *args):
-        kernel = bind(step, *args)
+        kernel, *rest = bind(step, *args)
 
         def counted(placements):
             evaluations[id(step)] += 1
             return kernel(placements)
 
-        return counted
+        return (counted, *rest)
 
     monkeypatch.setattr(solve_module, "_bind", counted_bind)
     return evaluations
@@ -568,6 +569,26 @@ class TestWalkerEquivalence:
             [incidence("P", "K"), incidence("Q", "K"), distance("P", "Q", 2.0)],
         )
         assert len(self.assert_same(monkeypatch, g)[2]) == 2
+
+    @pytest.mark.parametrize("g", [
+        # Tangency bases: circle-circle and line-circle, and their residuals.
+        build_graph([fixed_circle("K1", 1.0), fixed_circle("K2", 2.0)], [tangency("K1", "K2")]),
+        build_graph([line("L"), fixed_circle("K", 1.5)], [tangency("L", "K")]),
+        # A line through two incident points; a point on two crossing lines.
+        build_graph([point("A"), point("B"), line("L")],
+                    [distance("A", "B", 2.0), incidence("A", "L"), incidence("B", "L")]),
+        build_graph([line("L1"), line("L2"), point("P")],
+                    [angle("L1", "L2", 1.0), incidence("P", "L1"), incidence("P", "L2")]),
+    ])
+    def test_tangency_bases_and_line_steps(self, monkeypatch, g):
+        assert len(self.assert_same(monkeypatch, g)[2]) == 1
+        [(_, sol)] = enumerate_solutions(plan_for(g), g)
+        assert verify(g, sol).passed
+        # Moving the entity placed last breaks a constraint on it.
+        *kept, (last, placed) = sol.placements.items()
+        shift = Motion(reflect=False, rotation=0.0, translation=(0.0, 0.5))
+        moved = sol._replace(placements=dict(kept) | {last: shift.apply(placed)})
+        assert verify(g, moved).max_abs >= 0.04
 
     def test_lengths_past_1e154(self, monkeypatch):
         # Squared lengths overflow, so the roots are found in units of the
