@@ -55,10 +55,13 @@ def _world_bounds(placements: dict[str, Placement]) -> tuple[float, float, float
         return -1.0, -1.0, 1.0, 1.0
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    if max_x - min_x < 1e-9:
-        min_x, max_x = min_x - 1.0, max_x + 1.0
-    if max_y - min_y < 1e-9:
-        min_y, max_y = min_y - 1.0, max_y + 1.0
+    # A flat axis spans the other's extent, so a drawing does not change with
+    # the sketch's scale; when both are flat, each spans 2 around its middle.
+    span = max(max_x - min_x, max_y - min_y) or 2.0
+    if max_x - min_x < 1e-9 * span:
+        min_x, max_x = (min_x + max_x - span) / 2.0, (min_x + max_x + span) / 2.0
+    if max_y - min_y < 1e-9 * span:
+        min_y, max_y = (min_y + max_y - span) / 2.0, (min_y + max_y + span) / 2.0
     return min_x, min_y, max_x, max_y
 
 
@@ -87,6 +90,12 @@ def _clip_line(l: LineRep, bounds: tuple[float, float, float, float]) -> tuple[P
         Point2(anchor.x + lo * dx, anchor.y + lo * dy),
         Point2(anchor.x + hi * dx, anchor.y + hi * dy),
     )
+
+
+def _text(x: float, y: float, name: str) -> str:
+    """A label at screen point (x, y); the id is escaped as XML text."""
+    name = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'  <text x="{x:.2f}" y="{y:.2f}" font-size="12">{name}</text>'
 
 
 def to_svg(g: ConstraintGraph, placements: dict[str, Placement]) -> str:
@@ -120,18 +129,18 @@ def to_svg(g: ConstraintGraph, placements: dict[str, Placement]) -> str:
                 'stroke="steelblue" stroke-width="1.5"/>'
             )
             lx, ly = to_screen(segment[0])
-            parts.append(f'  <text x="{lx + 4:.2f}" y="{ly - 4:.2f}" font-size="12">{name}</text>')
+            parts.append(_text(lx + 4, ly - 4, name))
         elif isinstance(placement, CircleRep):
             cx, cy = to_screen(placement.center)
             parts.append(
                 f'  <circle cx="{cx:.2f}" cy="{cy:.2f}" r="{placement.r * scale:.2f}" '
                 'fill="none" stroke="darkseagreen" stroke-width="1.5"/>'
             )
-            parts.append(f'  <text x="{cx + 4:.2f}" y="{cy - 4:.2f}" font-size="12">{name}</text>')
+            parts.append(_text(cx + 4, cy - 4, name))
     for name, placement in placements.items():
         if isinstance(placement, Point2):
             x, y = to_screen(placement)
             parts.append(f'  <circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="crimson"/>')
-            parts.append(f'  <text x="{x + 5:.2f}" y="{y - 5:.2f}" font-size="12">{name}</text>')
+            parts.append(_text(x + 5, y - 5, name))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -9,34 +9,36 @@ lexicographically by coordinates, so selectors are stable across runs.
 
 One depth-first walker yields each solution at its leaf: :func:`execute`
 takes the first on a selector's path, :func:`enumerate_solutions` up to
-``limit``.  Plans hold no values, so a recombination step solves the cluster
-plans it reads, in each cluster's own frame, when the walk first reaches it;
-later reads in the same call reuse those conformations.  A triangle's base is
-placed already and never solved.
+``limit``.
+
+A walk binds each step once, before it starts, into one record: a kernel, a
+function of the placements made so far that returns the step's roots, and
+the entities the step reads.  Only binding looks at a step's type, so the
+walker treats every step alike.  Binding resolves the step's constraints,
+their other endpoints and values, the target's kind and each locus's kind,
+so a kernel only reads anchors and intersects.  A point placed at two
+distances, the common step, gets its roots straight from the anchors'
+coordinates through :func:`circle_circle_roots`, the arithmetic of
+:func:`intersect_circle_circle`.  Plans hold no values, so binding a
+recombination step solves the cluster plans it reads, each in its own frame
+and once per walk, and the kernel runs over their conformations; a
+triangle's base is placed already and never solved.  Each constraint's
+residual is bound the same way for the check at a leaf.
 
 Every step reads a fixed set of placed entities: the other endpoints of a
 two-loci step's constraints, a triangle merge's three points, an alignment's
 shared pair.  When a step has no roots, the walker jumps back to the latest
 step that placed one of them (conflict-directed backjumping), since no choice
 made in between can give the step roots; the step it lands on keeps that
-blame and, once out of roots itself, jumps on by it.  Once a solution or a
-residual failure is reached, the steps on its path take back roots one at a
-time again, so the solutions, their order and the reported failure are those
-of plain chronological backtracking.
-
-A walk binds each step once, before it starts, into one record: a kernel, a
-function of the placements made so far that returns the step's roots; the
-entities the step reads; and the clusters whose conformations it reads.
-Only binding looks at a step's type, so the walker treats every step alike.
-Binding resolves the step's constraints, their other endpoints and values,
-the target's kind and each locus's kind, so a kernel only reads anchors and
-intersects.  A point placed at two distances, the common step, gets its roots
-straight from the anchors' coordinates through :func:`circle_circle_roots`,
-the arithmetic of :func:`intersect_circle_circle`.  Each constraint's
-residual is bound the same way for the check at a leaf.  An error met while
-binding is raised when the kernel runs, so errors, their order and the walk's
-blame are those of resolving every step afresh at each evaluation, as the
-reference walker in ``tests/support.py`` still does.
+blame and, once out of roots itself, jumps on by it.  A step whose binding
+fails, such as one that reads a cluster without conformations, reads nothing
+and raises that error whenever it runs: it blames no step, so the walk ends
+where it first reaches it.  Once a solution or a residual failure is
+reached, the steps on its path take back roots one at a time again, so the
+solutions, their order and the reported failure are those of plain
+chronological backtracking, which the reference walker in
+``tests/support.py`` still does, resolving every step afresh at each
+evaluation.
 """
 
 from __future__ import annotations
@@ -79,15 +81,11 @@ from .geometry import (
     lines_close,
     unsigned_line_angle,
 )
-from .graph import Constraint, ConstraintGraph, ConstraintKind, EntityKind
+from .graph import Constraint, ConstraintGraph, EntityKind
 
 DEFAULT_TOL = 1e-9
 
 X_AXIS = LineRep(math.pi / 2.0, 0.0)
-
-# Cluster id -> the cluster's congruence-distinct conformations, each solved
-# in the cluster's own frame, or the error solving it raised.
-Conformers = dict[int, list[dict[str, Placement]] | GcsError]
 
 
 class Solution(NamedTuple):
@@ -120,33 +118,34 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
     """Canonical gauge-fixing placement for one seed constraint."""
     c = g.constraints[constraint_index]
     a, b = c.between
-    ka, kb = g.kind_of(a), g.kind_of(b)
+    ka, kb = g.kind_of(a)._value_, g.kind_of(b)._value_
+    kind = c.kind._value_
 
-    if c.kind is ConstraintKind.DISTANCE:
+    if kind == "distance":
         return {a: Point2(0.0, 0.0), b: Point2(c.value, 0.0)}
 
-    if c.kind is ConstraintKind.ANGLE:
+    if kind == "angle":
         return {a: X_AXIS, b: LineRep(math.pi / 2.0 + c.value, 0.0)}
 
-    if c.kind is ConstraintKind.INCIDENCE:
-        p, other, other_kind = (a, b, kb) if ka is EntityKind.POINT else (b, a, ka)
-        if other_kind is EntityKind.LINE:
+    if kind == "incidence":
+        p, other, other_kind = (a, b, kb) if ka == "point" else (b, a, ka)
+        if other_kind == "line":
             return {p: Point2(0.0, 0.0), other: X_AXIS}
-        if other_kind is EntityKind.CIRCLE_FIXED_RADIUS:
+        if other_kind == "circle_fixed_radius":
             r = g.entity(other).radius
             return {p: Point2(0.0, 0.0), other: CircleRep(Point2(r, 0.0), r)}
         raise UnderDeterminedError(other, "a free-radius circle cannot anchor a base placement")
 
-    if c.kind is ConstraintKind.POINT_LINE_DISTANCE:
-        p, l = (a, b) if ka is EntityKind.POINT else (b, a)
+    if kind == "point_line_distance":
+        p, l = (a, b) if ka == "point" else (b, a)
         return {l: X_AXIS, p: Point2(0.0, c.value)}
 
     # Tangency base: canonical external tangency along the x axis.
-    for name, kind in ((a, ka), (b, kb)):
-        if kind is EntityKind.CIRCLE_FREE_RADIUS:
+    for name, entity_kind in ((a, ka), (b, kb)):
+        if entity_kind == "circle_free_radius":
             raise UnderDeterminedError(name, "a free-radius circle cannot anchor a base placement")
-    if ka is EntityKind.LINE or kb is EntityKind.LINE:
-        l, k = (a, b) if ka is EntityKind.LINE else (b, a)
+    if ka == "line" or kb == "line":
+        l, k = (a, b) if ka == "line" else (b, a)
         r = g.entity(k).radius
         return {l: X_AXIS, k: CircleRep(Point2(0.0, r), r)}
     r1, r2 = g.entity(a).radius, g.entity(b).radius
@@ -218,37 +217,41 @@ def _root_key(x: float, y: float, cx: float, cy: float) -> tuple[float, float, f
 
 
 def _bind(
-    step, g: ConstraintGraph, conformers: Conformers
-) -> tuple[Kernel, tuple[str, ...] | None, tuple[int, ...]]:
+    step, g: ConstraintGraph, solved: dict[int, list[dict[str, Placement]]]
+) -> tuple[Kernel, tuple[str, ...]]:
     """Resolve a plan step against the graph once, into what the walker
-    reads of it: its kernel, the entities whose placements its roots depend
-    on (``None`` for a step the walker does not know) and the clusters whose
-    conformations it reads, which depend on the plan only, not on the path.
-    Binding the kernel resolves the step's constraints, their other
-    endpoints and values, the target's kind and each locus's kind; an error
-    met there is raised each time the kernel runs, where evaluating the step
-    raises it."""
-    if isinstance(step, PlaceByTwoLoci):
-        try:
-            kind = g.kind_of(step.target)
-            if kind is EntityKind.POINT:
-                kernel = _bind_point(step, g)
-            elif kind is EntityKind.LINE:
-                kernel = _bind_line(step, g)
-            else:
-                raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
-        except GcsError as exc:
-            kernel = _raising(exc)
-        reads = tuple(e for idx in step.constraints for e in g.constraints[idx].between
-                      if e != step.target)
-        return kernel, reads, ()
-    if isinstance(step, TriangleMerge):
-        return (lambda placements: _triangle_options(step, placements, g, conformers),
-                step.points, step.clusters[1:])
-    if isinstance(step, AlignCluster):
-        return (lambda placements: _align_options(step, placements, g, conformers),
-                step.shared, (step.cluster,))
-    return _raising(UnsupportedStepError(f"unknown plan step {type(step).__name__}")), None, ()
+    reads of it: its kernel and the entities whose placements its roots
+    depend on.  Binding resolves the step's constraints, their other
+    endpoints and values, the target's kind and each locus's kind; a
+    recombination step's kernel runs over the conformations of the clusters
+    it reads, solved here unless ``solved`` (cluster id -> conformations,
+    kept for one walk) holds them.  A step whose binding raises is bound to
+    raise that error each time it runs, and reads nothing: its failure does
+    not depend on the path."""
+    try:
+        if isinstance(step, PlaceByTwoLoci):
+            reads = tuple(e for idx in step.constraints for e in g.constraints[idx].between
+                          if e != step.target)
+            kind = g.kind_of(step.target)._value_
+            if kind == "point":
+                return _bind_point(step, g), reads
+            if kind == "line":
+                return _bind_line(step, g), reads
+            raise UnsupportedStepError(f"cannot place a {kind} by two loci")
+        if isinstance(step, TriangleMerge):
+            for cluster, plan in zip(step.clusters[1:], step.plans, strict=True):
+                if cluster not in solved:
+                    solved[cluster] = _local_solutions(plan, g)
+            _, first, second = step.clusters
+            kernel = partial(_triangle_options, step.points, solved[first], solved[second])
+            return kernel, step.points
+        if isinstance(step, AlignCluster):
+            if step.cluster not in solved:
+                solved[step.cluster] = _local_solutions(step.plan, g)
+            return partial(_align_options, step, solved[step.cluster]), step.shared
+        raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
+    except GcsError as exc:
+        return _raising(exc), ()
 
 
 def _bind_point(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
@@ -256,7 +259,7 @@ def _bind_point(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
     first, second = g.constraints[step.constraints[0]], g.constraints[step.constraints[1]]
     # A distance no circle can have takes the general way, whose CircleRep
     # raises BadValueError after the anchors before it are checked.
-    if all(c.kind is ConstraintKind.DISTANCE and target in c.between and 0 < c.value < math.inf
+    if all(c.kind._value_ == "distance" and target in c.between and 0 < c.value < math.inf
            for c in (first, second)):
         return _bind_two_distances(target, _other_endpoint(first, target), first.value,
                                    _other_endpoint(second, target), second.value)
@@ -323,25 +326,25 @@ def _bind_point_loci(
         anchor_id = _other_endpoint(c, target)
     except UnsupportedStepError as exc:
         return _raising(exc)
-    kind, value = c.kind, c.value
+    kind, value = c.kind._value_, c.value
 
     def loci(placements: Mapping[str, Placement]) -> list[Placement]:
         anchor = _placed(placements, anchor_id)
-        if kind is ConstraintKind.DISTANCE:
+        if kind == "distance":
             if not isinstance(anchor, Point2):
                 raise UnsupportedStepError("distance locus needs a placed point anchor")
             return [CircleRep(anchor, value)]
-        if kind is ConstraintKind.INCIDENCE:
+        if kind == "incidence":
             if isinstance(anchor, (LineRep, CircleRep)):
                 return [anchor]
             raise UnsupportedStepError("incidence locus needs a placed line or circle")
-        if kind is ConstraintKind.POINT_LINE_DISTANCE:
+        if kind == "point_line_distance":
             if not isinstance(anchor, LineRep):
                 raise UnsupportedStepError("offset locus needs a placed line anchor")
             if value == 0.0:
                 return [anchor]
             return [LineRep(anchor.theta, anchor.c + value), LineRep(anchor.theta, anchor.c - value)]
-        raise UnsupportedStepError(f"no point locus for a {kind.value} constraint")
+        raise UnsupportedStepError(f"no point locus for a {kind} constraint")
 
     return loci
 
@@ -408,17 +411,17 @@ def _bind_line_anchor(
         anchor_id = _other_endpoint(c, target)
     except UnsupportedStepError as exc:
         return _raising(exc)
-    kind = c.kind
+    kind = c.kind._value_
     tag, shape, value = {
-        ConstraintKind.INCIDENCE: ("point", Point2, None),
-        ConstraintKind.ANGLE: ("angle", LineRep, c.value),
+        "incidence": ("point", Point2, None),
+        "angle": ("angle", LineRep, c.value),
     }.get(kind, ("", (), None))
 
     def anchor(placements: Mapping[str, Placement]) -> tuple[str, Placement, float | None]:
         placed = _placed(placements, anchor_id)
         if not isinstance(placed, shape):
             raise UnsupportedStepError(
-                f"cannot place line {target!r} from a {kind.value} constraint"
+                f"cannot place line {target!r} from a {kind} constraint"
             )
         return tag, placed, value
 
@@ -426,25 +429,23 @@ def _bind_line_anchor(
 
 
 def _triangle_options(
-    step: TriangleMerge, placements: Mapping[str, Placement], g: ConstraintGraph,
-    conformers: Conformers,
+    points: tuple[str, str, str], first: list[dict[str, Placement]],
+    second: list[dict[str, Placement]], placements: Mapping[str, Placement],
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Place the one unplaced shared point from two virtual-distance circles.
 
-    The contributing clusters may admit several internal conformations with
-    different virtual distances, so the options run over every candidate
-    distance pair and every intersection root; infeasible combinations are
-    simply absent."""
-    p0, p1, p2 = step.points
-    missing = [p for p in step.points if p not in placements]
+    The first and second clusters may admit several internal conformations
+    with different virtual distances, so the options run over every
+    candidate distance pair and every intersection root; infeasible
+    combinations are simply absent."""
+    p0, p1, p2 = points
+    missing = [p for p in points if p not in placements]
     if not missing:
         return [{}], False
     if missing != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced"
         )
-    first, second = (_conformations(cluster, sub, g, conformers)
-                     for cluster, sub in zip(step.clusters[1:], step.plans, strict=True))
     anchor1 = _as_point(placements, p0)
     anchor2 = _as_point(placements, p1)
     options: list[dict[str, Placement]] = []
@@ -500,8 +501,8 @@ def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
 
 
 def _align_options(
-    step: AlignCluster, placements: Mapping[str, Placement], g: ConstraintGraph,
-    conformers: Conformers,
+    step: AlignCluster, conformations: list[dict[str, Placement]],
+    placements: Mapping[str, Placement],
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Glue a locally solved cluster onto its placed shared pair.
 
@@ -510,7 +511,6 @@ def _align_options(
     geometry cannot match are skipped.  When none is left, the first to fail
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined."""
-    conformations = _conformations(step.cluster, step.plan, g, conformers)
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
@@ -555,7 +555,7 @@ def execute(plan: Plan, g: ConstraintGraph, branches: Sequence[int] = ()) -> Sol
     roots; missing entries default to 0.  Raises BadBranchError for an entry
     out of range or a selector longer than the number of branching steps.
     """
-    return next(_walk(plan, g, {}, tuple(branches), None))
+    return next(_walk(plan, g, tuple(branches), None))
 
 
 def enumerate_solutions(
@@ -564,7 +564,7 @@ def enumerate_solutions(
     """All verifying solutions (up to ``limit``) in deterministic branch order."""
     if limit < 1:
         raise BadBranchError(f"limit must be >= 1, got {limit}")
-    return [(sol.branches, sol) for sol in islice(_walk(plan, g, {}, None, tol), limit)]
+    return [(sol.branches, sol) for sol in islice(_walk(plan, g, None, tol), limit)]
 
 
 class _Frame:
@@ -584,7 +584,6 @@ class _Frame:
 def _walk(
     plan: Plan,
     g: ConstraintGraph,
-    conformers: Conformers,
     selector: tuple[int, ...] | None,
     tol: float | None,
 ) -> Iterator[Solution]:
@@ -609,14 +608,15 @@ def _walk(
     the frames it blames; a frame starts out blaming the placers of its own
     reads, and once out of roots it jumps on by what it blames.  A skipped
     subtree holds no leaf, so the solutions, their order and the first
-    failure are those of chronological backtracking.  Once a leaf (a
-    solution or a residual failure) is reached, every frame on its path
-    backtracks chronologically, as do the frames below a step that cannot be
-    blamed on its reads (a step of an unknown type, bound without reads, or
-    a missing placement).
+    failure are those of chronological backtracking.  Every dead end, a
+    missing placement too, blames the placers of its step's reads; a step
+    bound to raise reads nothing, so it blames no frame and ends the walk.
+    Once a leaf (a solution or a residual failure) is reached, every frame
+    on its path backtracks chronologically.
     """
     placements = dict(base_placements(g, plan.base_constraint))
-    steps = [_bind(step, g, conformers) for step in plan.steps]
+    solved: dict[int, list[dict[str, Placement]]] = {}  # clusters read, for _bind
+    steps = [_bind(step, g, solved) for step in plan.steps]
     residuals = None if tol is None else [_bind_residual(c) for c in g.constraints]
     placer = dict.fromkeys(placements, -1)  # entity -> frame that placed it, -1: the base
     yielded = False
@@ -625,11 +625,10 @@ def _walk(
     cursor = 0  # branching steps on the path, i.e. the next selector entry
     while True:
         i = len(frames)
-        blame: set[int] | None = None  # frames to blame for a dead end; None: chronological
         if i < len(steps):
-            kernel, reads, clusters = steps[i]
-            if reads is not None:
-                blame = {placer[e] for e in reads if e in placements}
+            kernel, reads = steps[i]
+            # The frames to blame for a dead end here; None: chronological.
+            blame: set[int] | None = {placer[e] for e in reads if e in placements}
             try:
                 options, tangent = kernel(placements)
                 first, last = 0, len(options) - 1
@@ -641,12 +640,6 @@ def _walk(
                         )
             except GcsError as exc:
                 failure = failure or exc
-                if isinstance(exc, MissingPlacementError):
-                    blame = None
-                elif any(isinstance(conformers.get(k), GcsError) for k in clusters):
-                    # The step reads a cluster without conformations: it
-                    # raises on every path, so no path has a leaf.
-                    blame = set()
             else:
                 frames.append(_Frame(options, first, last, tangent, blame))
                 cursor += len(options) > 1
@@ -655,6 +648,7 @@ def _walk(
                     placer[e] = i
                 continue
         else:  # a leaf: no frame on its path may jump past another any more
+            blame = None
             for f in frames:
                 f.conflicts = None
             if selector is not None and cursor < len(selector):
@@ -700,31 +694,7 @@ def _walk(
         failure = None  # its traceback holds this frame: drop it to free the walk's state
 
 
-def _conformations(
-    cluster: int, plan: Plan, g: ConstraintGraph, conformers: Conformers
-) -> list[dict[str, Placement]]:
-    """The conformations of ``cluster``, solved from ``plan`` on first read;
-    ``conformers`` keeps them, or a copy of the error, for later reads and
-    nested walks, and each read of an error raises a fresh copy of it.
-
-    Only the clusters a step reads are solved, never a triangle's base, so
-    walks nest only as deep as first, second and aligned clusters nest.  A
-    cluster without conformations fails its step on every path, so no leaf
-    exists: the walker ends when a step that reads such a cluster fails."""
-    if cluster not in conformers:
-        try:
-            conformers[cluster] = _local_solutions(plan, g, conformers)
-        except GcsError as exc:
-            conformers[cluster] = _fresh(exc)
-    found = conformers[cluster]
-    if isinstance(found, GcsError):
-        raise _fresh(found)
-    return found
-
-
-def _local_solutions(
-    plan: Plan, g: ConstraintGraph, conformers: Conformers
-) -> list[dict[str, Placement]]:
+def _local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, Placement]]:
     """Congruence-distinct local solutions of a cluster, for recombination.
 
     Every branch assignment satisfying the cluster's own constraints is
@@ -734,7 +704,7 @@ def _local_solutions(
     maps entities in sorted order.
     """
     valid = [
-        s for s in islice(_walk(plan, g, conformers, None, None), 64)
+        s for s in islice(_walk(plan, g, None, None), 64)
         if _worst(_constraint_residual(g.constraints[i], s.placements)
                   for i in plan.owned_constraints) <= DEFAULT_TOL
     ]
@@ -796,14 +766,15 @@ def _is_generic(placements: Mapping[str, Placement]) -> bool:
 def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> float:
     a = _placed(placements, c.between[0])
     b = _placed(placements, c.between[1])
-    if c.kind is ConstraintKind.DISTANCE:
+    kind = c.kind._value_
+    if kind == "distance":
         return a.distance_to(b) - c.value
-    if c.kind is ConstraintKind.ANGLE:
+    if kind == "angle":
         return unsigned_line_angle(a, b) - fold_angle(c.value)
-    if c.kind is ConstraintKind.POINT_LINE_DISTANCE:
+    if kind == "point_line_distance":
         p, l = (a, b) if isinstance(a, Point2) else (b, a)
         return l.distance_to_point(p) - c.value
-    if c.kind is ConstraintKind.INCIDENCE:
+    if kind == "incidence":
         p, locus = (a, b) if isinstance(a, Point2) else (b, a)
         if isinstance(locus, LineRep):
             return locus.signed_offset(p)
@@ -821,7 +792,7 @@ def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> 
 def _bind_residual(c: Constraint) -> Callable[[Mapping[str, Placement]], float]:
     """:func:`_constraint_residual` of ``c`` as a function of the
     placements; a distance's endpoints and value are resolved once."""
-    if c.kind is not ConstraintKind.DISTANCE:
+    if c.kind._value_ != "distance":
         return partial(_constraint_residual, c)
     (a, b), value = c.between, c.value
 

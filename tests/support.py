@@ -55,9 +55,9 @@ from gcs2d.errors import (
 from gcs2d.geometry import CircleRep, line_through_point_angle
 from gcs2d.graph import angle as angle_constraint
 from gcs2d.solve import (
-    Conformers,
     _align_options,
     _intersect_loci,
+    _local_solutions,
     _order_points,
     _report,
     _triangle_options,
@@ -506,7 +506,7 @@ def _place_line(
 
 
 def _options_for_step(
-    step, placements: dict[str, Placement], g: ConstraintGraph, conformers: Conformers
+    step, placements: dict[str, Placement], g: ConstraintGraph
 ) -> tuple[list[dict[str, Placement]], bool]:
     if isinstance(step, PlaceByTwoLoci):
         kind = g.kind_of(step.target)
@@ -516,9 +516,10 @@ def _options_for_step(
             return _place_line(step, placements, g)
         raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
     if isinstance(step, TriangleMerge):
-        return _triangle_options(step, placements, g, conformers)
+        first, second = (_local_solutions(sub, g) for sub in step.plans)
+        return _triangle_options(step.points, first, second, placements)
     if isinstance(step, AlignCluster):
-        return _align_options(step, placements, g, conformers)
+        return _align_options(step, _local_solutions(step.plan, g), placements)
     raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
 
 
@@ -533,12 +534,12 @@ class _ChronoFrame:
 def reference_walk(
     plan: Plan,
     g: ConstraintGraph,
-    conformers: Conformers,
     selector: tuple[int, ...] | None,
     tol: float | None,
 ) -> Iterator[Solution]:
     """:func:`gcs2d.solve._walk` with chronological backtracking only, and
-    every step resolved afresh on each evaluation by :func:`_options_for_step`.
+    every step resolved afresh on each evaluation by :func:`_options_for_step`,
+    which solves the clusters a recombination step reads each time.
 
     Exhaustive reference for the walker and its bound step kernels: every
     dead end takes back the previous step's root, so every subtree is
@@ -554,7 +555,7 @@ def reference_walk(
         i = len(frames)
         if i < len(plan.steps):
             try:
-                options, tangent = _options_for_step(plan.steps[i], placements, g, conformers)
+                options, tangent = _options_for_step(plan.steps[i], placements, g)
                 first, last = 0, len(options) - 1
                 if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0

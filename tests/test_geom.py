@@ -52,6 +52,15 @@ class TestLineRep:
         assert 0 <= l.theta < math.pi
         assert lines_close(l, LineRep(math.pi / 2, -1.0))
 
+    def test_theta_rounding_to_pi_folds_to_zero(self):
+        # -1e-17 + pi rounds to pi itself, which the guard folds once more.
+        assert LineRep(-1e-17, 1.0) == (0.0, 1.0)
+
+    def test_lines_close_across_the_fold(self):
+        # Normals nearly opposite: the same line when the offsets are opposite too.
+        assert lines_close(LineRep(0.0, 1.0), LineRep(math.pi - 1e-12, -1.0))
+        assert not lines_close(LineRep(0.0, 1.0), LineRep(math.pi - 1e-12, 1.0))
+
 
 class TestLineLine:
     def test_axes_cross_at_origin(self):
@@ -261,6 +270,15 @@ class TestMotions:
         for motion in motions:
             assert motion.apply_point(src[0]).close_to(dst[0], 1e-9)
             assert lines_close(motion.apply_line(src[1]), dst[1], 1e-9)
+
+    @pytest.mark.parametrize("src, dst, message", [
+        ((Point2(0, 0), Point2(2, 0)), (Point2(0, 0), X_AXIS), "pair kinds differ"),
+        ((X_AXIS, Y_AXIS), (X_AXIS, Y_AXIS), "pairs only"),
+        ((Point2(0, 1.0), X_AXIS), (Point2(0, 2.0), X_AXIS), "point-line distances differ"),
+    ], ids=["mixed kinds", "line-line", "offsets differ"])
+    def test_alignment_refusals(self, src, dst, message):
+        with pytest.raises(LengthMismatchError, match=message):
+            alignment_motions(src, dst)
 
     def test_point_on_line_alignment_has_four_motions(self):
         src = (Point2(0, 0), X_AXIS)

@@ -1,4 +1,17 @@
-from gcs2d import decompose, enumerate_solutions, extract_plan, fixture, to_dot, to_svg
+from xml.etree import ElementTree
+
+from gcs2d import (
+    Point2,
+    build_graph,
+    decompose,
+    distance,
+    enumerate_solutions,
+    extract_plan,
+    fixture,
+    point,
+    to_dot,
+    to_svg,
+)
 
 
 def test_dot_lists_every_entity_and_constraint():
@@ -36,3 +49,28 @@ def test_svg_draws_lines_for_line_entities():
     sol = enumerate_solutions(plan, g, limit=1)[0][1]
     svg = to_svg(g, sol.placements)
     assert "<line" in svg
+
+
+def test_svg_escapes_entity_ids():
+    g = build_graph([point("A&B"), point("<C>"), point("D")],
+                    [distance("A&B", "<C>", 3.0), distance("A&B", "D", 4.0),
+                     distance("<C>", "D", 5.0)])
+    sol = enumerate_solutions(extract_plan(decompose(g), g), g, limit=1)[0][1]
+    root = ElementTree.fromstring(to_svg(g, sol.placements))
+    labels = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["A&B", "<C>", "D"]
+
+
+def test_svg_of_a_flat_sketch_does_not_change_with_its_scale():
+    # The degenerate triangle's points are collinear, so its y extent is 0.
+    g = fixture("degenerate-triangle")
+    sol = enumerate_solutions(extract_plan(decompose(g), g), g, limit=1)[0][1]
+    dots = set()
+    for k in (-3, 0, 3):
+        scaled = {name: Point2(p.x * 10.0**k, p.y * 10.0**k) for name, p in sol.placements.items()}
+        root = ElementTree.fromstring(to_svg(g, scaled))
+        dots.add(tuple((c.get("cx"), c.get("cy"))
+                       for c in root.iter("{http://www.w3.org/2000/svg}circle")))
+    assert len(dots) == 1
+    ((x0, _), (x1, _), (x2, _)) = dots.pop()
+    assert len({x0, x1, x2}) == 3

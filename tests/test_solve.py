@@ -22,6 +22,7 @@ from gcs2d import (
     Solution,
     TriangleMerge,
     UnderDeterminedError,
+    UnsupportedStepError,
     angle,
     build_graph,
     decompose,
@@ -708,8 +709,9 @@ def nested_triangles(levels):
 
 
 class TestRecombinationReads:
-    """A recombination step solves only the clusters it reads off, each once
-    per call, so nested walks go only as deep as those clusters nest."""
+    """Binding a recombination step solves only the clusters it reads off,
+    each once per walk, so nested walks go only as deep as those clusters
+    nest."""
 
     @staticmethod
     def count_local_solves(monkeypatch):
@@ -789,6 +791,29 @@ class Mystery(NamedTuple):
     target: str
 
 
+def circle_on_triangle():
+    """The 3-4-5 triangle ABC with C on a fixed circle K."""
+    return build_graph(
+        [point("A"), point("B"), point("C"), fixed_circle("K", 1.0)],
+        [distance("A", "B", 3.0), distance("A", "C", 4.0), distance("B", "C", 5.0),
+         incidence("C", "K")],
+    )
+
+
+@pytest.mark.parametrize("broken", [Mystery("K"), PlaceByTwoLoci("K", (3, 1))],
+                         ids=["unknown step type", "circle target"])
+def test_step_bound_to_raise_ends_the_walk(monkeypatch, broken):
+    # The step fails on every path, so the walk ends where it first reaches
+    # it instead of taking the other root of C and trying again.
+    g = circle_on_triangle()
+    place_c = PlaceByTwoLoci("C", (1, 2))
+    plan = Plan(0, 0, (place_c, broken))
+    evaluations = count_evaluations(monkeypatch)
+    with pytest.raises(UnsupportedStepError):
+        enumerate_solutions(plan, g)
+    assert evaluations == Counter({id(place_c): 1, id(broken): 1})
+
+
 class TestLazyWalk:
     """The walker yields each solution when it reaches its leaf, so a caller
     stops the search where it stops taking solutions, and a walk frees its
@@ -810,7 +835,7 @@ class TestLazyWalk:
         leaves = []  # one residual check per leaf reached
         worst = solve_module._worst
         monkeypatch.setattr(solve_module, "_worst", lambda found: leaves.append(1) or worst(found))
-        walk = solve_module._walk(plan, g, {}, None, solve_module.DEFAULT_TOL)
+        walk = solve_module._walk(plan, g, None, solve_module.DEFAULT_TOL)
         assert not evaluations  # nothing runs before the first solution is asked for
         first = next(walk)
         up_to_first_leaf = evaluations.copy()
