@@ -698,10 +698,9 @@ def _local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, Placement
     """Congruence-distinct local solutions of a cluster, for recombination.
 
     Every branch assignment satisfying the cluster's own constraints is
-    collected, then deduplicated up to isometry (by a rounded pairwise
-    invariant signature, since alignment later supplies the motion and the
-    reflection anyway).  Non-degenerate conformations come first, and each
-    maps entities in sorted order.
+    collected, then deduplicated up to isometry by :func:`_congruence_signature`
+    (alignment later supplies the motion and the reflection anyway).
+    Non-degenerate conformations come first, and each maps entities in sorted order.
     """
     valid = [
         s for s in islice(_walk(plan, g, None, None), 64)
@@ -717,45 +716,45 @@ def _local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, Placement
 
 
 def _congruence_signature(placements: Mapping[str, Placement]) -> tuple:
-    """Isometry-invariant fingerprint: rounded pairwise measurements."""
-    values: list[float] = []
-    items = sorted(placements.items())
-    for i, (_, a) in enumerate(items):
-        if isinstance(a, CircleRep):
-            values.append(a.r)
-        for _, b in items[i + 1 :]:
-            values.append(_pairwise_invariant(a, b))
-    return tuple(round(v, 7) for v in values)
-
-
-def _pairwise_invariant(a: Placement, b: Placement) -> float:
-    if isinstance(a, Point2) and isinstance(b, Point2):
-        return a.distance_to(b)
-    if isinstance(a, LineRep) and isinstance(b, LineRep):
-        return unsigned_line_angle(a, b)
-    if isinstance(a, LineRep) and isinstance(b, (Point2, CircleRep)):
-        return a.distance_to_point(b if isinstance(b, Point2) else b.center)
-    if isinstance(b, LineRep):
-        return b.distance_to_point(a if isinstance(a, Point2) else a.center)
-    ca = a if isinstance(a, Point2) else a.center
-    cb = b if isinstance(b, Point2) else b.center
-    return ca.distance_to(cb)
+    """Isometry-invariant fingerprint: the least image of the rounded
+    coordinates under x -> -x, y -> -y and the half turn.  Conformations of
+    a cluster share their base placement, and for every base that
+    :func:`base_placements` makes, these and the identity are the isometries
+    that fix it.  A circle adds its radius; a line gives its normal's foot
+    (c cos t, c sin t) and its (cos 2t, sin 2t), which no fold changes."""
+    xs, ys, turns, fixed = [], [], [], []  # turns: sin 2t, negated by mirrors; fixed: by no flip
+    for _, p in sorted(placements.items()):
+        if isinstance(p, LineRep):
+            x, y = p.c * math.cos(p.theta), p.c * math.sin(p.theta)
+            turns.append(round(math.sin(2.0 * p.theta), 7))
+            fixed.append(round(math.cos(2.0 * p.theta), 7))
+        else:
+            x, y = p if isinstance(p, Point2) else p.center
+            if isinstance(p, CircleRep):
+                fixed.append(round(p.r, 7))
+        xs.append(round(x, 7))
+        ys.append(round(y, 7))
+    mxs, mys, mturns = [-v for v in xs], [-v for v in ys], [-v for v in turns]  # negated
+    image = min((xs, ys, turns), (mxs, ys, mturns), (xs, mys, mturns), (mxs, mys, turns))
+    return (tuple(fixed), *map(tuple, image))
 
 
 def _is_generic(placements: Mapping[str, Placement]) -> bool:
-    items = list(placements.items())
-    for i, (_, a) in enumerate(items):
-        for _, b in items[i + 1 :]:
-            if isinstance(a, Point2) and isinstance(b, Point2) and a.close_to(b):
-                return False
-            if isinstance(a, LineRep) and isinstance(b, LineRep) and lines_close(a, b):
-                return False
-            if (
-                isinstance(a, CircleRep)
-                and isinstance(b, CircleRep)
-                and a.center.close_to(b.center)
-                and abs(a.r - b.r) <= 1e-9
-            ):
+    """Whether no two placements of one kind coincide: points within EPS,
+    circles in centre and within 1e-9 in radius, lines by :func:`lines_close`.
+    In order of x, a point or circle meets only those within EPS further on."""
+    lines = [p for p in placements.values() if isinstance(p, LineRep)]
+    if any(lines_close(a, b) for i, a in enumerate(lines) for b in lines[i + 1 :]):
+        return False
+    shapes = sorted(((Point2, p, 0.0) if isinstance(p, Point2) else (CircleRep, *p)
+                     for p in placements.values() if not isinstance(p, LineRep)),
+                    key=lambda shape: shape[1].x)
+    for i, (kind, centre, r) in enumerate(shapes):
+        for j in range(i + 1, len(shapes)):
+            other_kind, other, other_r = shapes[j]
+            if other.x - centre.x > EPS:
+                break
+            if kind is other_kind and centre.close_to(other) and abs(r - other_r) <= 1e-9:
                 return False
     return True
 

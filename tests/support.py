@@ -1,6 +1,7 @@
 """Shared helpers: independent recounts, the dict-based reference pebble game,
 embedding sampling, congruence checks, the exhaustive reference decomposition
-and the chronological reference walker with its unbound step resolution."""
+and the chronological reference walker with its unbound step resolution and
+pairwise conformation identity."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from gcs2d import (
     BadBranchError,
@@ -55,12 +56,14 @@ from gcs2d.errors import (
 from gcs2d.geometry import CircleRep, line_through_point_angle
 from gcs2d.graph import angle as angle_constraint
 from gcs2d.solve import (
+    DEFAULT_TOL,
     _align_options,
+    _constraint_residual,
     _intersect_loci,
-    _local_solutions,
     _order_points,
     _report,
     _triangle_options,
+    _worst,
     base_placements,
 )
 
@@ -516,11 +519,74 @@ def _options_for_step(
             return _place_line(step, placements, g)
         raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
     if isinstance(step, TriangleMerge):
-        first, second = (_local_solutions(sub, g) for sub in step.plans)
+        first, second = (reference_local_solutions(sub, g) for sub in step.plans)
         return _triangle_options(step.points, first, second, placements)
     if isinstance(step, AlignCluster):
-        return _align_options(step, _local_solutions(step.plan, g), placements)
+        return _align_options(step, reference_local_solutions(step.plan, g), placements)
     raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
+
+
+def reference_local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, Placement]]:
+    """:func:`gcs2d.solve._local_solutions` with the quadratic congruence
+    test it replaced: conformations are told apart by their rounded
+    pairwise measurements and checked for coincident entities pair by pair,
+    and the cluster is walked by :func:`reference_walk`."""
+    valid = [
+        s for s in islice(reference_walk(plan, g, None, None), 64)
+        if _worst(_constraint_residual(g.constraints[i], s.placements)
+                  for i in plan.owned_constraints) <= DEFAULT_TOL
+    ]
+    if not valid:
+        raise VerificationError("no branch satisfies the cluster constraints")
+    firsts: dict[tuple, Solution] = {}  # congruence signature -> its first solution
+    for sol in sorted(valid, key=lambda s: not reference_is_generic(s.placements)):
+        firsts.setdefault(reference_congruence_signature(sol.placements), sol)
+    return [dict(sorted(sol.placements.items())) for sol in firsts.values()]
+
+
+def reference_congruence_signature(placements: dict[str, Placement]) -> tuple:
+    """Isometry-invariant fingerprint: rounded pairwise measurements."""
+    values: list[float] = []
+    items = sorted(placements.items())
+    for i, (_, a) in enumerate(items):
+        if isinstance(a, CircleRep):
+            values.append(a.r)
+        for _, b in items[i + 1 :]:
+            values.append(_pairwise_invariant(a, b))
+    return tuple(round(v, 7) for v in values)
+
+
+def _pairwise_invariant(a: Placement, b: Placement) -> float:
+    if isinstance(a, Point2) and isinstance(b, Point2):
+        return a.distance_to(b)
+    if isinstance(a, LineRep) and isinstance(b, LineRep):
+        return unsigned_line_angle(a, b)
+    if isinstance(a, LineRep) and isinstance(b, (Point2, CircleRep)):
+        return a.distance_to_point(b if isinstance(b, Point2) else b.center)
+    if isinstance(b, LineRep):
+        return b.distance_to_point(a if isinstance(a, Point2) else a.center)
+    ca = a if isinstance(a, Point2) else a.center
+    cb = b if isinstance(b, Point2) else b.center
+    return ca.distance_to(cb)
+
+
+def reference_is_generic(placements: dict[str, Placement]) -> bool:
+    """Whether no two placements of one kind coincide, pair by pair."""
+    items = list(placements.items())
+    for i, (_, a) in enumerate(items):
+        for _, b in items[i + 1 :]:
+            if isinstance(a, Point2) and isinstance(b, Point2) and a.close_to(b):
+                return False
+            if isinstance(a, LineRep) and isinstance(b, LineRep) and lines_close(a, b):
+                return False
+            if (
+                isinstance(a, CircleRep)
+                and isinstance(b, CircleRep)
+                and a.center.close_to(b.center)
+                and abs(a.r - b.r) <= 1e-9
+            ):
+                return False
+    return True
 
 
 @dataclass(slots=True)
@@ -539,7 +605,8 @@ def reference_walk(
 ) -> Iterator[Solution]:
     """:func:`gcs2d.solve._walk` with chronological backtracking only, and
     every step resolved afresh on each evaluation by :func:`_options_for_step`,
-    which solves the clusters a recombination step reads each time.
+    which solves the clusters a recombination step reads each time through
+    :func:`reference_local_solutions`.
 
     Exhaustive reference for the walker and its bound step kernels: every
     dead end takes back the previous step's root, so every subtree is

@@ -10,6 +10,7 @@ import pytest
 from gcs2d import (
     AlignCluster,
     BadBranchError,
+    CircleRep,
     Constraint,
     ConstraintKind,
     EmptyIntersectionError,
@@ -37,6 +38,7 @@ from gcs2d import (
     incidence,
     line,
     line_through_points,
+    LineRep,
     parse,
     point,
     point_line_distance,
@@ -625,6 +627,16 @@ class TestWalkerEquivalence:
             for g in pair:
                 assert self.assert_same(monkeypatch, g) is not None
 
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    def test_recombination_over_a_cluster_with_a(self, monkeypatch, kind):
+        g, sample = recombination_over(kind)
+        plan = plan_for(g)
+        assert Counter(type(s) for s in plan.steps) == {
+            PlaceByTwoLoci: 2, TriangleMerge: 1, AlignCluster: 2}
+        walked = self.assert_same(monkeypatch, g)
+        assert len(walked[2]) == 64
+        assert solution_matches_sample(g, ("p", "q"), sample, enumerate_solutions(plan, g, 64))
+
     def test_dead_ends_jump_over_unrelated_steps(self, monkeypatch):
         # Chronological backtracking evaluates 678,069 steps on this graph.
         g = random_laman(40, 5, 0.0)
@@ -706,6 +718,107 @@ def nested_triangles(levels):
     cluster("p", "q", levels)
     g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
     return measured_graph(g, grid_embedding(g, random.Random(0)))
+
+
+def recombination_over(kind):
+    """A triangle recombination whose first cluster holds a line or a circle,
+    with the sample its values are measured from.
+
+    The base strip p, q, a, b and the second strip q, s1, s2, r (each point
+    joined to the two before it) are shared.  The first cluster holds p, r
+    and t at measured distances with p and r on a line L (``kind`` "line"),
+    or p and r on a fixed circle K and |pr|, with the incidence p-K listed
+    first so that it is the cluster's base ("circle")."""
+    sample = {"p": Point2(0.3, 0.2), "q": Point2(2.9, 0.6), "a": Point2(1.4, -1.1),
+              "b": Point2(2.6, -1.9), "s1": Point2(3.7, 1.8), "s2": Point2(2.4, 2.2),
+              "r": Point2(0.6, 2.5)}
+    entities = [point(v) for v in sample]
+    strips = [distance(p, q, 1.0) for p, q in [
+        ("p", "q"), ("p", "a"), ("q", "a"), ("q", "b"), ("a", "b"),
+        ("q", "s1"), ("q", "s2"), ("s1", "s2"), ("s1", "r"), ("s2", "r")]]
+    if kind == "line":
+        sample |= {"t": Point2(-0.6, 2.4), "L": line_through_points(sample["p"], sample["r"])}
+        entities += [point("t"), line("L")]
+        constraints = strips + [distance("p", "r", 1.0), distance("p", "t", 1.0),
+                                distance("r", "t", 1.0), incidence("p", "L"), incidence("r", "L")]
+    else:
+        # r is p turned a quarter about K's centre.
+        sample["K"] = CircleRep(Point2(1.6, 1.2), math.hypot(1.3, 1.0))
+        entities.append(fixed_circle("K", sample["K"].r))
+        constraints = [incidence("p", "K"), *strips, incidence("r", "K"), distance("p", "r", 1.0)]
+    return measured_graph(build_graph(entities, constraints), sample), sample
+
+
+class TestConformationIdentity:
+    """Conformations of a cluster share their base placement, so their
+    fingerprint is their rounded coordinates up to the sign flips that fix
+    every base; genericity compares placements of one kind only."""
+
+    conformation = {"A": Point2(0.0, 0.0), "B": Point2(2.0, 0.0), "C": Point2(0.7, 1.3),
+                    "K": CircleRep(Point2(-0.4, 0.9), 0.5), "L": LineRep(0.6, 1.1),
+                    "M": LineRep(2.0, -0.3), "N": LineRep(0.4, 0.0)}
+
+    @staticmethod
+    def flipped(placements, sx, sy):
+        """The image of ``placements`` under (x, y) -> (sx x, sy y)."""
+        def flip(p):
+            if isinstance(p, Point2):
+                return Point2(sx * p.x, sy * p.y)
+            if isinstance(p, CircleRep):
+                return CircleRep(flip(p.center), p.r)
+            nx, ny = p.normal
+            return LineRep(math.atan2(sy * ny, sx * nx), p.c)
+        return {name: flip(p) for name, p in placements.items()}
+
+    def test_mirrors_and_the_half_turn_share_the_fingerprint(self):
+        sign = solve_module._congruence_signature(self.conformation)
+        for sx, sy in [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]:
+            flipped = self.flipped(self.conformation, sx, sy)
+            assert solve_module._congruence_signature(flipped) == sign
+
+    @pytest.mark.parametrize("moved", [
+        {"C": Point2(0.7 + 1e-5, 1.3)},
+        {"K": CircleRep(Point2(-0.4, 0.9), 0.5 + 1e-5)},
+        {"L": LineRep(0.6 + 1e-5, 1.1)},
+        {"M": LineRep(2.0, -0.3 + 1e-5)},
+        # Lines through the origin that only sin 2t or only cos 2t tells apart.
+        {"N": LineRep(math.pi - 0.4, 0.0)},
+        {"N": LineRep(math.pi / 2 - 0.4, 0.0)},
+    ])
+    def test_a_moved_placement_changes_the_fingerprint(self, moved):
+        assert (solve_module._congruence_signature(self.conformation | moved)
+                != solve_module._congruence_signature(self.conformation))
+
+    def test_a_line_folded_across_zero_keeps_the_fingerprint(self):
+        # The same line with its normal just above and just below theta = 0,
+        # which the normal form folds to theta near pi and -c.
+        above, below = LineRep(1e-12, 1.1), LineRep(-1e-12, 1.1)
+        assert below.theta > 3.0 and below.c == -1.1
+        assert (solve_module._congruence_signature(self.conformation | {"L": above})
+                == solve_module._congruence_signature(self.conformation | {"L": below}))
+
+    @pytest.mark.parametrize("placements", [
+        # Coincident points, with a point between them in x far off in y.
+        {"A": Point2(0.0, 0.0), "B": Point2(0.0, 5.0), "C": Point2(1e-10, 1e-10)},
+        {"A": Point2(1e160, 1e160), "B": Point2(-1e160, 0.0), "C": Point2(1e160, 1e160)},
+        {"K1": CircleRep(Point2(1.0, 2.0), 1.0), "K2": CircleRep(Point2(1.0, 2.0 + 1e-10), 1.0)},
+        # The same line on either side of the fold.
+        {"L": LineRep(1e-12, 1.0), "M": LineRep(math.pi - 1e-12, -1.0)},
+    ])
+    def test_coincident_placements_are_not_generic(self, placements):
+        assert not solve_module._is_generic(placements)
+
+    @pytest.mark.parametrize("placements", [
+        {"A": Point2(0.0, 0.0), "B": Point2(0.0, 5.0), "C": Point2(1e-8, 0.0)},
+        {"A": Point2(1e160, 1e160), "B": Point2(1e160, -1e160), "C": Point2(-1e160, 0.0)},
+        {"K1": CircleRep(Point2(1.0, 2.0), 1.0), "K2": CircleRep(Point2(1.0, 2.0), 1.5)},
+        # A point exactly on a circle's centre is no coincidence.
+        {"P": Point2(1.0, 2.0), "K": CircleRep(Point2(1.0, 2.0), 3.0)},
+        {"P": Point2(1.0, 2.0), "K": CircleRep(Point2(1.0, 2.0), 1e-10)},
+        {"L": LineRep(1e-12, 1.0), "M": LineRep(math.pi - 1e-12, 1.0)},
+    ])
+    def test_distinct_placements_are_generic(self, placements):
+        assert solve_module._is_generic(placements)
 
 
 class TestRecombinationReads:
