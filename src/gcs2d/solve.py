@@ -9,36 +9,31 @@ lexicographically by coordinates, so selectors are stable across runs.
 
 One depth-first walker yields each solution at its leaf: :func:`execute`
 takes the first on a selector's path, :func:`enumerate_solutions` up to
-``limit``.
-
-A walk binds each step once, before it starts, into one record: a kernel, a
-function of the placements made so far that returns the step's roots, and
-the entities the step reads.  Only binding looks at a step's type, so the
-walker treats every step alike.  Binding resolves the step's constraints,
-their other endpoints and values, the target's kind and each locus's kind,
-so a kernel only reads anchors and intersects.  A point placed at two
+``limit``.  It walks a program, compiled once per plan and kept next to it
+with the graph's structure, so every valuation of the structure reuses it.
+Compiling numbers the entities in the order the plan places them and turns
+each step into one record: a kernel over the placements (a list by entity
+index) and the walk's constraint values, which returns the step's roots as
+tuples aligned with the entities it places; the steps that place what it
+reads; and the constraints it owns, those whose last endpoint it places.
+Only compiling looks at a step's type, and it reads no value.  A point at two
 distances, the common step, gets its roots straight from the anchors'
-coordinates through :func:`circle_circle_roots`, the arithmetic of
-:func:`intersect_circle_circle`.  Plans hold no values, so binding a
-recombination step solves the cluster plans it reads, each in its own frame
-and once per walk, and the kernel runs over their conformations; a
-triangle's base is placed already and never solved.  Each constraint's
-residual is bound the same way for the check at a leaf.
+coordinates (:func:`circle_circle_roots`).  A recombination step's cluster
+plans compile into sub-programs, which a walk solves once each.  A frame
+keeps the worst residual of its step's owned constraints under the root it
+holds, so a leaf's check measures no constraint again.
 
-Every step reads a fixed set of placed entities: the other endpoints of a
-two-loci step's constraints, a triangle merge's three points, an alignment's
-shared pair.  When a step has no roots, the walker jumps back to the latest
-step that placed one of them (conflict-directed backjumping), since no choice
-made in between can give the step roots; the step it lands on keeps that
-blame and, once out of roots itself, jumps on by it.  A step whose binding
-fails, such as one that reads a cluster without conformations, reads nothing
-and raises that error whenever it runs: it blames no step, so the walk ends
-where it first reaches it.  Once a solution or a residual failure is
-reached, the steps on its path take back roots one at a time again, so the
-solutions, their order and the reported failure are those of plain
-chronological backtracking, which the reference walker in
-``tests/support.py`` still does, resolving every step afresh at each
-evaluation.
+When a step has no roots, the walker jumps back to the latest step that
+placed one of the entities it reads (conflict-directed backjumping), since no
+choice made in between can give the step roots; the step it lands on keeps
+that blame and, once out of roots itself, jumps on by it.  A step whose
+compiling fails, or that reads a cluster without conformations, reads nothing
+and raises that error whenever it runs, so the walk ends where it first
+reaches it.  Once a solution or a residual failure is reached, the steps on
+its path take back roots one at a time again, so the solutions, their order
+and the reported failure are those of plain chronological backtracking,
+which the reference walker in ``tests/support.py`` still does, resolving
+every step afresh at each evaluation.
 """
 
 from __future__ import annotations
@@ -154,9 +149,13 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
 
 # ---------------------------------------------------------------- step kernels
 
-# A step kernel: from the placements made so far, its roots (each a map of the
-# entities the step places) and whether it met a tangent (double) root.
-Kernel = Callable[[Mapping[str, Placement]], tuple[list[dict[str, Placement]], bool]]
+# A step kernel: from the placements by entity index (None where nothing is
+# placed), the constraint values and the clusters solved for this walk (id ->
+# conformations, or the error solving it raised), its roots (each a tuple
+# aligned with the entities the step places) and whether it met a tangent
+# (double) root.
+Kernel = Callable[[list, Sequence[float], Mapping[int, object]],
+                  tuple[list[tuple[Placement, ...]], bool]]
 
 
 def _placed(placements: Mapping[str, Placement], entity_id: str) -> Placement:
@@ -179,12 +178,12 @@ def _other_endpoint(c: Constraint, target: str) -> str:
     raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
 
 
-def _raising(exc: GcsError) -> Callable[[Mapping[str, Placement]], NoReturn]:
-    """A bound step, or part of one, that raises a copy of ``exc`` whenever
-    it runs."""
+def _raising(exc: GcsError) -> Callable[..., NoReturn]:
+    """A compiled step, or part of one, that raises a copy of ``exc``
+    whenever it runs."""
     kept = _fresh(exc)
 
-    def fail(placements: Mapping[str, Placement]) -> NoReturn:
+    def fail(*args: object) -> NoReturn:
         raise _fresh(kept)
 
     return fail
@@ -216,57 +215,115 @@ def _root_key(x: float, y: float, cx: float, cy: float) -> tuple[float, float, f
     return (math.atan2(y - cy, x - cx) % (2.0 * math.pi), x, y)
 
 
-def _bind(
-    step, g: ConstraintGraph, solved: dict[int, list[dict[str, Placement]]]
-) -> tuple[Kernel, tuple[str, ...]]:
-    """Resolve a plan step against the graph once, into what the walker
-    reads of it: its kernel and the entities whose placements its roots
-    depend on.  Binding resolves the step's constraints, their other
-    endpoints and values, the target's kind and each locus's kind; a
-    recombination step's kernel runs over the conformations of the clusters
-    it reads, solved here unless ``solved`` (cluster id -> conformations,
-    kept for one walk) holds them.  A step whose binding raises is bound to
-    raise that error each time it runs, and reads nothing: its failure does
-    not depend on the path."""
+class _Step(NamedTuple):
+    """A compiled plan step: its kernel, the steps (-1: the base) that place
+    what it reads, the slice of entity indices it places, and the
+    constraints it owns, as (kind, endpoint indices, constraint index)."""
+
+    kernel: Kernel
+    reads: frozenset[int]
+    places: slice
+    owns: list[tuple[str, int, int, int]]
+
+
+class _Program(NamedTuple):
+    """A compiled plan: the ids of the entities it places by index (the base
+    constraint's endpoints, then in step order), its steps, the constraints
+    the base owns, an endpoint no step places (of the first constraint with
+    one, else None), and each recombination step's index with the clusters
+    it reads and their programs."""
+
+    plan: Plan
+    ids: tuple[str, ...]
+    steps: tuple[_Step, ...]
+    owns: list[tuple[str, int, int, int]]
+    unplaced: str | None
+    clusters: tuple[tuple[int, tuple[tuple[int, _Program], ...]], ...]
+
+
+def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Program:
+    """Compile ``plan`` against ``g``'s structure, and each cluster plan its
+    recombination steps read, once per cluster id, into that cluster's
+    program.  The frames measure the constraints ``measured`` lists, or a
+    leaf's check raises for the first of them with an endpoint no step
+    places; a cluster's program measures none, as its leaves are checked
+    against the cluster's own constraints (:func:`_local_solutions`)."""
+    ids = list(g.constraints[plan.base_constraint].between)
+    index = {e: i for i, e in enumerate(ids)}  # of the entities placed so far
+    placer = [-1, -1]  # by entity index: the step that places it
+    steps, clusters, subs = [], [], {}
+    for k, step in enumerate(plan.steps):
+        kernel, reads, places, read = _compile_step(step, g, index, subs)
+        reads = frozenset([placer[index[e]] for e in reads if e in index])
+        steps.append(_Step(kernel, reads, slice(len(ids), len(ids) + len(places)), []))
+        for e in places:
+            index[e] = len(ids)
+            ids.append(e)
+            placer.append(k)
+        if read:
+            clusters.append((k, read))
+    base: list[tuple[str, int, int, int]] = []
+    unplaced = None
+    for ci in measured:
+        c = g.constraints[ci]
+        a, b = c.between
+        if a in index and b in index:
+            last = placer[max(index[a], index[b])]
+            owner = steps[last].owns if last >= 0 else base
+            owner.append((c.kind._value_, index[a], index[b], ci))
+        elif unplaced is None:
+            unplaced = b if a in index else a
+    return _Program(plan, tuple(ids), tuple(steps), base, unplaced, tuple(clusters))
+
+
+def _compile_step(
+    step, g: ConstraintGraph, index: Mapping[str, int], subs: dict[int, _Program]
+) -> tuple[Kernel, Sequence[str], Sequence[str], tuple[tuple[int, _Program], ...]]:
+    """A plan step's kernel, the entities its roots depend on, those it
+    places and the clusters it reads with their programs, given the indices
+    of the entities placed before it.  A kernel reads an entity no earlier
+    step places from index -1, the placement list's last slot, which stays
+    empty.  A step whose compiling raises raises that error whenever it
+    runs, and reads and places nothing."""
     try:
         if isinstance(step, PlaceByTwoLoci):
-            reads = tuple(e for idx in step.constraints for e in g.constraints[idx].between
-                          if e != step.target)
+            reads = [e for ci in step.constraints for e in g.constraints[ci].between
+                     if e != step.target]
             kind = g.kind_of(step.target)._value_
-            if kind == "point":
-                return _bind_point(step, g), reads
-            if kind == "line":
-                return _bind_line(step, g), reads
-            raise UnsupportedStepError(f"cannot place a {kind} by two loci")
+            if kind not in ("point", "line"):
+                raise UnsupportedStepError(f"cannot place a {kind} by two loci")
+            make = _point_kernel if kind == "point" else _line_kernel
+            return make(step.target, step.constraints, g, index), reads, (step.target,), ()
         if isinstance(step, TriangleMerge):
-            for cluster, plan in zip(step.clusters[1:], step.plans, strict=True):
-                if cluster not in solved:
-                    solved[cluster] = _local_solutions(plan, g)
-            _, first, second = step.clusters
-            kernel = partial(_triangle_options, step.points, solved[first], solved[second])
-            return kernel, step.points
+            read = _sub_programs(zip(step.clusters[1:], step.plans, strict=True), g, subs)
+            return (*_triangle_kernel(step.points, read, index), read)
         if isinstance(step, AlignCluster):
-            if step.cluster not in solved:
-                solved[step.cluster] = _local_solutions(step.plan, g)
-            return partial(_align_options, step, solved[step.cluster]), step.shared
+            read = _sub_programs([(step.cluster, step.plan)], g, subs)
+            return (*_align_kernel(step, read, index), read)
         raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
     except GcsError as exc:
-        return _raising(exc), ()
+        return _raising(exc), (), (), ()
 
 
-def _bind_point(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
-    target = step.target
-    first, second = g.constraints[step.constraints[0]], g.constraints[step.constraints[1]]
-    # A distance no circle can have takes the general way, whose CircleRep
-    # raises BadValueError after the anchors before it are checked.
-    if all(c.kind._value_ == "distance" and target in c.between and 0 < c.value < math.inf
-           for c in (first, second)):
-        return _bind_two_distances(target, _other_endpoint(first, target), first.value,
-                                   _other_endpoint(second, target), second.value)
-    loci_a, loci_b = _bind_point_loci(first, target), _bind_point_loci(second, target)
+def _sub_programs(clusters: Iterable[tuple[int, Plan]], g: ConstraintGraph,
+                  subs: dict[int, _Program]) -> tuple[tuple[int, _Program], ...]:
+    """Each cluster id with the program of its plan, compiled once per id."""
+    return tuple((c, subs[c] if c in subs else subs.setdefault(c, _compile(plan, g, ())))
+                 for c, plan in clusters)
 
-    def place(placements: Mapping[str, Placement]) -> tuple[list[dict[str, Placement]], bool]:
-        group_a, group_b = loci_a(placements), loci_b(placements)
+
+def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
+                  index: Mapping[str, int]) -> Kernel:
+    ca, cb = constraints
+    first, second = g.constraints[ca], g.constraints[cb]
+    if (first.kind._value_ == second.kind._value_ == "distance" and target in first.between
+            and target in second.between):
+        return _two_distances(target, _other_endpoint(first, target), ca,
+                              _other_endpoint(second, target), cb, index)
+    loci_a, loci_b = _point_loci(first, ca, target, index), _point_loci(second, cb, target, index)
+
+    def place(placed: list, values: Sequence[float], solved: Mapping[int, object]):
+        group_a, group_b = loci_a(placed, values), loci_b(placed, values)
         points: list[Point2] = []
         tangent = False
         coincident = False
@@ -282,22 +339,29 @@ def _bind_point(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
             if coincident:
                 raise UnderDeterminedError(target, "coincident loci leave the target free")
             raise EmptyIntersectionError(f"no locus intersection places {target!r}")
-        return [{target: p} for p in _order_points(points)], tangent
+        return [(p,) for p in _order_points(points)], tangent
 
     return place
 
 
-def _bind_two_distances(target: str, a: str, ra: float, b: str, rb: float) -> Kernel:
-    """A point at distance ``ra`` from ``a`` and ``rb`` from ``b``: the
-    circle-circle case of :func:`_bind_point`, computed from coordinates."""
+def _two_distances(target: str, a: str, ca: int, b: str, cb: int,
+                   index: Mapping[str, int]) -> Kernel:
+    """A point at the distances of constraints ``ca`` from ``a`` and ``cb``
+    from ``b``: the circle-circle case of :func:`_point_kernel`, computed
+    from coordinates.  A distance no circle can have raises BadValueError
+    from CircleRep where that case would, once its anchor is checked."""
+    ia, ib = index.get(a, -1), index.get(b, -1)
 
-    def place(placements: Mapping[str, Placement]) -> tuple[list[dict[str, Placement]], bool]:
-        p = _placed(placements, a)
+    def place(placed: list, values: Sequence[float], solved: Mapping[int, object]):
+        p, ra, q, rb = placed[ia], values[ca], placed[ib], values[cb]
         if not isinstance(p, Point2):
-            raise UnsupportedStepError("distance locus needs a placed point anchor")
-        q = _placed(placements, b)
+            raise _missing(a) if p is None else _no_point_anchor()
+        if not 0 < ra < math.inf:
+            CircleRep(p, ra)
         if not isinstance(q, Point2):
-            raise UnsupportedStepError("distance locus needs a placed point anchor")
+            raise _missing(b) if q is None else _no_point_anchor()
+        if not 0 < rb < math.inf:
+            CircleRep(q, rb)
         try:
             roots, tangent = circle_circle_roots(p.x, p.y, ra, q.x, q.y, rb)
         except EmptyIntersectionError:
@@ -305,34 +369,49 @@ def _bind_two_distances(target: str, a: str, ra: float, b: str, rb: float) -> Ke
         except CoincidentError:
             raise UnderDeterminedError(target, "coincident loci leave the target free") from None
         if tangent:
-            return [{target: Point2(*roots[0])}], True
+            return [(Point2(*roots[0]),)], True
         (x1, y1), (x2, y2) = roots
-        if math.hypot(x2 - x1, y2 - y1) <= EPS:  # one root, as _bind_point merges them
-            return [{target: Point2(x1, y1)}], False
+        if math.hypot(x2 - x1, y2 - y1) <= EPS:  # one root, as _point_kernel merges them
+            return [(Point2(x1, y1),)], False
         # The centroid as _order_points sums it, from 0.
         cx, cy = (0.0 + x1 + x2) / 2, (0.0 + y1 + y2) / 2
         if _root_key(x2, y2, cx, cy) < _root_key(x1, y1, cx, cy):
             x1, y1, x2, y2 = x2, y2, x1, y1
-        return [{target: Point2(x1, y1)}, {target: Point2(x2, y2)}], False
+        return [(Point2(x1, y1),), (Point2(x2, y2),)], False
 
     return place
 
 
-def _bind_point_loci(
-    c: Constraint, target: str
-) -> Callable[[Mapping[str, Placement]], list[Placement]]:
-    """The loci ``c`` leaves a point ``target`` on, given the placements."""
+def _no_point_anchor() -> UnsupportedStepError:
+    return UnsupportedStepError("distance locus needs a placed point anchor")
+
+
+def _anchor(c: Constraint, target: str, index: Mapping[str, int]) -> Callable[[list], Placement]:
+    """The placement of the endpoint of ``c`` other than ``target``."""
     try:
         anchor_id = _other_endpoint(c, target)
     except UnsupportedStepError as exc:
         return _raising(exc)
-    kind, value = c.kind._value_, c.value
+    return partial(_at, i=index.get(anchor_id, -1), entity_id=anchor_id)
 
-    def loci(placements: Mapping[str, Placement]) -> list[Placement]:
-        anchor = _placed(placements, anchor_id)
+
+def _at(placed: list, i: int, entity_id: str) -> Placement:
+    if placed[i] is None:
+        raise _missing(entity_id)
+    return placed[i]
+
+
+def _point_loci(
+    c: Constraint, ci: int, target: str, index: Mapping[str, int]
+) -> Callable[[list, Sequence[float]], list[Placement]]:
+    """The loci constraint ``ci`` (``c``) leaves a point ``target`` on."""
+    anchor_of, kind = _anchor(c, target, index), c.kind._value_
+
+    def loci(placed: list, values: Sequence[float]) -> list[Placement]:
+        anchor, value = anchor_of(placed), values[ci]
         if kind == "distance":
             if not isinstance(anchor, Point2):
-                raise UnsupportedStepError("distance locus needs a placed point anchor")
+                raise _no_point_anchor()
             return [CircleRep(anchor, value)]
         if kind == "incidence":
             if isinstance(anchor, (LineRep, CircleRep)):
@@ -373,12 +452,22 @@ def _intersect_loci(a: Placement, b: Placement) -> tuple[list[Point2], bool, boo
     raise UnsupportedStepError("loci must be lines or circles")
 
 
-def _bind_line(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
-    target = step.target
-    sources = [_bind_line_anchor(g.constraints[idx], target) for idx in step.constraints]
+_LINE_ANCHORS = {"incidence": ("point", Point2), "angle": ("angle", LineRep)}  # tag, shape
 
-    def place(placements: Mapping[str, Placement]) -> tuple[list[dict[str, Placement]], bool]:
-        anchors = [source(placements) for source in sources]
+
+def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
+                 index: Mapping[str, int]) -> Kernel:
+    sources = [(_anchor(g.constraints[ci], target, index), g.constraints[ci].kind._value_, ci)
+               for ci in constraints]
+
+    def place(placed: list, values: Sequence[float], solved: Mapping[int, object]):
+        anchors = []  # what each constraint pins the line to: a point, or a line and an angle
+        for anchor_of, kind, ci in sources:
+            tag, shape = _LINE_ANCHORS.get(kind, ("", ()))
+            anchor = anchor_of(placed)
+            if not isinstance(anchor, shape):
+                raise UnsupportedStepError(f"cannot place line {target!r} from a {kind} constraint")
+            anchors.append((tag, anchor, values[ci]))
         anchors.sort(key=lambda item: item[0] != "point")
         tags = tuple(tag for tag, _, _ in anchors)
         if tags == ("point", "point"):
@@ -387,7 +476,7 @@ def _bind_line(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
                 result = line_through_points(p, q)
             except CoincidentPointsError:
                 raise UnderDeterminedError(target, "both incident points coincide") from None
-            return [{target: result}], False
+            return [(result,)], False
         if tags == ("point", "angle"):
             p = anchors[0][1]
             ref, alpha = anchors[1][1], anchors[1][2]
@@ -395,90 +484,67 @@ def _bind_line(step: PlaceByTwoLoci, g: ConstraintGraph) -> Kernel:
             second = line_through_point_angle(p, ref, alpha, branch=1)
             lines = [first] if lines_close(first, second) else [first, second]
             lines.sort(key=lambda l: (l.theta, l.c))
-            return [{target: l} for l in lines], False
+            return [(l,) for l in lines], False
         # Two angle constraints fix the direction twice but never the offset.
         raise UnderDeterminedError(target, "angles fix the direction but not the offset")
 
     return place
 
 
-def _bind_line_anchor(
-    c: Constraint, target: str
-) -> Callable[[Mapping[str, Placement]], tuple[str, Placement, float | None]]:
-    """What ``c`` pins a line ``target`` to, given the placements: a point
-    it passes through, or a line and the angle it meets it at."""
-    try:
-        anchor_id = _other_endpoint(c, target)
-    except UnsupportedStepError as exc:
-        return _raising(exc)
-    kind = c.kind._value_
-    tag, shape, value = {
-        "incidence": ("point", Point2, None),
-        "angle": ("angle", LineRep, c.value),
-    }.get(kind, ("", (), None))
-
-    def anchor(placements: Mapping[str, Placement]) -> tuple[str, Placement, float | None]:
-        placed = _placed(placements, anchor_id)
-        if not isinstance(placed, shape):
-            raise UnsupportedStepError(
-                f"cannot place line {target!r} from a {kind} constraint"
-            )
-        return tag, placed, value
-
-    return anchor
-
-
-def _triangle_options(
-    points: tuple[str, str, str], first: list[dict[str, Placement]],
-    second: list[dict[str, Placement]], placements: Mapping[str, Placement],
-) -> tuple[list[dict[str, Placement]], bool]:
-    """Place the one unplaced shared point from two virtual-distance circles.
+def _triangle_kernel(
+    points: tuple[str, str, str], read: tuple, index: Mapping[str, int]
+) -> tuple[Kernel, Sequence[str], Sequence[str]]:
+    """A triangle merge's kernel, reads and places: it places the one
+    unplaced shared point from two virtual-distance circles.
 
     The first and second clusters may admit several internal conformations
     with different virtual distances, so the options run over every
     candidate distance pair and every intersection root; infeasible
     combinations are simply absent."""
     p0, p1, p2 = points
-    missing = [p for p in points if p not in placements]
-    if not missing:
-        return [{}], False
-    if missing != [p2]:
-        raise UnsupportedStepError(
-            "triangle merge expects exactly the third shared point unplaced"
-        )
-    anchor1 = _as_point(placements, p0)
-    anchor2 = _as_point(placements, p1)
-    options: list[dict[str, Placement]] = []
-    tangent = False
-    failure: GcsError | None = None
-    for d12 in _pair_distances(second, p1, p2):  # |p1 p2| candidates
-        for d20 in _pair_distances(first, p2, p0):  # |p2 p0| candidates
-            if d12 <= 1e-9 or d20 <= 1e-9:
-                continue
-            try:
-                hit = intersect_circle_circle(
-                    CircleRep(anchor1, d20), CircleRep(anchor2, d12)
-                )
-            except EmptyIntersectionError as exc:
-                failure = failure or exc
-                continue
-            except CoincidentError:
-                failure = failure or UnderDeterminedError(
-                    p2, "coincident virtual-distance circles leave the target free"
-                )
-                continue
-            tangent = tangent or hit.tangent
-            for p in _order_points(list(hit.points)):
-                if not any(p.close_to(existing[p2]) for existing in options):
-                    options.append({p2: p})
-    try:
-        if not options:
-            raise failure or EmptyIntersectionError(
-                f"no virtual-distance circles intersect to place {p2!r}"
+    unplaced = [p for p in points if p not in index]
+    i0, i1 = index.get(p0, -1), index.get(p1, -1)
+
+    def kernel(placed: list, values: Sequence[float], solved: Mapping[int, object]):
+        first, second = _conformations(solved, read)
+        if not unplaced:
+            return [()], False
+        if unplaced != [p2]:
+            raise UnsupportedStepError(
+                "triangle merge expects exactly the third shared point unplaced"
             )
-        return options, tangent
-    finally:
-        failure = None  # a caught failure's traceback holds this frame
+        anchor1, anchor2 = _as_point(placed[i0], p0), _as_point(placed[i1], p1)
+        options: list[tuple[Point2]] = []
+        tangent = False
+        failure: GcsError | None = None
+        for d12 in _pair_distances(second, p1, p2):  # |p1 p2| candidates
+            for d20 in _pair_distances(first, p2, p0):  # |p2 p0| candidates
+                if d12 <= 1e-9 or d20 <= 1e-9:
+                    continue
+                try:
+                    hit = intersect_circle_circle(CircleRep(anchor1, d20), CircleRep(anchor2, d12))
+                except EmptyIntersectionError as exc:
+                    failure = failure or exc
+                    continue
+                except CoincidentError:
+                    failure = failure or UnderDeterminedError(
+                        p2, "coincident virtual-distance circles leave the target free"
+                    )
+                    continue
+                tangent = tangent or hit.tangent
+                for p in _order_points(list(hit.points)):
+                    if not any(p.close_to(q) for q, in options):
+                        options.append((p,))
+        try:
+            if not options:
+                raise failure or EmptyIntersectionError(
+                    f"no virtual-distance circles intersect to place {p2!r}"
+                )
+            return options, tangent
+        finally:
+            failure = None  # a caught failure's traceback holds this frame
+
+    return kernel, points, unplaced if unplaced == [p2] else ()
 
 
 def _pair_distances(
@@ -487,62 +553,78 @@ def _pair_distances(
     """Distinct |ab| values across conformations, in conformer order."""
     values: list[float] = []
     for conformer in conformers:
-        d = _as_point(conformer, a).distance_to(_as_point(conformer, b))
+        d = _as_point(conformer.get(a), a).distance_to(_as_point(conformer.get(b), b))
         if not any(abs(d - seen) <= 1e-9 for seen in values):
             values.append(d)
     return tuple(values)
 
 
-def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
-    placement = _placed(placements, entity_id)
+def _as_point(placement: Placement | None, entity_id: str) -> Point2:
     if not isinstance(placement, Point2):
+        if placement is None:
+            raise _missing(entity_id)
         raise UnsupportedStepError(f"entity {entity_id!r} is not placed as a point")
     return placement
 
 
-def _align_options(
-    step: AlignCluster, conformations: list[dict[str, Placement]],
-    placements: Mapping[str, Placement],
-) -> tuple[list[dict[str, Placement]], bool]:
-    """Glue a locally solved cluster onto its placed shared pair.
+def _align_kernel(
+    step: AlignCluster, read: tuple, index: Mapping[str, int]
+) -> tuple[Kernel, Sequence[str], Sequence[str]]:
+    """An alignment's kernel, reads and places: it glues a locally solved
+    cluster onto its placed shared pair.
 
     Runs over the cluster's conformations and, per conformation, the motions
     mapping the local pair onto the placed pair; conformations whose pair
     geometry cannot match are skipped.  When none is left, the first to fail
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined."""
-    dst = (
-        _placed(placements, step.shared[0]),
-        _placed(placements, step.shared[1]),
-    )
-    outcomes: list[dict[str, Placement]] = []
-    failure: GcsError | None = None
-    for local in conformations:
-        unplaced = [e for e in local if e not in placements]
+    (s0, s1), local = step.shared, sorted(read[0][1].ids)  # a conformation's entities, in order
+    unplaced = [e for e in local if e not in index]
+    i0, i1 = index.get(s0, -1), index.get(s1, -1)
+
+    def kernel(placed: list, values: Sequence[float], solved: Mapping[int, object]):
+        (conformations,) = _conformations(solved, read)
+        dst = (_at(placed, i0, s0), _at(placed, i1, s1))
         if not unplaced:
-            return [{}], False
+            return [()], False
+        outcomes: list[tuple[Placement, ...]] = []
+        failure: GcsError | None = None
+        for conformation in conformations:
+            try:
+                motions = alignment_motions((conformation[s0], conformation[s1]), dst)
+            except LengthMismatchError as exc:
+                failure = failure or EmptyIntersectionError(
+                    f"no conformation of cluster {step.cluster} fits the placed pair: {exc}"
+                )
+                continue
+            except CoincidentPointsError:
+                failure = failure or UnderDeterminedError(
+                    unplaced[0], "a coincident shared pair leaves the cluster free to turn"
+                )
+                continue
+            for motion in motions:
+                outcomes.append(tuple(motion.apply(conformation[e]) for e in unplaced))
         try:
-            motions = alignment_motions((local[step.shared[0]], local[step.shared[1]]), dst)
-        except LengthMismatchError as exc:
-            failure = failure or EmptyIntersectionError(
-                f"no conformation of cluster {step.cluster} fits the placed pair: {exc}"
-            )
-            continue
-        except CoincidentPointsError:
-            failure = failure or UnderDeterminedError(
-                unplaced[0], "a coincident shared pair leaves the cluster free to turn"
-            )
-            continue
-        for motion in motions:
-            outcomes.append({e: motion.apply(local[e]) for e in unplaced})
-    try:
-        if not outcomes:
-            raise failure or EmptyIntersectionError(
-                f"no conformation of cluster {step.cluster} fits the placed pair"
-            )
-        return outcomes, False
-    finally:
-        failure = None  # a raised failure's traceback holds this frame
+            if not outcomes:
+                raise failure or EmptyIntersectionError(
+                    f"no conformation of cluster {step.cluster} fits the placed pair"
+                )
+            return outcomes, False
+        finally:
+            failure = None  # a raised failure's traceback holds this frame
+
+    return kernel, step.shared, unplaced
+
+
+def _conformations(solved: Mapping[int, object], read: tuple) -> list[list[dict[str, Placement]]]:
+    """This walk's conformations of each cluster ``read`` lists; raises the
+    error solving one raised."""
+    found = []
+    for cluster, _ in read:
+        if isinstance(solved[cluster], GcsError):
+            raise _fresh(solved[cluster])
+        found.append(solved[cluster])
+    return found
 
 
 # ------------------------------------------------------------------- execution
@@ -569,56 +651,55 @@ def enumerate_solutions(
 
 class _Frame:
     """One step on the walker's path: its roots, the root taken and the last
-    one to try, whether the step hit a tangent root, and the earlier frames
-    it blames for running out of roots (``None`` once it must backtrack
-    chronologically)."""
+    one to try, whether the step hit a tangent root, the earlier frames it
+    blames for running out of roots (``None`` once it must backtrack
+    chronologically), and the worst residual of its step's owned
+    constraints under the root taken."""
 
-    __slots__ = ("options", "pick", "last", "tangent", "conflicts")
+    __slots__ = ("options", "pick", "last", "tangent", "conflicts", "worst")
 
-    def __init__(self, options: list[dict[str, Placement]], pick: int, last: int,
-                 tangent: bool, conflicts: set[int] | None):
+    def __init__(self, options: list[tuple[Placement, ...]], pick: int, last: int,
+                 tangent: bool, conflicts: frozenset[int] | None, worst: float):
         self.options, self.pick, self.last = options, pick, last
-        self.tangent, self.conflicts = tangent, conflicts
+        self.tangent, self.conflicts, self.worst = tangent, conflicts, worst
 
 
 def _walk(
-    plan: Plan,
-    g: ConstraintGraph,
-    selector: tuple[int, ...] | None,
-    tol: float | None,
+    plan: Plan, g: ConstraintGraph, selector: tuple[int, ...] | None, tol: float | None
 ) -> Iterator[Solution]:
-    """Depth-first branch walk, pruning failed prefixes, that yields each
-    solution at its leaf; the rest of the tree waits for the next pull.
+    """:func:`_run` of ``plan``'s program, compiled on first use and kept
+    next to ``plan`` with ``g``'s structure, over ``g``'s values."""
+    kept = g._analyses
+    program = kept.get("program")
+    if program is None or program.plan is not plan:
+        program = kept["program"] = _compile(plan, g, range(len(g.constraints)))
+    return _run(program, g, [c.value for c in g.constraints], selector, tol)
+
+
+def _run(
+    program: _Program, g: ConstraintGraph, values: Sequence[float],
+    selector: tuple[int, ...] | None, tol: float | None,
+) -> Iterator[Solution]:
+    """Depth-first branch walk over ``program`` that yields each solution at
+    its leaf; the rest of the tree waits for the next pull.
 
     With a ``selector`` only the roots it names are followed (see
-    :func:`execute`); without one every root is tried.  With ``tol`` set,
-    only solutions whose residual check passes are yielded.  Raises the
-    first recorded failure if it ends without having yielded anything.  The
-    path is an explicit stack of frames over one placement map, so a plan
-    may be longer than the interpreter's recursion limit; backtracking
-    deletes what a root placed, as every step places only unplaced entities.
-    Each step is read through the record :func:`_bind` makes of it, never
-    through its type.
-
-    Dead ends backjump (conflict-directed backjumping, Prosser 1993).  A
-    step's roots depend only on the placements of its reads, and which
-    entities are placed before it only on the plan, so a step without roots
-    stays so until a frame that placed one of its reads takes another root.
-    The walk jumps back to the latest such frame and adds those placers to
-    the frames it blames; a frame starts out blaming the placers of its own
-    reads, and once out of roots it jumps on by what it blames.  A skipped
-    subtree holds no leaf, so the solutions, their order and the first
-    failure are those of chronological backtracking.  Every dead end, a
-    missing placement too, blames the placers of its step's reads; a step
-    bound to raise reads nothing, so it blames no frame and ends the walk.
-    Once a leaf (a solution or a residual failure) is reached, every frame
-    on its path backtracks chronologically.
+    :func:`execute`); without one every root is tried.  With ``tol`` set, a
+    leaf is yielded only if the worst residual of its base and frames (NaN
+    if one is NaN) is within ``tol``.  Raises the first recorded failure if
+    it ends without having yielded anything.  The path is an explicit stack
+    of frames over one list of placements, so a plan may be longer than the
+    interpreter's recursion limit; a root is written over the slice its step
+    places, and no step reads what a later one places.  Dead ends backjump
+    as the module describes (Prosser 1993): a step's roots depend only on
+    its reads, and which step places an entity only on the plan, so a
+    skipped subtree holds no leaf.
     """
-    placements = dict(base_placements(g, plan.base_constraint))
-    solved: dict[int, list[dict[str, Placement]]] = {}  # clusters read, for _bind
-    steps = [_bind(step, g, solved) for step in plan.steps]
-    residuals = None if tol is None else [_bind_residual(c) for c in g.constraints]
-    placer = dict.fromkeys(placements, -1)  # entity -> frame that placed it, -1: the base
+    base = base_placements(g, program.plan.base_constraint)
+    steps, solved = _solve_reads(program, g, values)
+    placed: list[Placement | None] = [None] * (len(program.ids) + 1)  # the last stays empty
+    placed[0], placed[1] = base[program.ids[0]], base[program.ids[1]]
+    base_worst = _owned_worst(program.owns, placed, values)
     yielded = False
     failure: GcsError | None = None  # the first one recorded
     frames: list[_Frame] = []
@@ -626,11 +707,9 @@ def _walk(
     while True:
         i = len(frames)
         if i < len(steps):
-            kernel, reads = steps[i]
-            # The frames to blame for a dead end here; None: chronological.
-            blame: set[int] | None = {placer[e] for e in reads if e in placements}
+            kernel, blame, places, owns = steps[i]  # blame: None backtracks chronologically
             try:
-                options, tangent = kernel(placements)
+                options, tangent = kernel(placed, values, solved)
                 first, last = 0, len(options) - 1
                 if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0
@@ -641,11 +720,10 @@ def _walk(
             except GcsError as exc:
                 failure = failure or exc
             else:
-                frames.append(_Frame(options, first, last, tangent, blame))
+                placed[places] = options[first]
+                frames.append(_Frame(options, first, last, tangent, blame,
+                                     _owned_worst(owns, placed, values)))
                 cursor += len(options) > 1
-                placements.update(options[first])
-                for e in options[first]:  # every root of a step places the same entities
-                    placer[e] = i
                 continue
         else:  # a leaf: no frame on its path may jump past another any more
             blame = None
@@ -655,13 +733,14 @@ def _walk(
                 failure = failure or BadBranchError(
                     f"selector has {len(selector)} entries but only {cursor} steps branch"
                 )
-            elif residuals is None or (worst := _worst([r(placements) for r in residuals])) <= tol:
+            elif tol is not None and program.unplaced is not None:
+                raise _missing(program.unplaced)  # a constraint on it is measured at each leaf
+            elif tol is None or (worst := _worst([base_worst, *[f.worst for f in frames]])) <= tol:
                 yielded, failure = True, None  # a failure is raised only if none is yielded
-                yield Solution(
-                    dict(placements),
-                    tuple(f.pick for f in frames if len(f.options) > 1),
-                    tuple(k for k, f in enumerate(frames) if f.tangent),
-                )
+                placements = dict(base)
+                placements.update(zip(program.ids, placed))
+                yield Solution(placements, tuple([f.pick for f in frames if len(f.options) > 1]),
+                               tuple([k for k, f in enumerate(frames) if f.tangent]))
             else:
                 failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
         # Take back roots, deepest first, up to the latest blamed frame (the
@@ -670,14 +749,11 @@ def _walk(
         while frames:
             k = len(frames) - 1
             top = frames[k]
-            for e in top.options[top.pick]:
-                del placements[e]
             if blame is None or k in blame:
                 if blame is None:
                     top.conflicts = None
                 elif top.conflicts is not None:
-                    top.conflicts |= blame
-                    top.conflicts.discard(k)
+                    top.conflicts = (top.conflicts | blame) - {k}
                 if top.pick < top.last:
                     break
                 blame = top.conflicts
@@ -686,7 +762,9 @@ def _walk(
         if not frames:
             break
         top.pick += 1
-        placements.update(top.options[top.pick])
+        _, _, places, owns = steps[k]
+        placed[places] = top.options[top.pick]
+        top.worst = _owned_worst(owns, placed, values)
     try:
         if not yielded:
             raise failure or VerificationError("no branch produced a solution")
@@ -694,18 +772,56 @@ def _walk(
         failure = None  # its traceback holds this frame: drop it to free the walk's state
 
 
-def _local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, Placement]]:
+def _solve_reads(
+    program: _Program, g: ConstraintGraph, values: Sequence[float]
+) -> tuple[list[_Step], dict[int, object]]:
+    """The program's steps as this walk runs them, and the conformations of
+    each cluster they read, solved once for this walk in step order, or the
+    error solving it raised.  A step that reads a cluster without
+    conformations reads nothing in this walk, and its kernel raises that
+    error."""
+    steps, solved = list(program.steps), {}
+    for k, read in program.clusters:
+        for cluster, sub in read:
+            if cluster not in solved:
+                try:
+                    solved[cluster] = _local_solutions(sub, g, values)
+                except GcsError as exc:
+                    solved[cluster] = _fresh(exc)
+            if isinstance(solved[cluster], GcsError):
+                steps[k] = steps[k]._replace(reads=frozenset())
+                break
+    return steps, solved
+
+
+def _owned_worst(owns: list[tuple[str, int, int, int]], placed: list,
+                 values: Sequence[float]) -> float:
+    """:func:`_worst` of the residuals of the constraints ``owns`` lists."""
+    worst = 0.0
+    for kind, a, b, ci in owns:
+        r = abs(_residual(kind, placed[a], placed[b], values[ci]))
+        if not r <= worst:
+            if not r < math.inf:
+                return math.nan
+            worst = r
+    return worst
+
+
+def _local_solutions(
+    program: _Program, g: ConstraintGraph, values: Sequence[float]
+) -> list[dict[str, Placement]]:
     """Congruence-distinct local solutions of a cluster, for recombination.
 
-    Every branch assignment satisfying the cluster's own constraints is
-    collected, then deduplicated up to isometry by :func:`_congruence_signature`
-    (alignment later supplies the motion and the reflection anyway).
-    Non-degenerate conformations come first, and each maps entities in sorted order.
+    Every branch assignment of the cluster's program satisfying the cluster's
+    own constraints is collected, then deduplicated up to isometry by
+    :func:`_congruence_signature` (alignment later supplies the motion and
+    the reflection anyway).  Non-degenerate conformations come first, and
+    each maps entities in sorted order.
     """
     valid = [
-        s for s in islice(_walk(plan, g, None, None), 64)
+        s for s in islice(_run(program, g, values, None, None), 64)
         if _worst(_constraint_residual(g.constraints[i], s.placements)
-                  for i in plan.owned_constraints) <= DEFAULT_TOL
+                  for i in program.plan.owned_constraints) <= DEFAULT_TOL
     ]
     if not valid:
         raise VerificationError("no branch satisfies the cluster constraints")
@@ -764,15 +880,18 @@ def _is_generic(placements: Mapping[str, Placement]) -> bool:
 
 def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> float:
     a = _placed(placements, c.between[0])
-    b = _placed(placements, c.between[1])
-    kind = c.kind._value_
+    return _residual(c.kind._value_, a, _placed(placements, c.between[1]), c.value)
+
+
+def _residual(kind: str, a: Placement, b: Placement, value: float | None) -> float:
+    """Measured minus specified, for a constraint of ``kind`` on ``a``, ``b``."""
     if kind == "distance":
-        return a.distance_to(b) - c.value
+        return math.hypot(a.x - b.x, a.y - b.y) - value
     if kind == "angle":
-        return unsigned_line_angle(a, b) - fold_angle(c.value)
+        return unsigned_line_angle(a, b) - fold_angle(value)
     if kind == "point_line_distance":
         p, l = (a, b) if isinstance(a, Point2) else (b, a)
-        return l.distance_to_point(p) - c.value
+        return l.distance_to_point(p) - value
     if kind == "incidence":
         p, locus = (a, b) if isinstance(a, Point2) else (b, a)
         if isinstance(locus, LineRep):
@@ -786,23 +905,6 @@ def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> 
     external = d - (a.r + b.r)
     internal = d - abs(a.r - b.r)
     return external if abs(external) <= abs(internal) else internal
-
-
-def _bind_residual(c: Constraint) -> Callable[[Mapping[str, Placement]], float]:
-    """:func:`_constraint_residual` of ``c`` as a function of the
-    placements; a distance's endpoints and value are resolved once."""
-    if c.kind._value_ != "distance":
-        return partial(_constraint_residual, c)
-    (a, b), value = c.between, c.value
-
-    def distance_residual(placements: Mapping[str, Placement]) -> float:
-        try:
-            pa, pb = placements[a], placements[b]
-        except KeyError as exc:  # the first of a, b without a placement
-            raise _missing(exc.args[0]) from None
-        return math.hypot(pa.x - pb.x, pa.y - pb.y) - value
-
-    return distance_residual
 
 
 def _worst(residuals: Iterable[float]) -> float:

@@ -1,7 +1,8 @@
 """Shared helpers: independent recounts, the dict-based reference pebble game,
 embedding sampling, congruence checks, the exhaustive reference decomposition
-and the chronological reference walker with its unbound step resolution and
-pairwise conformation identity."""
+and the chronological reference walker with its unbound step resolution,
+mapping-based recombination and residuals, and pairwise conformation
+identity."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import importlib
 import math
 import random
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -47,22 +48,26 @@ from gcs2d import (
 )
 from gcs2d.decompose import AlignCluster, PlaceByTwoLoci, Plan, TriangleMerge
 from gcs2d.errors import (
+    CoincidentError,
     CoincidentPointsError,
     EmptyIntersectionError,
+    LengthMismatchError,
     MissingPlacementError,
     UnderDeterminedError,
     UnsupportedStepError,
 )
-from gcs2d.geometry import CircleRep, line_through_point_angle
+from gcs2d.geometry import (
+    CircleRep,
+    fold_angle,
+    intersect_circle_circle,
+    line_through_point_angle,
+)
 from gcs2d.graph import angle as angle_constraint
 from gcs2d.solve import (
     DEFAULT_TOL,
-    _align_options,
-    _constraint_residual,
+    ResidualReport,
     _intersect_loci,
     _order_points,
-    _report,
-    _triangle_options,
     _worst,
     base_placements,
 )
@@ -393,11 +398,14 @@ def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
 def count_structural_work(monkeypatch) -> Counter:
     """Count from now on the structural computations the library runs, not
     the calls that find a kept result: pebble games (``games``),
-    decomposition fixpoints (``fixpoints``) and plan builds (``plans``)."""
+    decomposition fixpoints (``fixpoints``), plan builds (``plans``) and
+    program compiles (``programs``, one per plan and per cluster plan that
+    a recombination step reads)."""
     counts: Counter = Counter()
     for module, name, label in (("rigidity", "_pebble_diagnosis", "games"),
                                 ("decompose", "_fixpoint", "fixpoints"),
-                                ("decompose", "_build_plan", "plans")):
+                                ("decompose", "_build_plan", "plans"),
+                                ("solve", "_compile", "programs")):
         # The package exports a function named decompose, so the module is
         # looked up by its full name.
         module = importlib.import_module(f"gcs2d.{module}")
@@ -428,6 +436,161 @@ def _other_endpoint(c: Constraint, target: str) -> str:
     if target == b:
         return a
     raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
+
+
+# The mapping-based recombination options and residuals the compiled
+# program's kernels replace, kept so that the reference walker resolves every
+# step as the walker did before plans were compiled.
+
+
+def _triangle_options(
+    points: tuple[str, str, str], first: list[dict[str, Placement]],
+    second: list[dict[str, Placement]], placements: Mapping[str, Placement],
+) -> tuple[list[dict[str, Placement]], bool]:
+    """Place the one unplaced shared point from two virtual-distance circles.
+
+    The first and second clusters may admit several internal conformations
+    with different virtual distances, so the options run over every
+    candidate distance pair and every intersection root; infeasible
+    combinations are simply absent."""
+    p0, p1, p2 = points
+    missing = [p for p in points if p not in placements]
+    if not missing:
+        return [{}], False
+    if missing != [p2]:
+        raise UnsupportedStepError(
+            "triangle merge expects exactly the third shared point unplaced"
+        )
+    anchor1 = _as_point(placements, p0)
+    anchor2 = _as_point(placements, p1)
+    options: list[dict[str, Placement]] = []
+    tangent = False
+    failure: GcsError | None = None
+    for d12 in _pair_distances(second, p1, p2):  # |p1 p2| candidates
+        for d20 in _pair_distances(first, p2, p0):  # |p2 p0| candidates
+            if d12 <= 1e-9 or d20 <= 1e-9:
+                continue
+            try:
+                hit = intersect_circle_circle(
+                    CircleRep(anchor1, d20), CircleRep(anchor2, d12)
+                )
+            except EmptyIntersectionError as exc:
+                failure = failure or exc
+                continue
+            except CoincidentError:
+                failure = failure or UnderDeterminedError(
+                    p2, "coincident virtual-distance circles leave the target free"
+                )
+                continue
+            tangent = tangent or hit.tangent
+            for p in _order_points(list(hit.points)):
+                if not any(p.close_to(existing[p2]) for existing in options):
+                    options.append({p2: p})
+    try:
+        if not options:
+            raise failure or EmptyIntersectionError(
+                f"no virtual-distance circles intersect to place {p2!r}"
+            )
+        return options, tangent
+    finally:
+        failure = None  # a caught failure's traceback holds this frame
+
+
+def _pair_distances(
+    conformers: list[dict[str, Placement]], a: str, b: str
+) -> tuple[float, ...]:
+    """Distinct |ab| values across conformations, in conformer order."""
+    values: list[float] = []
+    for conformer in conformers:
+        d = _as_point(conformer, a).distance_to(_as_point(conformer, b))
+        if not any(abs(d - seen) <= 1e-9 for seen in values):
+            values.append(d)
+    return tuple(values)
+
+
+def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
+    placement = _placed(placements, entity_id)
+    if not isinstance(placement, Point2):
+        raise UnsupportedStepError(f"entity {entity_id!r} is not placed as a point")
+    return placement
+
+
+def _align_options(
+    step: AlignCluster, conformations: list[dict[str, Placement]],
+    placements: Mapping[str, Placement],
+) -> tuple[list[dict[str, Placement]], bool]:
+    """Glue a locally solved cluster onto its placed shared pair.
+
+    Runs over the cluster's conformations and, per conformation, the motions
+    mapping the local pair onto the placed pair; conformations whose pair
+    geometry cannot match are skipped.  When none is left, the first to fail
+    names the verdict: a pair of another size is an empty intersection, a
+    coincident pair leaves the cluster under-determined."""
+    dst = (
+        _placed(placements, step.shared[0]),
+        _placed(placements, step.shared[1]),
+    )
+    outcomes: list[dict[str, Placement]] = []
+    failure: GcsError | None = None
+    for local in conformations:
+        unplaced = [e for e in local if e not in placements]
+        if not unplaced:
+            return [{}], False
+        try:
+            motions = alignment_motions((local[step.shared[0]], local[step.shared[1]]), dst)
+        except LengthMismatchError as exc:
+            failure = failure or EmptyIntersectionError(
+                f"no conformation of cluster {step.cluster} fits the placed pair: {exc}"
+            )
+            continue
+        except CoincidentPointsError:
+            failure = failure or UnderDeterminedError(
+                unplaced[0], "a coincident shared pair leaves the cluster free to turn"
+            )
+            continue
+        for motion in motions:
+            outcomes.append({e: motion.apply(local[e]) for e in unplaced})
+    try:
+        if not outcomes:
+            raise failure or EmptyIntersectionError(
+                f"no conformation of cluster {step.cluster} fits the placed pair"
+            )
+        return outcomes, False
+    finally:
+        failure = None  # a raised failure's traceback holds this frame
+
+
+def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> float:
+    a = _placed(placements, c.between[0])
+    b = _placed(placements, c.between[1])
+    kind = c.kind._value_
+    if kind == "distance":
+        return a.distance_to(b) - c.value
+    if kind == "angle":
+        return unsigned_line_angle(a, b) - fold_angle(c.value)
+    if kind == "point_line_distance":
+        p, l = (a, b) if isinstance(a, Point2) else (b, a)
+        return l.distance_to_point(p) - c.value
+    if kind == "incidence":
+        p, locus = (a, b) if isinstance(a, Point2) else (b, a)
+        if isinstance(locus, LineRep):
+            return locus.signed_offset(p)
+        return locus.center.distance_to(p) - locus.r
+    # Tangency: signed distance to the nearest tangency configuration.
+    if isinstance(a, LineRep) or isinstance(b, LineRep):
+        l, k = (a, b) if isinstance(a, LineRep) else (b, a)
+        return l.distance_to_point(k.center) - k.r
+    d = a.center.distance_to(b.center)
+    external = d - (a.r + b.r)
+    internal = d - abs(a.r - b.r)
+    return external if abs(external) <= abs(internal) else internal
+
+
+def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
+    """:func:`verify` without the kind check."""
+    residuals = tuple(_constraint_residual(c, placements) for c in g.constraints)
+    max_abs = _worst(residuals)
+    return ResidualReport(residuals, max_abs, tol, max_abs <= tol)
 
 
 def _point_loci(c: Constraint, target: str, placements: dict[str, Placement]) -> list[Placement]:
@@ -608,7 +771,7 @@ def reference_walk(
     which solves the clusters a recombination step reads each time through
     :func:`reference_local_solutions`.
 
-    Exhaustive reference for the walker and its bound step kernels: every
+    Exhaustive reference for the walker and its compiled step kernels: every
     dead end takes back the previous step's root, so every subtree is
     visited, and the leaf check is :func:`gcs2d.solve.verify`'s.  Same
     arguments, solutions (yielded one at a time) and errors.

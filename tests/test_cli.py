@@ -13,7 +13,16 @@ import pytest
 import gcs2d.cli
 import gcs2d.errors
 import gcs2d.graph
-from gcs2d import decompose, execute, extract_plan, fixture, serialize, solution_to_dict
+from gcs2d import (
+    decompose,
+    execute,
+    extract_plan,
+    fixture,
+    serialize,
+    solution_from_dict,
+    solution_to_dict,
+    verify,
+)
 from gcs2d.cli import main
 from gcs2d.graph import (
     Constraint,
@@ -629,6 +638,9 @@ class TestStructureReuse:
         variants = dict(structure_variants())
         runs = [["spindle", "revalued", "x1e-10", "x1e10"], ["swapped"], ["spindle again"],
                 ["quad-angle-aux"], ["kind changed"], ["quad-angle-aux"]]
+        # A spindle's program comes with those of the two clusters its
+        # recombination steps read; the quadrilateral's reads none.
+        programs = [3, 6, 9, 10, 11, 12]
         counts = count_structural_work(monkeypatch)
         for i, run in enumerate(runs, start=1):
             for name in run:
@@ -637,7 +649,26 @@ class TestStructureReuse:
                 for argv in (["analyze"], ["classify"], ["solve", "--all", "--emit-plan"],
                              ["solve"], ["solve", "--branch", "1"]):
                     self.call(capsys, [argv[0], str(path), *argv[1:]])
-            assert counts == {"games": i, "fixpoints": i, "plans": i}, run
+            assert counts == {"games": i, "fixpoints": i, "plans": i,
+                              "programs": programs[i - 1]}, run
+
+    def test_one_program_serves_every_solve_of_a_structure(self, capsys, monkeypatch, tmp_path):
+        spindle = fixture("moser-spindle")
+        revalued = measured_graph(spindle, sample_embedding(spindle, random.Random(5)))
+        counts = count_structural_work(monkeypatch)
+        for name, g in (("spindle", spindle), ("revalued", revalued)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize(g), encoding="utf-8")
+            code, out, _ = self.call(capsys, ["solve", str(path), "--all"])
+            found = json.loads(out)["solutions"]
+            assert code == 0 and len(found) == {"spindle": 8, "revalued": 16}[name]
+            for doc in found:
+                code, out, _ = self.call(
+                    capsys, ["solve", str(path), "--branch", ",".join(map(str, doc["branches"]))])
+                assert code == 0 and json.loads(out)["solutions"] == [doc]
+                assert verify(g, solution_from_dict(doc)).passed
+        # The spindle's program, with those of the two clusters it reads.
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 1, "programs": 3}
 
     def test_analyze_then_solve_plays_one_game(self, capsys, monkeypatch, tmp_path):
         # The plan extraction's own well-constrainedness check finds the
@@ -647,7 +678,7 @@ class TestStructureReuse:
         path.write_text(serialize(fixture("moser-spindle")), encoding="utf-8")
         assert self.call(capsys, ["analyze", str(path)])[0] == 0
         assert self.call(capsys, ["solve", str(path), "--all"])[0] == 0
-        assert counts == {"games": 1, "fixpoints": 1, "plans": 1}
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 1, "programs": 3}
 
     def test_errors_are_not_kept(self, capsys, monkeypatch, tmp_path):
         counts = count_structural_work(monkeypatch)

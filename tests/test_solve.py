@@ -10,8 +10,10 @@ import pytest
 from gcs2d import (
     AlignCluster,
     BadBranchError,
+    BadValueError,
     CircleRep,
     Constraint,
+    ConstraintGraph,
     ConstraintKind,
     EmptyIntersectionError,
     Entity,
@@ -24,6 +26,7 @@ from gcs2d import (
     TriangleMerge,
     UnderDeterminedError,
     UnsupportedStepError,
+    VerificationError,
     angle,
     build_graph,
     decompose,
@@ -71,21 +74,21 @@ def plan_for(g):
 
 
 def count_evaluations(monkeypatch) -> Counter:
-    """Count the runs of every step kernel the walker binds from now on, by
-    the id of the plan step, so that every step evaluation is seen."""
+    """Count the runs of every step kernel compiled from now on, by the id
+    of the plan step, so that every step evaluation is seen."""
     evaluations: Counter = Counter()
-    bind = solve_module._bind
+    compile_step = solve_module._compile_step
 
-    def counted_bind(step, *args):
-        kernel, *rest = bind(step, *args)
+    def counted_compile_step(step, *args):
+        kernel, *rest = compile_step(step, *args)
 
-        def counted(placements):
+        def counted(*walked):
             evaluations[id(step)] += 1
-            return kernel(placements)
+            return kernel(*walked)
 
         return (counted, *rest)
 
-    monkeypatch.setattr(solve_module, "_bind", counted_bind)
+    monkeypatch.setattr(solve_module, "_compile_step", counted_compile_step)
     return evaluations
 
 
@@ -373,6 +376,12 @@ class TestVerify:
         report = verify(g, Solution(placements, ()), tol=math.inf)
         assert math.isnan(report.max_abs)
         assert not report.passed
+        # A walker frame's measure of the constraints its step owns keeps the
+        # NaN too: here C's residual comes before the finite one of AB.
+        owns = [("distance", 0, 2, 1), ("distance", 0, 1, 0)]
+        placed = [placements["A"], placements["B"], placements["C"]]
+        values = [c.value for c in g.constraints]
+        assert math.isnan(solve_module._owned_worst(owns, placed, values))
 
 
 class TestRandomRigidGraphs:
@@ -481,14 +490,14 @@ class TestPlanReuse:
 
 
 class TestWalkerEquivalence:
-    """Backjumping and bound step kernels change which subtrees the walker
+    """Backjumping and compiled step kernels change which subtrees the walker
     visits and how a step is evaluated, never what it returns: selectors,
     placements, degenerate steps and errors equal those of the chronological
     reference walker, which resolves every step afresh, for enumeration and
     for replays."""
 
     @staticmethod
-    def outcomes(plan, g):
+    def outcomes(plan, g, tol):
         def run(call):
             try:
                 found = call()
@@ -498,25 +507,25 @@ class TestWalkerEquivalence:
                 return found.branches, repr(found.placements), found.degenerate_steps
             return [(sel, repr(sol.placements), sol.degenerate_steps) for sel, sol in found]
 
-        out = [run(lambda: enumerate_solutions(plan, g, limit=limit)) for limit in (1, 16, 64)]
+        out = [run(lambda: enumerate_solutions(plan, g, limit, tol)) for limit in (1, 16, 64)]
         found = [sel for sel, _, _ in out[-1]] if isinstance(out[-1], list) else []
         too_long = (found[0] if found else ()) + (0,) * (len(plan.steps) + 1)
         for selector in [(), *found, (7,), too_long]:
             out.append(run(lambda: execute(plan, g, selector)))
         return out
 
-    def assert_same(self, monkeypatch, g, plan=None):
-        """Compare on ``plan``, by default the graph's own; returns the
-        outcomes, or None for a graph without a plan."""
+    def assert_same(self, monkeypatch, g, plan=None, tol=solve_module.DEFAULT_TOL):
+        """Compare on ``plan``, by default the graph's own, enumerating at
+        ``tol``; returns the outcomes, or None for a graph without a plan."""
         if plan is None:
             try:
                 plan = plan_for(g)
             except GcsError:
                 return None
-        walked = self.outcomes(plan, g)
+        walked = self.outcomes(plan, g, tol)
         with monkeypatch.context() as patch:
             patch.setattr(solve_module, "_walk", reference_walk)
-            assert walked == self.outcomes(plan, g)
+            assert walked == self.outcomes(plan, g, tol)
         return walked
 
     @pytest.mark.parametrize("name", fixture_names())
@@ -532,6 +541,25 @@ class TestWalkerEquivalence:
                 g = measured_graph(g, grid_embedding(g, rng))
                 planned += self.assert_same(monkeypatch, g) is not None
         assert planned >= 50
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-15])
+    def test_residual_failures(self, monkeypatch, tol):
+        # At these tolerances float error fails some or every leaf, so the
+        # reported worst residual and the first failure are compared too.
+        rng = random.Random(1)
+        graphs = [fixture(name) for name in fixture_names()]
+        for n in range(4, 14):
+            for _ in range(8):
+                g = random_laman(n, rng.randrange(10**6), 0.5)
+                graphs.append(measured_graph(g, grid_embedding(g, rng)))
+        fail_all = fail_some = 0
+        for g in graphs:
+            walked = self.assert_same(monkeypatch, g, tol=tol)
+            if walked is not None:
+                found, passed = walked[2], self.outcomes(plan_for(g), g, 1e-9)[2]
+                fail_all += isinstance(found, tuple) and found[0] is VerificationError
+                fail_some += isinstance(found, list) and len(found) < len(passed)
+        assert fail_all >= 3 and fail_some >= 3
 
     @pytest.mark.parametrize("n", range(16, 21))
     def test_measured_henneberg_one_graphs(self, monkeypatch, n):
@@ -554,6 +582,40 @@ class TestWalkerEquivalence:
         )
         walked = self.assert_same(monkeypatch, g, Plan(0, 0, (PlaceByTwoLoci("C", (1, 2)),)))
         assert walked[0] == (UnderDeterminedError, "coincident loci leave the target free")
+
+    def test_a_second_constraint_on_the_base_pair(self, monkeypatch):
+        # The base places A and B, so it owns the second AB distance, which
+        # the base placement misses by 0.5 at every leaf.
+        g = build_graph(
+            [point("A"), point("B"), point("C")],
+            [distance("A", "B", 1.0), distance("A", "B", 1.5), distance("A", "C", 1.0),
+             distance("B", "C", 1.0)],
+        )
+        walked = self.assert_same(monkeypatch, g, Plan(0, 0, (PlaceByTwoLoci("C", (2, 3)),)))
+        assert walked[0] == (VerificationError, "residual 0.5 exceeds 1e-09")
+
+    def test_an_entity_no_step_places(self, monkeypatch):
+        # D has constraints but no step: a replay leaves it out, while the
+        # check at a leaf measures a constraint on it and fails.
+        walked = self.assert_same(monkeypatch, cannot_close(),
+                                  Plan(0, 0, (PlaceByTwoLoci("C", (1, 2)),)))
+        assert walked[0] == (MissingPlacementError, "entity 'D' has no placement yet")
+        assert walked[3][0] == (0,)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_a_distance_no_circle_has(self, monkeypatch, value):
+        # Only a graph built past build_graph's checks holds such a value.
+        # The two-distance kernel raises what the general one raises, after
+        # checking the anchor before it: C is missing when D is placed.
+        g = cannot_close()
+        for bad, step, error in [(1, PlaceByTwoLoci("C", (1, 2)), BadValueError),
+                                 (2, PlaceByTwoLoci("C", (1, 2)), BadValueError),
+                                 (3, PlaceByTwoLoci("D", (3, 4)), MissingPlacementError)]:
+            constraints = list(g.constraints)
+            constraints[bad] = constraints[bad]._replace(value=value)
+            unchecked = ConstraintGraph(g.entities, tuple(constraints))
+            walked = self.assert_same(monkeypatch, unchecked, Plan(0, 0, (step,)))
+            assert walked[0][0] is error
 
     @pytest.mark.parametrize("offset", [0.0, 1.0])
     def test_point_line_steps(self, monkeypatch, offset):
@@ -822,21 +884,20 @@ class TestConformationIdentity:
 
 
 class TestRecombinationReads:
-    """Binding a recombination step solves only the clusters it reads off,
-    each once per walk, so nested walks go only as deep as those clusters
-    nest."""
+    """A walk solves only the clusters its recombination steps read off,
+    each once, so nested walks go only as deep as those clusters nest."""
 
     @staticmethod
     def count_local_solves(monkeypatch):
         calls, depth = [], [0, 0]  # plans solved; current and deepest nesting
         local_solutions = solve_module._local_solutions
 
-        def counted(plan, *args):
-            calls.append(plan)
+        def counted(program, *args):
+            calls.append(program.plan)
             depth[0] += 1
             depth[1] = max(depth)
             try:
-                return local_solutions(plan, *args)
+                return local_solutions(program, *args)
             finally:
                 depth[0] -= 1
 
