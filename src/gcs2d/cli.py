@@ -7,10 +7,10 @@ error whose class names a ``reason`` prints ``{"error": {"reason",
 "message"[, "entity"]}}`` and exits 2; any other error writes one line to
 stderr, leaves stdout empty and exits 1.  Every command writes parseable
 output (JSON, DOT or SVG) to stdout; diagnostics go to stderr.  All path
-arguments accept ``-`` for stdin.  The environment variable GCS_TOL
-overrides the default residual tolerance of 1e-9.  A reader that closes
-stdout early (``gcs2d generate --n 3000 | head``) ends the run with one
-stderr line and exit 1.
+arguments accept ``-`` for stdin, one of them per call.  The environment
+variable GCS_TOL overrides the default residual tolerance of 1e-9.  A reader
+that closes stdout early (``gcs2d generate --n 3000 | head``) ends the run
+with one stderr line and exit 1.
 
 :func:`main` returns the exit code and may be called any number of times in
 one process; it builds its parser on the first call and reuses it after.
@@ -159,6 +159,8 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    if args.format == "svg" and args.path == args.solution == "-":
+        raise _Failure("the graph and --solution cannot both be read from stdin (-)")
     g = parse(_read_text(args.path))
     if args.format == "dot":
         _write(to_dot(g))

@@ -12,28 +12,31 @@ takes the first on a selector's path, :func:`enumerate_solutions` up to
 ``limit``.  It walks a program, compiled once per plan and kept next to it
 with the graph's structure, so every valuation of the structure reuses it.
 Compiling numbers the entities in the order the plan places them and turns
-each step into one record: a kernel over the placements (a list by entity
-index) and the walk's constraint values, which returns the step's roots as
-tuples aligned with the entities it places; the steps that place what it
-reads; and the constraints it owns, those whose last endpoint it places.
-Only compiling looks at a step's type, and it reads no value.  A point at two
-distances, the common step, gets its roots straight from the anchors'
-coordinates (:func:`circle_circle_roots`).  A recombination step's cluster
-plans compile into sub-programs, which a walk solves once each.  A frame
+each step into one record: a kernel from the placements (a list by entity
+index) and the walk's constraint values to the step's roots, as tuples
+aligned with the entities it places; the steps that place what it reads;
+and the constraints it owns, those whose last endpoint it places.
+Compiling settles each step's structure and reads no value: each anchor's
+slot, that the base or an earlier step places it as the shape its
+constraint needs, and the case a line is placed by; a kernel checks values
+only.  A point at two distances, the common step, gets its roots straight
+from the anchors' coordinates (:func:`circle_circle_roots`).  A
+recombination step's cluster plans compile into sub-programs; a walk solves
+each once and binds its conformations into the kernels that read it.  A frame
 keeps the worst residual of its step's owned constraints under the root it
 holds, so a leaf's check measures no constraint again.
 
 When a step has no roots, the walker jumps back to the latest step that
 placed one of the entities it reads (conflict-directed backjumping), since no
 choice made in between can give the step roots; the step it lands on keeps
-that blame and, once out of roots itself, jumps on by it.  A step whose
-compiling fails, or that reads a cluster without conformations, reads nothing
-and raises that error whenever it runs, so the walk ends where it first
-reaches it.  Once a solution or a residual failure is reached, the steps on
-its path take back roots one at a time again, so the solutions, their order
-and the reported failure are those of plain chronological backtracking,
-which the reference walker in ``tests/support.py`` still does, resolving
-every step afresh at each evaluation.
+that blame and, once out of roots itself, jumps on by it.  A step with a
+structural fault, or that reads a cluster without conformations, reads
+nothing and raises that error whenever it runs, so the walk ends where it
+first reaches it.  Once a solution or a residual failure is reached, the
+steps on its path take back roots one at a time again, so the solutions,
+their order and the reported failure are those of plain chronological
+backtracking, which the reference walker in ``tests/support.py`` still does,
+resolving every step afresh at each evaluation.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from .geometry import (
     lines_close,
     unsigned_line_angle,
 )
-from .graph import Constraint, ConstraintGraph, EntityKind
+from .graph import _SHAPE, Constraint, ConstraintGraph, EntityKind
 
 DEFAULT_TOL = 1e-9
 
@@ -149,13 +152,13 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
 
 # ---------------------------------------------------------------- step kernels
 
-# A step kernel: from the placements by entity index (None where nothing is
-# placed), the constraint values and the clusters solved for this walk (id ->
-# conformations, or the error solving it raised), its roots (each a tuple
-# aligned with the entities the step places) and whether it met a tangent
-# (double) root.
-Kernel = Callable[[list, Sequence[float], Mapping[int, object]],
-                  tuple[list[tuple[Placement, ...]], bool]]
+# A step kernel: from the placements by entity index and the constraint
+# values, its roots (each a tuple aligned with the entities the step places)
+# and whether it met a tangent (double) root.  Compiling has settled what it
+# reads, so a kernel checks values only: each anchor it reads is placed, as
+# the shape its constraint needs.  A recombination kernel takes the
+# conformations of the clusters it reads first; each walk binds them.
+Kernel = Callable[[list, Sequence[float]], tuple[list[tuple[Placement, ...]], bool]]
 
 
 def _placed(placements: Mapping[str, Placement], entity_id: str) -> Placement:
@@ -281,10 +284,11 @@ def _compile_step(
 ) -> tuple[Kernel, Sequence[str], Sequence[str], tuple[tuple[int, _Program], ...]]:
     """A plan step's kernel, the entities its roots depend on, those it
     places and the clusters it reads with their programs, given the indices
-    of the entities placed before it.  A kernel reads an entity no earlier
-    step places from index -1, the placement list's last slot, which stays
-    empty.  A step whose compiling raises raises that error whenever it
-    runs, and reads and places nothing."""
+    of the entities placed before it.  A structural fault, such as an anchor
+    not placed before it as the shape (``graph._SHAPE``) its constraint
+    needs, makes a step that raises it whenever it runs and reads and places
+    nothing; only a cluster it reads without conformations fails it first."""
+    read: tuple[tuple[int, _Program], ...] = ()
     try:
         if isinstance(step, PlaceByTwoLoci):
             reads = [e for ci in step.constraints for e in g.constraints[ci].between
@@ -296,13 +300,13 @@ def _compile_step(
             return make(step.target, step.constraints, g, index), reads, (step.target,), ()
         if isinstance(step, TriangleMerge):
             read = _sub_programs(zip(step.clusters[1:], step.plans, strict=True), g, subs)
-            return (*_triangle_kernel(step.points, read, index), read)
+            return (*_triangle_kernel(step.points, read, g, index), read)
         if isinstance(step, AlignCluster):
             read = _sub_programs([(step.cluster, step.plan)], g, subs)
             return (*_align_kernel(step, read, index), read)
         raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
     except GcsError as exc:
-        return _raising(exc), (), (), ()
+        return _raising(exc), (), (), read
 
 
 def _sub_programs(clusters: Iterable[tuple[int, Plan]], g: ConstraintGraph,
@@ -312,21 +316,50 @@ def _sub_programs(clusters: Iterable[tuple[int, Plan]], g: ConstraintGraph,
                  for c, plan in clusters)
 
 
+def _endpoint(g: ConstraintGraph, ci: int, target: str,
+              index: Mapping[str, int]) -> tuple[str, int, str]:
+    """The kind of constraint ``ci``, and the index and shape of its
+    endpoint other than ``target``, which must be placed before the step."""
+    c = g.constraints[ci]
+    anchor = _other_endpoint(c, target)
+    if anchor not in index:
+        raise _missing(anchor)
+    return c.kind._value_, index[anchor], _SHAPE[g.kind_of(anchor)._value_]
+
+
+def _nothing_left(*args: object) -> tuple[list[tuple[()]], bool]:
+    """The kernel of a recombination step whose entities are all placed."""
+    return [()], False
+
+
 def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
                   index: Mapping[str, int]) -> Kernel:
-    ca, cb = constraints
-    first, second = g.constraints[ca], g.constraints[cb]
-    if (first.kind._value_ == second.kind._value_ == "distance" and target in first.between
-            and target in second.between):
-        return _two_distances(target, _other_endpoint(first, target), ca,
-                              _other_endpoint(second, target), cb, index)
-    loci_a, loci_b = _point_loci(first, ca, target, index), _point_loci(second, cb, target, index)
+    """A point on two loci, each a circle about a point (distance), the line
+    or circle it lies on (incidence) or the lines at an offset from a line
+    (point_line_distance)."""
+    loci = []  # per constraint: its kind, its anchor's index and its own
+    for ci in constraints:
+        kind, i, shape = _endpoint(g, ci, target, index)
+        if kind == "distance":
+            if shape != "point":
+                raise UnsupportedStepError("distance locus needs a placed point anchor")
+        elif kind == "incidence":
+            if shape == "point":
+                raise UnsupportedStepError("incidence locus needs a placed line or circle")
+        elif kind != "point_line_distance":
+            raise UnsupportedStepError(f"no point locus for a {kind} constraint")
+        elif shape != "line":
+            raise UnsupportedStepError("offset locus needs a placed line anchor")
+        loci.append((kind, i, ci))
+    (ka, ia, ca), (kb, ib, cb) = loci
+    if ka == kb == "distance":
+        return _two_distances(target, ia, ca, ib, cb)
 
-    def place(placed: list, values: Sequence[float], solved: Mapping[int, object]):
-        group_a, group_b = loci_a(placed, values), loci_b(placed, values)
+    def place(placed: list, values: Sequence[float]):
+        group_a = _point_loci(ka, placed[ia], values[ca])
+        group_b = _point_loci(kb, placed[ib], values[cb])
         points: list[Point2] = []
-        tangent = False
-        coincident = False
+        tangent = coincident = False
         for la in group_a:
             for lb in group_b:
                 pts, tan, coin = _intersect_loci(la, lb)
@@ -344,24 +377,16 @@ def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
     return place
 
 
-def _two_distances(target: str, a: str, ca: int, b: str, cb: int,
-                   index: Mapping[str, int]) -> Kernel:
-    """A point at the distances of constraints ``ca`` from ``a`` and ``cb``
-    from ``b``: the circle-circle case of :func:`_point_kernel`, computed
-    from coordinates.  A distance no circle can have raises BadValueError
-    from CircleRep where that case would, once its anchor is checked."""
-    ia, ib = index.get(a, -1), index.get(b, -1)
+def _two_distances(target: str, ia: int, ca: int, ib: int, cb: int) -> Kernel:
+    """A point at the distances of constraints ``ca`` from the point at index
+    ``ia`` and ``cb`` from the one at ``ib``: the circle-circle case of
+    :func:`_point_kernel`, computed from coordinates.  A distance no circle
+    can have raises BadValueError from CircleRep where that case would."""
 
-    def place(placed: list, values: Sequence[float], solved: Mapping[int, object]):
+    def place(placed: list, values: Sequence[float]):
         p, ra, q, rb = placed[ia], values[ca], placed[ib], values[cb]
-        if not isinstance(p, Point2):
-            raise _missing(a) if p is None else _no_point_anchor()
-        if not 0 < ra < math.inf:
-            CircleRep(p, ra)
-        if not isinstance(q, Point2):
-            raise _missing(b) if q is None else _no_point_anchor()
-        if not 0 < rb < math.inf:
-            CircleRep(q, rb)
+        if not (0 < ra < math.inf and 0 < rb < math.inf):
+            CircleRep(p, ra), CircleRep(q, rb)
         try:
             roots, tangent = circle_circle_roots(p.x, p.y, ra, q.x, q.y, rb)
         except EmptyIntersectionError:
@@ -382,138 +407,97 @@ def _two_distances(target: str, a: str, ca: int, b: str, cb: int,
     return place
 
 
-def _no_point_anchor() -> UnsupportedStepError:
-    return UnsupportedStepError("distance locus needs a placed point anchor")
-
-
-def _anchor(c: Constraint, target: str, index: Mapping[str, int]) -> Callable[[list], Placement]:
-    """The placement of the endpoint of ``c`` other than ``target``."""
-    try:
-        anchor_id = _other_endpoint(c, target)
-    except UnsupportedStepError as exc:
-        return _raising(exc)
-    return partial(_at, i=index.get(anchor_id, -1), entity_id=anchor_id)
-
-
-def _at(placed: list, i: int, entity_id: str) -> Placement:
-    if placed[i] is None:
-        raise _missing(entity_id)
-    return placed[i]
-
-
-def _point_loci(
-    c: Constraint, ci: int, target: str, index: Mapping[str, int]
-) -> Callable[[list, Sequence[float]], list[Placement]]:
-    """The loci constraint ``ci`` (``c``) leaves a point ``target`` on."""
-    anchor_of, kind = _anchor(c, target, index), c.kind._value_
-
-    def loci(placed: list, values: Sequence[float]) -> list[Placement]:
-        anchor, value = anchor_of(placed), values[ci]
-        if kind == "distance":
-            if not isinstance(anchor, Point2):
-                raise _no_point_anchor()
-            return [CircleRep(anchor, value)]
-        if kind == "incidence":
-            if isinstance(anchor, (LineRep, CircleRep)):
-                return [anchor]
-            raise UnsupportedStepError("incidence locus needs a placed line or circle")
-        if kind == "point_line_distance":
-            if not isinstance(anchor, LineRep):
-                raise UnsupportedStepError("offset locus needs a placed line anchor")
-            if value == 0.0:
-                return [anchor]
-            return [LineRep(anchor.theta, anchor.c + value), LineRep(anchor.theta, anchor.c - value)]
-        raise UnsupportedStepError(f"no point locus for a {kind} constraint")
-
-    return loci
+def _point_loci(kind: str, anchor: Placement, value: float) -> list[Placement]:
+    """The loci a constraint of ``kind`` and ``value`` on ``anchor`` leaves
+    a point on."""
+    if kind == "distance":
+        return [CircleRep(anchor, value)]
+    if kind == "incidence" or value == 0.0:
+        return [anchor]
+    return [LineRep(anchor.theta, anchor.c + value), LineRep(anchor.theta, anchor.c - value)]
 
 
 def _intersect_loci(a: Placement, b: Placement) -> tuple[list[Point2], bool, bool]:
-    """Intersect two loci; returns (points, tangent, coincident)."""
+    """Intersect two loci, lines or circles; returns (points, tangent, coincident)."""
     try:
         if isinstance(a, LineRep) and isinstance(b, LineRep):
             return [intersect_line_line(a, b)], False, False
-        if isinstance(a, LineRep) and isinstance(b, CircleRep):
-            hit = intersect_line_circle(a, b)
-            return list(hit.points), hit.tangent, False
-        if isinstance(a, CircleRep) and isinstance(b, LineRep):
-            hit = intersect_line_circle(b, a)
-            return list(hit.points), hit.tangent, False
-        if isinstance(a, CircleRep) and isinstance(b, CircleRep):
+        if isinstance(a, LineRep) or isinstance(b, LineRep):
+            hit = intersect_line_circle(*((a, b) if isinstance(a, LineRep) else (b, a)))
+        else:
             hit = intersect_circle_circle(a, b)
-            return list(hit.points), hit.tangent, False
     except ParallelError:
-        assert isinstance(a, LineRep) and isinstance(b, LineRep)
         return [], False, lines_close(a, b)
     except EmptyIntersectionError:
         return [], False, False
     except CoincidentError:
         return [], False, True
-    raise UnsupportedStepError("loci must be lines or circles")
-
-
-_LINE_ANCHORS = {"incidence": ("point", Point2), "angle": ("angle", LineRep)}  # tag, shape
+    return list(hit.points), hit.tangent, False
 
 
 def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
                  index: Mapping[str, int]) -> Kernel:
-    sources = [(_anchor(g.constraints[ci], target, index), g.constraints[ci].kind._value_, ci)
-               for ci in constraints]
-
-    def place(placed: list, values: Sequence[float], solved: Mapping[int, object]):
-        anchors = []  # what each constraint pins the line to: a point, or a line and an angle
-        for anchor_of, kind, ci in sources:
-            tag, shape = _LINE_ANCHORS.get(kind, ("", ()))
-            anchor = anchor_of(placed)
-            if not isinstance(anchor, shape):
-                raise UnsupportedStepError(f"cannot place line {target!r} from a {kind} constraint")
-            anchors.append((tag, anchor, values[ci]))
-        anchors.sort(key=lambda item: item[0] != "point")
-        tags = tuple(tag for tag, _, _ in anchors)
-        if tags == ("point", "point"):
-            p, q = anchors[0][1], anchors[1][1]
+    """A line through two points, or through a point at an angle to a line
+    (two lines, or one where they agree).  Two angles fix its direction but
+    never its offset."""
+    anchors = []  # per constraint: whether it is an angle, its anchor's index and its own
+    for ci in constraints:
+        kind, i, shape = _endpoint(g, ci, target, index)
+        if (kind, shape) not in (("incidence", "point"), ("angle", "line")):
+            raise UnsupportedStepError(f"cannot place line {target!r} from a {kind} constraint")
+        anchors.append((kind == "angle", i, ci))
+    (angles, ip, _), (angle, iq, ci) = sorted(anchors, key=lambda a: a[0])  # points first
+    if angles:
+        raise UnderDeterminedError(target, "angles fix the direction but not the offset")
+    if not angle:
+        def through_points(placed: list, values: Sequence[float]):
             try:
-                result = line_through_points(p, q)
+                return [(line_through_points(placed[ip], placed[iq]),)], False
             except CoincidentPointsError:
                 raise UnderDeterminedError(target, "both incident points coincide") from None
-            return [(result,)], False
-        if tags == ("point", "angle"):
-            p = anchors[0][1]
-            ref, alpha = anchors[1][1], anchors[1][2]
-            first = line_through_point_angle(p, ref, alpha, branch=0)
-            second = line_through_point_angle(p, ref, alpha, branch=1)
-            lines = [first] if lines_close(first, second) else [first, second]
-            lines.sort(key=lambda l: (l.theta, l.c))
-            return [(l,) for l in lines], False
-        # Two angle constraints fix the direction twice but never the offset.
-        raise UnderDeterminedError(target, "angles fix the direction but not the offset")
 
-    return place
+        return through_points
+
+    def at_angle(placed: list, values: Sequence[float]):
+        p, ref, alpha = placed[ip], placed[iq], values[ci]
+        first = line_through_point_angle(p, ref, alpha, branch=0)
+        second = line_through_point_angle(p, ref, alpha, branch=1)
+        lines = [first] if lines_close(first, second) else [first, second]
+        lines.sort(key=lambda l: (l.theta, l.c))
+        return [(l,) for l in lines], False
+
+    return at_angle
 
 
 def _triangle_kernel(
-    points: tuple[str, str, str], read: tuple, index: Mapping[str, int]
+    points: tuple[str, str, str], read: tuple, g: ConstraintGraph, index: Mapping[str, int]
 ) -> tuple[Kernel, Sequence[str], Sequence[str]]:
     """A triangle merge's kernel, reads and places: it places the one
-    unplaced shared point from two virtual-distance circles.
+    unplaced shared point from two virtual-distance circles, whose radii
+    the conformations of the first and second clusters give.
 
-    The first and second clusters may admit several internal conformations
-    with different virtual distances, so the options run over every
-    candidate distance pair and every intersection root; infeasible
-    combinations are simply absent."""
+    Those clusters may admit several internal conformations with different
+    virtual distances, so the options run over every candidate distance
+    pair and every intersection root; infeasible combinations are simply
+    absent."""
     p0, p1, p2 = points
     unplaced = [p for p in points if p not in index]
-    i0, i1 = index.get(p0, -1), index.get(p1, -1)
+    if not unplaced:
+        return _nothing_left, points, ()
+    if unplaced != [p2]:
+        raise UnsupportedStepError(
+            "triangle merge expects exactly the third shared point unplaced")
+    (_, first_sub), (_, second_sub) = read
+    for ids, p in ((index, p0), (index, p1), (second_sub.ids, p1), (second_sub.ids, p2),
+                   (first_sub.ids, p2), (first_sub.ids, p0)):  # anchors, then pairs as measured
+        if p not in ids:
+            raise _missing(p)
+        if _SHAPE[g.kind_of(p)._value_] != "point":
+            raise UnsupportedStepError(f"entity {p!r} is not placed as a point")
+    i0, i1 = index[p0], index[p1]
 
-    def kernel(placed: list, values: Sequence[float], solved: Mapping[int, object]):
-        first, second = _conformations(solved, read)
-        if not unplaced:
-            return [()], False
-        if unplaced != [p2]:
-            raise UnsupportedStepError(
-                "triangle merge expects exactly the third shared point unplaced"
-            )
-        anchor1, anchor2 = _as_point(placed[i0], p0), _as_point(placed[i1], p1)
+    def kernel(first: list, second: list, placed: list, values: Sequence[float]):
+        anchor1, anchor2 = placed[i0], placed[i1]
         options: list[tuple[Point2]] = []
         tangent = False
         failure: GcsError | None = None
@@ -544,7 +528,7 @@ def _triangle_kernel(
         finally:
             failure = None  # a caught failure's traceback holds this frame
 
-    return kernel, points, unplaced if unplaced == [p2] else ()
+    return kernel, points, unplaced
 
 
 def _pair_distances(
@@ -553,18 +537,10 @@ def _pair_distances(
     """Distinct |ab| values across conformations, in conformer order."""
     values: list[float] = []
     for conformer in conformers:
-        d = _as_point(conformer.get(a), a).distance_to(_as_point(conformer.get(b), b))
+        d = conformer[a].distance_to(conformer[b])
         if not any(abs(d - seen) <= 1e-9 for seen in values):
             values.append(d)
     return tuple(values)
-
-
-def _as_point(placement: Placement | None, entity_id: str) -> Point2:
-    if not isinstance(placement, Point2):
-        if placement is None:
-            raise _missing(entity_id)
-        raise UnsupportedStepError(f"entity {entity_id!r} is not placed as a point")
-    return placement
 
 
 def _align_kernel(
@@ -579,14 +555,15 @@ def _align_kernel(
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined."""
     (s0, s1), local = step.shared, sorted(read[0][1].ids)  # a conformation's entities, in order
+    if missing := [s for s in step.shared if s not in index]:
+        raise _missing(missing[0])
     unplaced = [e for e in local if e not in index]
-    i0, i1 = index.get(s0, -1), index.get(s1, -1)
+    if not unplaced:
+        return _nothing_left, step.shared, ()
+    i0, i1 = index[s0], index[s1]
 
-    def kernel(placed: list, values: Sequence[float], solved: Mapping[int, object]):
-        (conformations,) = _conformations(solved, read)
-        dst = (_at(placed, i0, s0), _at(placed, i1, s1))
-        if not unplaced:
-            return [()], False
+    def kernel(conformations: list, placed: list, values: Sequence[float]):
+        dst = (placed[i0], placed[i1])
         outcomes: list[tuple[Placement, ...]] = []
         failure: GcsError | None = None
         for conformation in conformations:
@@ -614,17 +591,6 @@ def _align_kernel(
             failure = None  # a raised failure's traceback holds this frame
 
     return kernel, step.shared, unplaced
-
-
-def _conformations(solved: Mapping[int, object], read: tuple) -> list[list[dict[str, Placement]]]:
-    """This walk's conformations of each cluster ``read`` lists; raises the
-    error solving one raised."""
-    found = []
-    for cluster, _ in read:
-        if isinstance(solved[cluster], GcsError):
-            raise _fresh(solved[cluster])
-        found.append(solved[cluster])
-    return found
 
 
 # ------------------------------------------------------------------- execution
@@ -696,8 +662,8 @@ def _run(
     skipped subtree holds no leaf.
     """
     base = base_placements(g, program.plan.base_constraint)
-    steps, solved = _solve_reads(program, g, values)
-    placed: list[Placement | None] = [None] * (len(program.ids) + 1)  # the last stays empty
+    steps = _solve_reads(program, g, values)
+    placed: list[Placement | None] = [None] * len(program.ids)
     placed[0], placed[1] = base[program.ids[0]], base[program.ids[1]]
     base_worst = _owned_worst(program.owns, placed, values)
     yielded = False
@@ -709,7 +675,7 @@ def _run(
         if i < len(steps):
             kernel, blame, places, owns = steps[i]  # blame: None backtracks chronologically
             try:
-                options, tangent = kernel(placed, values, solved)
+                options, tangent = kernel(placed, values)
                 first, last = 0, len(options) - 1
                 if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0
@@ -772,16 +738,15 @@ def _run(
         failure = None  # its traceback holds this frame: drop it to free the walk's state
 
 
-def _solve_reads(
-    program: _Program, g: ConstraintGraph, values: Sequence[float]
-) -> tuple[list[_Step], dict[int, object]]:
-    """The program's steps as this walk runs them, and the conformations of
-    each cluster they read, solved once for this walk in step order, or the
-    error solving it raised.  A step that reads a cluster without
-    conformations reads nothing in this walk, and its kernel raises that
-    error."""
+def _solve_reads(program: _Program, g: ConstraintGraph, values: Sequence[float]) -> list[_Step]:
+    """The program's steps as this walk runs them: each recombination kernel
+    bound to the conformations of the clusters it reads, solved once for
+    this walk in step order.  A step that reads a cluster without
+    conformations reads nothing in this walk, and raises the error solving
+    it raised."""
     steps, solved = list(program.steps), {}
     for k, read in program.clusters:
+        found = []
         for cluster, sub in read:
             if cluster not in solved:
                 try:
@@ -789,9 +754,12 @@ def _solve_reads(
                 except GcsError as exc:
                     solved[cluster] = _fresh(exc)
             if isinstance(solved[cluster], GcsError):
-                steps[k] = steps[k]._replace(reads=frozenset())
+                steps[k] = steps[k]._replace(kernel=_raising(solved[cluster]), reads=frozenset())
                 break
-    return steps, solved
+            found.append(solved[cluster])
+        else:
+            steps[k] = steps[k]._replace(kernel=partial(steps[k].kernel, *found))
+    return steps
 
 
 def _owned_worst(owns: list[tuple[str, int, int, int]], placed: list,

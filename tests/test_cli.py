@@ -394,6 +394,16 @@ class TestMalformedInput:
         self.assert_input_error(*self.render_svg(capsys, triangle_file, tmp_path,
                                                  json.dumps(doc)))
 
+    def test_graph_and_solution_both_from_stdin(self, capsys, monkeypatch):
+        # stdin holds one document, so a second read would find it empty:
+        # the call is refused before anything is read.
+        text = serialize(triangle_graph(3, 4, 5))
+        code, out, err = run_cli(capsys, "render", "-", "--format", "svg", "--solution", "-",
+                                 stdin=text, monkeypatch=monkeypatch)
+        self.assert_input_error(code, out, err)
+        assert "stdin" in err and "invalid solution JSON" not in err
+        assert sys.stdin.read() == text
+
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"entities": [{"id": "\xe9"}]}')

@@ -617,6 +617,23 @@ class TestWalkerEquivalence:
             walked = self.assert_same(monkeypatch, unchecked, Plan(0, 0, (step,)))
             assert walked[0][0] is error
 
+    @pytest.mark.parametrize("step", [
+        TriangleMerge(("A", "C", "B"), (0, 1, 2),
+                      (Plan(1, 1, (), frozenset({1, 3})), Plan(2, 2, (), frozenset({2})))),
+        AlignCluster(1, ("A", "D"), Plan(1, 1, (), frozenset({1, 3}))),
+    ], ids=["merge", "alignment"])
+    def test_a_cluster_without_conformations_fails_its_step_first(self, monkeypatch, step):
+        # Each step is malformed too (C, not the third point B, is unplaced;
+        # no step places D), but it solves its clusters first, and the
+        # cluster holding both AC distances has no conformation.
+        g = build_graph(
+            [point(v) for v in "ABCD"],
+            [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
+             distance("A", "C", 2.0), distance("C", "D", 1.0)],
+        )
+        walked = self.assert_same(monkeypatch, g, Plan(0, 0, (step,)))
+        assert walked[0] == (VerificationError, "no branch satisfies the cluster constraints")
+
     @pytest.mark.parametrize("offset", [0.0, 1.0])
     def test_point_line_steps(self, monkeypatch, offset):
         g = build_graph(
@@ -676,6 +693,30 @@ class TestWalkerEquivalence:
             for steps in [(place_c, second), (second, place_c)]:
                 walked = self.assert_same(monkeypatch, g, Plan(0, 0, steps))
                 assert isinstance(walked[0], tuple) and issubclass(walked[0][0], GcsError)
+        # Constraints 6-9 join C to an entity the base (D and K) places, of a
+        # shape their kind does not take: only a graph built past
+        # build_graph's checks holds them.
+        unchecked = ConstraintGraph(g.entities, g.constraints + (
+            distance("C", "K", 1.0), incidence("C", "D"), point_line_distance("C", "K", 1.0),
+            tangency("C", "D")))
+        for ci in range(6, 10):
+            walked = self.assert_same(monkeypatch, unchecked,
+                                      Plan(0, 5, (PlaceByTwoLoci("C", (3, ci)),)))
+            assert walked[0][0] is UnsupportedStepError
+
+    def test_malformed_merges_fail_when_reached(self, monkeypatch):
+        # A merge's third point must be a point its second and first
+        # clusters both place: one places L, a line; the other never places C.
+        g = build_graph(
+            [point("A"), point("B"), point("C"), line("L")],
+            [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
+             incidence("A", "L"), incidence("B", "L")],
+        )
+        first, second = (Plan(i, i, (), frozenset({i})) for i in (3, 4))
+        for third, error in [("L", UnsupportedStepError), ("C", MissingPlacementError)]:
+            merge = TriangleMerge(("A", "B", third), (0, 1, 2), (first, second))
+            walked = self.assert_same(monkeypatch, g, Plan(0, 0, (merge,)))
+            assert walked[0][0] is error
 
     def test_random_mixed_graphs(self, monkeypatch):
         rng = random.Random(9)
@@ -974,18 +1015,58 @@ def circle_on_triangle():
     )
 
 
-@pytest.mark.parametrize("broken", [Mystery("K"), PlaceByTwoLoci("K", (3, 1))],
-                         ids=["unknown step type", "circle target"])
-def test_step_bound_to_raise_ends_the_walk(monkeypatch, broken):
+@pytest.mark.parametrize("g, broken, error", [
+    (circle_on_triangle(), Mystery("K"), UnsupportedStepError),
+    (circle_on_triangle(), PlaceByTwoLoci("K", (3, 1)), UnsupportedStepError),
+    # B again, from C and from D, which no step places.
+    (cannot_close(), PlaceByTwoLoci("B", (2, 4)), MissingPlacementError),
+    # A line at an offset from C: an offset places a point, never a line.
+    (build_graph([point("A"), point("B"), point("C"), line("L")],
+                 [distance("A", "B", 3.0), distance("A", "C", 4.0), distance("B", "C", 5.0),
+                  point_line_distance("C", "L", 1.0), incidence("A", "L")]),
+     PlaceByTwoLoci("L", (3, 4)), UnsupportedStepError),
+    # C where the base lines L and M cross, then N at an angle to each.
+    (build_graph([line("L"), line("M"), point("C"), line("N")],
+                 [angle("L", "M", 1.0), incidence("C", "L"), incidence("C", "M"),
+                  angle("L", "N", 0.5), angle("M", "N", 1.5)]),
+     PlaceByTwoLoci("N", (3, 4)), UnderDeterminedError),
+], ids=["unknown step type", "circle target", "unplaced anchor", "line at an offset",
+        "line from two angles"])
+def test_step_bound_to_raise_ends_the_walk(monkeypatch, g, broken, error):
     # The step fails on every path, so the walk ends where it first reaches
-    # it instead of taking the other root of C and trying again.
-    g = circle_on_triangle()
+    # it, with the reference walker's error, instead of taking another root
+    # of C and trying again.
     place_c = PlaceByTwoLoci("C", (1, 2))
     plan = Plan(0, 0, (place_c, broken))
+    with monkeypatch.context() as patch:
+        patch.setattr(solve_module, "_walk", reference_walk)
+        with pytest.raises(error) as expected:
+            enumerate_solutions(plan, g)
     evaluations = count_evaluations(monkeypatch)
-    with pytest.raises(UnsupportedStepError):
+    with pytest.raises(error) as raised:
         enumerate_solutions(plan, g)
+    assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
     assert evaluations == Counter({id(place_c): 1, id(broken): 1})
+
+
+def test_an_unplaced_anchor_comes_before_a_bad_value(monkeypatch):
+    # Only a graph built past build_graph's checks holds such a value.  The
+    # step's first distance is negative, and its second reads D, which no
+    # step places.  Compiling finds D unplaced before any value is read; the
+    # reference walker, resolving the constraints in turn, meets the value
+    # first.
+    g = cannot_close()
+    constraints = list(g.constraints)
+    constraints[1] = constraints[1]._replace(value=-1.0)
+    unchecked = ConstraintGraph(g.entities, tuple(constraints))
+    plan = Plan(0, 0, (PlaceByTwoLoci("C", (1, 3)),))
+    for walk in (lambda: enumerate_solutions(plan, unchecked), lambda: execute(plan, unchecked)):
+        with pytest.raises(MissingPlacementError, match="'D'"):
+            walk()
+        with monkeypatch.context() as patch:
+            patch.setattr(solve_module, "_walk", reference_walk)
+            with pytest.raises(BadValueError):
+                walk()
 
 
 class TestLazyWalk:
