@@ -13,11 +13,20 @@ that closes stdout early (``gcs2d generate --n 3000 | head``) ends the run
 with one stderr line and exit 1.
 
 :func:`main` returns the exit code and may be called any number of times in
-one process; it builds its parser on the first call and reuses it after.
-Consecutive calls on graphs of one structure (a sketch and its re-valued or
-rescaled copies) share one diagnosis, decomposition and plan, which the
-library keeps by structure (``ConstraintGraph._analyses``); parsing, numeric
-search, verification and output still run on every call.
+one process, and no call's output depends on the calls before it.  Three
+things carry across calls:
+
+- the parser, built on the first call, with the namespaces of the 256 argv
+  lists used last that parsed (a usage error or ``--help`` prints again);
+- the document parsed last, as its text and graph: a call that reads the
+  same text again reuses the graph object, and with it the conformations
+  the solver keeps on it;
+- the diagnosis, decomposition and plan of the structure analysed last,
+  which the library keeps by structure (``ConstraintGraph._analyses``), so
+  a sketch and its re-valued or rescaled copies share them.
+
+Every call still reads its files and stdin, and ``GCS_TOL``, and runs the
+numeric search, verification and output.
 """
 
 from __future__ import annotations
@@ -27,10 +36,11 @@ import json
 import math
 import os
 import sys
+from functools import cached_property, lru_cache
 
 from .decompose import decompose, decomposition_to_dict, extract_plan, plan_to_dict
 from .errors import GcsError, UnderDeterminedError
-from .graph import graph_to_dict, parse
+from .graph import ConstraintGraph, graph_to_dict, parse
 from .henneberg import fixture, random_laman
 from .render import to_dot, to_svg
 from .rigidity import Diagnosis, Verdict, diagnose_pebble
@@ -77,6 +87,25 @@ def _read_text(path: str) -> str:
         raise _Failure(f"cannot read {path!r}: {exc}") from exc
 
 
+# The document parsed last, as (text, graph): a call that reads the same
+# text again gets the same graph object, with all the library keeps on it.
+_last_document: tuple[str | None, ConstraintGraph | None] = (None, None)
+
+
+def _read_graph(path: str) -> ConstraintGraph:
+    """The graph in the document at ``path``, which is read on every call
+    and parsed again only when its text differs from the last document's."""
+    global _last_document
+    text = _read_text(path)
+    # One read of the pair, as graph._last_structure is read: the graph
+    # returned is the one stored with ``text``.
+    last_text, g = _last_document
+    if text != last_text:
+        g = parse(text)
+        _last_document = (text, g)
+    return g
+
+
 def _tolerance(args: argparse.Namespace) -> float:
     tol, env = getattr(args, "tol", None), os.environ.get("GCS_TOL")
     if tol is None and env:
@@ -106,20 +135,20 @@ def _evidence(diagnosis: Diagnosis) -> dict:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = parse(_read_text(args.path))
+    g = _read_graph(args.path)
     diagnosis = diagnose_pebble(g)
     _emit({"diagnosis": diagnosis.verdict.value, **_evidence(diagnosis)})
     return 0 if diagnosis.verdict is Verdict.WELL_CONSTRAINED else 2
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g = parse(_read_text(args.path))
+    g = _read_graph(args.path)
     _emit(decomposition_to_dict(decompose(g)))
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = parse(_read_text(args.path))
+    g = _read_graph(args.path)
     tol = _tolerance(args)
     try:
         branches = tuple(int(x) for x in args.branch.split(",")) if args.branch else ()
@@ -161,7 +190,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     if args.format == "svg" and args.path == args.solution == "-":
         raise _Failure("the graph and --solution cannot both be read from stdin (-)")
-    g = parse(_read_text(args.path))
+    g = _read_graph(args.path)
     if args.format == "dot":
         _write(to_dot(g))
         return 0
@@ -188,8 +217,15 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
+    @cached_property
+    def parsed(self):
+        """:meth:`parse_args` of an argv tuple, kept for the 256 argv tuples
+        used last that parsed.  A usage error or ``--help`` exits through
+        SystemExit, so it is never kept and prints again on the next call."""
+        return lru_cache(maxsize=256)(self.parse_args)
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="gcs2d", description="2D geometric constraint graph toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -230,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+_parser: _Parser | None = None  # built by the first main() call
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -252,8 +288,9 @@ def _run(argv: list[str] | None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # each call gets its own copy of the kept namespace
+        args = argparse.Namespace(**vars(_parser.parsed(tuple(argv))))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

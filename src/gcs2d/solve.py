@@ -21,10 +21,12 @@ slot, that the base or an earlier step places it as the shape its
 constraint needs, and the case a line is placed by; a kernel checks values
 only.  A point at two distances, the common step, gets its roots straight
 from the anchors' coordinates (:func:`circle_circle_roots`).  A
-recombination step's cluster plans compile into sub-programs; a walk solves
-each once and binds its conformations into the kernels that read it.  A frame
-keeps the worst residual of its step's owned constraints under the root it
-holds, so a leaf's check measures no constraint again.
+recombination step's cluster plans compile into sub-programs; each is solved
+once per graph object, which keeps its conformations (they depend on values,
+so they are not kept with the structure), and a walk binds them into the
+kernels that read them.  A frame keeps the worst residual of its step's
+owned constraints under the root it holds, so a leaf's check measures no
+constraint again.
 
 When a step has no roots, the walker jumps back to the latest step that
 placed one of the entities it reads (conflict-directed backjumping), since no
@@ -639,6 +641,7 @@ def _walk(
     program = kept.get("program")
     if program is None or program.plan is not plan:
         program = kept["program"] = _compile(plan, g, range(len(g.constraints)))
+        g._conformations.clear()  # no walk reads the replaced programs' entries again
     return _run(program, g, [c.value for c in g.constraints], selector, tol)
 
 
@@ -740,23 +743,28 @@ def _run(
 
 def _solve_reads(program: _Program, g: ConstraintGraph, values: Sequence[float]) -> list[_Step]:
     """The program's steps as this walk runs them: each recombination kernel
-    bound to the conformations of the clusters it reads, solved once for
-    this walk in step order.  A step that reads a cluster without
-    conformations reads nothing in this walk, and raises the error solving
-    it raised."""
-    steps, solved = list(program.steps), {}
+    bound to the conformations of the clusters it reads, solved in step
+    order once per graph object (``g._conformations``, over ``g``'s own
+    ``values``), so every walk of one graph shares them.  A step that reads
+    a cluster without conformations reads nothing in this walk, and raises
+    the error solving it raised."""
+    steps = list(program.steps)
+    if not program.clusters:
+        return steps
+    solved = g._conformations
     for k, read in program.clusters:
         found = []
-        for cluster, sub in read:
-            if cluster not in solved:
+        for _, sub in read:
+            if id(sub) not in solved:
                 try:
-                    solved[cluster] = _local_solutions(sub, g, values)
+                    solved[id(sub)] = (sub, _local_solutions(sub, g, values))
                 except GcsError as exc:
-                    solved[cluster] = _fresh(exc)
-            if isinstance(solved[cluster], GcsError):
-                steps[k] = steps[k]._replace(kernel=_raising(solved[cluster]), reads=frozenset())
+                    solved[id(sub)] = (sub, _fresh(exc))
+            conformations = solved[id(sub)][1]
+            if isinstance(conformations, GcsError):
+                steps[k] = steps[k]._replace(kernel=_raising(conformations), reads=frozenset())
                 break
-            found.append(solved[cluster])
+            found.append(conformations)
         else:
             steps[k] = steps[k]._replace(kernel=partial(steps[k].kernel, *found))
     return steps
@@ -887,11 +895,12 @@ _PLACEMENT_TYPES = {EntityKind.POINT: Point2, EntityKind.LINE: LineRep}  # else 
 
 def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Measure every constraint against a solution's placements.  Raises
+    UnknownEndpointError for a placement of an id the graph lacks and
     KindMismatchError for an entity placed as another kind."""
-    for e in g.entities:
-        placed = s.placements.get(e.id)
-        if placed is not None and not isinstance(placed, _PLACEMENT_TYPES.get(e.kind, CircleRep)):
-            raise KindMismatchError(f"{e.kind.value} {e.id!r} placed as {type(placed).__name__}")
+    for entity_id, placed in s.placements.items():
+        kind = g.kind_of(entity_id)  # UnknownEndpointError for an id the graph lacks
+        if not isinstance(placed, _PLACEMENT_TYPES.get(kind, CircleRep)):
+            raise KindMismatchError(f"{kind.value} {entity_id!r} placed as {type(placed).__name__}")
     return _report(g, s.placements, tol)
 
 

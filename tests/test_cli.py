@@ -382,9 +382,10 @@ class TestMalformedInput:
             {"branches": ["a"]},
             {"placements": {"L": {"line": {"theta": None, "c": 0}}}},
             {"placements": {"A": {"line": {"theta": 0.0, "c": 0.0}}}},
+            {"placements": {"GHOST": {"point": [50, 50]}}},
         ],
         ids=["non-numeric-coordinate", "non-integer-branch", "null-line-parameter",
-             "point-placed-as-a-line"],
+             "point-placed-as-a-line", "placement-the-graph-lacks"],
     )
     def test_bad_solution(self, capsys, triangle_file, tmp_path, change):
         doc = {"placements": {"A": {"point": [0, 0]}, "B": {"point": [3, 0]},
@@ -575,6 +576,88 @@ class TestOneProcess:
             assert in_process == (proc.returncode, out, err), argv
 
 
+class TestRepeatedCalls:
+    """A call that repeats the one before gets the kept parse of its argv and
+    of its document, and prints what a first call prints."""
+
+    @staticmethod
+    def twice(capsys, argv):
+        return [(main(list(argv)), *capsys.readouterr()) for _ in range(2)]
+
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "x", "--limit", "y"], ["--help"],
+                                      ["solve", "--help"]])
+    def test_usage_errors_and_help_print_every_time(self, capsys, argv):
+        first, second = self.twice(capsys, argv)
+        assert first == second
+        code, out, err = first
+        if "--help" in argv:
+            assert code == 0 and out.startswith("usage:")
+        else:
+            assert code == 1 and out == "" and "error:" in err
+
+    def test_each_call_gets_its_own_namespace(self, capsys, monkeypatch, triangle_file):
+        seen, tolerance = [], gcs2d.cli._tolerance
+
+        def spoiling_tolerance(args):
+            seen.append(args)
+            tol = tolerance(args)
+            args.tol = -1.0  # a namespace shared with the next call would fail it
+            return tol
+
+        monkeypatch.setattr(gcs2d.cli, "_tolerance", spoiling_tolerance)
+        argv = ["solve", triangle_file, "--all"]
+        assert [main(argv) for _ in range(2)] == [0, 0]
+        capsys.readouterr()
+        kept = gcs2d.cli._parser.parsed(tuple(argv))
+        assert seen[0] is not seen[1] and all(kept is not args for args in seen)
+        assert kept.tol is None
+
+    def test_a_new_parser_keeps_nothing(self, triangle_file):
+        argv = ("solve", triangle_file, "--all")
+        parser = gcs2d.cli.build_parser()
+        assert parser.parsed(argv) is parser.parsed(argv)
+        assert gcs2d.cli.build_parser().parsed(argv) is not parser.parsed(argv)
+
+    def test_text_that_fails_to_parse_fails_every_time(self, capsys, tmp_path, triangle_file):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"entities": [], "constraints": 3}', encoding="utf-8")
+        main(["analyze", triangle_file])  # a kept document that a failure must not replace
+        capsys.readouterr()
+        first, second = self.twice(capsys, ["analyze", str(bad)])
+        assert first == second and first[0] == 1 and first[1] == ""
+        assert self.twice(capsys, ["analyze", triangle_file])[0][0] == 0
+
+    def test_a_rewritten_file_is_parsed_again(self, capsys, tmp_path):
+        path = tmp_path / "sketch.json"
+        path.write_text(serialize(triangle_graph(3, 4, 5)), encoding="utf-8")
+        code, before, _ = run_cli(capsys, "solve", str(path))
+        path.write_text(serialize(triangle_graph(5, 12, 13)), encoding="utf-8")
+        code, after, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0 and before != after
+        assert json.loads(after)["solutions"][0]["placements"]["B"] == {"point": [5.0, 0.0]}
+
+    def test_one_text_is_parsed_once(self, capsys, monkeypatch, tmp_path):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return gcs2d.graph.parse(text)
+
+        monkeypatch.setattr(gcs2d.cli, "parse", counting_parse)
+        text = serialize(fixture("moser-spindle"))
+        code, out, _ = run_cli(capsys, "solve", "-", "--all", stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        sol_path = tmp_path / "solutions.json"
+        sol_path.write_text(out, encoding="utf-8")
+        selectors = [",".join(map(str, s["branches"])) for s in json.loads(out)["solutions"]]
+        for argv in (["analyze", "-"], ["classify", "-"],
+                     *(["solve", "-", "--branch", b] for b in selectors),
+                     ["render", "-"], ["render", "-", "--format", "svg", "--solution", str(sol_path)]):
+            code, _, err = run_cli(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+            assert code == 0, (argv, err)
+        assert parsed == [text]
+
+
 def scaled(g, factor):
     return build_graph(g.entities, [Constraint(c.kind, c.between, c.value * factor)
                                     for c in g.constraints])
@@ -622,6 +705,8 @@ class TestStructureReuse:
 
         def fresh(argv):
             monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
+            monkeypatch.setattr(gcs2d.cli, "_last_document", (None, None))
+            monkeypatch.setattr(gcs2d.cli, "_parser", None)
             calls.append(argv)
             expected.append(self.call(capsys, argv))
             return expected[-1]
@@ -641,6 +726,7 @@ class TestStructureReuse:
         assert sum("--branch" in argv for argv in calls) > 100  # not only the bad ones
 
         monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
+        monkeypatch.setattr(gcs2d.cli, "_last_document", (None, None))
         for argv, want in zip(calls, expected):
             assert self.call(capsys, argv) == want, argv
 

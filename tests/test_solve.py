@@ -25,6 +25,7 @@ from gcs2d import (
     Solution,
     TriangleMerge,
     UnderDeterminedError,
+    UnknownEndpointError,
     UnsupportedStepError,
     VerificationError,
     angle,
@@ -367,6 +368,13 @@ class TestVerify:
         partial = {k: v for k, v in sol.placements.items() if k != "C"}
         with pytest.raises(MissingPlacementError):
             verify(g, Solution(partial, (), ()))
+
+    def test_unknown_placement(self):
+        g = triangle_graph(3, 4, 5)
+        sol = execute(plan_for(g), g)
+        extra = {**sol.placements, "GHOST": Point2(50.0, 50.0)}
+        with pytest.raises(UnknownEndpointError, match="GHOST"):
+            verify(g, Solution(extra, (), ()))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_residual_fails_every_tolerance(self, value):
@@ -972,6 +980,49 @@ class TestRecombinationReads:
         assert all(verify(g, sol).passed for _, sol in found)
         assert len(calls) == len(set(map(id, calls)))
         assert depth[1] == levels
+
+    def test_replays_of_one_graph_solve_each_read_cluster_once(self, monkeypatch):
+        g = nested_triangles(2)
+        plan = plan_for(g)
+        calls, _ = self.count_local_solves(monkeypatch)
+        found = enumerate_solutions(plan, g, limit=16)
+        assert len(found) == 16
+        solved = list(calls)
+        assert solved and len(solved) == len(set(map(id, solved)))
+        for selector, sol in found:
+            assert execute(plan, g, selector) == sol
+        assert calls == solved  # every replay reads the conformations the graph keeps
+        # Conformations depend on values: a re-valued copy of one structure
+        # shares the program, and solves every cluster it reads again.
+        copy = build_graph(g.entities, [Constraint(c.kind, c.between, 2.0 * c.value)
+                                        for c in g.constraints])
+        for selector, _ in enumerate_solutions(plan, copy, limit=4):
+            execute(plan, copy, selector)
+        assert calls == solved + solved
+
+    def test_a_graph_keeps_the_conformations_of_one_program(self):
+        # An equal plan object compiles a new program, whose sub-programs
+        # are new keys: the graph drops the entries of the one it replaces.
+        g = fixture("moser-spindle")
+        plan = plan_for(g)
+        plans = [plan, Plan(*plan)]
+        assert plans[0] == plans[1] and plans[0] is not plans[1]
+        sizes = []
+        for k in range(6):
+            assert len(enumerate_solutions(plans[k % 2], g)) == 8
+            sizes.append(len(g._conformations))
+        assert sizes == [sizes[0]] * 6 and sizes[0] > 0
+
+    def test_a_kept_error_ends_every_walk_of_the_graph(self, monkeypatch):
+        g = broken_chain(3)
+        plan = plan_for(g)
+        calls, _ = self.count_local_solves(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(EmptyIntersectionError, match="x3"):
+                enumerate_solutions(plan, g, limit=16)
+            with pytest.raises(EmptyIntersectionError, match="x3"):
+                execute(plan, g)
+        assert len(calls) == len(set(map(id, calls)))
 
     def test_cluster_without_conformations_ends_the_walk(self, monkeypatch):
         # One strip of the last level cannot close, so no branch of any
