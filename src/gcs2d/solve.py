@@ -21,10 +21,12 @@ slot, that the base or an earlier step places it as the shape its
 constraint needs, and the case a line is placed by; a kernel checks values
 only.  A point at two distances, the common step, gets its roots straight
 from the anchors' coordinates (:func:`circle_circle_roots`).  A
-recombination step's cluster plans compile into sub-programs; each is solved
-once per graph object, which keeps its conformations (they depend on values,
-so they are not kept with the structure), and a walk binds them into the
-kernels that read them.  A frame keeps the worst residual of its step's
+recombination step's cluster plans compile into sub-programs that measure
+the constraints each cluster owns.  A pruned walk of one keeps its first 64
+leaves within tolerance, whose congruence-distinct ones are the cluster's
+conformations, solved once per graph object, which keeps them (they depend
+on values, so they are not kept with the structure); a walk binds them into
+the kernels that read them.  A frame keeps the worst residual of its step's
 owned constraints under the root it holds, so a leaf's check measures no
 constraint again.
 
@@ -44,6 +46,7 @@ resolving every step afresh at each evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
@@ -163,13 +166,6 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
 Kernel = Callable[[list, Sequence[float]], tuple[list[tuple[Placement, ...]], bool]]
 
 
-def _placed(placements: Mapping[str, Placement], entity_id: str) -> Placement:
-    try:
-        return placements[entity_id]
-    except KeyError:
-        raise _missing(entity_id) from None
-
-
 def _missing(entity_id: str) -> MissingPlacementError:
     return MissingPlacementError(f"entity {entity_id!r} has no placement yet")
 
@@ -235,24 +231,23 @@ class _Program(NamedTuple):
     """A compiled plan: the ids of the entities it places by index (the base
     constraint's endpoints, then in step order), its steps, the constraints
     the base owns, an endpoint no step places (of the first constraint with
-    one, else None), and each recombination step's index with the clusters
-    it reads and their programs."""
+    one, else None), and each recombination step's index with the programs
+    of the clusters it reads."""
 
     plan: Plan
     ids: tuple[str, ...]
     steps: tuple[_Step, ...]
     owns: list[tuple[str, int, int, int]]
     unplaced: str | None
-    clusters: tuple[tuple[int, tuple[tuple[int, _Program], ...]], ...]
+    clusters: tuple[tuple[int, tuple[_Program, ...]], ...]
 
 
 def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Program:
     """Compile ``plan`` against ``g``'s structure, and each cluster plan its
     recombination steps read, once per cluster id, into that cluster's
-    program.  The frames measure the constraints ``measured`` lists, or a
-    leaf's check raises for the first of them with an endpoint no step
-    places; a cluster's program measures none, as its leaves are checked
-    against the cluster's own constraints (:func:`_local_solutions`)."""
+    program, which measures the constraints the cluster owns.  The frames
+    measure the constraints ``measured`` lists, or a leaf's check raises for
+    the first of them with an endpoint no step places."""
     ids = list(g.constraints[plan.base_constraint].between)
     index = {e: i for i, e in enumerate(ids)}  # of the entities placed so far
     placer = [-1, -1]  # by entity index: the step that places it
@@ -283,14 +278,14 @@ def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Progra
 
 def _compile_step(
     step, g: ConstraintGraph, index: Mapping[str, int], subs: dict[int, _Program]
-) -> tuple[Kernel, Sequence[str], Sequence[str], tuple[tuple[int, _Program], ...]]:
+) -> tuple[Kernel, Sequence[str], Sequence[str], tuple[_Program, ...]]:
     """A plan step's kernel, the entities its roots depend on, those it
-    places and the clusters it reads with their programs, given the indices
+    places and the programs of the clusters it reads, given the indices
     of the entities placed before it.  A structural fault, such as an anchor
     not placed before it as the shape (``graph._SHAPE``) its constraint
     needs, makes a step that raises it whenever it runs and reads and places
     nothing; only a cluster it reads without conformations fails it first."""
-    read: tuple[tuple[int, _Program], ...] = ()
+    read: tuple[_Program, ...] = ()
     try:
         if isinstance(step, PlaceByTwoLoci):
             reads = [e for ci in step.constraints for e in g.constraints[ci].between
@@ -312,9 +307,10 @@ def _compile_step(
 
 
 def _sub_programs(clusters: Iterable[tuple[int, Plan]], g: ConstraintGraph,
-                  subs: dict[int, _Program]) -> tuple[tuple[int, _Program], ...]:
-    """Each cluster id with the program of its plan, compiled once per id."""
-    return tuple((c, subs[c] if c in subs else subs.setdefault(c, _compile(plan, g, ())))
+                  subs: dict[int, _Program]) -> tuple[_Program, ...]:
+    """The program of each cluster's plan, compiled once per cluster id."""
+    return tuple(subs[c] if c in subs else
+                 subs.setdefault(c, _compile(plan, g, sorted(plan.owned_constraints)))
                  for c, plan in clusters)
 
 
@@ -489,7 +485,7 @@ def _triangle_kernel(
     if unplaced != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced")
-    (_, first_sub), (_, second_sub) = read
+    first_sub, second_sub = read
     for ids, p in ((index, p0), (index, p1), (second_sub.ids, p1), (second_sub.ids, p2),
                    (first_sub.ids, p2), (first_sub.ids, p0)):  # anchors, then pairs as measured
         if p not in ids:
@@ -556,7 +552,7 @@ def _align_kernel(
     geometry cannot match are skipped.  When none is left, the first to fail
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined."""
-    (s0, s1), local = step.shared, sorted(read[0][1].ids)  # a conformation's entities, in order
+    (s0, s1), local = step.shared, sorted(read[0].ids)  # a conformation's entities, in order
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
     unplaced = [e for e in local if e not in index]
@@ -614,7 +610,8 @@ def enumerate_solutions(
     """All verifying solutions (up to ``limit``) in deterministic branch order."""
     if limit < 1:
         raise BadBranchError(f"limit must be >= 1, got {limit}")
-    return [(sol.branches, sol) for sol in islice(_walk(plan, g, None, tol), limit)]
+    walk = islice(_walk(plan, g, None, tol), min(limit, sys.maxsize))  # no walk yields more
+    return [(sol.branches, sol) for sol in walk]
 
 
 class _Frame:
@@ -647,7 +644,7 @@ def _walk(
 
 def _run(
     program: _Program, g: ConstraintGraph, values: Sequence[float],
-    selector: tuple[int, ...] | None, tol: float | None,
+    selector: tuple[int, ...] | None, tol: float | None, prune: bool = False,
 ) -> Iterator[Solution]:
     """Depth-first branch walk over ``program`` that yields each solution at
     its leaf; the rest of the tree waits for the next pull.
@@ -655,11 +652,13 @@ def _run(
     With a ``selector`` only the roots it names are followed (see
     :func:`execute`); without one every root is tried.  With ``tol`` set, a
     leaf is yielded only if the worst residual of its base and frames (NaN
-    if one is NaN) is within ``tol``.  Raises the first recorded failure if
-    it ends without having yielded anything.  The path is an explicit stack
-    of frames over one list of placements, so a plan may be longer than the
-    interpreter's recursion limit; a root is written over the slice its step
-    places, and no step reads what a later one places.  Dead ends backjump
+    if one is NaN) is within ``tol``; with ``prune`` too, a root whose frame
+    is not is checked as a leaf, as no leaf below it can pass.  Raises the
+    first recorded failure if it ends without having yielded anything.  The
+    path is an explicit stack of frames over one list of placements, so a
+    plan may be longer than the interpreter's recursion limit; a root is
+    written over the slice its step places, and no step reads what a later
+    one places.  Dead ends backjump
     as the module describes (Prosser 1993): a step's roots depend only on
     its reads, and which step places an entity only on the plan, so a
     skipped subtree holds no leaf.
@@ -675,7 +674,7 @@ def _run(
     cursor = 0  # branching steps on the path, i.e. the next selector entry
     while True:
         i = len(frames)
-        if i < len(steps):
+        if i < len(steps) and not (prune and frames and not frames[-1].worst <= tol):
             kernel, blame, places, owns = steps[i]  # blame: None backtracks chronologically
             try:
                 options, tangent = kernel(placed, values)
@@ -694,8 +693,8 @@ def _run(
                                      _owned_worst(owns, placed, values)))
                 cursor += len(options) > 1
                 continue
-        else:  # a leaf: no frame on its path may jump past another any more
-            blame = None
+        else:  # a leaf, or a pruned root checked as one: no frame on its path
+            blame = None  # may jump past another any more
             for f in frames:
                 f.conflicts = None
             if selector is not None and cursor < len(selector):
@@ -754,7 +753,7 @@ def _solve_reads(program: _Program, g: ConstraintGraph, values: Sequence[float])
     solved = g._conformations
     for k, read in program.clusters:
         found = []
-        for _, sub in read:
+        for sub in read:
             if id(sub) not in solved:
                 try:
                     solved[id(sub)] = (sub, _local_solutions(sub, g, values))
@@ -788,22 +787,23 @@ def _local_solutions(
 ) -> list[dict[str, Placement]]:
     """Congruence-distinct local solutions of a cluster, for recombination.
 
-    Every branch assignment of the cluster's program satisfying the cluster's
-    own constraints is collected, then deduplicated up to isometry by
+    The first 64 leaves of the cluster's program within tolerance of the
+    constraints it owns are deduplicated up to isometry by
     :func:`_congruence_signature` (alignment later supplies the motion and
-    the reflection anyway).  Non-degenerate conformations come first, and
-    each maps entities in sorted order.
+    the reflection anyway), each keeping its first leaf.  Non-degenerate
+    conformations come first, and each maps entities in sorted order.  With
+    none, the first failure of the pruned walk names the verdict.
     """
-    valid = [
-        s for s in islice(_run(program, g, values, None, None), 64)
-        if _worst(_constraint_residual(g.constraints[i], s.placements)
-                  for i in program.plan.owned_constraints) <= DEFAULT_TOL
-    ]
-    if not valid:
-        raise VerificationError("no branch satisfies the cluster constraints")
-    firsts: dict[tuple, Solution] = {}  # congruence signature -> its first solution
-    for sol in sorted(valid, key=lambda s: not _is_generic(s.placements)):
-        firsts.setdefault(_congruence_signature(sol.placements), sol)
+    firsts: dict[tuple, Solution] = {}  # congruence signature -> its first generic leaf
+    held: dict[tuple, Solution] = {}  # the same for degenerate leaves, kept until the end
+    try:
+        for sol in islice(_run(program, g, values, None, DEFAULT_TOL, prune=True), 64):
+            kept = firsts if _is_generic(sol.placements) else held
+            kept.setdefault(_congruence_signature(sol.placements), sol)
+    except VerificationError:  # a residual failure came first
+        raise VerificationError("no branch satisfies the cluster constraints") from None
+    for signature, sol in held.items():
+        firsts.setdefault(signature, sol)
     return [dict(sorted(sol.placements.items())) for sol in firsts.values()]
 
 
@@ -854,11 +854,6 @@ def _is_generic(placements: Mapping[str, Placement]) -> bool:
 # ------------------------------------------------------------------ residuals
 
 
-def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> float:
-    a = _placed(placements, c.between[0])
-    return _residual(c.kind._value_, a, _placed(placements, c.between[1]), c.value)
-
-
 def _residual(kind: str, a: Placement, b: Placement, value: float | None) -> float:
     """Measured minus specified, for a constraint of ``kind`` on ``a``, ``b``."""
     if kind == "distance":
@@ -906,7 +901,11 @@ def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> Residua
 
 def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
     """:func:`verify` without the kind check."""
-    residuals = tuple(_constraint_residual(c, placements) for c in g.constraints)
+    try:
+        residuals = tuple(_residual(c.kind._value_, placements[c.between[0]],
+                                    placements[c.between[1]], c.value) for c in g.constraints)
+    except KeyError as exc:  # an endpoint without a placement
+        raise _missing(exc.args[0]) from None
     max_abs = _worst(residuals)
     return ResidualReport(residuals, max_abs, tol, max_abs <= tol)
 

@@ -693,12 +693,21 @@ def reference_local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, 
     """:func:`gcs2d.solve._local_solutions` with the quadratic congruence
     test it replaced: conformations are told apart by their rounded
     pairwise measurements and checked for coincident entities pair by pair,
-    and the cluster is walked by :func:`reference_walk`."""
-    valid = [
-        s for s in islice(reference_walk(plan, g, None, None), 64)
-        if _worst(_constraint_residual(g.constraints[i], s.placements)
-                  for i in plan.owned_constraints) <= DEFAULT_TOL
-    ]
+    and the cluster is walked by :func:`reference_walk`, whose leaves are
+    checked against the cluster's own constraints afterwards.  The first 64
+    leaves that pass are kept, then sorted generic first.
+
+    Its solutions and their order are the solver's, but not always its
+    verdict on a cluster without any: having no prune, it names the residual
+    whenever some leaf exists, where the solver names the first failure its
+    pruned walk meets.  The two agree on a cluster with a leaf whose walk
+    meets a residual failure first, and on one without leaves whose walk
+    prunes nothing."""
+    valid = list(islice(
+        (s for s in reference_walk(plan, g, None, None)
+         if _worst(_constraint_residual(g.constraints[i], s.placements)
+                   for i in plan.owned_constraints) <= DEFAULT_TOL),
+        64))
     if not valid:
         raise VerificationError("no branch satisfies the cluster constraints")
     firsts: dict[tuple, Solution] = {}  # congruence signature -> its first solution

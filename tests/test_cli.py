@@ -127,6 +127,12 @@ class TestSolve:
         placements = doc["solutions"][0]["placements"]
         assert placements["A"]["point"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("limit", ["9223372036854775808", "100000000000000000000"])
+    def test_a_limit_past_every_walk_takes_every_solution(self, capsys, triangle_file, limit):
+        code, out, _ = run_cli(capsys, "solve", triangle_file, "--all", "--limit", limit)
+        assert code == 0
+        assert len(json.loads(out)["solutions"]) == 2
+
     def test_branch_flag_selects_root(self, capsys, triangle_file):
         code, out, _ = run_cli(capsys, "solve", triangle_file, "--branch", "1")
         assert code == 0

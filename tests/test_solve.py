@@ -748,6 +748,24 @@ class TestWalkerEquivalence:
         assert len(walked[2]) == 64
         assert solution_matches_sample(g, ("p", "q"), sample, enumerate_solutions(plan, g, 64))
 
+    def test_the_cluster_cap_counts_leaves_within_tolerance(self, monkeypatch):
+        # The strip cluster's walk has 256 leaves; A-D fails the first 64,
+        # all under D's wrong root, and 128 pass.  Capping the raw leaves
+        # left the cluster without conformations.
+        g, plan = aligned_strip(random.Random(0))
+        walked = self.assert_same(monkeypatch, g, plan)
+        assert [len(found) for found in walked[:3]] == [1, 16, 64]
+        assert len(enumerate_solutions(plan, g, 1000)) == 128  # 64 conformations, 2 sides
+
+    def test_generic_conformations_come_first(self, monkeypatch):
+        # The cluster's walk reaches its degenerate leaf (D's first root, on
+        # A) before its generic one, whose alignments still come first.
+        g, plan = aligned_kite()
+        self.assert_same(monkeypatch, g, plan)
+        on_a = [sol.placements["D"].close_to(sol.placements["A"])
+                for _, sol in enumerate_solutions(plan, g)]
+        assert on_a == [False, False, True, True]
+
     def test_dead_ends_jump_over_unrelated_steps(self, monkeypatch):
         # Chronological backtracking evaluates 678,069 steps on this graph.
         g = random_laman(40, 5, 0.0)
@@ -1024,6 +1042,41 @@ class TestRecombinationReads:
                 execute(plan, g)
         assert len(calls) == len(set(map(id, calls)))
 
+    def test_a_cluster_is_pruned_at_the_step_owning_its_failing_residual(self, monkeypatch):
+        # A-D is off on every branch, and D's step owns it: the walk of the
+        # cluster ends after both roots of C and D, where one running to
+        # its leaves would visit 2^22 of them.
+        names = [chr(ord("A") + k) for k in range(24)]
+        g, plan = aligned_strip(random.Random(0), names, error=0.5)
+        evaluations = count_evaluations(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(VerificationError,
+                               match="^no branch satisfies the cluster constraints$"):
+                enumerate_solutions(plan, g, limit=16)
+        cluster = plan.steps[0].plan
+        assert [evaluations[id(step)] for step in cluster.steps[:3]] == [1, 2, 0]
+        assert evaluations.total() == 3  # the second walk reads the kept error
+
+    def test_a_cluster_reports_the_first_failure_its_walk_meets(self):
+        # C's and D's first roots leave E no intersection; the other leaves
+        # fail B-E.  The kernel error comes first, so it names the verdict,
+        # where checking the cluster's raw leaves afterwards named the residual.
+        rng = random.Random(6)
+        at = {v: Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for v in "ABCDE"}
+        pairs = ["AB", "AC", "BC", "BD", "CD", "AE", "DE", "BE"]
+        values = [at[a].distance_to(at[b]) for a, b in pairs]
+        values[5] *= 0.6
+        values[7] += 0.5
+        g = build_graph([point(v) for v in "ABCDE"],
+                        [distance(a, b, value) for (a, b), value in zip(pairs, values)])
+        cluster = Plan(1, 0, (PlaceByTwoLoci("C", (1, 2)), PlaceByTwoLoci("D", (3, 4)),
+                              PlaceByTwoLoci("E", (5, 6))), frozenset(range(8)))
+        plan = Plan(0, 0, (AlignCluster(1, ("A", "B"), cluster),))
+        with pytest.raises(EmptyIntersectionError, match="'E'"):
+            enumerate_solutions(plan, g)
+        raw = solve_module._run(solve_module._compile(cluster, g, ()), g, values, None, None)
+        assert [sol.branches for sol in raw] == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+
     def test_cluster_without_conformations_ends_the_walk(self, monkeypatch):
         # One strip of the last level cannot close, so no branch of any
         # earlier step can lead to a solution.
@@ -1034,6 +1087,40 @@ class TestRecombinationReads:
         with pytest.raises(EmptyIntersectionError, match=f"x{length}"):
             enumerate_solutions(plan, g, limit=16)
         assert max(evaluations[id(step)] for step in plan.steps) == 1
+
+
+def aligned_strip(rng, names="ABCDEFGHIJ", error=0.0):
+    """A strip A…J (or ``names``), each point joined to the two before it,
+    plus A-D, with values measured from points drawn from ``rng`` in
+    [0, 10]² (A-D then lengthened by ``error``), and a plan that aligns it,
+    as one cluster that owns every constraint, onto AB."""
+    at = {v: Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for v in names}
+    pairs, steps = [("A", "B")], []
+    for k in range(2, len(names)):
+        steps.append(PlaceByTwoLoci(names[k], (len(pairs), len(pairs) + 1)))
+        pairs += [(names[k - 2], names[k]), (names[k - 1], names[k])]
+    pairs.append(("A", "D"))
+    values = [at[a].distance_to(at[b]) for a, b in pairs]
+    values[-1] += error
+    g = build_graph([point(v) for v in names],
+                    [distance(a, b, value) for (a, b), value in zip(pairs, values)])
+    cluster = Plan(1, 0, tuple(steps), frozenset(range(len(pairs))))
+    return g, Plan(0, 0, (AlignCluster(1, ("A", "B"), cluster),))
+
+
+def aligned_kite():
+    """A, B, C and D placed from B and C, with values measured at A (0, 0),
+    B (4, 0), C (6, 3) and D on A, and a plan that aligns them, as one cluster, onto AB: the cluster
+    has a degenerate conformation (D on A) and a generic one."""
+    g = build_graph(
+        [point(v) for v in "ABCD"],
+        [distance("A", "B", 4.0), distance("A", "C", math.sqrt(45)),
+         distance("B", "C", math.sqrt(13)), distance("B", "D", 4.0),
+         distance("C", "D", math.sqrt(45))],
+    )
+    cluster = Plan(1, 0, (PlaceByTwoLoci("C", (1, 2)), PlaceByTwoLoci("D", (3, 4))),
+                   frozenset(range(5)))
+    return g, Plan(0, 0, (AlignCluster(1, ("A", "B"), cluster),))
 
 
 def measured_laman_40():
@@ -1133,6 +1220,11 @@ class TestLazyWalk:
         with pytest.raises(BadBranchError, match=rf"^limit must be >= 1, got {limit}$"):
             enumerate_solutions(plan, g, limit=limit)
         assert not evaluations
+
+    @pytest.mark.parametrize("limit", [2**63 - 1, 2**63, 10**20])
+    def test_a_limit_past_every_walk_takes_every_solution(self, limit):
+        g = triangle_graph(3, 4, 5)
+        assert [sel for sel, _ in enumerate_solutions(plan_for(g), g, limit)] == [(0,), (1,)]
 
     def test_first_solution_evaluates_only_the_steps_up_to_its_leaf(self, monkeypatch):
         g = measured_laman_40()
