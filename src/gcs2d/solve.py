@@ -22,13 +22,13 @@ constraint needs, and the case a line is placed by; a kernel checks values
 only.  A point at two distances, the common step, gets its roots straight
 from the anchors' coordinates (:func:`circle_circle_roots`).  A
 recombination step's cluster plans compile into sub-programs that measure
-the constraints each cluster owns.  A pruned walk of one keeps its first 64
+the constraints each cluster owns.  A walk of one keeps its first 64
 leaves within tolerance, whose congruence-distinct ones are the cluster's
 conformations, solved once per graph object, which keeps them (they depend
 on values, so they are not kept with the structure); a walk binds them into
-the kernels that read them.  A frame keeps the worst residual of its step's
-owned constraints under the root it holds, so a leaf's check measures no
-constraint again.
+the kernels that read them.  With a tolerance, a root that breaks a
+constraint its step owns is a dead end where it is placed, and a leaf checks
+only the base's, which hold by construction up to rounding.
 
 When a step has no roots, the walker jumps back to the latest step that
 placed one of the entities it reads (conflict-directed backjumping), since no
@@ -36,11 +36,11 @@ choice made in between can give the step roots; the step it lands on keeps
 that blame and, once out of roots itself, jumps on by it.  A step with a
 structural fault, or that reads a cluster without conformations, reads
 nothing and raises that error whenever it runs, so the walk ends where it
-first reaches it.  Once a solution or a residual failure is reached, the
-steps on its path take back roots one at a time again, so the solutions,
-their order and the reported failure are those of plain chronological
-backtracking, which the reference walker in ``tests/support.py`` still does,
-resolving every step afresh at each evaluation.
+first reaches it.  Once a solution is reached or a root breaks a
+constraint, the steps on its path take back roots one at a time again, so
+the solutions, their order and the reported failure (the first met in branch
+order) are those of chronological backtracking, which the reference walker
+in ``tests/support.py`` does, resolving every step afresh at each evaluation.
 """
 
 from __future__ import annotations
@@ -616,17 +616,16 @@ def enumerate_solutions(
 
 class _Frame:
     """One step on the walker's path: its roots, the root taken and the last
-    one to try, whether the step hit a tangent root, the earlier frames it
-    blames for running out of roots (``None`` once it must backtrack
-    chronologically), and the worst residual of its step's owned
-    constraints under the root taken."""
+    one to try, whether the step hit a tangent root, and the earlier frames
+    it blames for running out of roots (``None`` once it must backtrack
+    chronologically)."""
 
-    __slots__ = ("options", "pick", "last", "tangent", "conflicts", "worst")
+    __slots__ = ("options", "pick", "last", "tangent", "conflicts")
 
     def __init__(self, options: list[tuple[Placement, ...]], pick: int, last: int,
-                 tangent: bool, conflicts: frozenset[int] | None, worst: float):
+                 tangent: bool, conflicts: frozenset[int] | None):
         self.options, self.pick, self.last = options, pick, last
-        self.tangent, self.conflicts, self.worst = tangent, conflicts, worst
+        self.tangent, self.conflicts = tangent, conflicts
 
 
 def _walk(
@@ -644,24 +643,23 @@ def _walk(
 
 def _run(
     program: _Program, g: ConstraintGraph, values: Sequence[float],
-    selector: tuple[int, ...] | None, tol: float | None, prune: bool = False,
+    selector: tuple[int, ...] | None, tol: float | None,
 ) -> Iterator[Solution]:
     """Depth-first branch walk over ``program`` that yields each solution at
     its leaf; the rest of the tree waits for the next pull.
 
     With a ``selector`` only the roots it names are followed (see
     :func:`execute`); without one every root is tried.  With ``tol`` set, a
-    leaf is yielded only if the worst residual of its base and frames (NaN
-    if one is NaN) is within ``tol``; with ``prune`` too, a root whose frame
-    is not is checked as a leaf, as no leaf below it can pass.  Raises the
-    first recorded failure if it ends without having yielded anything.  The
-    path is an explicit stack of frames over one list of placements, so a
-    plan may be longer than the interpreter's recursion limit; a root is
-    written over the slice its step places, and no step reads what a later
-    one places.  Dead ends backjump
-    as the module describes (Prosser 1993): a step's roots depend only on
-    its reads, and which step places an entity only on the plan, so a
-    skipped subtree holds no leaf.
+    root whose step's owned constraints are not within ``tol`` (NaN if one
+    is not finite) is a dead end where it is placed, and a leaf is yielded
+    only if the base's owned constraints are within it.  Raises the first
+    recorded failure if it ends without having yielded anything.  The path
+    is an explicit stack of frames over one list of placements, so a plan
+    may be longer than the interpreter's recursion limit; a root is written
+    over the slice its step places, and no step reads what a later one
+    places.  Dead ends backjump as the module describes (Prosser 1993): a
+    step's roots depend only on its reads, and which step places an entity
+    only on the plan, so a skipped subtree holds no leaf.
     """
     base = base_placements(g, program.plan.base_constraint)
     steps = _solve_reads(program, g, values)
@@ -673,9 +671,11 @@ def _run(
     frames: list[_Frame] = []
     cursor = 0  # branching steps on the path, i.e. the next selector entry
     while True:
-        i = len(frames)
-        if i < len(steps) and not (prune and frames and not frames[-1].worst <= tol):
-            kernel, blame, places, owns = steps[i]  # blame: None backtracks chronologically
+        i = len(frames)  # the top frame's root, if any, is placed and not yet checked
+        broken = (i and tol is not None
+                  and not (worst := _owned_worst(steps[i - 1].owns, placed, values)) <= tol)
+        if i < len(steps) and not broken:
+            kernel, blame, places, _ = steps[i]  # blame: None backtracks chronologically
             try:
                 options, tangent = kernel(placed, values)
                 first, last = 0, len(options) - 1
@@ -689,28 +689,29 @@ def _run(
                 failure = failure or exc
             else:
                 placed[places] = options[first]
-                frames.append(_Frame(options, first, last, tangent, blame,
-                                     _owned_worst(owns, placed, values)))
+                frames.append(_Frame(options, first, last, tangent, blame))
                 cursor += len(options) > 1
                 continue
-        else:  # a leaf, or a pruned root checked as one: no frame on its path
+        else:  # a leaf, or a root that breaks a constraint its step owns
             blame = None  # may jump past another any more
             for f in frames:
                 f.conflicts = None
-            if selector is not None and cursor < len(selector):
+            if broken:
+                failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
+            elif selector is not None and cursor < len(selector):
                 failure = failure or BadBranchError(
                     f"selector has {len(selector)} entries but only {cursor} steps branch"
                 )
             elif tol is not None and program.unplaced is not None:
                 raise _missing(program.unplaced)  # a constraint on it is measured at each leaf
-            elif tol is None or (worst := _worst([base_worst, *[f.worst for f in frames]])) <= tol:
+            elif tol is None or base_worst <= tol:
                 yielded, failure = True, None  # a failure is raised only if none is yielded
                 placements = dict(base)
                 placements.update(zip(program.ids, placed))
                 yield Solution(placements, tuple([f.pick for f in frames if len(f.options) > 1]),
                                tuple([k for k, f in enumerate(frames) if f.tangent]))
             else:
-                failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
+                failure = failure or VerificationError(f"residual {base_worst} exceeds {tol}")
         # Take back roots, deepest first, up to the latest blamed frame (the
         # previous one when backtracking chronologically), until a step has
         # one left to try.
@@ -730,9 +731,7 @@ def _run(
         if not frames:
             break
         top.pick += 1
-        _, _, places, owns = steps[k]
-        placed[places] = top.options[top.pick]
-        top.worst = _owned_worst(owns, placed, values)
+        placed[steps[k].places] = top.options[top.pick]
     try:
         if not yielded:
             raise failure or VerificationError("no branch produced a solution")
@@ -792,12 +791,12 @@ def _local_solutions(
     :func:`_congruence_signature` (alignment later supplies the motion and
     the reflection anyway), each keeping its first leaf.  Non-degenerate
     conformations come first, and each maps entities in sorted order.  With
-    none, the first failure of the pruned walk names the verdict.
+    none, the first failure of its walk names the verdict.
     """
     firsts: dict[tuple, Solution] = {}  # congruence signature -> its first generic leaf
     held: dict[tuple, Solution] = {}  # the same for degenerate leaves, kept until the end
     try:
-        for sol in islice(_run(program, g, values, None, DEFAULT_TOL, prune=True), 64):
+        for sol in islice(_run(program, g, values, None, DEFAULT_TOL), 64):
             kept = firsts if _is_generic(sol.placements) else held
             kept.setdefault(_congruence_signature(sol.placements), sol)
     except VerificationError:  # a residual failure came first

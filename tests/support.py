@@ -586,9 +586,10 @@ def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> 
     return external if abs(external) <= abs(internal) else internal
 
 
-def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
-    """:func:`verify` without the kind check."""
-    residuals = tuple(_constraint_residual(c, placements) for c in g.constraints)
+def _report(constraints: list[Constraint], placements: Mapping[str, Placement],
+            tol: float) -> ResidualReport:
+    """:func:`verify` without the kind check, of ``constraints`` only."""
+    residuals = tuple(_constraint_residual(c, placements) for c in constraints)
     max_abs = _worst(residuals)
     return ResidualReport(residuals, max_abs, tol, max_abs <= tol)
 
@@ -693,23 +694,14 @@ def reference_local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, 
     """:func:`gcs2d.solve._local_solutions` with the quadratic congruence
     test it replaced: conformations are told apart by their rounded
     pairwise measurements and checked for coincident entities pair by pair,
-    and the cluster is walked by :func:`reference_walk`, whose leaves are
-    checked against the cluster's own constraints afterwards.  The first 64
-    leaves that pass are kept, then sorted generic first.
-
-    Its solutions and their order are the solver's, but not always its
-    verdict on a cluster without any: having no prune, it names the residual
-    whenever some leaf exists, where the solver names the first failure its
-    pruned walk meets.  The two agree on a cluster with a leaf whose walk
-    meets a residual failure first, and on one without leaves whose walk
-    prunes nothing."""
-    valid = list(islice(
-        (s for s in reference_walk(plan, g, None, None)
-         if _worst(_constraint_residual(g.constraints[i], s.placements)
-                   for i in plan.owned_constraints) <= DEFAULT_TOL),
-        64))
-    if not valid:
-        raise VerificationError("no branch satisfies the cluster constraints")
+    and the cluster is walked by :func:`reference_walk` at the default
+    tolerance, measuring the constraints the cluster owns.  The first 64
+    leaves are kept, then sorted generic first."""
+    try:
+        valid = list(islice(reference_walk(plan, g, None, DEFAULT_TOL,
+                                           sorted(plan.owned_constraints)), 64))
+    except VerificationError:  # a residual failure came first
+        raise VerificationError("no branch satisfies the cluster constraints") from None
     firsts: dict[tuple, Solution] = {}  # congruence signature -> its first solution
     for sol in sorted(valid, key=lambda s: not reference_is_generic(s.placements)):
         firsts.setdefault(reference_congruence_signature(sol.placements), sol)
@@ -774,6 +766,7 @@ def reference_walk(
     g: ConstraintGraph,
     selector: tuple[int, ...] | None,
     tol: float | None,
+    measured: list[int] | None = None,
 ) -> Iterator[Solution]:
     """:func:`gcs2d.solve._walk` with chronological backtracking only, and
     every step resolved afresh on each evaluation by :func:`_options_for_step`,
@@ -781,10 +774,17 @@ def reference_walk(
     :func:`reference_local_solutions`.
 
     Exhaustive reference for the walker and its compiled step kernels: every
-    dead end takes back the previous step's root, so every subtree is
-    visited, and the leaf check is :func:`gcs2d.solve.verify`'s.  Same
-    arguments, solutions (yielded one at a time) and errors.
+    dead end takes back the previous step's root, so every subtree that the
+    residual rule keeps is visited.  With ``tol`` set, each root is checked
+    where it is placed against the constraints of ``measured`` (by default
+    all of the graph's) whose endpoints it completes, found from the
+    placements, and a root that breaks one is a dead end; the leaf check is
+    :func:`gcs2d.solve.verify`'s on ``measured``, which also checks the
+    constraints the base completes.  Same arguments, solutions (yielded one
+    at a time) and errors.
     """
+    constraints = [g.constraints[i] for i in
+                   (range(len(g.constraints)) if measured is None else measured)]
     placements = dict(base_placements(g, plan.base_constraint))
     yielded = False
     failure: GcsError | None = None  # the first one recorded
@@ -792,7 +792,15 @@ def reference_walk(
     cursor = 0  # branching steps on the path, i.e. the next selector entry
     while True:
         i = len(frames)
-        if i < len(plan.steps):
+        worst = 0.0  # over the constraints the root last placed completes
+        if frames and tol is not None:
+            root = frames[-1].options[frames[-1].pick]
+            worst = _worst(_constraint_residual(c, placements) for c in constraints
+                           if any(e in root for e in c.between)
+                           and all(e in placements for e in c.between))
+        if tol is not None and not worst <= tol:
+            failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
+        elif i < len(plan.steps):
             try:
                 options, tangent = _options_for_step(plan.steps[i], placements, g)
                 first, last = 0, len(options) - 1
@@ -819,7 +827,7 @@ def reference_walk(
                 tuple(f.pick for f in frames if len(f.options) > 1),
                 tuple(k for k, f in enumerate(frames) if f.tangent),
             )
-            report = _report(g, sol.placements, tol) if tol is not None else None
+            report = _report(constraints, sol.placements, tol) if tol is not None else None
             if report is None or report.passed:
                 yielded = True
                 yield sol

@@ -152,6 +152,17 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "under_determined"
 
+    def test_under_determined_reason_at_zero_tolerance(self, capsys, monkeypatch):
+        # The base's angle holds only up to rounding, which --tol 0 does not
+        # forgive, but the base is checked at the leaves: L3's step, reached
+        # first, names the verdict.
+        _, graph_json, _ = run_cli(capsys, "fixture", "three-angle-triangle")
+        code, out, _ = run_cli(capsys, "solve", "-", "--all", "--tol", "0", stdin=graph_json,
+                               monkeypatch=monkeypatch)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert (error["reason"], error["entity"]) == ("under_determined", "L3")
+
     def test_not_reducible_reason(self, capsys, monkeypatch):
         _, graph_json, _ = run_cli(capsys, "fixture", "three-prism")
         code, out, _ = run_cli(capsys, "solve", "-", stdin=graph_json, monkeypatch=monkeypatch)
@@ -347,11 +358,20 @@ SPINDLE_1E8 = {
 class TestErrorPath:
     @pytest.mark.parametrize("extra", [("--all",), ()])
     def test_alignment_dead_end_is_an_empty_intersection(self, capsys, tmp_path, extra):
+        # A replay (no --all) checks no residual and ends at the alignment.
+        # Enumeration checks each root where it is placed: the triangle
+        # merge's first root misses C-F, which it owns, by 7.1e-10, before
+        # the alignment runs, so that residual is the first failure met.
         path = tmp_path / "spindle-1e-8.json"
         path.write_text(json.dumps(SPINDLE_1E8), encoding="utf-8")
         code, out, err = run_cli(capsys, "solve", str(path), "--tol", "1e-17", *extra)
         assert code == 2
-        assert json.loads(out)["error"]["reason"] == "empty_intersection"
+        error = json.loads(out)["error"]
+        if extra:
+            assert error["reason"] == "verification_failed"
+            assert error["message"].startswith("residual 7.1") and "e-10 exceeds 1e-17" in error["message"]
+        else:
+            assert error["reason"] == "empty_intersection"
         assert err == ""
 
     def test_every_reason_is_documented(self):

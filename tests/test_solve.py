@@ -776,6 +776,72 @@ class TestWalkerEquivalence:
         assert 0 < evaluations.total() < 10_000
 
 
+class TestResidualRule:
+    """With a tolerance, a root that breaks a constraint its step owns is a
+    dead end where it is placed, and a leaf checks only the base's."""
+
+    @staticmethod
+    def solutions(plan, g, limit, tol):
+        try:
+            return enumerate_solutions(plan, g, limit, tol)
+        except GcsError:
+            return []
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15, 0.0])
+    def test_pruning_removes_no_solution(self, tol):
+        # The oracle takes the first 2000 leaves of a walk that prunes
+        # nothing finite (math.inf) and checks them afterwards with verify.
+        # The pruned walk must yield the passing ones, in order, and then
+        # only leaves past that prefix.  All but the two recombination
+        # graphs, which have at least 10**6 leaves, have fewer than 2000, so
+        # there the oracle is the whole walk.
+        rng = random.Random(7)
+        graphs = [fixture(name) for name in fixture_names()]
+        for n in range(4, 15):
+            for _ in range(6):
+                g = random_laman(n, rng.randrange(10**6), rng.random())
+                graphs.append(measured_graph(g, grid_embedding(g, rng)))
+        graphs += [nested_triangles(2), recombination_chain(5)]
+        planned = fewer = 0
+        for g in graphs:
+            try:
+                plan = plan_for(g)
+            except GcsError:
+                continue
+            every = self.solutions(plan, g, 2000, math.inf)
+            passing = [(sel, sol) for sel, sol in every if verify(g, sol, tol).passed]
+            pruned = self.solutions(plan, g, len(passing) + 1, tol)
+            assert pruned[:len(passing)] == passing
+            assert not {sel for sel, _ in pruned[len(passing):]} & {sel for sel, _ in every}
+            planned += 1
+            fewer += len(passing) < len(every)
+        assert planned >= 40
+        if tol <= 1e-15:
+            assert fewer >= 3
+
+    @pytest.mark.parametrize("n", [20, 24, 28, 40])
+    def test_a_walk_whose_roots_all_break_a_constraint_ends_early(self, monkeypatch, n):
+        # At tol=0.0 float error breaks a constraint on the roots of the
+        # first steps that branch, so no leaf below them is reached (a walk
+        # checking only leaves visits every one: 11 s at n = 28).
+        g = random_laman(n, 5, 0.0)
+        g = measured_graph(g, grid_embedding(g, random.Random(0)))
+        plan = plan_for(g)
+        evaluations = count_evaluations(monkeypatch)
+        with pytest.raises(VerificationError, match="^residual .* exceeds 0.0$"):
+            enumerate_solutions(plan, g, 16, tol=0.0)
+        assert 0 < evaluations.total() <= 4
+
+    def test_the_base_is_checked_at_the_leaf(self):
+        # The base places L1 and L2 at their angle up to rounding, which
+        # tol=0.0 does not forgive; L3's step, reached first, names the
+        # verdict.
+        g = fixture("three-angle-triangle")
+        with pytest.raises(UnderDeterminedError) as err:
+            enumerate_solutions(plan_for(g), g, tol=0.0)
+        assert err.value.entity == "L3"
+
+
 class TestDeepPlans:
     def test_long_triangle_strip(self):
         # Each point hangs off the two before it, so the merge tree nests one
@@ -1057,10 +1123,11 @@ class TestRecombinationReads:
         assert [evaluations[id(step)] for step in cluster.steps[:3]] == [1, 2, 0]
         assert evaluations.total() == 3  # the second walk reads the kept error
 
-    def test_a_cluster_reports_the_first_failure_its_walk_meets(self):
+    def test_a_cluster_reports_the_first_failure_its_walk_meets(self, monkeypatch):
         # C's and D's first roots leave E no intersection; the other leaves
         # fail B-E.  The kernel error comes first, so it names the verdict,
-        # where checking the cluster's raw leaves afterwards named the residual.
+        # where checking the cluster's raw leaves afterwards named the
+        # residual, and the reference walker names it too.
         rng = random.Random(6)
         at = {v: Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for v in "ABCDE"}
         pairs = ["AB", "AC", "BC", "BD", "CD", "AE", "DE", "BE"]
@@ -1072,8 +1139,13 @@ class TestRecombinationReads:
         cluster = Plan(1, 0, (PlaceByTwoLoci("C", (1, 2)), PlaceByTwoLoci("D", (3, 4)),
                               PlaceByTwoLoci("E", (5, 6))), frozenset(range(8)))
         plan = Plan(0, 0, (AlignCluster(1, ("A", "B"), cluster),))
-        with pytest.raises(EmptyIntersectionError, match="'E'"):
+        with pytest.raises(EmptyIntersectionError, match="'E'") as raised:
             enumerate_solutions(plan, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(solve_module, "_walk", reference_walk)
+            with pytest.raises(EmptyIntersectionError) as expected:
+                enumerate_solutions(plan, g)
+        assert str(raised.value) == str(expected.value)
         raw = solve_module._run(solve_module._compile(cluster, g, ()), g, values, None, None)
         assert [sol.branches for sol in raw] == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
 
@@ -1230,10 +1302,19 @@ class TestLazyWalk:
         g = measured_laman_40()
         plan = plan_for(g)
         evaluations = count_evaluations(monkeypatch)
-        leaves = []  # one residual check per leaf reached
-        worst = solve_module._worst
-        monkeypatch.setattr(solve_module, "_worst", lambda found: leaves.append(1) or worst(found))
         walk = solve_module._walk(plan, g, None, solve_module.DEFAULT_TOL)
+        # A leaf is a root of the last step, whose owned constraints are
+        # checked where it is placed: one check per leaf reached.
+        last = g._analyses["program"].steps[-1].owns
+        leaves = []
+        owned_worst = solve_module._owned_worst
+
+        def counted(owns, *args):
+            if owns is last:
+                leaves.append(1)
+            return owned_worst(owns, *args)
+
+        monkeypatch.setattr(solve_module, "_owned_worst", counted)
         assert not evaluations  # nothing runs before the first solution is asked for
         first = next(walk)
         up_to_first_leaf = evaluations.copy()
