@@ -380,7 +380,7 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
             for child, pair in ((first, (u, w)), (second, (v, w))):
                 if child.entity_ids <= placed:
                     continue
-                steps.append(_align_step(g, child, set(pair), plans[child.id]))
+                steps.append(AlignCluster(child.id, tuple(sorted(pair)), plans[child.id]))
                 placed |= child.entity_ids
 
         plans[cid] = Plan(base_plan.base_cluster, base_plan.base_constraint,
@@ -398,23 +398,6 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
         elif child not in plans:
             pending.append(plan_cluster(child))
     return plans[root]
-
-
-def _align_step(
-    g: ConstraintGraph, cluster: Cluster, shared: set[str], plan: Plan
-) -> AlignCluster:
-    def rank(entity_id: str) -> tuple[int, str]:
-        return (0 if g.kind_of(entity_id) is EntityKind.POINT else 1, entity_id)
-
-    ordered = sorted(shared, key=rank)
-    first, second = ordered[0], ordered[1]
-    kinds = (g.kind_of(first), g.kind_of(second))
-    if kinds[0] is not EntityKind.POINT or kinds[1] not in (EntityKind.POINT, EntityKind.LINE):
-        raise UnsupportedStepError(
-            f"alignment over shared pair of kinds "
-            f"({kinds[0].value}, {kinds[1].value}) is not supported"
-        )
-    return AlignCluster(cluster.id, (first, second), plan)
 
 
 # --------------------------------------------------------------- JSON mirrors

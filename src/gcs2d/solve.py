@@ -30,17 +30,17 @@ the kernels that read them.  With a tolerance, a root that breaks a
 constraint its step owns is a dead end where it is placed, and a leaf checks
 only the base's, which hold by construction up to rounding.
 
-When a step has no roots, the walker jumps back to the latest step that
-placed one of the entities it reads (conflict-directed backjumping), since no
-choice made in between can give the step roots; the step it lands on keeps
-that blame and, once out of roots itself, jumps on by it.  A step with a
-structural fault, or that reads a cluster without conformations, reads
-nothing and raises that error whenever it runs, so the walk ends where it
-first reaches it.  Once a solution is reached or a root breaks a
-constraint, the steps on its path take back roots one at a time again, so
-the solutions, their order and the reported failure (the first met in branch
-order) are those of chronological backtracking, which the reference walker
-in ``tests/support.py`` does, resolving every step afresh at each evaluation.
+A dead end, a step without roots or a root that breaks a constraint, jumps
+back to the latest step that placed what the step reads or an endpoint of a
+constraint it owns (conflict-directed backjumping), as no choice made in
+between changes its outcome; the step it lands on keeps that blame and, once
+out of roots itself, jumps on by it.  A step with a structural fault, or that
+reads a cluster without conformations, blames nothing and raises that error
+whenever it runs, so the walk ends where it first reaches it, as at a leaf
+that fails.  After a solution, the steps on its path take back roots one at
+a time again, so the solutions, their order and the reported failure (the
+first met in branch order) are those of chronological backtracking, which the
+reference walker in ``tests/support.py`` does, resolving every step afresh.
 """
 
 from __future__ import annotations
@@ -217,14 +217,14 @@ def _root_key(x: float, y: float, cx: float, cy: float) -> tuple[float, float, f
 
 
 class _Step(NamedTuple):
-    """A compiled plan step: its kernel, the steps (-1: the base) that place
-    what it reads, the slice of entity indices it places, and the
-    constraints it owns, as (kind, endpoint indices, constraint index)."""
+    """A compiled plan step: its kernel, its blame (the steps, -1 the base,
+    that place what it reads or an endpoint of a constraint it owns), the
+    slice of entity indices it places, and the constraints it owns."""
 
     kernel: Kernel
-    reads: frozenset[int]
+    blame: frozenset[int]
     places: slice
-    owns: list[tuple[str, int, int, int]]
+    owns: list[tuple[str, int, int, int]]  # (kind, endpoint indices, constraint index)
 
 
 class _Program(NamedTuple):
@@ -251,11 +251,11 @@ def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Progra
     ids = list(g.constraints[plan.base_constraint].between)
     index = {e: i for i, e in enumerate(ids)}  # of the entities placed so far
     placer = [-1, -1]  # by entity index: the step that places it
-    steps, clusters, subs = [], [], {}
+    steps, clusters, subs = [], [], {}  # steps: each _Step's fields, its blame still growing
     for k, step in enumerate(plan.steps):
         kernel, reads, places, read = _compile_step(step, g, index, subs)
-        reads = frozenset([placer[index[e]] for e in reads if e in index])
-        steps.append(_Step(kernel, reads, slice(len(ids), len(ids) + len(places)), []))
+        steps.append((kernel, {placer[index[e]] for e in reads if e in index},
+                      slice(len(ids), len(ids) + len(places)), []))
         for e in places:
             index[e] = len(ids)
             ids.append(e)
@@ -268,11 +268,14 @@ def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Progra
         c = g.constraints[ci]
         a, b = c.between
         if a in index and b in index:
-            last = placer[max(index[a], index[b])]
-            owner = steps[last].owns if last >= 0 else base
-            owner.append((c.kind._value_, index[a], index[b], ci))
+            ends = placer[index[a]], placer[index[b]]
+            last = max(ends)  # the step that owns it
+            _, blame, _, owns = steps[last] if last >= 0 else (None, set(), None, base)
+            blame.update(ends)
+            owns.append((c.kind._value_, index[a], index[b], ci))
         elif unplaced is None:
             unplaced = b if a in index else a
+    steps = [_Step(kernel, frozenset(blame), at, owns) for kernel, blame, at, owns in steps]
     return _Program(plan, tuple(ids), tuple(steps), base, unplaced, tuple(clusters))
 
 
@@ -616,9 +619,9 @@ def enumerate_solutions(
 
 class _Frame:
     """One step on the walker's path: its roots, the root taken and the last
-    one to try, whether the step hit a tangent root, and the earlier frames
-    it blames for running out of roots (``None`` once it must backtrack
-    chronologically)."""
+    one to try, whether the step hit a tangent root, and the frames it
+    blames for running out of roots (``None`` once a solution below it has
+    sent it back chronologically)."""
 
     __slots__ = ("options", "pick", "last", "tangent", "conflicts")
 
@@ -658,8 +661,8 @@ def _run(
     may be longer than the interpreter's recursion limit; a root is written
     over the slice its step places, and no step reads what a later one
     places.  Dead ends backjump as the module describes (Prosser 1993): a
-    step's roots depend only on its reads, and which step places an entity
-    only on the plan, so a skipped subtree holds no leaf.
+    step's roots and owned residuals depend only on what the steps it blames
+    place, and its blame only on the plan, so a skipped subtree holds no leaf.
     """
     base = base_placements(g, program.plan.base_constraint)
     steps = _solve_reads(program, g, values)
@@ -672,10 +675,12 @@ def _run(
     cursor = 0  # branching steps on the path, i.e. the next selector entry
     while True:
         i = len(frames)  # the top frame's root, if any, is placed and not yet checked
-        broken = (i and tol is not None
-                  and not (worst := _owned_worst(steps[i - 1].owns, placed, values)) <= tol)
-        if i < len(steps) and not broken:
-            kernel, blame, places, _ = steps[i]  # blame: None backtracks chronologically
+        if i and tol is not None and not (
+                worst := _owned_worst(steps[i - 1].owns, placed, values)) <= tol:
+            failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
+            blame = steps[i - 1].blame  # which holds i - 1, the step that owns what broke
+        elif i < len(steps):
+            kernel, blame, places, _ = steps[i]
             try:
                 options, tangent = kernel(placed, values)
                 first, last = 0, len(options) - 1
@@ -692,19 +697,16 @@ def _run(
                 frames.append(_Frame(options, first, last, tangent, blame))
                 cursor += len(options) > 1
                 continue
-        else:  # a leaf, or a root that breaks a constraint its step owns
-            blame = None  # may jump past another any more
-            for f in frames:
-                f.conflicts = None
-            if broken:
-                failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
-            elif selector is not None and cursor < len(selector):
+        else:  # a leaf: one that fails ends the walk, as every leaf fails alike
+            blame = frozenset()  # (and a selector's walk has no other)
+            if selector is not None and cursor < len(selector):
                 failure = failure or BadBranchError(
                     f"selector has {len(selector)} entries but only {cursor} steps branch"
                 )
             elif tol is not None and program.unplaced is not None:
                 raise _missing(program.unplaced)  # a constraint on it is measured at each leaf
             elif tol is None or base_worst <= tol:
+                blame = None  # after a solution, each step backtracks chronologically
                 yielded, failure = True, None  # a failure is raised only if none is yielded
                 placements = dict(base)
                 placements.update(zip(program.ids, placed))
@@ -712,9 +714,9 @@ def _run(
                                tuple([k for k, f in enumerate(frames) if f.tangent]))
             else:
                 failure = failure or VerificationError(f"residual {base_worst} exceeds {tol}")
-        # Take back roots, deepest first, up to the latest blamed frame (the
-        # previous one when backtracking chronologically), until a step has
-        # one left to try.
+        # Take back roots, deepest first, up to the latest blamed frame (each
+        # one after a solution, which it keeps blaming), until a step has one
+        # left to try.
         while frames:
             k = len(frames) - 1
             top = frames[k]
@@ -760,7 +762,7 @@ def _solve_reads(program: _Program, g: ConstraintGraph, values: Sequence[float])
                     solved[id(sub)] = (sub, _fresh(exc))
             conformations = solved[id(sub)][1]
             if isinstance(conformations, GcsError):
-                steps[k] = steps[k]._replace(kernel=_raising(conformations), reads=frozenset())
+                steps[k] = steps[k]._replace(kernel=_raising(conformations), blame=frozenset())
                 break
             found.append(conformations)
         else:

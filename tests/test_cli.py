@@ -374,6 +374,32 @@ class TestErrorPath:
             assert error["reason"] == "empty_intersection"
         assert err == ""
 
+    @pytest.mark.parametrize("sketch, error", [
+        # L is 5 from P, so C on L is never 1 from P.
+        ({"entities": [{"id": "P", "kind": "point"}, {"id": "L", "kind": "line"},
+                       {"id": "C", "kind": "point"}],
+          "constraints": [{"kind": "point_line_distance", "between": ["P", "L"], "value": 5.0},
+                          {"kind": "incidence", "between": ["C", "L"]},
+                          {"kind": "distance", "between": ["C", "P"], "value": 1.0}]},
+         {"reason": "empty_intersection", "message": "no locus intersection places 'C'"}),
+        # L and M both pass through P and Q, so C on both lies anywhere on them.
+        ({"entities": [{"id": v, "kind": "point" if v in "PQC" else "line"} for v in "PLQMC"],
+          "constraints": [{"kind": "incidence", "between": ["P", "L"]},
+                          {"kind": "incidence", "between": ["Q", "L"]},
+                          {"kind": "distance", "between": ["P", "Q"], "value": 2.0},
+                          {"kind": "incidence", "between": ["P", "M"]},
+                          {"kind": "incidence", "between": ["Q", "M"]},
+                          {"kind": "incidence", "between": ["C", "L"]},
+                          {"kind": "incidence", "between": ["C", "M"]}]},
+         {"reason": "under_determined", "message": "coincident loci leave the target free",
+          "entity": "C"}),
+    ], ids=["line-and-circle-apart", "coincident-lines"])
+    def test_a_point_on_two_loci_that_place_nothing(self, capsys, monkeypatch, sketch, error):
+        for extra in (("--all",), ()):
+            code, out, err = run_cli(capsys, "solve", "-", *extra, stdin=json.dumps(sketch),
+                                     monkeypatch=monkeypatch)
+            assert (code, json.loads(out), err) == (2, {"error": error}, "")
+
     def test_every_reason_is_documented(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listed = re.search(r"reasons\s+are(.*?)\.", readme, re.S).group(1)
@@ -479,6 +505,23 @@ class TestMalformedInput:
                                    "C": {"point": [0, 4]}}}
         self.assert_input_error(*self.render_svg(capsys, triangle_file, tmp_path,
                                                  json.dumps(solution)))
+
+    def test_tolerance_from_the_environment_that_is_no_number(self, capsys, triangle_file,
+                                                              monkeypatch):
+        monkeypatch.setenv("GCS_TOL", "abc")
+        code, out, err = run_cli(capsys, "solve", triangle_file)
+        self.assert_input_error(code, out, err)
+        assert err == "GCS_TOL is not a number: 'abc'\n"
+
+    def test_branch_that_is_no_integer_list(self, capsys, triangle_file):
+        code, out, err = run_cli(capsys, "solve", triangle_file, "--branch", "1,x")
+        self.assert_input_error(code, out, err)
+        assert err == "--branch must be a comma-separated integer list\n"
+
+    def test_solution_document_without_solutions(self, capsys, triangle_file, tmp_path):
+        code, out, err = self.render_svg(capsys, triangle_file, tmp_path, '{"solutions": []}')
+        self.assert_input_error(code, out, err)
+        assert err == "solution document lists no solutions\n"
 
 
 def test_usage_errors_exit_one(capsys):

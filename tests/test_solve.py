@@ -39,6 +39,7 @@ from gcs2d import (
     fixture,
     fixed_circle,
     fixture_names,
+    free_circle,
     incidence,
     line,
     line_through_points,
@@ -560,6 +561,15 @@ class TestWalkerEquivalence:
             for _ in range(8):
                 g = random_laman(n, rng.randrange(10**6), 0.5)
                 graphs.append(measured_graph(g, grid_embedding(g, rng)))
+        # Fully reducible graphs with one value 0.1% off: the step that owns
+        # it breaks it on every path, and its dead ends jump back.
+        for n in range(6, 11):
+            for _ in range(4):
+                g = random_laman(n, rng.randrange(10**6), 0.0)
+                constraints = list(measured_graph(g, grid_embedding(g, rng)).constraints)
+                k = rng.randrange(len(constraints))
+                constraints[k] = constraints[k]._replace(value=constraints[k].value * 1.001)
+                graphs.append(build_graph(g.entities, constraints))
         fail_all = fail_some = 0
         for g in graphs:
             walked = self.assert_same(monkeypatch, g, tol=tol)
@@ -578,6 +588,23 @@ class TestWalkerEquivalence:
             g = random_laman(n, rng.randrange(10**6), 0.0)
             g = measured_graph(g, grid_embedding(g, rng))
             assert len(self.assert_same(monkeypatch, g)[2]) >= 1
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_a_residual_blames_the_step_that_places_its_other_endpoint(self, monkeypatch,
+                                                                        side):
+        # C hangs off A and P, D off A and B, and D's step owns C-D too.  On
+        # the side of AP where C is not, no root of D meets C-D, so D's dead
+        # ends must blame C's step, which D's kernel does not read; one of
+        # the two sides comes first in C's root order.
+        a, p = Point2(0.0, 0.0), Point2(1.0, 3.0)
+        c = Point2(2.5, 3.5) if side > 0 else reflect_across(Point2(2.5, 3.5), a, p)
+        placed = {"A": a, "B": Point2(4.0, 0.0), "P": p, "C": c, "D": Point2(2.0, -1.5)}
+        pairs = ["AB", "AP", "BP", "AC", "PC", "AD", "BD", "CD"]
+        g = build_graph([point(v) for v in "ABPCD"],
+                        [distance(u, v, placed[u].distance_to(placed[v])) for u, v in pairs])
+        plan = Plan(0, 0, (PlaceByTwoLoci("P", (1, 2)), PlaceByTwoLoci("C", (3, 4)),
+                           PlaceByTwoLoci("D", (5, 6))))
+        assert len(self.assert_same(monkeypatch, g, plan)[2]) == 2  # the sketch and its mirror
 
     def test_tangent_root(self, monkeypatch):
         walked = self.assert_same(monkeypatch, fixture("degenerate-triangle"))
@@ -831,6 +858,19 @@ class TestResidualRule:
         with pytest.raises(VerificationError, match="^residual .* exceeds 0.0$"):
             enumerate_solutions(plan, g, 16, tol=0.0)
         assert 0 < evaluations.total() <= 4
+
+    def test_a_residual_dead_end_jumps_back_to_the_steps_it_blames(self, monkeypatch):
+        # At tol=1e-15 rounding breaks a constraint that a late recombination
+        # step owns on every path.  The dead end blames the steps that place
+        # its endpoints; backtracking chronologically from it instead took
+        # 86,501 step evaluations to reach the same error.
+        monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))  # compile afresh
+        g = recombination_chain(5)
+        plan = plan_for(g)
+        evaluations = count_evaluations(monkeypatch)
+        with pytest.raises(VerificationError, match="^residual .* exceeds 1e-15$"):
+            enumerate_solutions(plan, g, 16, tol=1e-15)
+        assert 0 < evaluations.total() <= 1000
 
     def test_the_base_is_checked_at_the_leaf(self):
         # The base places L1 and L2 at their angle up to rounding, which
@@ -1195,6 +1235,13 @@ def aligned_kite():
     return g, Plan(0, 0, (AlignCluster(1, ("A", "B"), cluster),))
 
 
+def reflect_across(q, a, b):
+    """``q`` mirrored across the line through ``a`` and ``b``."""
+    dx, dy = b.x - a.x, b.y - a.y
+    t = ((q.x - a.x) * dx + (q.y - a.y) * dy) / (dx * dx + dy * dy)
+    return Point2(2 * (a.x + t * dx) - q.x, 2 * (a.y + t * dy) - q.y)
+
+
 def measured_laman_40():
     g = random_laman(40, 5, 0.0)
     return measured_graph(g, grid_embedding(g, random.Random(0)))
@@ -1379,7 +1426,35 @@ class TestLazyWalk:
         assert [name for name, call in calls.items() if not self.leaves_no_cycle(call)] == []
 
 
+@pytest.mark.parametrize("g", [
+    build_graph([point("P"), free_circle("K")], [incidence("P", "K")]),
+    build_graph([line("L"), free_circle("K")], [tangency("L", "K")]),
+], ids=["incidence", "tangency"])
+def test_a_free_radius_circle_cannot_anchor_the_base(g):
+    plan = Plan(0, 0, ())
+    for walk in (lambda: execute(plan, g), lambda: enumerate_solutions(plan, g)):
+        with pytest.raises(UnderDeterminedError,
+                           match="^a free-radius circle cannot anchor a base placement$") as err:
+            walk()
+        assert err.value.entity == "K"
+
+
 class TestSolutionSerialization:
+    @pytest.mark.parametrize("doc, message", [
+        ({"placements": {"A": [0.0, 1.0]}}, "placement must be a one-key object, got [0.0, 1.0]"),
+        ({"placements": {"A": {"point": [0.0, 1.0], "line": {"theta": 0.0, "c": 0.0}}}},
+         "placement must be a one-key object"),
+        ({"placements": {"A": {"square": 1.0}}}, "unknown placement shape ['square']"),
+        ({"branches": [0]}, "solution document needs a 'placements' object"),
+        ({"placements": []}, "solution document needs a 'placements' object"),
+        ([], "solution document needs a 'placements' object"),
+    ], ids=["not-an-object", "two-keys", "unknown-shape", "no-placements", "placements-list",
+            "not-a-document"])
+    def test_malformed_documents(self, doc, message):
+        with pytest.raises(ParseError) as err:
+            solution_from_dict(doc)
+        assert str(err.value).startswith(message)
+
     @pytest.mark.parametrize("change", [
         {"placements": {"A": {"point": [True, False]}}},
         {"placements": {"L": {"line": {"theta": True, "c": 0.0}}}},
