@@ -19,11 +19,11 @@ things carry across calls:
 - the parser, built on the first call, with the namespaces of the 256 argv
   lists used last that parsed (a usage error or ``--help`` prints again);
 - the document parsed last, as its text and graph: a call that reads the
-  same text again reuses the graph object, and with it the conformations
-  the solver keeps on it;
-- the diagnosis, decomposition and plan of the structure analysed last,
-  which the library keeps by structure (``ConstraintGraph._analyses``), so
-  a sketch and its re-valued or rescaled copies share them.
+  same text again parses nothing;
+- the diagnosis, decomposition, plan and compiled program of the structure
+  analysed last, which the library keeps by structure
+  (``ConstraintGraph._analyses``), so a sketch and its re-valued or
+  rescaled copies share them.
 
 Every call still reads its files and stdin, and ``GCS_TOL``, and runs the
 numeric search, verification and output.
@@ -163,9 +163,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _Failure(verdict={"reason": reason, **_evidence(diagnosis)})
 
     plan = extract_plan(decompose(g), g)
-    if args.all:
-        solutions = [sol for _, sol in enumerate_solutions(plan, g, limit=args.limit, tol=tol)]
-    else:
+    if args.all or not args.branch:  # without either, the first solution the walk finds
+        found = enumerate_solutions(plan, g, limit=args.limit if args.all else 1, tol=tol)
+        solutions = [sol for _, sol in found]
+    else:  # a replay of one path
         sol = execute(plan, g, branches)
         _require_passed(verify(g, sol, tol))
         solutions = [sol]

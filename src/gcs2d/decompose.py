@@ -252,9 +252,8 @@ class TriangleMerge(NamedTuple):
     clusters share pairwise; p0 and p1 belong to the already-placed base
     cluster.  ``clusters`` names those three clusters; ``plans`` holds the
     first and second cluster's own plans, the only ones read: the executor
-    solves each in its own frame and reads the candidate distances |p1 p2|
-    (second cluster) and |p2 p0| (first cluster) off every conformation.
-    """
+    walks each in its own frame and reads |p1 p2| (second cluster) and
+    |p2 p0| (first cluster) off each path through its steps."""
 
     points: tuple[str, str, str]
     clusters: tuple[int, int, int]
@@ -264,10 +263,8 @@ class TriangleMerge(NamedTuple):
 class AlignCluster(NamedTuple):
     """Map a cluster solved in its own frame onto the shared pair.
 
-    The executor solves ``plan`` in its own frame; the branch selector then
-    picks the conformation and the gluing side (conformations whose
-    shared-pair geometry cannot match the placed pair are skipped).
-    """
+    The executor walks ``plan`` in its own frame; the branch selector picks
+    the path through its steps and the gluing side."""
 
     cluster: int
     shared: tuple[str, str]

@@ -170,16 +170,6 @@ class ConstraintGraph(_Graph):
             _last_structure = (key, kept)
         return kept
 
-    @cached_property
-    def _conformations(self) -> dict[int, tuple[object, object]]:
-        """The conformations the solver found for each cluster program its
-        walks read, or the error solving one raised, by the program's ``id``
-        as ``(program, result)``: the entry holds its program, so no other
-        program can reuse the id.  A walk that compiles a new plan program
-        empties it.  Conformations depend on values, so they stay with this
-        graph object and never go into :attr:`_analyses`."""
-        return {}
-
     @property
     def n(self) -> int:
         return len(self.entities)

@@ -12,42 +12,49 @@ takes the first on a selector's path, :func:`enumerate_solutions` up to
 ``limit``.  It walks a program, compiled once per plan and kept next to it
 with the graph's structure, so every valuation of the structure reuses it.
 Compiling numbers the entities in the order the plan places them and turns
-each step into one record: a kernel from the placements (a list by entity
-index) and the walk's constraint values to the step's roots, as tuples
-aligned with the entities it places; the steps that place what it reads;
-and the constraints it owns, those whose last endpoint it places.
-Compiling settles each step's structure and reads no value: each anchor's
-slot, that the base or an earlier step places it as the shape its
-constraint needs, and the case a line is placed by; a kernel checks values
-only.  A point at two distances, the common step, gets its roots straight
-from the anchors' coordinates (:func:`circle_circle_roots`).  A
-recombination step's cluster plans compile into sub-programs that measure
-the constraints each cluster owns.  A walk of one keeps its first 64
-leaves within tolerance, whose congruence-distinct ones are the cluster's
-conformations, solved once per graph object, which keeps them (they depend
-on values, so they are not kept with the structure); a walk binds them into
-the kernels that read them.  With a tolerance, a root that breaks a
-constraint its step owns is a dead end where it is placed, and a leaf checks
-only the base's, which hold by construction up to rounding.
+each step into one record: a kernel from the placements (a list by slot)
+and the walk's constraint values to the step's roots, as tuples aligned
+with the entities it places; the steps that place what it reads; and the
+constraints it owns, those whose last endpoint it places.  Compiling
+settles each step's structure and reads no value: each anchor's slot, that
+the base or an earlier step places it as the shape its constraint needs,
+and the case a line is placed by; a kernel checks values only.  A point at
+two distances, the common step, gets its roots straight from the anchors'
+coordinates (:func:`circle_circle_roots`).
+
+A recombination step reads clusters, each solved in its own gauge (Fudos &
+Hoffmann 1997).  Compiling walks each such cluster inline, once: its plan's
+steps, recursively, go just before the first step that reads it and place
+local copies of its entities, from its own base, in slots that never reach
+a solution; they own the constraints the cluster owns.  So a triangle merge
+reads the virtual distances of one path through each cluster's steps, and
+an alignment maps one leaf onto the placed pair, by both motions.  The
+isometries that fix a cluster's base (the mirrors and the half turn, found
+per walk) map its leaves onto each other: the cluster's first step keeps
+one root of each set they map onto each other, and an alignment drops one
+leaf of each pair that those fixing the kept root still swap.  With a
+tolerance, a root that breaks a constraint its step owns is a dead end
+where it is placed, and a leaf checks only the bases', which hold by
+construction up to rounding.
 
 A dead end, a step without roots or a root that breaks a constraint, jumps
 back to the latest step that placed what the step reads or an endpoint of a
-constraint it owns (conflict-directed backjumping), as no choice made in
-between changes its outcome; the step it lands on keeps that blame and, once
-out of roots itself, jumps on by it.  A step with a structural fault, or that
-reads a cluster without conformations, blames nothing and raises that error
-whenever it runs, so the walk ends where it first reaches it, as at a leaf
-that fails.  After a solution, the steps on its path take back roots one at
-a time again, so the solutions, their order and the reported failure (the
-first met in branch order) are those of chronological backtracking, which the
-reference walker in ``tests/support.py`` does, resolving every step afresh.
+constraint it owns (conflict-directed backjumping, Prosser 1993), as no
+choice made in between changes its outcome; the step it lands on keeps that
+blame and, once out of roots itself, jumps on by it.  A step with a
+structural fault blames nothing and raises that error whenever it runs, so
+the walk ends where it first reaches it, as at a leaf that fails.  After a
+solution, the steps on its path take back roots one at a time again, so the
+solutions, their order and the reported failure (the first met in branch
+order) are those of chronological backtracking, which the reference walker
+in ``tests/support.py`` does, resolving every step afresh.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import partial
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -73,7 +80,6 @@ from .geometry import (
     LineRep,
     Placement,
     Point2,
-    alignment_motions,
     circle_circle_roots,
     fold_angle,
     intersect_circle_circle,
@@ -82,6 +88,7 @@ from .geometry import (
     line_through_point_angle,
     line_through_points,
     lines_close,
+    rigid_align,
     unsigned_line_angle,
 )
 from .graph import _SHAPE, Constraint, ConstraintGraph, EntityKind
@@ -157,12 +164,11 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
 
 # ---------------------------------------------------------------- step kernels
 
-# A step kernel: from the placements by entity index and the constraint
+# A step kernel: from the placements by slot and the constraint
 # values, its roots (each a tuple aligned with the entities the step places)
 # and whether it met a tangent (double) root.  Compiling has settled what it
 # reads, so a kernel checks values only: each anchor it reads is placed, as
-# the shape its constraint needs.  A recombination kernel takes the
-# conformations of the clusters it reads first; each walk binds them.
+# the shape its constraint needs.
 Kernel = Callable[[list, Sequence[float]], tuple[list[tuple[Placement, ...]], bool]]
 
 
@@ -217,104 +223,144 @@ def _root_key(x: float, y: float, cx: float, cy: float) -> tuple[float, float, f
 
 
 class _Step(NamedTuple):
-    """A compiled plan step: its kernel, its blame (the steps, -1 the base,
-    that place what it reads or an endpoint of a constraint it owns), the
-    slice of entity indices it places, and the constraints it owns."""
+    """A compiled step: its kernel, its blame (the steps, -1 a base, that
+    place what it reads or an endpoint of a constraint it owns), the slice
+    of slots it places, the constraints it owns, and the index of the plan
+    step it is, or before which it walks a cluster that step reads."""
 
     kernel: Kernel
     blame: frozenset[int]
     places: slice
-    owns: list[tuple[str, int, int, int]]  # (kind, endpoint indices, constraint index)
+    owns: list[tuple[str, int, int, int]]  # (kind, endpoint slots, constraint index)
+    at: int
 
 
 class _Program(NamedTuple):
-    """A compiled plan: the ids of the entities it places by index (the base
-    constraint's endpoints, then in step order), its steps, the constraints
-    the base owns, an endpoint no step places (of the first constraint with
-    one, else None), and each recombination step's index with the programs
-    of the clusters it reads."""
+    """A compiled plan: the id of the entity in each slot (the base
+    constraint's endpoints, then in step order; None for a cluster's local
+    copy), its steps, the constraints the bases own, an endpoint no step
+    places (of the first constraint with one, else None), and each walked
+    cluster's base constraint with the first of its three base slots: its
+    two endpoints, then the flips that fix them (:func:`_symmetries`)."""
 
     plan: Plan
-    ids: tuple[str, ...]
+    ids: tuple[str | None, ...]
     steps: tuple[_Step, ...]
     owns: list[tuple[str, int, int, int]]
     unplaced: str | None
-    clusters: tuple[tuple[int, tuple[_Program, ...]], ...]
+    bases: tuple[tuple[int, int], ...]
 
 
 def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Program:
-    """Compile ``plan`` against ``g``'s structure, and each cluster plan its
-    recombination steps read, once per cluster id, into that cluster's
-    program, which measures the constraints the cluster owns.  The frames
-    measure the constraints ``measured`` lists, or a leaf's check raises for
-    the first of them with an endpoint no step places."""
-    ids = list(g.constraints[plan.base_constraint].between)
-    index = {e: i for i, e in enumerate(ids)}  # of the entities placed so far
-    placer = [-1, -1]  # by entity index: the step that places it
-    steps, clusters, subs = [], [], {}  # steps: each _Step's fields, its blame still growing
-    for k, step in enumerate(plan.steps):
-        kernel, reads, places, read = _compile_step(step, g, index, subs)
-        steps.append((kernel, {placer[index[e]] for e in reads if e in index},
-                      slice(len(ids), len(ids) + len(places)), []))
-        for e in places:
-            index[e] = len(ids)
-            ids.append(e)
-            placer.append(k)
-        if read:
-            clusters.append((k, read))
-    base: list[tuple[str, int, int, int]] = []
-    unplaced = None
-    for ci in measured:
-        c = g.constraints[ci]
-        a, b = c.between
-        if a in index and b in index:
-            ends = placer[index[a]], placer[index[b]]
-            last = max(ends)  # the step that owns it
-            _, blame, _, owns = steps[last] if last >= 0 else (None, set(), None, base)
-            blame.update(ends)
-            owns.append((c.kind._value_, index[a], index[b], ci))
-        elif unplaced is None:
-            unplaced = b if a in index else a
-    steps = [_Step(kernel, frozenset(blame), at, owns) for kernel, blame, at, owns in steps]
-    return _Program(plan, tuple(ids), tuple(steps), base, unplaced, tuple(clusters))
+    """Compile ``plan`` against ``g``'s structure.  Each cluster plan that a
+    recombination step reads is walked inline, once per cluster id: its
+    steps, recursively, go just before the first step that reads it, place
+    local copies of the cluster's entities in the cluster's own gauge and
+    own the constraints the cluster owns.  The plan's own steps measure the
+    constraints ``measured`` lists, or a leaf's check raises for the first
+    of them with an endpoint no step places."""
+    built = _Builder(g, list(g.constraints[plan.base_constraint].between))
+    index = {e: i for i, e in enumerate(built.ids)}  # of the plan's entities placed so far
+    built.emit(plan.steps, index, None)
+    built.own(measured, index)
+    steps = [_Step(kernel, frozenset(blame), *rest) for kernel, blame, *rest in built.steps]
+    return _Program(plan, tuple(built.ids), tuple(steps), built.owns, built.unplaced,
+                    tuple(built.bases))
+
+
+class _Builder:
+    """A program as :func:`_compile` builds it: the id in each slot, the
+    step that places each (-1 a base), the steps (each one's _Step fields,
+    its blame still growing), the constraints the bases own, each walked
+    cluster's base and, by cluster id, its local slots and gluing slot, and
+    the first endpoint found unplaced."""
+
+    def __init__(self, g: ConstraintGraph, ids: list[str | None]):
+        self.g, self.ids, self.placer = g, ids, [-1] * len(ids)
+        self.steps, self.owns, self.bases, self.clusters = [], [], [], {}
+        self.unplaced: str | None = None
+
+    def emit(self, steps: Sequence, index: dict[str, int], at: int | None,
+             glue: int | None = None) -> range:
+        """Compile ``steps`` over the slots ``index`` gives: those of a
+        cluster walked before the plan step ``at``, whose base symmetries
+        are in slot ``glue``, or the plan's own.  Returns the slots the
+        first of them places."""
+        ids, placer = self.ids, self.placer
+        first = range(0)
+        for k, step in enumerate(steps):
+            here = k if at is None else at
+            kernel, reads, places = _compile_step(
+                step, self.g, index, lambda cluster, sub: self.walk(cluster, sub, here))
+            if k == 0 and glue is not None:
+                kernel = _one_per_orbit(kernel, glue)
+                first = range(len(ids), len(ids) + len(places))
+            self.steps.append((kernel, {placer[s] for s in reads},
+                               slice(len(ids), len(ids) + len(places)), [], here))
+            for e in places:
+                index[e] = len(ids)
+                ids.append(e if at is None else None)
+                placer.append(len(self.steps) - 1)
+        return first
+
+    def walk(self, cluster: int, sub: Plan, at: int) -> tuple[dict[str, int], int, range]:
+        """The local slots of ``cluster``, whose plan ``sub`` is compiled
+        here the first time it is read, its gluing slot and the slots its
+        first step places."""
+        if cluster not in self.clusters:
+            base = len(self.ids)
+            a, b = self.g.constraints[sub.base_constraint].between
+            local = {a: base, b: base + 1}
+            self.bases.append((sub.base_constraint, base))
+            self.ids.extend((None, None, None))
+            self.placer.extend((-1, -1, -1))
+            first = self.emit(sub.steps, local, at, base + 2)
+            self.clusters[cluster] = local, base + 2, first
+            self.own(sorted(sub.owned_constraints), local)
+        return self.clusters[cluster]
+
+    def own(self, constraints: Iterable[int], index: Mapping[str, int]) -> None:
+        """Give each of ``constraints`` to the step that places its last
+        endpoint in ``index``'s slots, or note an endpoint none places."""
+        for ci in constraints:
+            c = self.g.constraints[ci]
+            a, b = c.between
+            if a in index and b in index:
+                ends = self.placer[index[a]], self.placer[index[b]]
+                last = max(ends)  # the step that owns it
+                _, blame, _, owns, _ = self.steps[last] if last >= 0 else (
+                    None, set(), None, self.owns, None)
+                blame.update(ends)
+                owns.append((c.kind._value_, index[a], index[b], ci))
+            elif self.unplaced is None:
+                self.unplaced = b if a in index else a
 
 
 def _compile_step(
-    step, g: ConstraintGraph, index: Mapping[str, int], subs: dict[int, _Program]
-) -> tuple[Kernel, Sequence[str], Sequence[str], tuple[_Program, ...]]:
-    """A plan step's kernel, the entities its roots depend on, those it
-    places and the programs of the clusters it reads, given the indices
-    of the entities placed before it.  A structural fault, such as an anchor
-    not placed before it as the shape (``graph._SHAPE``) its constraint
-    needs, makes a step that raises it whenever it runs and reads and places
-    nothing; only a cluster it reads without conformations fails it first."""
-    read: tuple[_Program, ...] = ()
+    step, g: ConstraintGraph, index: Mapping[str, int],
+    read: Callable[[int, Plan], tuple[dict[str, int], int, range]],
+) -> tuple[Kernel, Sequence[int], Sequence[str]]:
+    """A plan step's kernel, the slots its roots depend on and the entities
+    it places, given the slots of the entities placed before it; ``read``
+    walks a cluster the step recombines (see :meth:`_Builder.walk`).  A structural fault, such as an anchor not placed before
+    it as the shape (``graph._SHAPE``) its constraint needs, makes a step
+    that raises it whenever it runs and reads and places nothing."""
     try:
         if isinstance(step, PlaceByTwoLoci):
-            reads = [e for ci in step.constraints for e in g.constraints[ci].between
-                     if e != step.target]
             kind = g.kind_of(step.target)._value_
             if kind not in ("point", "line"):
                 raise UnsupportedStepError(f"cannot place a {kind} by two loci")
             make = _point_kernel if kind == "point" else _line_kernel
-            return make(step.target, step.constraints, g, index), reads, (step.target,), ()
+            kernel = make(step.target, step.constraints, g, index)
+            return kernel, [index[e] for ci in step.constraints
+                            for e in g.constraints[ci].between if e != step.target], (step.target,)
         if isinstance(step, TriangleMerge):
-            read = _sub_programs(zip(step.clusters[1:], step.plans, strict=True), g, subs)
-            return (*_triangle_kernel(step.points, read, g, index), read)
+            return _triangle_kernel(step, g, index, read)
         if isinstance(step, AlignCluster):
-            read = _sub_programs([(step.cluster, step.plan)], g, subs)
-            return (*_align_kernel(step, read, index), read)
+            return _align_kernel(step, g, index, read)
         raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
     except GcsError as exc:
-        return _raising(exc), (), (), read
-
-
-def _sub_programs(clusters: Iterable[tuple[int, Plan]], g: ConstraintGraph,
-                  subs: dict[int, _Program]) -> tuple[_Program, ...]:
-    """The program of each cluster's plan, compiled once per cluster id."""
-    return tuple(subs[c] if c in subs else
-                 subs.setdefault(c, _compile(plan, g, sorted(plan.owned_constraints)))
-                 for c, plan in clusters)
+        return _raising(exc), (), ()
 
 
 def _endpoint(g: ConstraintGraph, ci: int, target: str,
@@ -353,8 +399,9 @@ def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
             raise UnsupportedStepError("offset locus needs a placed line anchor")
         loci.append((kind, i, ci))
     (ka, ia, ca), (kb, ib, cb) = loci
-    if ka == kb == "distance":
-        return _two_distances(target, ia, ca, ib, cb)
+    if ka == kb == "distance":  # the common step, solved from coordinates
+        return lambda placed, values: _circle_roots(
+            target, placed[ia], values[ca], placed[ib], values[cb])
 
     def place(placed: list, values: Sequence[float]):
         group_a = _point_loci(ka, placed[ia], values[ca])
@@ -378,34 +425,29 @@ def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
     return place
 
 
-def _two_distances(target: str, ia: int, ca: int, ib: int, cb: int) -> Kernel:
-    """A point at the distances of constraints ``ca`` from the point at index
-    ``ia`` and ``cb`` from the one at ``ib``: the circle-circle case of
-    :func:`_point_kernel`, computed from coordinates.  A distance no circle
-    can have raises BadValueError from CircleRep where that case would."""
-
-    def place(placed: list, values: Sequence[float]):
-        p, ra, q, rb = placed[ia], values[ca], placed[ib], values[cb]
-        if not (0 < ra < math.inf and 0 < rb < math.inf):
-            CircleRep(p, ra), CircleRep(q, rb)
-        try:
-            roots, tangent = circle_circle_roots(p.x, p.y, ra, q.x, q.y, rb)
-        except EmptyIntersectionError:
-            raise EmptyIntersectionError(f"no locus intersection places {target!r}") from None
-        except CoincidentError:
-            raise UnderDeterminedError(target, "coincident loci leave the target free") from None
-        if tangent:
-            return [(Point2(*roots[0]),)], True
-        (x1, y1), (x2, y2) = roots
-        if math.hypot(x2 - x1, y2 - y1) <= EPS:  # one root, as _point_kernel merges them
-            return [(Point2(x1, y1),)], False
-        # The centroid as _order_points sums it, from 0.
-        cx, cy = (0.0 + x1 + x2) / 2, (0.0 + y1 + y2) / 2
-        if _root_key(x2, y2, cx, cy) < _root_key(x1, y1, cx, cy):
-            x1, y1, x2, y2 = x2, y2, x1, y1
-        return [(Point2(x1, y1),), (Point2(x2, y2),)], False
-
-    return place
+def _circle_roots(target: str, p: Point2, ra: float, q: Point2, rb: float):
+    """The roots of ``target`` at distance ``ra`` from ``p`` and ``rb`` from
+    ``q``, and whether they touch, as :func:`_point_kernel`'s general case
+    finds them, but computed from coordinates.  A distance no circle can
+    have raises BadValueError from CircleRep where that case would."""
+    if not (0 < ra < math.inf and 0 < rb < math.inf):
+        CircleRep(p, ra), CircleRep(q, rb)
+    try:
+        roots, tangent = circle_circle_roots(p.x, p.y, ra, q.x, q.y, rb)
+    except EmptyIntersectionError:
+        raise EmptyIntersectionError(f"no locus intersection places {target!r}") from None
+    except CoincidentError:
+        raise UnderDeterminedError(target, "coincident loci leave the target free") from None
+    if tangent:
+        return [(Point2(*roots[0]),)], True
+    (x1, y1), (x2, y2) = roots
+    if math.hypot(x2 - x1, y2 - y1) <= EPS:  # one root, as _point_kernel merges them
+        return [(Point2(x1, y1),)], False
+    # The centroid as _order_points sums it, from 0.
+    cx, cy = (0.0 + x1 + x2) / 2, (0.0 + y1 + y2) / 2
+    if _root_key(x2, y2, cx, cy) < _root_key(x1, y1, cx, cy):
+        x1, y1, x2, y2 = x2, y2, x1, y1
+    return [(Point2(x1, y1),), (Point2(x2, y2),)], False
 
 
 def _point_loci(kind: str, anchor: Placement, value: float) -> list[Placement]:
@@ -471,127 +513,134 @@ def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
 
 
 def _triangle_kernel(
-    points: tuple[str, str, str], read: tuple, g: ConstraintGraph, index: Mapping[str, int]
-) -> tuple[Kernel, Sequence[str], Sequence[str]]:
-    """A triangle merge's kernel, reads and places: it places the one
-    unplaced shared point from two virtual-distance circles, whose radii
-    the conformations of the first and second clusters give.
-
-    Those clusters may admit several internal conformations with different
-    virtual distances, so the options run over every candidate distance
-    pair and every intersection root; infeasible combinations are simply
-    absent."""
-    p0, p1, p2 = points
-    unplaced = [p for p in points if p not in index]
+    step: TriangleMerge, g: ConstraintGraph, index: Mapping[str, int], read
+) -> tuple[Kernel, Sequence[int], Sequence[str]]:
+    """A triangle merge's kernel, read slots and placed entities: it places
+    the one unplaced shared point p2 at the virtual distances |p2 p0| and
+    |p1 p2| of the walked first and second clusters' local copies, which
+    each path through those clusters' steps sets anew."""
+    p0, p1, p2 = step.points
+    unplaced = [p for p in step.points if p not in index]
     if not unplaced:
-        return _nothing_left, points, ()
+        return _nothing_left, [index[p] for p in step.points], ()
     if unplaced != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced")
-    first_sub, second_sub = read
-    for ids, p in ((index, p0), (index, p1), (second_sub.ids, p1), (second_sub.ids, p2),
-                   (first_sub.ids, p2), (first_sub.ids, p0)):  # anchors, then pairs as measured
-        if p not in ids:
+    (first, *_), (second, *_) = (read(cluster, sub) for cluster, sub in
+                                 zip(step.clusters[1:], step.plans, strict=True))
+    for slots, p in ((index, p0), (index, p1), (second, p1), (second, p2),
+                     (first, p2), (first, p0)):  # anchors, then pairs as measured
+        if p not in slots:
             raise _missing(p)
         if _SHAPE[g.kind_of(p)._value_] != "point":
             raise UnsupportedStepError(f"entity {p!r} is not placed as a point")
-    i0, i1 = index[p0], index[p1]
+    reads = i0, i1, j1, j2, k2, k0 = (index[p0], index[p1], second[p1], second[p2],
+                                      first[p2], first[p0])
 
-    def kernel(first: list, second: list, placed: list, values: Sequence[float]):
-        anchor1, anchor2 = placed[i0], placed[i1]
-        options: list[tuple[Point2]] = []
-        tangent = False
-        failure: GcsError | None = None
-        for d12 in _pair_distances(second, p1, p2):  # |p1 p2| candidates
-            for d20 in _pair_distances(first, p2, p0):  # |p2 p0| candidates
-                if d12 <= 1e-9 or d20 <= 1e-9:
-                    continue
-                try:
-                    hit = intersect_circle_circle(CircleRep(anchor1, d20), CircleRep(anchor2, d12))
-                except EmptyIntersectionError as exc:
-                    failure = failure or exc
-                    continue
-                except CoincidentError:
-                    failure = failure or UnderDeterminedError(
-                        p2, "coincident virtual-distance circles leave the target free"
-                    )
-                    continue
-                tangent = tangent or hit.tangent
-                for p in _order_points(list(hit.points)):
-                    if not any(p.close_to(q) for q, in options):
-                        options.append((p,))
-        try:
-            if not options:
-                raise failure or EmptyIntersectionError(
-                    f"no virtual-distance circles intersect to place {p2!r}"
-                )
-            return options, tangent
-        finally:
-            failure = None  # a caught failure's traceback holds this frame
+    def place(placed: list, values: Sequence[float]):
+        d12, d20 = placed[j1].distance_to(placed[j2]), placed[k2].distance_to(placed[k0])
+        if d12 <= 1e-9 or d20 <= 1e-9:
+            raise EmptyIntersectionError(f"no virtual-distance circles intersect to place {p2!r}")
+        return _circle_roots(p2, placed[i0], d20, placed[i1], d12)
 
-    return kernel, points, unplaced
-
-
-def _pair_distances(
-    conformers: list[dict[str, Placement]], a: str, b: str
-) -> tuple[float, ...]:
-    """Distinct |ab| values across conformations, in conformer order."""
-    values: list[float] = []
-    for conformer in conformers:
-        d = conformer[a].distance_to(conformer[b])
-        if not any(abs(d - seen) <= 1e-9 for seen in values):
-            values.append(d)
-    return tuple(values)
+    return place, reads, (p2,)
 
 
 def _align_kernel(
-    step: AlignCluster, read: tuple, index: Mapping[str, int]
-) -> tuple[Kernel, Sequence[str], Sequence[str]]:
-    """An alignment's kernel, reads and places: it glues a locally solved
-    cluster onto its placed shared pair.
-
-    Runs over the cluster's conformations and, per conformation, the motions
-    mapping the local pair onto the placed pair; conformations whose pair
-    geometry cannot match are skipped.  When none is left, the first to fail
-    names the verdict: a pair of another size is an empty intersection, a
-    coincident pair leaves the cluster under-determined."""
-    (s0, s1), local = step.shared, sorted(read[0].ids)  # a conformation's entities, in order
+    step: AlignCluster, g: ConstraintGraph, index: Mapping[str, int], read
+) -> tuple[Kernel, Sequence[int], Sequence[str]]:
+    """An alignment's kernel, read slots and placed entities: it maps the
+    walked cluster's local copy of the shared pair onto the placed pair by
+    the proper and by the reflected motion, and its local copies of the
+    cluster's unplaced entities with them.  A pair of another size is an
+    empty intersection, a coincident pair leaves the cluster
+    under-determined.  The cluster's first step kept one root of each set
+    that its base's symmetries map onto each other (:func:`_one_per_orbit`);
+    those of them that fix the kept root still pair up its leaves, and of
+    each such pair the one whose local pair direction lies below its image's
+    (by y, then x) has no roots and records no failure."""
+    s0, s1 = step.shared
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
-    unplaced = [e for e in local if e not in index]
-    if not unplaced:
-        return _nothing_left, step.shared, ()
-    i0, i1 = index[s0], index[s1]
+    owned = step.plan.owned_constraints
+    if {e for ci in owned for e in g.constraints[ci].between} <= index.keys():
+        return _nothing_left, [index[s0], index[s1]], ()  # every entity of the cluster is placed
+    local, glue, first = read(step.cluster, step.plan)
+    for s in step.shared:
+        if s not in local:
+            raise _missing(s)
+        if _SHAPE[g.kind_of(s)._value_] != "point":
+            raise UnsupportedStepError(f"entity {s!r} is not placed as a point")
+    unplaced = [e for e in sorted(local) if e not in index]
+    i0, i1, j0, j1 = index[s0], index[s1], local[s0], local[s1]
+    copies = [local[e] for e in unplaced]
 
-    def kernel(conformations: list, placed: list, values: Sequence[float]):
-        dst = (placed[i0], placed[i1])
-        outcomes: list[tuple[Placement, ...]] = []
-        failure: GcsError | None = None
-        for conformation in conformations:
-            try:
-                motions = alignment_motions((conformation[s0], conformation[s1]), dst)
-            except LengthMismatchError as exc:
-                failure = failure or EmptyIntersectionError(
-                    f"no conformation of cluster {step.cluster} fits the placed pair: {exc}"
-                )
-                continue
-            except CoincidentPointsError:
-                failure = failure or UnderDeterminedError(
-                    unplaced[0], "a coincident shared pair leaves the cluster free to turn"
-                )
-                continue
-            for motion in motions:
-                outcomes.append(tuple(motion.apply(conformation[e]) for e in unplaced))
+    def kernel(placed: list, values: Sequence[float]):
+        src, dst = (placed[j0], placed[j1]), (placed[i0], placed[i1])
         try:
-            if not outcomes:
-                raise failure or EmptyIntersectionError(
-                    f"no conformation of cluster {step.cluster} fits the placed pair"
-                )
-            return outcomes, False
-        finally:
-            failure = None  # a raised failure's traceback holds this frame
+            motions = [rigid_align(src, dst, False), rigid_align(src, dst, True)]
+        except LengthMismatchError as exc:
+            raise EmptyIntersectionError(
+                f"cluster {step.cluster} does not fit the placed pair: {exc}") from None
+        except CoincidentPointsError:
+            raise UnderDeterminedError(
+                unplaced[0], "a coincident shared pair leaves the cluster free to turn") from None
+        dx, dy = src[1].x - src[0].x, src[1].y - src[0].y
+        for sx, sy in placed[glue]:
+            up, right = sy * dy - dy, sx * dx - dx  # how far the pair's image lies beyond it
+            if (up > EPS or abs(up) <= EPS and right > EPS) and all(
+                    _alike(_flipped(placed[j], sx, sy), placed[j]) for j in first):
+                return [], False
+        return [motion.apply_all([placed[j] for j in copies]) for motion in motions], False
 
-    return kernel, step.shared, unplaced
+    return kernel, [i0, i1, j0, j1, glue, *first, *copies], unplaced
+
+
+@lru_cache(maxsize=256)
+def _symmetries(base: tuple[Placement, Placement]) -> list[tuple[float, float]]:
+    """The flips (x, y) -> (sx x, sy y) but the identity that map each base
+    placement of a cluster onto itself (the mirrors y -> -y, x -> -x and the
+    half turn), and so its leaves onto each other.  An angle base is fixed
+    by a mirror only at a right angle, so each walk finds them."""
+    return [(sx, sy) for sx, sy in ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+            if all(_alike(_flipped(p, sx, sy), p) for p in base)]
+
+
+def _one_per_orbit(kernel: Kernel, glue: int) -> Kernel:
+    """``kernel`` of a cluster's first step, keeping of the roots that the
+    base's symmetries (slot ``glue``) map onto each other the first: each
+    leaf below a dropped root is the image of one below a kept root, whose
+    reflected alignment gives what its own would.  Every walk of a cluster
+    is halved at least, and nested clusters compound it."""
+
+    def place(placed: list, values: Sequence[float]):
+        options, tangent = kernel(placed, values)
+        flips, kept = placed[glue], []
+        for root in options:
+            if not any(all(_alike(_flipped(p, sx, sy), q) for p, q in zip(other, root))
+                       for other in kept for sx, sy in flips):
+                kept.append(root)
+        return kept, tangent
+
+    return place
+
+
+def _alike(p: Placement, q: Placement) -> bool:
+    """Whether two placements of one entity coincide, within EPS."""
+    if isinstance(p, LineRep):
+        return lines_close(p, q)
+    return (p if isinstance(p, Point2) else p.center).close_to(
+        q if isinstance(q, Point2) else q.center) and (isinstance(p, Point2) or p.r == q.r)
+
+
+def _flipped(p: Placement, sx: float, sy: float) -> Placement:
+    """The image of ``p`` under (x, y) -> (sx x, sy y), with sx, sy = ±1."""
+    if isinstance(p, Point2):
+        return Point2(sx * p.x, sy * p.y)
+    if isinstance(p, CircleRep):
+        return CircleRep(_flipped(p.center, sx, sy), p.r)
+    nx, ny = p.normal
+    return LineRep(math.atan2(sy * ny, sx * nx), p.c)
 
 
 # ------------------------------------------------------------------- execution
@@ -640,7 +689,6 @@ def _walk(
     program = kept.get("program")
     if program is None or program.plan is not plan:
         program = kept["program"] = _compile(plan, g, range(len(g.constraints)))
-        g._conformations.clear()  # no walk reads the replaced programs' entries again
     return _run(program, g, [c.value for c in g.constraints], selector, tol)
 
 
@@ -660,14 +708,22 @@ def _run(
     is an explicit stack of frames over one list of placements, so a plan
     may be longer than the interpreter's recursion limit; a root is written
     over the slice its step places, and no step reads what a later one
-    places.  Dead ends backjump as the module describes (Prosser 1993): a
-    step's roots and owned residuals depend only on what the steps it blames
-    place, and its blame only on the plan, so a skipped subtree holds no leaf.
+    places.  Every base, the plan's and each walked cluster's, is placed
+    before the first step, so a leaf checks the constraints they all own.
+    A step without roots that records no failure (an alignment's twin
+    leaf) is a dead end all the same.  Dead ends backjump as the module
+    describes (Prosser 1993): a step's roots and owned residuals depend only
+    on what the steps it blames place, and its blame only on the plan, so a
+    skipped subtree holds no leaf.
     """
     base = base_placements(g, program.plan.base_constraint)
-    steps = _solve_reads(program, g, values)
-    placed: list[Placement | None] = [None] * len(program.ids)
+    steps = program.steps
+    placed: list = [None] * len(program.ids)
     placed[0], placed[1] = base[program.ids[0]], base[program.ids[1]]
+    for ci, at in program.bases:  # each walked cluster's, in its own gauge
+        local = base_placements(g, ci)
+        ends = tuple([local[e] for e in g.constraints[ci].between])
+        placed[at : at + 3] = *ends, _symmetries(ends)
     base_worst = _owned_worst(program.owns, placed, values)
     yielded = False
     failure: GcsError | None = None  # the first one recorded
@@ -680,23 +736,24 @@ def _run(
             failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
             blame = steps[i - 1].blame  # which holds i - 1, the step that owns what broke
         elif i < len(steps):
-            kernel, blame, places, _ = steps[i]
+            kernel, blame, places, _, at = steps[i]
             try:
                 options, tangent = kernel(placed, values)
                 first, last = 0, len(options) - 1
-                if selector is not None and last:
+                if selector is not None and last > 0:
                     first = last = selector[cursor] if cursor < len(selector) else 0
                     if not 0 <= first < len(options):
                         raise BadBranchError(
-                            f"branch {first} out of range for step {i} with {len(options)} roots"
+                            f"branch {first} out of range for step {at} with {len(options)} roots"
                         )
             except GcsError as exc:
                 failure = failure or exc
             else:
-                placed[places] = options[first]
-                frames.append(_Frame(options, first, last, tangent, blame))
-                cursor += len(options) > 1
-                continue
+                if options:  # else a dead end that records no failure: a twin leaf
+                    placed[places] = options[first]
+                    frames.append(_Frame(options, first, last, tangent, blame))
+                    cursor += len(options) > 1
+                    continue
         else:  # a leaf: one that fails ends the walk, as every leaf fails alike
             blame = frozenset()  # (and a selector's walk has no other)
             if selector is not None and cursor < len(selector):
@@ -710,8 +767,10 @@ def _run(
                 yielded, failure = True, None  # a failure is raised only if none is yielded
                 placements = dict(base)
                 placements.update(zip(program.ids, placed))
+                placements.pop(None, None)  # the walked clusters' local copies
                 yield Solution(placements, tuple([f.pick for f in frames if len(f.options) > 1]),
-                               tuple([k for k, f in enumerate(frames) if f.tangent]))
+                               tuple(dict.fromkeys([steps[k].at for k, f in enumerate(frames)
+                                                    if f.tangent])))
             else:
                 failure = failure or VerificationError(f"residual {base_worst} exceeds {tol}")
         # Take back roots, deepest first, up to the latest blamed frame (each
@@ -741,35 +800,6 @@ def _run(
         failure = None  # its traceback holds this frame: drop it to free the walk's state
 
 
-def _solve_reads(program: _Program, g: ConstraintGraph, values: Sequence[float]) -> list[_Step]:
-    """The program's steps as this walk runs them: each recombination kernel
-    bound to the conformations of the clusters it reads, solved in step
-    order once per graph object (``g._conformations``, over ``g``'s own
-    ``values``), so every walk of one graph shares them.  A step that reads
-    a cluster without conformations reads nothing in this walk, and raises
-    the error solving it raised."""
-    steps = list(program.steps)
-    if not program.clusters:
-        return steps
-    solved = g._conformations
-    for k, read in program.clusters:
-        found = []
-        for sub in read:
-            if id(sub) not in solved:
-                try:
-                    solved[id(sub)] = (sub, _local_solutions(sub, g, values))
-                except GcsError as exc:
-                    solved[id(sub)] = (sub, _fresh(exc))
-            conformations = solved[id(sub)][1]
-            if isinstance(conformations, GcsError):
-                steps[k] = steps[k]._replace(kernel=_raising(conformations), blame=frozenset())
-                break
-            found.append(conformations)
-        else:
-            steps[k] = steps[k]._replace(kernel=partial(steps[k].kernel, *found))
-    return steps
-
-
 def _owned_worst(owns: list[tuple[str, int, int, int]], placed: list,
                  values: Sequence[float]) -> float:
     """:func:`_worst` of the residuals of the constraints ``owns`` lists."""
@@ -781,75 +811,6 @@ def _owned_worst(owns: list[tuple[str, int, int, int]], placed: list,
                 return math.nan
             worst = r
     return worst
-
-
-def _local_solutions(
-    program: _Program, g: ConstraintGraph, values: Sequence[float]
-) -> list[dict[str, Placement]]:
-    """Congruence-distinct local solutions of a cluster, for recombination.
-
-    The first 64 leaves of the cluster's program within tolerance of the
-    constraints it owns are deduplicated up to isometry by
-    :func:`_congruence_signature` (alignment later supplies the motion and
-    the reflection anyway), each keeping its first leaf.  Non-degenerate
-    conformations come first, and each maps entities in sorted order.  With
-    none, the first failure of its walk names the verdict.
-    """
-    firsts: dict[tuple, Solution] = {}  # congruence signature -> its first generic leaf
-    held: dict[tuple, Solution] = {}  # the same for degenerate leaves, kept until the end
-    try:
-        for sol in islice(_run(program, g, values, None, DEFAULT_TOL), 64):
-            kept = firsts if _is_generic(sol.placements) else held
-            kept.setdefault(_congruence_signature(sol.placements), sol)
-    except VerificationError:  # a residual failure came first
-        raise VerificationError("no branch satisfies the cluster constraints") from None
-    for signature, sol in held.items():
-        firsts.setdefault(signature, sol)
-    return [dict(sorted(sol.placements.items())) for sol in firsts.values()]
-
-
-def _congruence_signature(placements: Mapping[str, Placement]) -> tuple:
-    """Isometry-invariant fingerprint: the least image of the rounded
-    coordinates under x -> -x, y -> -y and the half turn.  Conformations of
-    a cluster share their base placement, and for every base that
-    :func:`base_placements` makes, these and the identity are the isometries
-    that fix it.  A circle adds its radius; a line gives its normal's foot
-    (c cos t, c sin t) and its (cos 2t, sin 2t), which no fold changes."""
-    xs, ys, turns, fixed = [], [], [], []  # turns: sin 2t, negated by mirrors; fixed: by no flip
-    for _, p in sorted(placements.items()):
-        if isinstance(p, LineRep):
-            x, y = p.c * math.cos(p.theta), p.c * math.sin(p.theta)
-            turns.append(round(math.sin(2.0 * p.theta), 7))
-            fixed.append(round(math.cos(2.0 * p.theta), 7))
-        else:
-            x, y = p if isinstance(p, Point2) else p.center
-            if isinstance(p, CircleRep):
-                fixed.append(round(p.r, 7))
-        xs.append(round(x, 7))
-        ys.append(round(y, 7))
-    mxs, mys, mturns = [-v for v in xs], [-v for v in ys], [-v for v in turns]  # negated
-    image = min((xs, ys, turns), (mxs, ys, mturns), (xs, mys, mturns), (mxs, mys, turns))
-    return (tuple(fixed), *map(tuple, image))
-
-
-def _is_generic(placements: Mapping[str, Placement]) -> bool:
-    """Whether no two placements of one kind coincide: points within EPS,
-    circles in centre and within 1e-9 in radius, lines by :func:`lines_close`.
-    In order of x, a point or circle meets only those within EPS further on."""
-    lines = [p for p in placements.values() if isinstance(p, LineRep)]
-    if any(lines_close(a, b) for i, a in enumerate(lines) for b in lines[i + 1 :]):
-        return False
-    shapes = sorted(((Point2, p, 0.0) if isinstance(p, Point2) else (CircleRep, *p)
-                     for p in placements.values() if not isinstance(p, LineRep)),
-                    key=lambda shape: shape[1].x)
-    for i, (kind, centre, r) in enumerate(shapes):
-        for j in range(i + 1, len(shapes)):
-            other_kind, other, other_r = shapes[j]
-            if other.x - centre.x > EPS:
-                break
-            if kind is other_kind and centre.close_to(other) and abs(r - other_r) <= 1e-9:
-                return False
-    return True
 
 
 # ------------------------------------------------------------------ residuals

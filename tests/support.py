@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 from gcs2d import (
     BadBranchError,
@@ -64,7 +64,6 @@ from gcs2d.geometry import (
 )
 from gcs2d.graph import angle as angle_constraint
 from gcs2d.solve import (
-    DEFAULT_TOL,
     ResidualReport,
     _intersect_loci,
     _order_points,
@@ -291,6 +290,21 @@ def placements_close(a: Placement, b: Placement, tol: float) -> bool:
     )
 
 
+def same_solutions(found, expected, tol: float = 1e-9) -> bool:
+    """Whether two lists of (selector, solution) pairs hold the same
+    solutions up to order: each solution of ``found`` pairs off with its own
+    one of ``expected`` whose placements are all within ``tol``."""
+    left = [sol.placements for _, sol in expected]
+    for _, sol in found:
+        match = next((k for k, other in enumerate(left) if other.keys() == sol.placements.keys()
+                      and all(placements_close(p, other[e], tol)
+                              for e, p in sol.placements.items())), None)
+        if match is None:
+            return False
+        del left[match]
+    return not left
+
+
 def solution_matches_sample(
     g: ConstraintGraph,
     base_pair: tuple[str, str],
@@ -399,8 +413,8 @@ def count_structural_work(monkeypatch) -> Counter:
     """Count from now on the structural computations the library runs, not
     the calls that find a kept result: pebble games (``games``),
     decomposition fixpoints (``fixpoints``), plan builds (``plans``) and
-    program compiles (``programs``, one per plan and per cluster plan that
-    a recombination step reads)."""
+    program compiles (``programs``, one per plan: the cluster plans its
+    recombination steps read are compiled into the same program)."""
     counts: Counter = Counter()
     for module, name, label in (("rigidity", "_pebble_diagnosis", "games"),
                                 ("decompose", "_fixpoint", "fixpoints"),
@@ -444,16 +458,17 @@ def _other_endpoint(c: Constraint, target: str) -> str:
 
 
 def _triangle_options(
-    points: tuple[str, str, str], first: list[dict[str, Placement]],
-    second: list[dict[str, Placement]], placements: Mapping[str, Placement],
+    step: TriangleMerge, g: ConstraintGraph, tol: float | None,
+    placements: Mapping[str, Placement],
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Place the one unplaced shared point from two virtual-distance circles.
 
     The first and second clusters may admit several internal conformations
     with different virtual distances, so the options run over every
     candidate distance pair and every intersection root; infeasible
-    combinations are simply absent."""
-    p0, p1, p2 = points
+    combinations are simply absent.  The clusters are solved once the
+    step's own shape is checked."""
+    p0, p1, p2 = points = step.points
     missing = [p for p in points if p not in placements]
     if not missing:
         return [{}], False
@@ -463,6 +478,7 @@ def _triangle_options(
         )
     anchor1 = _as_point(placements, p0)
     anchor2 = _as_point(placements, p1)
+    first, second = (reference_local_solutions(sub, g, tol) for sub in step.plans)
     options: list[dict[str, Placement]] = []
     tangent = False
     failure: GcsError | None = None
@@ -516,7 +532,7 @@ def _as_point(placements: Mapping[str, Placement], entity_id: str) -> Point2:
 
 
 def _align_options(
-    step: AlignCluster, conformations: list[dict[str, Placement]],
+    step: AlignCluster, g: ConstraintGraph, tol: float | None,
     placements: Mapping[str, Placement],
 ) -> tuple[list[dict[str, Placement]], bool]:
     """Glue a locally solved cluster onto its placed shared pair.
@@ -530,6 +546,7 @@ def _align_options(
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
     )
+    conformations = reference_local_solutions(step.plan, g, tol)
     outcomes: list[dict[str, Placement]] = []
     failure: GcsError | None = None
     for local in conformations:
@@ -673,7 +690,7 @@ def _place_line(
 
 
 def _options_for_step(
-    step, placements: dict[str, Placement], g: ConstraintGraph
+    step, placements: dict[str, Placement], g: ConstraintGraph, tol: float | None
 ) -> tuple[list[dict[str, Placement]], bool]:
     if isinstance(step, PlaceByTwoLoci):
         kind = g.kind_of(step.target)
@@ -683,25 +700,23 @@ def _options_for_step(
             return _place_line(step, placements, g)
         raise UnsupportedStepError(f"cannot place a {kind.value} by two loci")
     if isinstance(step, TriangleMerge):
-        first, second = (reference_local_solutions(sub, g) for sub in step.plans)
-        return _triangle_options(step.points, first, second, placements)
+        return _triangle_options(step, g, tol, placements)
     if isinstance(step, AlignCluster):
-        return _align_options(step, reference_local_solutions(step.plan, g), placements)
+        return _align_options(step, g, tol, placements)
     raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
 
 
-def reference_local_solutions(plan: Plan, g: ConstraintGraph) -> list[dict[str, Placement]]:
-    """:func:`gcs2d.solve._local_solutions` with the quadratic congruence
-    test it replaced: conformations are told apart by their rounded
-    pairwise measurements and checked for coincident entities pair by pair,
-    and the cluster is walked by :func:`reference_walk` at the default
-    tolerance, measuring the constraints the cluster owns.  The first 64
-    leaves are kept, then sorted generic first."""
-    try:
-        valid = list(islice(reference_walk(plan, g, None, DEFAULT_TOL,
-                                           sorted(plan.owned_constraints)), 64))
-    except VerificationError:  # a residual failure came first
-        raise VerificationError("no branch satisfies the cluster constraints") from None
+def reference_local_solutions(plan: Plan, g: ConstraintGraph,
+                              tol: float | None) -> list[dict[str, Placement]]:
+    """The conformations of a cluster, for the reference walker's
+    recombination, which glues each under both motions: every leaf of the
+    cluster's :func:`reference_walk` within ``tol`` of the constraints the
+    cluster owns (every leaf for ``tol`` None), sorted generic first, and
+    of those congruent by their rounded pairwise measurements the first.
+    Unlike the walker, which walks a cluster's steps inline and keeps one
+    leaf of those its base's symmetries map onto each other, this solves
+    the cluster anew for each evaluation of a step that reads it."""
+    valid = reference_walk(plan, g, None, tol, sorted(plan.owned_constraints))
     firsts: dict[tuple, Solution] = {}  # congruence signature -> its first solution
     for sol in sorted(valid, key=lambda s: not reference_is_generic(s.placements)):
         firsts.setdefault(reference_congruence_signature(sol.placements), sol)
@@ -802,7 +817,7 @@ def reference_walk(
             failure = failure or VerificationError(f"residual {worst} exceeds {tol}")
         elif i < len(plan.steps):
             try:
-                options, tangent = _options_for_step(plan.steps[i], placements, g)
+                options, tangent = _options_for_step(plan.steps[i], placements, g, tol)
                 first, last = 0, len(options) - 1
                 if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0

@@ -37,7 +37,13 @@ from gcs2d.graph import (
     tangency,
 )
 
-from support import count_structural_work, measured_graph, sample_embedding, triangle_graph
+from support import (
+    count_structural_work,
+    grid_embedding,
+    measured_graph,
+    sample_embedding,
+    triangle_graph,
+)
 
 decompose_module = importlib.import_module("gcs2d.decompose")  # gcs2d.decompose is the function
 
@@ -126,6 +132,34 @@ class TestSolve:
         assert len(doc["solutions"]) == 2
         placements = doc["solutions"][0]["placements"]
         assert placements["A"]["point"] == [0.0, 0.0]
+
+    def test_a_bare_solve_takes_the_first_solution_of_the_walk(self, capsys, tmp_path):
+        # On most measured sketches root 0 at some step leads nowhere (here
+        # the 6-point sketch of the CI step): a bare solve returns what
+        # --all --limit 1 returns, and a replay of its branches gives it
+        # again, where one path of roots 0 ends in an empty intersection.
+        sketches = 0
+        for n in range(6, 17):
+            for seed in range(5):
+                for p_h2 in (0.0, 0.5):
+                    g = gcs2d.random_laman(n, seed, p_h2)
+                    g = measured_graph(g, grid_embedding(g, random.Random(1000 * n + seed)))
+                    path = tmp_path / "sketch.json"
+                    path.write_text(serialize(g), encoding="utf-8")
+                    code, out, _ = run_cli(capsys, "solve", str(path))
+                    if json.loads(out).get("error", {}).get("reason") == "not_reducible":
+                        continue
+                    assert (code, out) == run_cli(capsys, "solve", str(path), "--all",
+                                                  "--limit", "1")[:2]
+                    [found] = json.loads(out)["solutions"]
+                    selector = ",".join(map(str, found["branches"]))
+                    assert run_cli(capsys, "solve", str(path), "--branch", selector)[:2] == (0, out)
+                    if (n, seed, p_h2) == (6, 5, 0.5):
+                        code, out, _ = run_cli(capsys, "solve", str(path), "--branch", "0")
+                        assert code == 2 and found["branches"] == [0, 1, 0, 0]
+                        assert json.loads(out)["error"]["reason"] == "empty_intersection"
+                    sketches += 1
+        assert sketches >= 60
 
     @pytest.mark.parametrize("limit", ["9223372036854775808", "100000000000000000000"])
     def test_a_limit_past_every_walk_takes_every_solution(self, capsys, triangle_file, limit):
@@ -356,20 +390,22 @@ SPINDLE_1E8 = {
 
 
 class TestErrorPath:
-    @pytest.mark.parametrize("extra", [("--all",), ()])
+    @pytest.mark.parametrize("extra", [("--all",), ("--branch", "0")])
     def test_alignment_dead_end_is_an_empty_intersection(self, capsys, tmp_path, extra):
-        # A replay (no --all) checks no residual and ends at the alignment.
-        # Enumeration checks each root where it is placed: the triangle
-        # merge's first root misses C-F, which it owns, by 7.1e-10, before
-        # the alignment runs, so that residual is the first failure met.
+        # A replay of root 0 at every step checks no residual and ends at
+        # the alignment.  Enumeration checks each root where it is placed:
+        # at this scale the absolute EPS takes F's local copy, in the walk
+        # of the cluster the alignment reads, at a tangent root that misses
+        # D-F and E-F, which its step owns, by 1.1e-10, before the alignment
+        # runs, so that residual is the first failure met.
         path = tmp_path / "spindle-1e-8.json"
         path.write_text(json.dumps(SPINDLE_1E8), encoding="utf-8")
         code, out, err = run_cli(capsys, "solve", str(path), "--tol", "1e-17", *extra)
         assert code == 2
         error = json.loads(out)["error"]
-        if extra:
+        if extra == ("--all",):
             assert error["reason"] == "verification_failed"
-            assert error["message"].startswith("residual 7.1") and "e-10 exceeds 1e-17" in error["message"]
+            assert error["message"].startswith("residual 1.1") and "e-10 exceeds 1e-17" in error["message"]
         else:
             assert error["reason"] == "empty_intersection"
         assert err == ""
@@ -803,9 +839,9 @@ class TestStructureReuse:
         variants = dict(structure_variants())
         runs = [["spindle", "revalued", "x1e-10", "x1e10"], ["swapped"], ["spindle again"],
                 ["quad-angle-aux"], ["kind changed"], ["quad-angle-aux"]]
-        # A spindle's program comes with those of the two clusters its
-        # recombination steps read; the quadrilateral's reads none.
-        programs = [3, 6, 9, 10, 11, 12]
+        # One program per plan: the clusters a spindle's recombination steps
+        # read are walked inside it.
+        programs = [1, 2, 3, 4, 5, 6]
         counts = count_structural_work(monkeypatch)
         for i, run in enumerate(runs, start=1):
             for name in run:
@@ -832,8 +868,8 @@ class TestStructureReuse:
                     capsys, ["solve", str(path), "--branch", ",".join(map(str, doc["branches"]))])
                 assert code == 0 and json.loads(out)["solutions"] == [doc]
                 assert verify(g, solution_from_dict(doc)).passed
-        # The spindle's program, with those of the two clusters it reads.
-        assert counts == {"games": 1, "fixpoints": 1, "plans": 1, "programs": 3}
+        # One program, which walks the two clusters the spindle's plan reads.
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 1, "programs": 1}
 
     def test_analyze_then_solve_plays_one_game(self, capsys, monkeypatch, tmp_path):
         # The plan extraction's own well-constrainedness check finds the
@@ -843,7 +879,7 @@ class TestStructureReuse:
         path.write_text(serialize(fixture("moser-spindle")), encoding="utf-8")
         assert self.call(capsys, ["analyze", str(path)])[0] == 0
         assert self.call(capsys, ["solve", str(path), "--all"])[0] == 0
-        assert counts == {"games": 1, "fixpoints": 1, "plans": 1, "programs": 3}
+        assert counts == {"games": 1, "fixpoints": 1, "plans": 1, "programs": 1}
 
     def test_errors_are_not_kept(self, capsys, monkeypatch, tmp_path):
         counts = count_structural_work(monkeypatch)
