@@ -9,7 +9,7 @@ equations to roughly 1e-12 relative.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import (
     BadValueError,
@@ -138,16 +138,6 @@ class Motion(NamedTuple):
         if isinstance(placement, LineRep):
             return self.apply_line(placement)
         return self.apply_circle(placement)
-
-    def apply_all(self, placements: Iterable[Placement]) -> tuple[Placement, ...]:
-        """:meth:`apply` of each placement, the rotation's cosine and sine
-        taken once."""
-        cos_r, sin_r = math.cos(self.rotation), math.sin(self.rotation)
-        tx, ty = self.translation
-        sy = -1.0 if self.reflect else 1.0
-        return tuple([Point2(cos_r * p.x - sin_r * sy * p.y + tx,
-                             sin_r * p.x + cos_r * sy * p.y + ty)
-                       if isinstance(p, Point2) else self.apply(p) for p in placements])
 
 
 class Intersection(NamedTuple):
@@ -365,4 +355,4 @@ def alignment_motions(
 
 def apply_motion(motion: Motion, placements: Mapping[str, Placement]) -> dict[str, Placement]:
     """Apply one motion to every placement in a solution fragment."""
-    return dict(zip(placements, motion.apply_all(placements.values())))
+    return {name: motion.apply(p) for name, p in placements.items()}

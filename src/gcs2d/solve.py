@@ -28,14 +28,16 @@ steps, recursively, go just before the first step that reads it and place
 local copies of its entities, from its own base, in slots that never reach
 a solution; they own the constraints the cluster owns.  So a triangle merge
 reads the virtual distances of one path through each cluster's steps, and
-an alignment maps one leaf onto the placed pair, by both motions.  The
-isometries that fix a cluster's base (the mirrors and the half turn, found
-per walk) map its leaves onto each other: the cluster's first step keeps
-one root of each set they map onto each other, and an alignment drops one
-leaf of each pair that those fixing the kept root still swap.  With a
-tolerance, a root that breaks a constraint its step owns is a dead end
-where it is placed, and a leaf checks only the bases', which hold by
-construction up to rounding.
+an alignment maps one leaf onto the placed pair, by both motions.  A
+triangle merge reads each distance where a copy was first given it, in the
+innermost cluster, so it blames only the steps that choose that distance.
+The isometries that fix a cluster's base (the mirrors and the half turn,
+found per walk) map its leaves onto each other: each step of the cluster
+keeps one root of each set that those fixing its earlier steps' roots map
+onto each other, so gluing each leaf by both motions gives every solution
+once.  With a tolerance, a root that breaks a constraint its step owns is a
+dead end where it is placed, and a leaf checks only the bases', which hold
+by construction up to rounding.
 
 A dead end, a step without roots or a root that breaks a constraint, jumps
 back to the latest step that placed what the step reads or an endpoint of a
@@ -54,9 +56,8 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
@@ -272,52 +273,67 @@ class _Builder:
     """A program as :func:`_compile` builds it: the id in each slot, the
     step that places each (-1 a base), the steps (each one's _Step fields,
     its blame still growing), the constraints the bases own, each walked
-    cluster's base and, by cluster id, its local slots and gluing slot, and
-    the first endpoint found unplaced."""
+    cluster's base and, by cluster id, its local slots, the walked clusters
+    each copy a recombination step places is moved from, and the first
+    endpoint found unplaced."""
 
     def __init__(self, g: ConstraintGraph, ids: list[str | None]):
         self.g, self.ids, self.placer = g, ids, [-1] * len(ids)
         self.steps, self.owns, self.bases, self.clusters = [], [], [], {}
+        self.moved: dict[int, list[tuple[Mapping[str, int], Container[str]]]] = {}
         self.unplaced: str | None = None
 
     def emit(self, steps: Sequence, index: dict[str, int], at: int | None,
-             glue: int | None = None) -> range:
+             flips: int | None = None) -> None:
         """Compile ``steps`` over the slots ``index`` gives: those of a
         cluster walked before the plan step ``at``, whose base symmetries
-        are in slot ``glue``, or the plan's own.  Returns the slots the
-        first of them places."""
+        are in slot ``flips``, or the plan's own."""
         ids, placer = self.ids, self.placer
-        first = range(0)
+        own: list[int] = []  # the slots the cluster's steps place
         for k, step in enumerate(steps):
             here = k if at is None else at
-            kernel, reads, places = _compile_step(
-                step, self.g, index, lambda cluster, sub: self.walk(cluster, sub, here))
-            if k == 0 and glue is not None:
-                kernel = _one_per_orbit(kernel, glue)
-                first = range(len(ids), len(ids) + len(places))
+            kernel, reads, places = _compile_step(step, self.g, index, self, here)
+            if flips is not None and places:
+                kernel = _one_per_orbit(kernel, flips, tuple(own))
+                own.extend(range(len(ids), len(ids) + len(places)))
             self.steps.append((kernel, {placer[s] for s in reads},
                                slice(len(ids), len(ids) + len(places)), [], here))
             for e in places:
                 index[e] = len(ids)
                 ids.append(e if at is None else None)
                 placer.append(len(self.steps) - 1)
-        return first
 
-    def walk(self, cluster: int, sub: Plan, at: int) -> tuple[dict[str, int], int, range]:
+    def walk(self, cluster: int, sub: Plan, at: int) -> dict[str, int]:
         """The local slots of ``cluster``, whose plan ``sub`` is compiled
-        here the first time it is read, its gluing slot and the slots its
-        first step places."""
+        here the first time it is read."""
         if cluster not in self.clusters:
             base = len(self.ids)
             a, b = self.g.constraints[sub.base_constraint].between
-            local = {a: base, b: base + 1}
+            local = self.clusters[cluster] = {a: base, b: base + 1}
             self.bases.append((sub.base_constraint, base))
             self.ids.extend((None, None, None))
             self.placer.extend((-1, -1, -1))
-            first = self.emit(sub.steps, local, at, base + 2)
-            self.clusters[cluster] = local, base + 2, first
+            self.emit(sub.steps, local, at, base + 2)
             self.own(sorted(sub.owned_constraints), local)
         return self.clusters[cluster]
+
+    def copies(self, count: int, sources: list[tuple[Mapping[str, int], Container[str]]]) -> None:
+        """Note that the next ``count`` slots hold copies moved out of
+        walked clusters' slots (``sources``), each of which keeps their
+        distances to the entities listed with it."""
+        for k in range(count):
+            self.moved[len(self.ids) + k] = sources
+
+    def pair(self, local: Mapping[str, int], a: str, b: str) -> tuple[int, int]:
+        """The slots of ``a`` and ``b`` in the innermost walked cluster
+        whose copies of them give their distance in the slots ``local``.
+        A step that reads the distance there blames only the steps that
+        choose it, not those that place the rest of ``local``'s cluster."""
+        for x, y in ((a, b), (b, a)):
+            for source, keeps in self.moved.get(local[y], ()):
+                if x in keeps:
+                    return self.pair(source, a, b)
+        return local[a], local[b]
 
     def own(self, constraints: Iterable[int], index: Mapping[str, int]) -> None:
         """Give each of ``constraints`` to the step that places its last
@@ -337,14 +353,14 @@ class _Builder:
 
 
 def _compile_step(
-    step, g: ConstraintGraph, index: Mapping[str, int],
-    read: Callable[[int, Plan], tuple[dict[str, int], int, range]],
+    step, g: ConstraintGraph, index: Mapping[str, int], built: _Builder, at: int
 ) -> tuple[Kernel, Sequence[int], Sequence[str]]:
     """A plan step's kernel, the slots its roots depend on and the entities
-    it places, given the slots of the entities placed before it; ``read``
-    walks a cluster the step recombines (see :meth:`_Builder.walk`).  A structural fault, such as an anchor not placed before
-    it as the shape (``graph._SHAPE``) its constraint needs, makes a step
-    that raises it whenever it runs and reads and places nothing."""
+    it places, given the slots of the entities placed before it; ``built``
+    walks each cluster the step recombines before the plan step ``at``.  A
+    structural fault, such as an anchor not placed before it as the shape
+    (``graph._SHAPE``) its constraint needs, makes a step that raises it
+    whenever it runs and reads and places nothing."""
     try:
         if isinstance(step, PlaceByTwoLoci):
             kind = g.kind_of(step.target)._value_
@@ -355,9 +371,9 @@ def _compile_step(
             return kernel, [index[e] for ci in step.constraints
                             for e in g.constraints[ci].between if e != step.target], (step.target,)
         if isinstance(step, TriangleMerge):
-            return _triangle_kernel(step, g, index, read)
+            return _triangle_kernel(step, g, index, built, at)
         if isinstance(step, AlignCluster):
-            return _align_kernel(step, g, index, read)
+            return _align_kernel(step, g, index, built, at)
         raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
     except GcsError as exc:
         return _raising(exc), (), ()
@@ -513,12 +529,13 @@ def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
 
 
 def _triangle_kernel(
-    step: TriangleMerge, g: ConstraintGraph, index: Mapping[str, int], read
+    step: TriangleMerge, g: ConstraintGraph, index: Mapping[str, int], built: _Builder, at: int
 ) -> tuple[Kernel, Sequence[int], Sequence[str]]:
     """A triangle merge's kernel, read slots and placed entities: it places
     the one unplaced shared point p2 at the virtual distances |p2 p0| and
     |p1 p2| of the walked first and second clusters' local copies, which
-    each path through those clusters' steps sets anew."""
+    each path through those clusters' steps sets anew.  Each distance is
+    read where a copy was first given it (:meth:`_Builder.pair`)."""
     p0, p1, p2 = step.points
     unplaced = [p for p in step.points if p not in index]
     if not unplaced:
@@ -526,16 +543,17 @@ def _triangle_kernel(
     if unplaced != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced")
-    (first, *_), (second, *_) = (read(cluster, sub) for cluster, sub in
-                                 zip(step.clusters[1:], step.plans, strict=True))
+    first, second = (built.walk(cluster, sub, at) for cluster, sub in
+                     zip(step.clusters[1:], step.plans, strict=True))
     for slots, p in ((index, p0), (index, p1), (second, p1), (second, p2),
                      (first, p2), (first, p0)):  # anchors, then pairs as measured
         if p not in slots:
             raise _missing(p)
         if _SHAPE[g.kind_of(p)._value_] != "point":
             raise UnsupportedStepError(f"entity {p!r} is not placed as a point")
-    reads = i0, i1, j1, j2, k2, k0 = (index[p0], index[p1], second[p1], second[p2],
-                                      first[p2], first[p0])
+    i0, i1 = index[p0], index[p1]
+    (j1, j2), (k2, k0) = built.pair(second, p1, p2), built.pair(first, p2, p0)
+    built.copies(1, [(first, (p0,)), (second, (p1,))])
 
     def place(placed: list, values: Sequence[float]):
         d12, d20 = placed[j1].distance_to(placed[j2]), placed[k2].distance_to(placed[k0])
@@ -543,29 +561,26 @@ def _triangle_kernel(
             raise EmptyIntersectionError(f"no virtual-distance circles intersect to place {p2!r}")
         return _circle_roots(p2, placed[i0], d20, placed[i1], d12)
 
-    return place, reads, (p2,)
+    return place, (i0, i1, j1, j2, k2, k0), (p2,)
 
 
 def _align_kernel(
-    step: AlignCluster, g: ConstraintGraph, index: Mapping[str, int], read
+    step: AlignCluster, g: ConstraintGraph, index: Mapping[str, int], built: _Builder, at: int
 ) -> tuple[Kernel, Sequence[int], Sequence[str]]:
     """An alignment's kernel, read slots and placed entities: it maps the
     walked cluster's local copy of the shared pair onto the placed pair by
     the proper and by the reflected motion, and its local copies of the
-    cluster's unplaced entities with them.  A pair of another size is an
-    empty intersection, a coincident pair leaves the cluster
-    under-determined.  The cluster's first step kept one root of each set
-    that its base's symmetries map onto each other (:func:`_one_per_orbit`);
-    those of them that fix the kept root still pair up its leaves, and of
-    each such pair the one whose local pair direction lies below its image's
-    (by y, then x) has no roots and records no failure."""
+    cluster's unplaced entities with them, once if both place them alike (a
+    cluster its own mirror image across the pair).  A pair of another size
+    is an empty intersection, a coincident pair leaves the cluster
+    under-determined."""
     s0, s1 = step.shared
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
     owned = step.plan.owned_constraints
     if {e for ci in owned for e in g.constraints[ci].between} <= index.keys():
         return _nothing_left, [index[s0], index[s1]], ()  # every entity of the cluster is placed
-    local, glue, first = read(step.cluster, step.plan)
+    local = built.walk(step.cluster, step.plan, at)
     for s in step.shared:
         if s not in local:
             raise _missing(s)
@@ -574,6 +589,7 @@ def _align_kernel(
     unplaced = [e for e in sorted(local) if e not in index]
     i0, i1, j0, j1 = index[s0], index[s1], local[s0], local[s1]
     copies = [local[e] for e in unplaced]
+    built.copies(len(unplaced), [(local, {s0, s1, *unplaced})])
 
     def kernel(placed: list, values: Sequence[float]):
         src, dst = (placed[j0], placed[j1]), (placed[i0], placed[i1])
@@ -585,18 +601,14 @@ def _align_kernel(
         except CoincidentPointsError:
             raise UnderDeterminedError(
                 unplaced[0], "a coincident shared pair leaves the cluster free to turn") from None
-        dx, dy = src[1].x - src[0].x, src[1].y - src[0].y
-        for sx, sy in placed[glue]:
-            up, right = sy * dy - dy, sx * dx - dx  # how far the pair's image lies beyond it
-            if (up > EPS or abs(up) <= EPS and right > EPS) and all(
-                    _alike(_flipped(placed[j], sx, sy), placed[j]) for j in first):
-                return [], False
-        return [motion.apply_all([placed[j] for j in copies]) for motion in motions], False
+        proper, reflected = [tuple([m.apply(placed[j]) for j in copies]) for m in motions]
+        if all(map(_alike, proper, reflected)):
+            return [proper], False
+        return [proper, reflected], False
 
-    return kernel, [i0, i1, j0, j1, glue, *first, *copies], unplaced
+    return kernel, [i0, i1, j0, j1, *copies], unplaced
 
 
-@lru_cache(maxsize=256)
 def _symmetries(base: tuple[Placement, Placement]) -> list[tuple[float, float]]:
     """The flips (x, y) -> (sx x, sy y) but the identity that map each base
     placement of a cluster onto itself (the mirrors y -> -y, x -> -x and the
@@ -606,19 +618,26 @@ def _symmetries(base: tuple[Placement, Placement]) -> list[tuple[float, float]]:
             if all(_alike(_flipped(p, sx, sy), p) for p in base)]
 
 
-def _one_per_orbit(kernel: Kernel, glue: int) -> Kernel:
-    """``kernel`` of a cluster's first step, keeping of the roots that the
-    base's symmetries (slot ``glue``) map onto each other the first: each
-    leaf below a dropped root is the image of one below a kept root, whose
-    reflected alignment gives what its own would.  Every walk of a cluster
-    is halved at least, and nested clusters compound it."""
+def _one_per_orbit(kernel: Kernel, flips: int, before: tuple[int, ...]) -> Kernel:
+    """``kernel`` of a step of a cluster, keeping the first of each set of
+    its roots that the base's symmetries (slot ``flips``) fixing every slot
+    ``before`` it (those the cluster's earlier steps place) map onto each
+    other.  Of two leaves that one of the symmetries maps onto each other,
+    the first step where they part keeps one, so the cluster's leaves are
+    one of each such set, and gluing each by both motions gives every
+    solution once.  A dropped root's subtree is the image of a kept one's,
+    with the same dead ends, so blame need not list ``before``."""
 
     def place(placed: list, values: Sequence[float]):
         options, tangent = kernel(placed, values)
-        flips, kept = placed[glue], []
+        fixing = [(sx, sy) for sx, sy in placed[flips]
+                  if all(_alike(_flipped(placed[j], sx, sy), placed[j]) for j in before)]
+        if not fixing:
+            return options, tangent
+        kept = []
         for root in options:
             if not any(all(_alike(_flipped(p, sx, sy), q) for p, q in zip(other, root))
-                       for other in kept for sx, sy in flips):
+                       for other in kept for sx, sy in fixing):
                 kept.append(root)
         return kept, tangent
 
@@ -710,8 +729,7 @@ def _run(
     over the slice its step places, and no step reads what a later one
     places.  Every base, the plan's and each walked cluster's, is placed
     before the first step, so a leaf checks the constraints they all own.
-    A step without roots that records no failure (an alignment's twin
-    leaf) is a dead end all the same.  Dead ends backjump as the module
+    Dead ends backjump as the module
     describes (Prosser 1993): a step's roots and owned residuals depend only
     on what the steps it blames place, and its blame only on the plan, so a
     skipped subtree holds no leaf.
@@ -740,7 +758,7 @@ def _run(
             try:
                 options, tangent = kernel(placed, values)
                 first, last = 0, len(options) - 1
-                if selector is not None and last > 0:
+                if selector is not None and last:
                     first = last = selector[cursor] if cursor < len(selector) else 0
                     if not 0 <= first < len(options):
                         raise BadBranchError(
@@ -749,11 +767,10 @@ def _run(
             except GcsError as exc:
                 failure = failure or exc
             else:
-                if options:  # else a dead end that records no failure: a twin leaf
-                    placed[places] = options[first]
-                    frames.append(_Frame(options, first, last, tangent, blame))
-                    cursor += len(options) > 1
-                    continue
+                placed[places] = options[first]
+                frames.append(_Frame(options, first, last, tangent, blame))
+                cursor += len(options) > 1
+                continue
         else:  # a leaf: one that fails ends the walk, as every leaf fails alike
             blame = frozenset()  # (and a selector's walk has no other)
             if selector is not None and cursor < len(selector):

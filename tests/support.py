@@ -57,6 +57,7 @@ from gcs2d.errors import (
     UnsupportedStepError,
 )
 from gcs2d.geometry import (
+    EPS,
     CircleRep,
     fold_angle,
     intersect_circle_circle,
@@ -538,7 +539,8 @@ def _align_options(
     """Glue a locally solved cluster onto its placed shared pair.
 
     Runs over the cluster's conformations and, per conformation, the motions
-    mapping the local pair onto the placed pair; conformations whose pair
+    mapping the local pair onto the placed pair (once when a conformation
+    is its own mirror image across the pair); conformations whose pair
     geometry cannot match are skipped.  When none is left, the first to fail
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined."""
@@ -565,8 +567,11 @@ def _align_options(
                 unplaced[0], "a coincident shared pair leaves the cluster free to turn"
             )
             continue
-        for motion in motions:
-            outcomes.append({e: motion.apply(local[e]) for e in unplaced})
+        images = [{e: motion.apply(local[e]) for e in unplaced} for motion in motions]
+        if len(images) == 2 and all(placements_close(p, images[1][e], EPS)
+                                    for e, p in images[0].items()):
+            images.pop()  # the conformation is its own mirror image across the pair
+        outcomes += images
     try:
         if not outcomes:
             raise failure or EmptyIntersectionError(

@@ -808,8 +808,8 @@ class TestWalkerEquivalence:
 
     def test_every_cluster_leaf_within_tolerance_is_glued(self, monkeypatch):
         # The strip cluster's walk has 256 leaves; A-D fails the first 64,
-        # all under D's wrong root, and 128 pass.  Each is glued by its
-        # proper motion: a leaf's mirror image stands for its reflected one.
+        # all under D's wrong root, and 128 pass.  C's step keeps one of
+        # each mirror pair, and both motions glue each of the 64 kept.
         g, plan = aligned_strip(random.Random(0))
         assert len(self.assert_same(monkeypatch, g, plan)) == 128
 
@@ -958,11 +958,12 @@ def broken_chain(length):
     return build_graph(g.entities, constraints)
 
 
-def nested_triangles(levels):
-    """A cluster between points p and q: at level 0 a rigid strip p, t1, t2,
-    t3, q; at level k a fresh point r and three level k - 1 clusters between
-    p and r, r and q, p and q.  Each level nests one triangle recombination
-    inside the first and second clusters of the next."""
+def nested_triangles(levels, strip=5):
+    """A cluster between points p and q: at level 0 a rigid strip of
+    ``strip`` points p, t1, ..., q, each joined to the two before it; at
+    level k a fresh point r and three level k - 1 clusters between p and r,
+    r and q, p and q.  Each level nests one triangle recombination inside
+    the first and second clusters of the next."""
     names, pairs = ["p", "q"], []
 
     def fresh():
@@ -971,8 +972,9 @@ def nested_triangles(levels):
 
     def cluster(p, q, level):
         if level == 0:
-            t1, t2, t3 = fresh(), fresh(), fresh()
-            pairs.extend([(p, t1), (p, t2), (t1, t2), (t1, t3), (t2, t3), (t2, q), (t3, q)])
+            chain = [p, *(fresh() for _ in range(strip - 2)), q]
+            for k in range(1, strip):
+                pairs.extend((chain[j], chain[k]) for j in (k - 2, k - 1) if j >= 0)
             return
         r = fresh()
         for a, b in ((p, r), (r, q), (p, q)):
@@ -1014,10 +1016,10 @@ def recombination_over(kind):
 
 class TestGluing:
     """The isometries that fix a cluster's base map its leaves onto each
-    other.  The cluster's first step keeps one root of each set they map
-    onto each other, an alignment glues each leaf by both motions and drops
-    one leaf of each pair that those fixing the kept root still swap: every
-    solution comes once, and none is missed."""
+    other.  Each step of the cluster keeps one root of each set that those
+    fixing the roots before it map onto each other, and an alignment glues
+    each leaf by both motions, once if they place it alike: every solution
+    comes once, and none is missed."""
 
     @staticmethod
     def alike(found):
@@ -1042,6 +1044,21 @@ class TestGluing:
         g, plan = aligned_on_a_line()
         found = TestWalkerEquivalence().assert_same(monkeypatch, g, plan)
         assert len(found) == 2 and not self.alike(found)
+
+    def test_a_first_root_on_the_mirror_axis(self, monkeypatch):
+        # C lies on the base AB, so y -> -y fixes C's one root, and D's two
+        # roots are mirror images across AB: D's step keeps one, and both
+        # motions onto the placed AB glue D on either side, once each.
+        g, plan = aligned_past_a_collinear_point(1.2)
+        found = TestWalkerEquivalence().assert_same(monkeypatch, g, plan)
+        assert len(found) == 2 and not self.alike(found)
+        assert sorted(sol.placements["D"].y > 0 for _, sol in found) == [False, True]
+
+    def test_a_cluster_its_own_mirror_image(self, monkeypatch):
+        # C and D lie on AB too: both motions place the cluster alike.
+        g, plan = aligned_past_a_collinear_point(0.5)
+        ((_, sol),) = TestWalkerEquivalence().assert_same(monkeypatch, g, plan)
+        assert verify(g, sol).passed
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
     def test_a_distance_base_and_a_point_on_a_fixed_circle(self, kind):
@@ -1193,10 +1210,19 @@ class TestRecombinationReads:
         assert len(program.steps) == len(plan.steps) + 2 * length * 3
         assert sum(e is None for e in program.ids) == 2 * length * (5 + 1)
 
-    def test_nested_clusters(self):
-        levels = 4
-        g = nested_triangles(levels)
+    @pytest.mark.parametrize("strip, most", [(5, 10_000), (4, 5_000)])
+    def test_nested_clusters(self, monkeypatch, strip, most):
+        # A merge reads each virtual distance off the strip whose steps
+        # choose it, so a merge that fails jumps back to those steps alone.
+        # Blaming every step of the clusters it reads took 88,793 step
+        # evaluations to the first solution on 5-point strips, and more than
+        # 300 s on the 204 points of 4-point strips, where capped cluster
+        # conformation lists found no solution at all.
+        g = nested_triangles(4, strip)
         plan = plan_for(g)
+        evaluations = count_evaluations(monkeypatch)
+        assert len(enumerate_solutions(plan, g, limit=1)) == 1
+        assert evaluations.total() < most
         found = enumerate_solutions(plan, g, limit=16)
         assert len(found) == 16 and not TestGluing.alike(found)
         for selector, sol in found:
@@ -1376,6 +1402,18 @@ def aligned_on_lines(alpha):
                      point_line_distance("A", "L2", 2.0 * math.sin(alpha)), incidence("B", "L2"),
                      distance("A", "B", 2.5), distance("A", "B", 2.5)])
     cluster = Plan(1, 0, (PlaceByTwoLoci("A", (1, 2)), PlaceByTwoLoci("B", (3, 4))),
+                   frozenset(range(5)))
+    return g, Plan(0, 5, (AlignCluster(1, ("A", "B"), cluster),))
+
+
+def aligned_past_a_collinear_point(cd):
+    """A cluster with base AB = 2, C at 1 from A and from B (on AB), and D at
+    1.5 from A and ``cd`` from C, and a plan that places A and B by a second
+    AB distance and aligns the cluster onto them."""
+    g = build_graph([point(v) for v in "ABCD"],
+                    [distance("A", "B", 2.0), distance("A", "C", 1.0), distance("C", "B", 1.0),
+                     distance("A", "D", 1.5), distance("C", "D", cd), distance("A", "B", 2.0)])
+    cluster = Plan(1, 0, (PlaceByTwoLoci("C", (1, 2)), PlaceByTwoLoci("D", (3, 4))),
                    frozenset(range(5)))
     return g, Plan(0, 5, (AlignCluster(1, ("A", "B"), cluster),))
 
