@@ -22,8 +22,9 @@ things carry across calls:
   same text again parses nothing;
 - the diagnosis, decomposition, plan and compiled program of the structure
   analysed last, which the library keeps by structure
-  (``ConstraintGraph._analyses``), so a sketch and its re-valued or
-  rescaled copies share them.
+  (``ConstraintGraph._kept``), a plan or program only for the same
+  decomposition or plan object it was built from, so a sketch and its
+  re-valued or rescaled copies share them.
 
 Every call still reads its files and stdin, and ``GCS_TOL``, and runs the
 numeric search, verification and output.

@@ -103,16 +103,12 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
     grouped by their far two-DOF entity.  Candidates wait on two heaps, so
     no step rescans the live clusters.
 
-    The result is kept with ``g``'s structure (``ConstraintGraph._analyses``),
-    so a later call on ``g`` or on a re-valued copy runs no second fixpoint.
+    The result is kept with ``g``'s structure, so a later call on ``g`` or
+    on a re-valued copy runs no second fixpoint.
     """
     if g.n < 2:
         raise TooSmallError(f"decomposition needs at least 2 entities, got {g.n}")
-    kept = g._analyses
-    result = kept.get("decompose")
-    if result is None:
-        result = kept["decompose"] = _fixpoint(g)
-    return result
+    return g._kept("decompose", None, lambda: _fixpoint(g))
 
 
 def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
@@ -294,20 +290,15 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     recombined through a TriangleMerge over virtual distances plus rigid
     alignments, which reference the clusters' own plans.  The plan holds no
     values of ``g``, so it serves every graph with the same structure: it is
-    kept with ``g``'s structure together with ``result``, and a later call
-    with that same ``result`` object returns it again.  Both refusals run on
-    every call.
+    kept with ``g``'s structure under the ``result`` object it was built
+    from, so a later call with that same object returns it again.  Both
+    refusals run on every call.
     """
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
     if diagnose_pebble(g).verdict is not Verdict.WELL_CONSTRAINED:
         raise NotReducibleError("plan extraction needs a well-constrained graph")
-    kept = g._analyses
-    built_from, plan = kept.get("plan", (None, None))
-    if built_from is not result:
-        plan = _build_plan(result, g)
-        kept["plan"] = (result, plan)
-    return plan
+    return g._kept("plan", result, lambda: _build_plan(result, g))
 
 
 def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:

@@ -9,7 +9,7 @@ equations to roughly 1e-12 relative.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import (
     BadValueError,
@@ -171,13 +171,13 @@ def lines_close(l1: LineRep, l2: LineRep, tol: float = EPS) -> bool:
     return False
 
 
-def intersect_line_line(l1: LineRep, l2: LineRep, eps: float = EPS) -> Point2:
+def intersect_line_line(l1: LineRep, l2: LineRep) -> Point2:
     """Unique intersection of two non-parallel lines.
 
-    Raises ParallelError when |sin(t1 - t2)| <= eps (coincident included).
+    Raises ParallelError when |sin(t1 - t2)| <= EPS (coincident included).
     """
     det = math.sin(l2.theta - l1.theta)
-    if abs(det) <= eps:
+    if abs(det) <= EPS:
         raise ParallelError("lines are parallel within tolerance")
     n1x, n1y = l1.normal
     n2x, n2y = l2.normal
@@ -186,12 +186,12 @@ def intersect_line_line(l1: LineRep, l2: LineRep, eps: float = EPS) -> Point2:
     return Point2(x, y)
 
 
-def intersect_line_circle(l: LineRep, k: CircleRep, eps: float = EPS) -> Intersection:
+def intersect_line_circle(l: LineRep, k: CircleRep) -> Intersection:
     """One (tangent) or two points common to a line and a circle."""
     s = l.signed_offset(k.center)
     gap = abs(s) - k.r
     foot = Point2(k.center.x - s * l.normal[0], k.center.y - s * l.normal[1])
-    if abs(gap) <= eps:
+    if abs(gap) <= EPS:
         return Intersection((foot,), tangent=True)
     if gap > 0:
         raise EmptyIntersectionError("line misses the circle")
@@ -206,32 +206,32 @@ def intersect_line_circle(l: LineRep, k: CircleRep, eps: float = EPS) -> Interse
     )
 
 
-def intersect_circle_circle(k1: CircleRep, k2: CircleRep, eps: float = EPS) -> Intersection:
+def intersect_circle_circle(k1: CircleRep, k2: CircleRep) -> Intersection:
     """One (tangent) or two points common to two circles.
 
     Raises CoincidentError for identical circles and EmptyIntersectionError
     for disjoint or nested ones.
     """
     roots, tangent = circle_circle_roots(
-        k1.center.x, k1.center.y, k1.r, k2.center.x, k2.center.y, k2.r, eps
+        k1.center.x, k1.center.y, k1.r, k2.center.x, k2.center.y, k2.r
     )
     return Intersection(tuple(Point2(x, y) for x, y in roots), tangent)
 
 
 def circle_circle_roots(
-    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float, eps: float = EPS
+    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float
 ) -> tuple[tuple[tuple[float, float], ...], bool]:
     """:func:`intersect_circle_circle` on coordinates: the (x, y) roots of
     the circles about (x1, y1) and (x2, y2), and whether they touch at a
     double root.  Raises the same errors."""
     d = math.hypot(x1 - x2, y1 - y2)
-    if d <= eps:
-        if abs(r1 - r2) <= eps:
+    if d <= EPS:
+        if abs(r1 - r2) <= EPS:
             raise CoincidentError("circles coincide")
         raise EmptyIntersectionError("concentric circles with different radii")
     outer = d - (r1 + r2)
     inner = d - abs(r1 - r2)
-    tangent = abs(outer) <= eps or abs(inner) <= eps
+    tangent = abs(outer) <= EPS or abs(inner) <= EPS
     if not tangent and (outer > 0 or inner < 0):
         raise EmptyIntersectionError("circles do not intersect")
     # Squares of lengths past about 1e154 overflow, so huge circles are
@@ -249,9 +249,9 @@ def circle_circle_roots(
     return ((bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)), False
 
 
-def line_through_points(p: Point2, q: Point2, eps: float = EPS) -> LineRep:
+def line_through_points(p: Point2, q: Point2) -> LineRep:
     """The line through two distinct points."""
-    if p.distance_to(q) <= eps:
+    if p.distance_to(q) <= EPS:
         raise CoincidentPointsError("cannot draw a line through coincident points")
     dx, dy = q.x - p.x, q.y - p.y
     theta = math.atan2(dx, -dy)  # normal is the direction rotated by -90 degrees
@@ -276,15 +276,12 @@ def line_through_point_angle(p: Point2, ref: LineRep, alpha: float, branch: int 
 
 
 def rigid_align(
-    src: tuple[Point2, Point2],
-    dst: tuple[Point2, Point2],
-    reflect: bool = False,
-    rel_tol: float = 1e-9,
+    src: tuple[Point2, Point2], dst: tuple[Point2, Point2], reflect: bool = False
 ) -> Motion:
     """Motion mapping src[0] -> dst[0] and src[1] -> dst[1].
 
-    The two segments must have equal length within ``rel_tol`` relative to the
-    destination length; orientation is flipped iff ``reflect``.
+    The two segments must have equal length within EPS times the destination
+    length, or EPS below length 1; orientation is flipped iff ``reflect``.
     """
     s1, s2 = src
     d1, d2 = dst
@@ -292,7 +289,7 @@ def rigid_align(
     ld = d1.distance_to(d2)
     if ls <= EPS or ld <= EPS:
         raise CoincidentPointsError("alignment needs two distinct points on each side")
-    if abs(ls - ld) > rel_tol * max(1.0, ld):
+    if abs(ls - ld) > EPS * max(1.0, ld):
         raise LengthMismatchError(f"segment lengths differ: {ls} vs {ld}")
     sx, sy = s1.x, s1.y
     vx, vy = s2.x - s1.x, s2.y - s1.y
@@ -334,7 +331,7 @@ def alignment_motions(
     ps, ls = split(src)
     pd, ld = split(dst)
     offs, offd = abs(ls.signed_offset(ps)), abs(ld.signed_offset(pd))
-    if abs(offs - offd) > max(tol, 1e-9 * max(1.0, offd)):
+    if abs(offs - offd) > max(tol, EPS * max(1.0, offd)):
         raise LengthMismatchError(f"point-line distances differ: {offs} vs {offd}")
 
     candidates: list[Motion] = []
@@ -351,8 +348,3 @@ def alignment_motions(
     if not candidates:
         raise LengthMismatchError("no motion maps the source pair onto the destination pair")
     return candidates
-
-
-def apply_motion(motion: Motion, placements: Mapping[str, Placement]) -> dict[str, Placement]:
-    """Apply one motion to every placement in a solution fragment."""
-    return {name: motion.apply(p) for name, p in placements.items()}

@@ -12,7 +12,7 @@ import json
 import math
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     BadValueError,
@@ -152,7 +152,7 @@ class ConstraintGraph(_Graph):
 
     @cached_property
     def _analyses(self) -> dict[str, object]:
-        """Structural results the other layers keep, by name, for the graph's
+        """Structural results :meth:`_kept` keeps, by name, for the graph's
         structure: its entity ids and kinds and constraint kinds and
         endpoints, in order.  No structural layer reads a value, so a
         re-valued or rescaled copy of a graph gets the same dict when no
@@ -169,6 +169,16 @@ class ConstraintGraph(_Graph):
             kept = {}
             _last_structure = (key, kept)
         return kept
+
+    def _kept(self, name: str, key: object, build: Callable[[], object]) -> object:
+        """The result kept under ``name`` if it was built from this ``key``
+        object (``None``: from the structure alone), else ``build()``'s, kept
+        from now on.  A build that raises keeps nothing."""
+        kept = self._analyses
+        made = kept.get(name)
+        if made is None or made[0] is not key:
+            made = kept[name] = (key, build())
+        return made[1]
 
     @property
     def n(self) -> int:

@@ -158,13 +158,9 @@ def diagnose_pebble(g: ConstraintGraph) -> Diagnosis:
     """Pebble-game analysis; verdict-equivalent to :func:`diagnose_counting`.
 
     The diagnosis is kept with ``g``'s structure, so later calls on ``g`` or
-    on a re-valued copy (such as the one :func:`gcs2d.decompose.extract_plan`
-    makes) play no second game."""
+    on a re-valued copy of it play no second game."""
     _require_size(g)
-    kept = g._analyses
-    if "pebble" not in kept:
-        kept["pebble"] = _pebble_diagnosis(g)
-    return kept["pebble"]
+    return g._kept("pebble", None, lambda: _pebble_diagnosis(g))
 
 
 def _pebble_diagnosis(g: ConstraintGraph) -> Diagnosis:

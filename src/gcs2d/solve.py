@@ -237,14 +237,15 @@ class _Step(NamedTuple):
 
 
 class _Program(NamedTuple):
-    """A compiled plan: the id of the entity in each slot (the base
-    constraint's endpoints, then in step order; None for a cluster's local
-    copy), its steps, the constraints the bases own, an endpoint no step
-    places (of the first constraint with one, else None), and each walked
-    cluster's base constraint with the first of its three base slots: its
-    two endpoints, then the flips that fix them (:func:`_symmetries`)."""
+    """A compiled plan, kept under its plan object (:func:`_walk`): its base
+    constraint, the id of the entity in each slot (the base constraint's
+    endpoints, then in step order; None for a cluster's local copy), its
+    steps, the constraints the bases own, an endpoint no step places (of the
+    first constraint with one, else None), and each walked cluster's base
+    constraint with the first of its three base slots: its two endpoints,
+    then the flips that fix them (:func:`_symmetries`)."""
 
-    plan: Plan
+    base_constraint: int
     ids: tuple[str | None, ...]
     steps: tuple[_Step, ...]
     owns: list[tuple[str, int, int, int]]
@@ -252,21 +253,21 @@ class _Program(NamedTuple):
     bases: tuple[tuple[int, int], ...]
 
 
-def _compile(plan: Plan, g: ConstraintGraph, measured: Iterable[int]) -> _Program:
+def _compile(plan: Plan, g: ConstraintGraph) -> _Program:
     """Compile ``plan`` against ``g``'s structure.  Each cluster plan that a
     recombination step reads is walked inline, once per cluster id: its
     steps, recursively, go just before the first step that reads it, place
     local copies of the cluster's entities in the cluster's own gauge and
-    own the constraints the cluster owns.  The plan's own steps measure the
-    constraints ``measured`` lists, or a leaf's check raises for the first
-    of them with an endpoint no step places."""
+    own the constraints the cluster owns.  The plan's own steps measure
+    every constraint of ``g``, or a leaf's check raises for the first with
+    an endpoint no step places."""
     built = _Builder(g, list(g.constraints[plan.base_constraint].between))
     index = {e: i for i, e in enumerate(built.ids)}  # of the plan's entities placed so far
     built.emit(plan.steps, index, None)
-    built.own(measured, index)
+    built.own(range(len(g.constraints)), index)
     steps = [_Step(kernel, frozenset(blame), *rest) for kernel, blame, *rest in built.steps]
-    return _Program(plan, tuple(built.ids), tuple(steps), built.owns, built.unplaced,
-                    tuple(built.bases))
+    return _Program(plan.base_constraint, tuple(built.ids), tuple(steps), built.owns,
+                    built.unplaced, tuple(built.bases))
 
 
 class _Builder:
@@ -557,7 +558,7 @@ def _triangle_kernel(
 
     def place(placed: list, values: Sequence[float]):
         d12, d20 = placed[j1].distance_to(placed[j2]), placed[k2].distance_to(placed[k0])
-        if d12 <= 1e-9 or d20 <= 1e-9:
+        if d12 <= EPS or d20 <= EPS:
             raise EmptyIntersectionError(f"no virtual-distance circles intersect to place {p2!r}")
         return _circle_roots(p2, placed[i0], d20, placed[i1], d12)
 
@@ -702,12 +703,9 @@ class _Frame:
 def _walk(
     plan: Plan, g: ConstraintGraph, selector: tuple[int, ...] | None, tol: float | None
 ) -> Iterator[Solution]:
-    """:func:`_run` of ``plan``'s program, compiled on first use and kept
-    next to ``plan`` with ``g``'s structure, over ``g``'s values."""
-    kept = g._analyses
-    program = kept.get("program")
-    if program is None or program.plan is not plan:
-        program = kept["program"] = _compile(plan, g, range(len(g.constraints)))
+    """:func:`_run` of ``plan``'s program over ``g``'s values, compiled on
+    first use and kept with ``g``'s structure under that ``plan`` object."""
+    program = g._kept("program", plan, lambda: _compile(plan, g))
     return _run(program, g, [c.value for c in g.constraints], selector, tol)
 
 
@@ -734,7 +732,7 @@ def _run(
     on what the steps it blames place, and its blame only on the plan, so a
     skipped subtree holds no leaf.
     """
-    base = base_placements(g, program.plan.base_constraint)
+    base = base_placements(g, program.base_constraint)
     steps = program.steps
     placed: list = [None] * len(program.ids)
     placed[0], placed[1] = base[program.ids[0]], base[program.ids[1]]
@@ -871,15 +869,11 @@ def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> Residua
     """Measure every constraint against a solution's placements.  Raises
     UnknownEndpointError for a placement of an id the graph lacks and
     KindMismatchError for an entity placed as another kind."""
-    for entity_id, placed in s.placements.items():
+    placements = s.placements
+    for entity_id, placed in placements.items():
         kind = g.kind_of(entity_id)  # UnknownEndpointError for an id the graph lacks
         if not isinstance(placed, _PLACEMENT_TYPES.get(kind, CircleRep)):
             raise KindMismatchError(f"{kind.value} {entity_id!r} placed as {type(placed).__name__}")
-    return _report(g, s.placements, tol)
-
-
-def _report(g: ConstraintGraph, placements: Mapping[str, Placement], tol: float) -> ResidualReport:
-    """:func:`verify` without the kind check."""
     try:
         residuals = tuple(_residual(c.kind._value_, placements[c.between[0]],
                                     placements[c.between[1]], c.value) for c in g.constraints)

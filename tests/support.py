@@ -88,16 +88,6 @@ def subset_violates(g: ConstraintGraph, witness: frozenset[str]) -> bool:
     return m_sub > cap
 
 
-def brute_force_min_witness(g: ConstraintGraph) -> frozenset[str] | None:
-    """Smallest violating subset by direct enumeration (oracle for tests)."""
-    ids = sorted(g.entity_ids)
-    for size in range(2, len(ids) + 1):
-        for subset in combinations(ids, size):
-            if subset_violates(g, frozenset(subset)):
-                return frozenset(subset)
-    return None
-
-
 def reference_pebble_run(
     ids: list[str], dofs: dict[str, int], edges: list[tuple[str, str]]
 ) -> tuple[str, frozenset[str] | None, int]:

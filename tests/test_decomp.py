@@ -17,6 +17,7 @@ from gcs2d import (
     MergeRecord,
     NotReducibleError,
     PlaceByTwoLoci,
+    Plan,
     ReducibilityClass,
     TooSmallError,
     TriangleMerge,
@@ -28,6 +29,7 @@ from gcs2d import (
     diagnose_pebble,
     distance,
     dof,
+    enumerate_solutions,
     extract_plan,
     fixture,
     fixture_names,
@@ -462,6 +464,19 @@ class TestStructureMemo:
         part = own._replace(final_clusters=(inner,))
         assert extract_plan(part, g).owned_constraints == inner.owned_constraints
         assert inner.owned_constraints != kept.owned_constraints and counts["plans"] == 3
+
+    def test_a_foreign_plan_gets_its_own_program(self, monkeypatch):
+        g = fixture("moser-spindle")
+        kept = extract_plan(decompose(g), g)
+        counts = count_structural_work(monkeypatch)
+        first = enumerate_solutions(kept, g)
+        assert counts["programs"] == 1
+        own = Plan(*kept)
+        assert own == kept and own is not kept
+        for _ in range(2):
+            assert enumerate_solutions(own, g) == first and counts["programs"] == 2
+        # The kept plan's program gave way to the foreign plan's.
+        assert enumerate_solutions(kept, g) == first and counts["programs"] == 3
 
     def test_refusals_run_on_every_call(self, monkeypatch):
         g = fixture("moser-spindle")

@@ -15,7 +15,6 @@ from gcs2d import (
     ParallelError,
     Point2,
     alignment_motions,
-    apply_motion,
     fold_angle,
     intersect_circle_circle,
     intersect_line_circle,
@@ -242,9 +241,8 @@ class TestMotions:
     def test_motions_preserve_distances(self, x1, y1, x2, y2, reflect):
         motion = Motion(reflect=reflect, rotation=0.7, translation=(3.0, -2.0))
         p, q = Point2(x1, y1), Point2(x2, y2)
-        moved = apply_motion(motion, {"p": p, "q": q})
         original = p.distance_to(q)
-        assert moved["p"].distance_to(moved["q"]) == pytest.approx(
+        assert motion.apply(p).distance_to(motion.apply(q)) == pytest.approx(
             original, abs=1e-12 * max(1.0, original)
         )
 

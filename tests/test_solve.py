@@ -1206,7 +1206,7 @@ class TestRecombinationReads:
         assert sorted(compiled) == sorted(map(id, self.read_steps(plan)))
         assert set(compiled.values()) == {1}
         # Each read cluster is one 7-constraint strip of three placements.
-        program = g._analyses["program"]
+        _, program = g._analyses["program"]
         assert len(program.steps) == len(plan.steps) + 2 * length * 3
         assert sum(e is None for e in program.ids) == 2 * length * (5 + 1)
 
@@ -1243,7 +1243,7 @@ class TestRecombinationReads:
                 evaluations = count_evaluations(monkeypatch)
                 fresh = Plan(*plan)  # an equal plan object, compiled anew through the count
                 assert execute(fresh, graph, selector) == sol
-                steps = graph._analyses["program"].steps
+                steps = graph._analyses["program"][1].steps
                 assert Counter(evaluations.values()) == {1: len(steps)}
                 monkeypatch.undo()
 
@@ -1308,7 +1308,7 @@ class TestRecombinationReads:
             with pytest.raises(EmptyIntersectionError) as expected:
                 enumerate_solutions(plan, g)
         assert str(raised.value) == str(expected.value)
-        raw = solve_module._run(solve_module._compile(cluster, g, ()), g, values, None, None)
+        raw = solve_module._run(solve_module._compile(cluster, g), g, values, None, None)
         assert [sol.branches for sol in raw] == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
 
     def test_a_measured_sketch_is_among_its_solutions(self):
@@ -1547,7 +1547,7 @@ class TestLazyWalk:
         walk = solve_module._walk(plan, g, None, solve_module.DEFAULT_TOL)
         # A leaf is a root of the last step, whose owned constraints are
         # checked where it is placed: one check per leaf reached.
-        last = g._analyses["program"].steps[-1].owns
+        last = g._analyses["program"][1].steps[-1].owns
         leaves = []
         owned_worst = solve_module._owned_worst
 
