@@ -28,6 +28,11 @@ things carry across calls:
 
 Every call still reads its files and stdin, and ``GCS_TOL``, and runs the
 numeric search, verification and output.
+
+Importing this module loads what ``analyze``, ``classify`` and ``solve`` run.
+Two modules load on first use instead: ``gcs2d.henneberg`` on the first
+``generate`` or ``fixture`` call and ``gcs2d.render`` on the first ``render``
+call.
 """
 
 from __future__ import annotations
@@ -41,9 +46,8 @@ from functools import cached_property, lru_cache
 
 from .decompose import decompose, decomposition_to_dict, extract_plan, plan_to_dict
 from .errors import GcsError, UnderDeterminedError
+from .geometry import Placement
 from .graph import ConstraintGraph, graph_to_dict, parse
-from .henneberg import fixture, random_laman
-from .render import to_dot, to_svg
 from .rigidity import Diagnosis, Verdict, diagnose_pebble
 from .solve import (
     DEFAULT_TOL,
@@ -54,6 +58,34 @@ from .solve import (
     solution_to_dict,
     verify,
 )
+
+
+# Only generate, fixture and render call into henneberg and render, so those
+# modules are imported on the first call rather than with the CLI.  The
+# commands call through these module attributes, which bench/spans.py wraps,
+# so they are never rebound to the functions they call.
+def random_laman(n: int, seed: int, p_h2: float) -> ConstraintGraph:
+    from . import henneberg
+
+    return henneberg.random_laman(n, seed, p_h2)
+
+
+def fixture(name: str) -> ConstraintGraph:
+    from . import henneberg
+
+    return henneberg.fixture(name)
+
+
+def to_dot(g: ConstraintGraph) -> str:
+    from . import render
+
+    return render.to_dot(g)
+
+
+def to_svg(g: ConstraintGraph, placements: dict[str, Placement]) -> str:
+    from . import render
+
+    return render.to_svg(g, placements)
 
 
 class _Failure(Exception):

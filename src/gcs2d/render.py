@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 from .geometry import CircleRep, LineRep, Placement, Point2
 from .graph import ConstraintGraph, EntityKind
@@ -15,7 +16,20 @@ _DOT_SHAPES = {
 }
 
 
+# Characters that XML 1.0 forbids: C0 controls other than tab, newline and
+# carriage return, the surrogates (which UTF-8 cannot encode either), U+FFFE
+# and U+FFFF.  An id shows each of them as a visible escape such as \u0001.
+_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _visible(text: str) -> str:
+    if text.isprintable():  # every character to escape is unprintable
+        return text
+    return _UNWRITABLE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+
+
 def _quote(text: str) -> str:
+    text = _visible(text)
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -23,15 +37,17 @@ def to_dot(g: ConstraintGraph) -> str:
     """Graphviz source: one node per entity (shape by kind), one labelled edge
     per constraint."""
     lines = ["graph constraints {", "  node [fontsize=10];"]
+    names = {}  # each id quoted once
     for e in g.entities:
-        label = e.id
+        label = names[e.id] = _quote(e.id)
         if e.kind.is_circle:
-            label += "\\nr known" if e.kind is EntityKind.CIRCLE_FIXED_RADIUS else "\\nr free"
-        lines.append(f"  {_quote(e.id)} [shape={_DOT_SHAPES[e.kind]}, label={_quote(label)}];")
+            suffix = "\\nr known" if e.kind is EntityKind.CIRCLE_FIXED_RADIUS else "\\nr free"
+            label = _quote(e.id + suffix)
+        lines.append(f"  {names[e.id]} [shape={_DOT_SHAPES[e.kind]}, label={label}];")
     for c in g.constraints:
         label = c.kind.value if c.value is None else f"{c.kind.value}={c.value:g}"
         lines.append(
-            f"  {_quote(c.between[0])} -- {_quote(c.between[1])} [label={_quote(label)}];"
+            f"  {names[c.between[0]]} -- {names[c.between[1]]} [label={_quote(label)}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -94,7 +110,7 @@ def _clip_line(l: LineRep, bounds: tuple[float, float, float, float]) -> tuple[P
 
 def _text(x: float, y: float, name: str) -> str:
     """A label at screen point (x, y); the id is escaped as XML text."""
-    name = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    name = _visible(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f'  <text x="{x:.2f}" y="{y:.2f}" font-size="12">{name}</text>'
 
 

@@ -603,6 +603,17 @@ def test_closed_stdout_pipe_under_render_exits_one(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_render_shows_a_lone_surrogate_in_an_id_as_an_escape(tmp_path):
+    # UTF-8 cannot encode the surrogate, so stdout would fail on it.
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"entities": [{"id": "A\\ud800", "kind": "point"}], "constraints": []}',
+                    encoding="utf-8")
+    proc = gcs2d_process("render", str(path), "--format", "dot")
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+    assert '"A\\\\ud800" [shape=circle, label="A\\\\ud800"];' in out
+
+
 class TestOneProcess:
     """In-process ``main`` calls reuse one parser and behave like fresh processes."""
 

@@ -52,13 +52,18 @@ def test_svg_draws_lines_for_line_entities():
 
 
 def test_svg_escapes_entity_ids():
-    g = build_graph([point("A&B"), point("<C>"), point("D")],
-                    [distance("A&B", "<C>", 3.0), distance("A&B", "D", 4.0),
-                     distance("<C>", "D", 5.0)])
-    sol = enumerate_solutions(extract_plan(decompose(g), g), g, limit=1)[0][1]
-    root = ElementTree.fromstring(to_svg(g, sol.placements))
-    labels = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
-    assert labels == ["A&B", "<C>", "D"]
+    for ids, shown in (
+        (("A&B", "<C>", "D"), ["A&B", "<C>", "D"]),
+        # Characters XML 1.0 forbids show as visible escapes.
+        (("A\u0001", "B\u000b", "C\ud800"), ["A\\u0001", "B\\u000b", "C\\ud800"]),
+    ):
+        a, b, c = ids
+        g = build_graph([point(a), point(b), point(c)],
+                        [distance(a, b, 3.0), distance(a, c, 4.0), distance(b, c, 5.0)])
+        sol = enumerate_solutions(extract_plan(decompose(g), g), g, limit=1)[0][1]
+        root = ElementTree.fromstring(to_svg(g, sol.placements).encode("utf-8"))
+        labels = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels == shown
 
 
 def test_svg_of_a_flat_sketch_does_not_change_with_its_scale():

@@ -2,6 +2,7 @@
 clusters, plans and solutions), and what a cold import loads."""
 
 import copy
+import importlib.util
 import math
 import pickle
 import subprocess
@@ -26,7 +27,8 @@ from gcs2d import (
     serialize,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.mark.parametrize("theta, folds", [
@@ -110,14 +112,48 @@ def test_repr():
 
 def test_cold_import_loads_no_dataclasses_or_inspect():
     # -S keeps site-packages' start-up hooks out of the process, so only
-    # what the package and its parser import is loaded.
+    # what the package and its parser import is loaded.  The generator and
+    # the renderer load on first use; what analyze, classify and solve run
+    # loads with the CLI.
+    absent = ["dataclasses", "inspect", "gcs2d.henneberg", "gcs2d.render"]
+    present = ["gcs2d.graph", "gcs2d.rigidity", "gcs2d.decompose", "gcs2d.geometry", "gcs2d.solve"]
     probe = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "import gcs2d, gcs2d.cli\n"
         "gcs2d.cli.build_parser()\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        f"print(sorted(set({absent!r}) & set(sys.modules)), sorted(set({present!r}) - set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] []"
+
+
+def test_names_loaded_on_first_use_keep_the_api():
+    import gcs2d
+    import gcs2d.cli
+    import gcs2d.henneberg
+    import gcs2d.render
+
+    lazy = {
+        gcs2d.henneberg: ["H1", "H2", "HennebergSequence", "extend_h1", "extend_h2", "fixture",
+                          "fixture_names", "random_laman", "reduction_sequence",
+                          "replay_sequence"],
+        gcs2d.render: ["to_dot", "to_svg"],
+    }
+    for module, names in lazy.items():
+        submodule = module.__name__.rsplit(".", 1)[1]
+        assert getattr(gcs2d, submodule) is module and submodule in dir(gcs2d)
+        for name in names:
+            assert getattr(gcs2d, name) is getattr(module, name)
+            assert name in dir(gcs2d) and name in gcs2d.__all__
+    from gcs2d import random_laman, to_svg
+    assert (random_laman, to_svg) == (gcs2d.henneberg.random_laman, gcs2d.render.to_svg)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gcs2d.no_such_name
+    # The benchmark's spans read and patch these names on the CLI module.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert all(callable(getattr(gcs2d.cli, name)) for name in spans.CLI_LAYER_CALLS)
+    assert gcs2d.cli.fixture("triangle") == gcs2d.henneberg.fixture("triangle")
