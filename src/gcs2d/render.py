@@ -29,8 +29,9 @@ def _visible(text: str) -> str:
 
 
 def _quote(text: str) -> str:
-    text = _visible(text)
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A DOT string: backslashes and quotes escaped, then unwritable
+    characters shown, so an escape's backslash stays single."""
+    return '"' + _visible(text.replace("\\", "\\\\").replace('"', '\\"')) + '"'
 
 
 def to_dot(g: ConstraintGraph) -> str:
@@ -40,9 +41,9 @@ def to_dot(g: ConstraintGraph) -> str:
     names = {}  # each id quoted once
     for e in g.entities:
         label = names[e.id] = _quote(e.id)
-        if e.kind.is_circle:
-            suffix = "\\nr known" if e.kind is EntityKind.CIRCLE_FIXED_RADIUS else "\\nr free"
-            label = _quote(e.id + suffix)
+        if e.kind.is_circle:  # DOT's line break, inside the quotes
+            radius = "known" if e.kind is EntityKind.CIRCLE_FIXED_RADIUS else "free"
+            label = f'{label[:-1]}\\nr {radius}"'
         lines.append(f"  {names[e.id]} [shape={_DOT_SHAPES[e.kind]}, label={label}];")
     for c in g.constraints:
         label = c.kind.value if c.value is None else f"{c.kind.value}={c.value:g}"

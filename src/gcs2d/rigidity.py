@@ -41,18 +41,6 @@ class Diagnosis(NamedTuple):
     witness: frozenset[str] | None = None
 
 
-def _well() -> Diagnosis:
-    return Diagnosis(Verdict.WELL_CONSTRAINED)
-
-
-def _under(deficit: int) -> Diagnosis:
-    return Diagnosis(Verdict.UNDER_CONSTRAINED, deficit=deficit)
-
-
-def _over(witness: frozenset[str]) -> Diagnosis:
-    return Diagnosis(Verdict.OVER_CONSTRAINED, witness=witness)
-
-
 def _require_size(g: ConstraintGraph) -> None:
     if g.n < 2:
         raise TooSmallError(f"analysis needs at least 2 entities, got {g.n}")
@@ -77,11 +65,11 @@ def diagnose_counting(g: ConstraintGraph) -> Diagnosis:
             m_sub = sum(1 for a, b in edges if a in chosen and b in chosen)
             cap = sum(dofs[v] for v in subset) - 3
             if m_sub > cap:
-                return _over(frozenset(subset))
+                return Diagnosis(Verdict.OVER_CONSTRAINED, witness=frozenset(subset))
     missing = deficiency(g)
     if missing > 0:
-        return _under(missing)
-    return _well()
+        return Diagnosis(Verdict.UNDER_CONSTRAINED, deficit=missing)
+    return Diagnosis(Verdict.WELL_CONSTRAINED)
 
 
 def _pebble_run(
@@ -170,10 +158,10 @@ def _pebble_diagnosis(g: ConstraintGraph) -> Diagnosis:
     state, witness, leftover = _pebble_run(ids, dofs, edges)
     if state == "over":
         assert witness is not None
-        return _over(witness)
+        return Diagnosis(Verdict.OVER_CONSTRAINED, witness=witness)
     if leftover > 0:
-        return _under(leftover)
-    return _well()
+        return Diagnosis(Verdict.UNDER_CONSTRAINED, deficit=leftover)
+    return Diagnosis(Verdict.WELL_CONSTRAINED)
 
 
 def _require_points(g: ConstraintGraph) -> None:

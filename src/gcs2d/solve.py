@@ -45,7 +45,11 @@ constraint it owns (conflict-directed backjumping, Prosser 1993), as no
 choice made in between changes its outcome; the step it lands on keeps that
 blame and, once out of roots itself, jumps on by it.  A step with a
 structural fault blames nothing and raises that error whenever it runs, so
-the walk ends where it first reaches it, as at a leaf that fails.  After a
+the walk ends where it first reaches it, as at a leaf that fails.  A
+recombination step with nothing left to place, a triangle merge whose
+three points or an alignment whose cluster's entities are all placed, is
+malformed: no extracted plan holds one, and compiling refuses it as it
+refuses a merge with a point other than its third unplaced.  After a
 solution, the steps on its path take back roots one at a time again, so the
 solutions, their order and the reported failure (the first met in branch
 order) are those of chronological backtracking, which the reference walker
@@ -92,7 +96,7 @@ from .geometry import (
     rigid_align,
     unsigned_line_angle,
 )
-from .graph import _SHAPE, Constraint, ConstraintGraph, EntityKind
+from .graph import _SHAPE, ConstraintGraph, EntityKind
 
 DEFAULT_TOL = 1e-9
 
@@ -175,15 +179,6 @@ Kernel = Callable[[list, Sequence[float]], tuple[list[tuple[Placement, ...]], bo
 
 def _missing(entity_id: str) -> MissingPlacementError:
     return MissingPlacementError(f"entity {entity_id!r} has no placement yet")
-
-
-def _other_endpoint(c: Constraint, target: str) -> str:
-    a, b = c.between
-    if target == a:
-        return b
-    if target == b:
-        return a
-    raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
 
 
 def _raising(exc: GcsError) -> Callable[..., NoReturn]:
@@ -385,15 +380,13 @@ def _endpoint(g: ConstraintGraph, ci: int, target: str,
     """The kind of constraint ``ci``, and the index and shape of its
     endpoint other than ``target``, which must be placed before the step."""
     c = g.constraints[ci]
-    anchor = _other_endpoint(c, target)
+    a, b = c.between
+    if target not in c.between:
+        raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
+    anchor = b if target == a else a
     if anchor not in index:
         raise _missing(anchor)
     return c.kind._value_, index[anchor], _SHAPE[g.kind_of(anchor)._value_]
-
-
-def _nothing_left(*args: object) -> tuple[list[tuple[()]], bool]:
-    """The kernel of a recombination step whose entities are all placed."""
-    return [()], False
 
 
 def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
@@ -416,7 +409,8 @@ def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
             raise UnsupportedStepError("offset locus needs a placed line anchor")
         loci.append((kind, i, ci))
     (ka, ia, ca), (kb, ib, cb) = loci
-    if ka == kb == "distance":  # the common step, solved from coordinates
+    # The common step, solved from coordinates in half the time of the loci.
+    if ka == kb == "distance":
         return lambda placed, values: _circle_roots(
             target, placed[ia], values[ca], placed[ib], values[cb])
 
@@ -538,21 +532,14 @@ def _triangle_kernel(
     each path through those clusters' steps sets anew.  Each distance is
     read where a copy was first given it (:meth:`_Builder.pair`)."""
     p0, p1, p2 = step.points
-    unplaced = [p for p in step.points if p not in index]
-    if not unplaced:
-        return _nothing_left, [index[p] for p in step.points], ()
-    if unplaced != [p2]:
+    if [p for p in step.points if p not in index] != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced")
     first, second = (built.walk(cluster, sub, at) for cluster, sub in
                      zip(step.clusters[1:], step.plans, strict=True))
-    for slots, p in ((index, p0), (index, p1), (second, p1), (second, p2),
-                     (first, p2), (first, p0)):  # anchors, then pairs as measured
-        if p not in slots:
-            raise _missing(p)
-        if _SHAPE[g.kind_of(p)._value_] != "point":
-            raise UnsupportedStepError(f"entity {p!r} is not placed as a point")
-    i0, i1 = index[p0], index[p1]
+    i0, i1 = _point_slots(g, index, (p0, p1))  # anchors, then pairs as measured
+    _point_slots(g, second, (p1, p2))
+    _point_slots(g, first, (p2, p0))
     (j1, j2), (k2, k0) = built.pair(second, p1, p2), built.pair(first, p2, p0)
     built.copies(1, [(first, (p0,)), (second, (p1,))])
 
@@ -580,15 +567,11 @@ def _align_kernel(
         raise _missing(missing[0])
     owned = step.plan.owned_constraints
     if {e for ci in owned for e in g.constraints[ci].between} <= index.keys():
-        return _nothing_left, [index[s0], index[s1]], ()  # every entity of the cluster is placed
+        raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
     local = built.walk(step.cluster, step.plan, at)
-    for s in step.shared:
-        if s not in local:
-            raise _missing(s)
-        if _SHAPE[g.kind_of(s)._value_] != "point":
-            raise UnsupportedStepError(f"entity {s!r} is not placed as a point")
+    j0, j1 = _point_slots(g, local, step.shared)
     unplaced = [e for e in sorted(local) if e not in index]
-    i0, i1, j0, j1 = index[s0], index[s1], local[s0], local[s1]
+    i0, i1 = index[s0], index[s1]
     copies = [local[e] for e in unplaced]
     built.copies(len(unplaced), [(local, {s0, s1, *unplaced})])
 
@@ -608,6 +591,17 @@ def _align_kernel(
         return [proper, reflected], False
 
     return kernel, [i0, i1, j0, j1, *copies], unplaced
+
+
+def _point_slots(g: ConstraintGraph, slots: Mapping[str, int], points: Sequence[str]) -> list[int]:
+    """The slots of ``points`` in ``slots``, each of which must hold it,
+    placed as a point."""
+    for p in points:
+        if p not in slots:
+            raise _missing(p)
+        if _SHAPE[g.kind_of(p)._value_] != "point":
+            raise UnsupportedStepError(f"entity {p!r} is not placed as a point")
+    return [slots[p] for p in points]
 
 
 def _symmetries(base: tuple[Placement, Placement]) -> list[tuple[float, float]]:
@@ -736,7 +730,9 @@ def _run(
     steps = program.steps
     placed: list = [None] * len(program.ids)
     placed[0], placed[1] = base[program.ids[0]], base[program.ids[1]]
-    for ci, at in program.bases:  # each walked cluster's, in its own gauge
+    # Each walked cluster's base, in its own gauge, and the flips that fix
+    # it, found once per walk: at each of its steps they cost a third more.
+    for ci, at in program.bases:
         local = base_placements(g, ci)
         ends = tuple([local[e] for e in g.constraints[ci].between])
         placed[at : at + 3] = *ends, _symmetries(ends)

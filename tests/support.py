@@ -460,10 +460,7 @@ def _triangle_options(
     combinations are simply absent.  The clusters are solved once the
     step's own shape is checked."""
     p0, p1, p2 = points = step.points
-    missing = [p for p in points if p not in placements]
-    if not missing:
-        return [{}], False
-    if missing != [p2]:
+    if [p for p in points if p not in placements] != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced"
         )
@@ -533,18 +530,21 @@ def _align_options(
     is its own mirror image across the pair); conformations whose pair
     geometry cannot match are skipped.  When none is left, the first to fail
     names the verdict: a pair of another size is an empty intersection, a
-    coincident pair leaves the cluster under-determined."""
+    coincident pair leaves the cluster under-determined.  A cluster whose
+    owned constraints' entities are all placed leaves nothing to place and
+    is refused before it is solved."""
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
     )
+    owned = step.plan.owned_constraints
+    if {e for ci in owned for e in g.constraints[ci].between} <= placements.keys():
+        raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
     conformations = reference_local_solutions(step.plan, g, tol)
     outcomes: list[dict[str, Placement]] = []
     failure: GcsError | None = None
     for local in conformations:
         unplaced = [e for e in local if e not in placements]
-        if not unplaced:
-            return [{}], False
         try:
             motions = alignment_motions((local[step.shared[0]], local[step.shared[1]]), dst)
         except LengthMismatchError as exc:

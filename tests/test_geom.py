@@ -200,6 +200,14 @@ class TestLineConstruction:
         with pytest.raises(BadValueError):
             line_through_point_angle(Point2(0, 0), X_AXIS, 0.0)
 
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(BadValueError, match="branch must be 0 or 1"):
+            line_through_point_angle(Point2(0, 0), X_AXIS, 1.0, branch=2)
+
+    def test_fold_angle_of_a_negative_angle(self):
+        assert fold_angle(-math.pi / 6) == pytest.approx(math.pi / 6)
+        assert fold_angle(-2 * math.pi / 3) == pytest.approx(math.pi / 3)
+
     @given(
         coords,
         coords,
@@ -268,6 +276,7 @@ class TestMotions:
         for motion in motions:
             assert motion.apply_point(src[0]).close_to(dst[0], 1e-9)
             assert lines_close(motion.apply_line(src[1]), dst[1], 1e-9)
+        assert alignment_motions(src[::-1], dst[::-1]) == motions  # the line first
 
     @pytest.mark.parametrize("src, dst, message", [
         ((Point2(0, 0), Point2(2, 0)), (Point2(0, 0), X_AXIS), "pair kinds differ"),
@@ -282,3 +291,4 @@ class TestMotions:
         src = (Point2(0, 0), X_AXIS)
         dst = (Point2(2, 0), X_AXIS)
         assert len(alignment_motions(src, dst)) == 4
+        assert alignment_motions(src[::-1], dst[::-1]) == alignment_motions(src, dst)

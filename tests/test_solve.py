@@ -220,6 +220,43 @@ class TestFailureModes:
             execute(Plan(0, 0, (merge,)), g)
         assert err.value.entity == "C"
 
+    def test_a_line_through_coincident_points_is_under_determined(self):
+        # P and Q are both 1.5 from A and from B, so on mixed roots they
+        # coincide and leave L free.
+        g = build_graph(
+            [point("A"), point("B"), point("P"), point("Q"), line("L")],
+            [distance("A", "B", 2.0), distance("A", "P", 1.5), distance("B", "P", 1.5),
+             distance("A", "Q", 1.5), distance("B", "Q", 1.5), incidence("P", "L"),
+             incidence("Q", "L")],
+        )
+        plan = plan_for(g)
+        assert [type(s).__name__ for s in plan.steps] == ["PlaceByTwoLoci"] * 3
+        assert [selector for selector, _ in enumerate_solutions(plan, g)] == [(0, 1), (1, 0)]
+        with pytest.raises(UnderDeterminedError, match="both incident points coincide") as err:
+            execute(plan, g, (0, 0))
+        assert err.value.entity == "L"
+
+    @pytest.mark.parametrize("shared, cluster, error", [
+        # The cluster's plan places A and D, not C.
+        (("A", "C"), (5, frozenset({5, 6})), (MissingPlacementError, "entity 'C' has no placement")),
+        # It places L, as a line.
+        (("A", "L"), (3, frozenset({3, 5})), (UnsupportedStepError, "entity 'L' is not placed as a point")),
+    ], ids=["unplaced", "not a point"])
+    def test_an_alignment_refuses_a_shared_entity_its_cluster_lacks(self, shared, cluster, error):
+        from gcs2d.decompose import Plan, PlaceByTwoLoci
+
+        g = build_graph(
+            [point("A"), point("B"), point("C"), point("D"), line("L")],
+            [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
+             incidence("A", "L"), incidence("B", "L"), distance("A", "D", 1.0),
+             distance("C", "D", 1.0)],
+        )
+        base, owned = cluster
+        align = AlignCluster(7, shared, Plan(base, base, (), owned))  # D is left to place
+        plan = Plan(0, 0, (PlaceByTwoLoci("C", (1, 2)), PlaceByTwoLoci("L", (3, 4)), align))
+        with pytest.raises(error[0], match=error[1]):
+            execute(plan, g)
+
     def test_merge_with_a_base_plan_is_refused(self):
         from gcs2d.decompose import Plan
 
@@ -682,23 +719,35 @@ class TestWalkerEquivalence:
             walked = self.assert_same(monkeypatch, unchecked, Plan(0, 0, (step,)))
             assert walked[0][0] is error
 
-    @pytest.mark.parametrize("step, error", [
-        (TriangleMerge(("A", "C", "B"), (0, 1, 2),
-                       (Plan(1, 1, (), frozenset({1, 3})), Plan(2, 2, (), frozenset({2})))),
+    @pytest.mark.parametrize("steps, error", [
+        ((TriangleMerge(("A", "C", "B"), (0, 1, 2),
+                        (Plan(1, 1, (), frozenset({1, 3})), Plan(2, 2, (), frozenset({2})))),),
          (UnsupportedStepError, "triangle merge expects exactly the third shared point unplaced")),
-        (AlignCluster(1, ("A", "D"), Plan(1, 1, (), frozenset({1, 3}))),
+        ((AlignCluster(1, ("A", "D"), Plan(1, 1, (), frozenset({1, 3}))),),
          (MissingPlacementError, "entity 'D' has no placement yet")),
-    ], ids=["merge", "alignment"])
-    def test_a_malformed_recombination_fails_with_its_own_fault(self, monkeypatch, step, error):
+        # Nothing left to place: C's step places the merge's third point, and
+        # the aligned cluster owns no constraint.
+        ((PlaceByTwoLoci("C", (1, 2)),
+          TriangleMerge(("A", "B", "C"), (0, 1, 2),
+                        (Plan(1, 1, (), frozenset({1})), Plan(2, 2, (), frozenset({2}))))),
+         (UnsupportedStepError, "triangle merge expects exactly the third shared point unplaced")),
+        ((PlaceByTwoLoci("C", (1, 2)), AlignCluster(1, ("A", "C"), Plan(1, 1, (), frozenset()))),
+         (UnsupportedStepError, "alignment of cluster 1 has nothing left to place")),
+    ], ids=["merge", "alignment", "merge-nothing-left", "alignment-nothing-left"])
+    def test_a_malformed_recombination_fails_with_its_own_fault(self, monkeypatch, steps, error):
         # Each step is malformed (C, not the third point B, is unplaced; no
-        # step places D), and its fault ends the walk before any leaf checks
-        # the cluster that holds both AC distances, which no leaf satisfies.
+        # step places D; C is placed before the step), and its fault ends the
+        # walk before any leaf checks the cluster that holds both AC
+        # distances, which no leaf satisfies.  Where C's step comes first,
+        # the graph has one AC distance, so the walk reaches the step.
         g = build_graph(
             [point(v) for v in "ABCD"],
             [distance("A", "B", 1.0), distance("A", "C", 1.0), distance("B", "C", 1.0),
              distance("A", "C", 2.0), distance("C", "D", 1.0)],
         )
-        assert self.assert_same(monkeypatch, g, Plan(0, 0, (step,))) == error
+        if len(steps) > 1:
+            g = build_graph(g.entities, g.constraints[:3] + g.constraints[4:])
+        assert self.assert_same(monkeypatch, g, Plan(0, 0, steps)) == error
 
     @pytest.mark.parametrize("offset", [0.0, 1.0])
     def test_point_line_steps(self, monkeypatch, offset):
