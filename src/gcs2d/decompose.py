@@ -28,17 +28,21 @@ From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
 entity holding two constraints into the placed set), falling back to
 recombination of independently solved clusters through virtual distances and
-rigid alignment.  Plans are purely structural: a recombination step references
-the sub-plans of the clusters it reads and holds no number, so this module
-never solves anything and one plan serves every re-valuation of the same
-graph.  :mod:`gcs2d.solve` carries plans out.
+rigid alignment.  The plans are built in one pass over the clusters in merge
+(id) order, each from its children's, which are built before it.  A cluster
+that cannot be recombined holds its refusal in place of a plan, and the
+refusal counts only if the root's plan reads that cluster.  Plans are purely
+structural: a recombination step references the sub-plans of the clusters it
+reads and holds no number, so this module never solves anything and one plan
+serves every re-valuation of the same graph.  :mod:`gcs2d.solve` carries
+plans out.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import NotReducibleError, TooSmallError, UnsupportedStepError
 from .graph import ConstraintGraph, EntityKind, dof
@@ -289,11 +293,15 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     placed sequentially from two constraints into the already-placed set, the
     node becomes PlaceByTwoLoci steps; otherwise the non-base clusters are
     recombined through a TriangleMerge over virtual distances plus rigid
-    alignments, which reference the clusters' own plans.  The plan holds no
-    values of ``g``, so it serves every graph with the same structure: it is
-    kept with ``g``'s structure under the ``result`` object it was built
-    from, so a later call with that same object returns it again.  Both
-    refusals run on every call.
+    alignments, which reference the clusters' own plans.  The plans are
+    built in one pass in merge order.  A recombination over a shared entity
+    that is not a point is refused with UnsupportedStepError, but only if
+    the root's plan reads that cluster: a child that a sequential extension
+    places need not be plannable itself.  The plan holds no values of
+    ``g``, so it serves every graph with the same structure: it is kept with
+    ``g``'s structure under the ``result`` object it was built from, so a
+    later call with that same object returns it again.  Both
+    NotReducibleError refusals run on every call.
     """
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
@@ -303,66 +311,64 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
 
 
 def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
-    by_id = {c.id: c for c in result.all_clusters}
-    plans: dict[int, Plan] = {}
-
-    def plan_cluster(cid: int) -> Iterator[int]:
-        """Store the plan of cluster ``cid`` in ``plans``.  A generator: it
-        yields the id of each child cluster whose plan it needs next."""
-        cluster = by_id[cid]
+    # A cluster's id is its index and every merge comes after its parents,
+    # so one pass in id order finds each child's plan built.  A cluster that
+    # cannot be recombined holds its refusal in place of a plan, which counts
+    # only where a plan reads it: a merge reads its base child, then checks
+    # its own shared entities, then reads its first and second child.
+    clusters = result.all_clusters
+    root = result.final_clusters[0].id
+    plans: list[Plan | UnsupportedStepError] = []
+    for cluster in clusters[: root + 1]:
         if cluster.merge is None:
             (constraint,) = cluster.owned_constraints
-            plans[cid] = Plan(cid, constraint, (), cluster.owned_constraints)
-            return
-
-        children = [by_id[p] for p in cluster.merge.parents]
-        base_child = sorted(children, key=lambda c: (-len(c.entity_ids), c.id))[0]
-        yield base_child.id
+            plans.append(Plan(cluster.id, constraint, (), cluster.owned_constraints))
+            continue
+        children = [clusters[p] for p in cluster.merge.parents]
+        base_child = min(children, key=lambda c: (-len(c.entity_ids), c.id))
         base_plan = plans[base_child.id]
-        pool = sorted(cluster.owned_constraints - base_child.owned_constraints)
+        if not isinstance(base_plan, Plan):
+            plans.append(base_plan)
+            continue
+        # What the merge adds is read off its other children, not off the
+        # cluster: a strip's base child holds all of it but one point.
+        others = [c for c in children if c is not base_child]
+        pool = sorted(set().union(*[c.owned_constraints for c in others]))
+        unplaced = set().union(*[c.entity_ids for c in others]) - base_child.entity_ids
 
         # Sequential extension: place entities one at a time from two
         # constraints whose other endpoints are already placed.
-        placed = set(base_child.entity_ids)
-        used: set[int] = set()
         steps: list[PlanStep] = []
-        while placed != set(cluster.entity_ids):
-            for target in sorted(set(cluster.entity_ids) - placed):
-                ready = [
-                    i
-                    for i in pool
-                    if i not in used
-                    and target in g.constraints[i].between
-                    and next(e for e in g.constraints[i].between if e != target) in placed
-                ]
+        while unplaced:
+            for target in sorted(unplaced):
+                ready = [i for i in pool if target in (ends := g.constraints[i].between)
+                         and next(e for e in ends if e != target) not in unplaced]
                 if len(ready) >= 2:
                     steps.append(PlaceByTwoLoci(target, (ready[0], ready[1])))
-                    used.update(ready[:2])
-                    placed.add(target)
+                    unplaced.remove(target)
                     break
             else:
                 break
 
-        if placed != set(cluster.entity_ids):
+        if unplaced:
             # Recombination of independently solved clusters.  Only a
             # triangle merge gets here: in a graph with no over-constrained
             # subset, the parents of a pair merge hold the same entities, so
             # the base child places them all.
             placed = set(base_child.entity_ids)
             steps = []
-            first, second = sorted((c for c in children if c.id != base_child.id),
-                                   key=lambda c: c.id)
+            first, second = sorted(others, key=lambda c: c.id)
             (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
                                 base_child.entity_ids & second.entity_ids,
                                 first.entity_ids & second.entity_ids)
-            for shared_entity in (u, v, w):
-                if g.kind_of(shared_entity) is not EntityKind.POINT:
-                    raise UnsupportedStepError(
-                        f"triangle recombination needs shared points, got "
-                        f"{g.kind_of(shared_entity).value} {shared_entity!r}"
-                    )
-            yield first.id
-            yield second.id
+            refusals = [UnsupportedStepError(
+                f"triangle recombination needs shared points, got "
+                f"{g.kind_of(e).value} {e!r}") for e in (u, v, w)
+                if g.kind_of(e) is not EntityKind.POINT]
+            refusals += [p for p in (plans[first.id], plans[second.id]) if not isinstance(p, Plan)]
+            if refusals:
+                plans.append(refusals[0])
+                continue
             steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
                                        (plans[first.id], plans[second.id])))
             placed.add(w)
@@ -372,21 +378,12 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
                 steps.append(AlignCluster(child.id, tuple(sorted(pair)), plans[child.id]))
                 placed |= child.entity_ids
 
-        plans[cid] = Plan(base_plan.base_cluster, base_plan.base_constraint,
-                          base_plan.steps + tuple(steps), cluster.owned_constraints)
-
-    # A merge tree is as deep as the graph is long (a triangle strip nests one
-    # merge per point), so the builders wait on an explicit stack for the
-    # plans of their children instead of recursing.
-    root = result.final_clusters[0].id
-    pending = [plan_cluster(root)]
-    while pending:
-        child = next(pending[-1], None)
-        if child is None:
-            pending.pop()
-        elif child not in plans:
-            pending.append(plan_cluster(child))
-    return plans[root]
+        plans.append(Plan(base_plan.base_cluster, base_plan.base_constraint,
+                          base_plan.steps + tuple(steps), cluster.owned_constraints))
+    plan = plans[root]
+    if not isinstance(plan, Plan):
+        raise plan
+    return plan
 
 
 # --------------------------------------------------------------- JSON mirrors

@@ -49,11 +49,15 @@ the walk ends where it first reaches it, as at a leaf that fails.  A
 recombination step with nothing left to place, a triangle merge whose
 three points or an alignment whose cluster's entities are all placed, is
 malformed: no extracted plan holds one, and compiling refuses it as it
-refuses a merge with a point other than its third unplaced.  After a
-solution, the steps on its path take back roots one at a time again, so the
-solutions, their order and the reported failure (the first met in branch
-order) are those of chronological backtracking, which the reference walker
-in ``tests/support.py`` does, resolving every step afresh.
+refuses a merge with a point other than its third unplaced.  A walked
+cluster must place what it owns: compiling refuses an alignment whose
+cluster's plan leaves an endpoint of an owned constraint unplaced, with
+MissingPlacementError, as it refuses a shared point the cluster lacks.
+After a solution, the steps on its path take back roots one at a time
+again, so the solutions, their order and the reported failure (the first
+met in branch order) are those of chronological backtracking, which the
+reference walker in ``tests/support.py`` does, resolving every step
+afresh.
 """
 
 from __future__ import annotations
@@ -561,15 +565,18 @@ def _align_kernel(
     cluster's unplaced entities with them, once if both place them alike (a
     cluster its own mirror image across the pair).  A pair of another size
     is an empty intersection, a coincident pair leaves the cluster
-    under-determined."""
+    under-determined.  Compiling refuses a cluster whose plan does not place
+    the shared pair or an endpoint of a constraint the cluster owns."""
     s0, s1 = step.shared
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
-    owned = step.plan.owned_constraints
-    if {e for ci in owned for e in g.constraints[ci].between} <= index.keys():
+    ends = [e for ci in sorted(step.plan.owned_constraints) for e in g.constraints[ci].between]
+    if all(e in index for e in ends):
         raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
     local = built.walk(step.cluster, step.plan, at)
     j0, j1 = _point_slots(g, local, step.shared)
+    if lacking := [e for e in ends if e not in local]:
+        raise _missing(lacking[0])
     unplaced = [e for e in sorted(local) if e not in index]
     i0, i1 = index[s0], index[s1]
     copies = [local[e] for e in unplaced]
@@ -665,9 +672,14 @@ def execute(plan: Plan, g: ConstraintGraph, branches: Sequence[int] = ()) -> Sol
 
     Selector entries pair up, in order, with the steps that expose two or more
     roots; missing entries default to 0.  Raises BadBranchError for an entry
-    out of range or a selector longer than the number of branching steps.
+    that is not an ``int`` (a bool too), an entry out of range or a selector
+    longer than the number of branching steps.
     """
-    return next(_walk(plan, g, tuple(branches), None))
+    selector = tuple(branches)
+    for entry in selector:
+        if isinstance(entry, bool) or not isinstance(entry, int):
+            raise BadBranchError(f"branch {entry!r} is not an integer")
+    return next(_walk(plan, g, selector, None))
 
 
 def enumerate_solutions(

@@ -532,7 +532,8 @@ def _align_options(
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined.  A cluster whose
     owned constraints' entities are all placed leaves nothing to place and
-    is refused before it is solved."""
+    is refused before it is solved, and one whose plan does not place an
+    endpoint of a constraint it owns is refused once it is solved."""
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
@@ -541,6 +542,8 @@ def _align_options(
     if {e for ci in owned for e in g.constraints[ci].between} <= placements.keys():
         raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
     conformations = reference_local_solutions(step.plan, g, tol)
+    for e in (e for ci in sorted(owned) for e in g.constraints[ci].between):
+        _placed(conformations[0], e)
     outcomes: list[dict[str, Placement]] = []
     failure: GcsError | None = None
     for local in conformations:

@@ -21,6 +21,7 @@ from gcs2d import (
     ReducibilityClass,
     TooSmallError,
     TriangleMerge,
+    UnsupportedStepError,
     Verdict,
     build_graph,
     classify,
@@ -34,6 +35,7 @@ from gcs2d import (
     fixture,
     fixture_names,
     induced_subgraph,
+    line,
     point,
     random_laman,
     seed_clusters,
@@ -302,7 +304,59 @@ class TestDecompose:
             decompose(build_graph([point("A")], []))
 
 
+def sketch(*pairs):
+    """A graph over points (lower-case ids) and lines (upper-case ids), in
+    order of first use, with one constraint per ``"a b"`` pair, in order: a
+    distance of 1 between two points, else an incidence."""
+    ids = list(dict.fromkeys(e for pair in pairs for e in pair.split()))
+    entities = [line(e) if e.isupper() else point(e) for e in ids]
+    constraints = [distance(a, b, 1.0) if a.islower() and b.islower() else incidence(a, b)
+                   for a, b in map(str.split, pairs)]
+    return build_graph(entities, constraints)
+
+
+# The fixpoint merges these last by the triangle rule over {u, v, b1, B},
+# the base, {u, a1, a2, L} and the seed v-L, which share u, v and the line
+# L; no entity outside the base holds two constraints into it.
+HINGED = ("u v", "u b1", "v b1", "u B", "b1 B", "u a1", "u a2", "a1 a2", "a1 L", "a2 L", "v L")
+# A triangle strip of eight points from a1, a larger cluster than HINGED's.
+STRIP = ("a1 t", "a1 x1", "t x1", "t x2", "x1 x2", "x1 x3", "x2 x3", "x2 x4", "x3 x4", "x3 x5",
+         "x4 x5", "x4 x6", "x5 x6")
+
+
 class TestExtractPlan:
+    @pytest.mark.parametrize("pairs, shared", [
+        (HINGED, "L"),
+        # The merge's base is HINGED's cluster, which is read before the
+        # merge checks its own shared entities, b1, a2 and the line N.
+        (HINGED + ("b1 c1", "b1 c2", "c1 c2", "c1 N", "c2 N", "a2 N"), "L"),
+        # The merge's base is the strip, and HINGED's cluster shares the
+        # line B with the seed t-B: the merge checks B before it reads
+        # HINGED's cluster.
+        (HINGED + STRIP + ("t B",), "B"),
+    ], ids=["hinged", "base-first", "own-check-first"])
+    def test_recombination_over_a_shared_line_is_refused(self, pairs, shared):
+        g = sketch(*pairs)
+        result = decompose(g)
+        assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
+        assert diagnose_pebble(g).verdict is Verdict.WELL_CONSTRAINED
+        with pytest.raises(UnsupportedStepError, match=rf"^triangle recombination needs "
+                                                       rf"shared points, got line '{shared}'$"):
+            extract_plan(result, g)
+
+    def test_a_refused_cluster_the_plan_does_not_read(self):
+        # The root merge's base is the strip, from which every other entity
+        # is placed in turn (a2 from a1 and t, then L, u, v, b1, B), so the
+        # plan never reads the plan of its child that is HINGED's cluster.
+        g = sketch(*HINGED, *STRIP, "t a2")
+        result = decompose(g)
+        assert diagnose_pebble(g).verdict is Verdict.WELL_CONSTRAINED
+        children = [result.all_clusters[p] for p in result.final_clusters[0].merge.parents]
+        assert set(sketch(*HINGED).entity_ids) in [c.entity_ids for c in children]
+        plan = extract_plan(result, g)
+        assert all(isinstance(s, PlaceByTwoLoci) for s in plan.steps)
+        assert len(plan.steps) == g.n - 2
+
     def test_triangle_plan_is_base_plus_one_placement(self):
         g = fixture("triangle")
         plan = extract_plan(decompose(g), g)

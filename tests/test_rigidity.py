@@ -4,6 +4,7 @@ import pytest
 
 import gcs2d.henneberg
 from gcs2d import (
+    ConstraintGraph,
     KindMismatchError,
     TooSmallError,
     Verdict,
@@ -20,7 +21,7 @@ from gcs2d import (
     random_laman,
     reduction_sequence,
 )
-from gcs2d.graph import angle
+from gcs2d.graph import angle, incidence
 from gcs2d.rigidity import _pebble_run, is_laman_edges
 
 from support import random_mixed_graph, reference_pebble_run, subset_violates, triangle_graph
@@ -192,6 +193,13 @@ class TestWitnessAndLaman:
     def test_is_laman_rejects_lines(self):
         g = build_graph([line("L1"), line("L2")], [angle("L1", "L2", 1.0)])
         with pytest.raises(KindMismatchError):
+            is_laman(g)
+
+    def test_is_laman_rejects_constraints_other_than_distances(self):
+        # Only points, but build_graph refuses an incidence between two
+        # points, so the graph is built directly.
+        g = ConstraintGraph((point("A"), point("B")), (incidence("A", "B"),))
+        with pytest.raises(KindMismatchError, match=r"^constraint \('A', 'B'\) is not a distance$"):
             is_laman(g)
 
     def test_raw_edge_check_matches_the_counting_oracle(self):

@@ -152,6 +152,17 @@ class TestTriangle:
         with pytest.raises(BadBranchError):
             execute(plan_for(g), g, (0, 1))
 
+    @pytest.mark.parametrize("walk", [solve_module._walk, reference_walk],
+                             ids=["walker", "reference"])
+    @pytest.mark.parametrize("entry", [1.0, "1", True, None])
+    def test_selector_entry_that_is_not_an_integer(self, monkeypatch, walk, entry):
+        # A float or a string used to escape as TypeError, and True to come
+        # back as a branch, which solution_to_dict wrote as JSON true.
+        monkeypatch.setattr(solve_module, "_walk", walk)
+        g = triangle_graph(3, 4, 5)
+        with pytest.raises(BadBranchError, match=rf"^branch {entry!r} is not an integer$"):
+            execute(plan_for(g), g, (entry,))
+
     def test_gauge_is_bit_identical_across_runs(self):
         g = triangle_graph(3, 4, 5)
         a = execute(plan_for(g), g, (0,))
@@ -748,6 +759,28 @@ class TestWalkerEquivalence:
         if len(steps) > 1:
             g = build_graph(g.entities, g.constraints[:3] + g.constraints[4:])
         assert self.assert_same(monkeypatch, g, Plan(0, 0, steps)) == error
+
+    @pytest.mark.parametrize("ab", [1e-12, 1.0])
+    def test_an_alignment_whose_cluster_does_not_place_what_it_owns(self, monkeypatch, ab):
+        # The aligned cluster owns A-E, but its plan places only A and B.
+        # With a near-coincident local pair (AB 1e-12) the kernel once found
+        # no unplaced entity to blame and failed with IndexError; with AB 1 a
+        # replay left E out.  Compiling refuses the step, and the reference
+        # refuses it once it has solved the cluster.
+        g = build_graph(
+            [point(v) for v in "ABCE"],
+            [distance("A", "B", 1.0), distance("A", "B", ab), distance("A", "C", 1.0),
+             distance("B", "C", 1.0), distance("A", "E", 1.0)],
+        )
+        plan = Plan(0, 0, (PlaceByTwoLoci("C", (2, 3)),
+                           AlignCluster(5, ("A", "B"), Plan(1, 1, (), frozenset({1, 4})))))
+        missing = (MissingPlacementError, "entity 'E' has no placement yet")
+        assert self.assert_same(monkeypatch, g, plan) == missing
+        for walk in (solve_module._walk, reference_walk):
+            with monkeypatch.context() as patch:
+                patch.setattr(solve_module, "_walk", walk)
+                with pytest.raises(missing[0], match=f"^{missing[1]}$"):
+                    execute(plan, g)
 
     @pytest.mark.parametrize("offset", [0.0, 1.0])
     def test_point_line_steps(self, monkeypatch, offset):
