@@ -6,11 +6,12 @@ numeric solution).  Library errors are handled once, in :func:`main`: an
 error whose class names a ``reason`` prints ``{"error": {"reason",
 "message"[, "entity"]}}`` and exits 2; any other error writes one line to
 stderr, leaves stdout empty and exits 1.  Every command writes parseable
-output (JSON, DOT or SVG) to stdout; diagnostics go to stderr.  All path
-arguments accept ``-`` for stdin, one of them per call.  The environment
-variable GCS_TOL overrides the default residual tolerance of 1e-9.  A reader
-that closes stdout early (``gcs2d generate --n 3000 | head``) ends the run
-with one stderr line and exit 1.
+output (JSON, DOT or SVG) to stdout; diagnostics go to stderr.  JSON output
+is ``json.dumps(doc, indent=2)`` byte for byte, from ``graph.indented_json``.
+All path arguments accept ``-`` for stdin, one of them per call.  The
+environment variable GCS_TOL overrides the default residual tolerance of
+1e-9.  A reader that closes stdout early (``gcs2d generate --n 3000 |
+head``) ends the run with one stderr line and exit 1.
 
 :func:`main` returns the exit code and may be called any number of times in
 one process, and no call's output depends on the calls before it.  Three
@@ -47,7 +48,7 @@ from functools import cached_property, lru_cache
 from .decompose import decompose, decomposition_to_dict, extract_plan, plan_to_dict
 from .errors import GcsError, UnderDeterminedError
 from .geometry import Placement
-from .graph import ConstraintGraph, graph_to_dict, parse
+from .graph import ConstraintGraph, graph_to_dict, indented_json, parse
 from .rigidity import Diagnosis, Verdict, diagnose_pebble
 from .solve import (
     DEFAULT_TOL,
@@ -107,7 +108,7 @@ def _write(text: str) -> None:
 
 
 def _emit(doc: dict) -> None:
-    _write(json.dumps(doc, indent=2) + "\n")  # encoded at once, not written per chunk
+    _write(indented_json(doc) + "\n")  # encoded at once, not written per chunk
 
 
 def _read_text(path: str) -> str:

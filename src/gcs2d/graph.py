@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
@@ -313,9 +315,116 @@ def graph_to_dict(g: ConstraintGraph) -> dict:
     }
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(f: float) -> str:
+    text = float.__repr__(f)
+    return _NONFINITE.get(text, text)
+
+
+# The text of each scalar type, by exact type: bool is not read as int.
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+# How json reads a subclass of a JSON type, in the order it tests them: a
+# graph built in Python may hold numpy's float64 values and str_ ids.
+_PLAIN = (
+    (str, str.__str__),
+    (int, int.__int__),
+    (float, float.__float__),
+    ((list, tuple), list),
+    (dict, lambda d: dict(d.items())),
+)
+
+
+def _plain(o: object) -> object:
+    for base, plain in _PLAIN:
+        if isinstance(o, base):
+            return plain(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key_text(key: object) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _LEAF[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _pieces(o: object, nl: str, put: Callable[[str], None]) -> None:
+    """Put the pieces of ``o``'s ``indent=2`` text, its lines indented past
+    ``nl`` (a newline and the indent of the line ``o`` starts on)."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, rest = "{" + inner, "," + inner
+        for k, v in o.items():
+            put(sep + encode_basestring_ascii(k if type(k) is str else _key_text(k)) + ": ")
+            leaf = _LEAF.get(type(v))
+            if leaf is None:
+                _pieces(v, inner, put)
+            else:
+                put(leaf(v))
+            sep = rest
+        put(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, rest = "[" + inner, "," + inner
+        for v in o:
+            leaf = _LEAF.get(type(v))
+            if leaf is None:
+                put(sep)
+                _pieces(v, inner, put)
+            else:
+                put(sep + leaf(v))
+            sep = rest
+        put(nl + "]")
+    else:
+        leaf = _LEAF.get(t)
+        if leaf is None:
+            _pieces(_plain(o), nl, put)
+        else:
+            put(leaf(o))
+
+
+def _indented_json_one_pass(doc: object) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, built as one list of
+    pieces in one recursive pass instead of through the generators json
+    runs whenever ``indent`` is set before Python 3.13.  A value json
+    cannot encode raises the same TypeError; a cyclic one raises
+    RecursionError where json raises ValueError."""
+    pieces: list[str] = []
+    _pieces(doc, "\n", pieces.append)
+    return "".join(pieces)
+
+
+# From Python 3.13 json encodes ``indent`` in C, in about 0.7x the time the
+# one-pass writer takes on the documents the CLI writes; before it, json's
+# generators take 2-3x as long as the writer (README, Performance notes).
+indented_json: Callable[[object], str] = (
+    partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _indented_json_one_pass
+)
+
+
 def serialize(g: ConstraintGraph) -> str:
     """Canonical JSON text; insertion order and full float precision preserved."""
-    return json.dumps(graph_to_dict(g), indent=2)
+    return indented_json(graph_to_dict(g))
 
 
 def _float(raw: object, what: str) -> float | None:

@@ -532,8 +532,9 @@ def _align_options(
     names the verdict: a pair of another size is an empty intersection, a
     coincident pair leaves the cluster under-determined.  A cluster whose
     owned constraints' entities are all placed leaves nothing to place and
-    is refused before it is solved, and one whose plan does not place an
-    endpoint of a constraint it owns is refused once it is solved."""
+    is refused before it is solved; once it is solved, one whose plan does
+    not place the shared pair as points, or an endpoint of a constraint it
+    owns, is refused, in that order."""
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
@@ -541,7 +542,16 @@ def _align_options(
     owned = step.plan.owned_constraints
     if {e for ci in owned for e in g.constraints[ci].between} <= placements.keys():
         raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
-    conformations = reference_local_solutions(step.plan, g, tol)
+    try:
+        conformations = reference_local_solutions(step.plan, g, tol)
+    except MissingPlacementError:
+        if tol is None:
+            raise
+        # A leaf check met an owned endpoint the cluster does not place;
+        # the shared pair is checked first, on a leaf that is not checked.
+        _shared_points(step, reference_local_solutions(step.plan, g, None)[0])
+        raise
+    _shared_points(step, conformations[0])
     for e in (e for ci in sorted(owned) for e in g.constraints[ci].between):
         _placed(conformations[0], e)
     outcomes: list[dict[str, Placement]] = []
@@ -573,6 +583,14 @@ def _align_options(
         return outcomes, False
     finally:
         failure = None  # a raised failure's traceback holds this frame
+
+
+def _shared_points(step: AlignCluster, local: Mapping[str, Placement]) -> None:
+    """Refuse a conformation lacking the shared pair, or holding one of it
+    as another shape than a point: each entity in turn, as compiling does."""
+    for e in step.shared:
+        if not isinstance(_placed(local, e), Point2):
+            raise UnsupportedStepError(f"entity {e!r} is not placed as a point")
 
 
 def _constraint_residual(c: Constraint, placements: Mapping[str, Placement]) -> float:

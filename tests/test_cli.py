@@ -371,6 +371,34 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("analyze", "{triangle}"), 0),
+    (("analyze", "{k4}"), 2),
+    (("classify", "{moser}"), 0),
+    (("solve", "{moser}", "--all", "--emit-plan"), 0),
+    (("solve", "{moser}", "--branch", "1,1,0,1,0"), 0),
+    (("generate", "--n", "12", "--seed", "1"), 0),
+    (("fixture", "moser-spindle"), 0),
+    (("render", "{triangle}", "--format", "svg", "--solution", "{nan}"), 2),
+], ids=["analyze", "analyze-over", "classify", "solve-all-plan", "solve-branch", "generate",
+        "fixture", "error-null-residual"])
+def test_stdout_is_the_standard_indented_json(capsys, tmp_path, argv, code):
+    # The CLI encodes JSON itself before Python 3.13 (graph.indented_json);
+    # every command's stdout must be what json.dumps(..., indent=2) gives.
+    files = {"triangle": serialize(triangle_graph(3, 4, 5)), "k4": serialize(fixture("k4")),
+             "moser": serialize(fixture("moser-spindle")),
+             "nan": '{"placements": {"A": {"point": [0, 0]}, "B": {"point": [3, 0]},'
+                    ' "C": {"point": [NaN, NaN]}}}'}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    got, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert got == code
+    assert out == json.dumps(strict_json(out), indent=2) + "\n"
+    if argv[0] == "render":
+        assert json.loads(out)["error"]["max_abs_residual"] is None
+
+
 # cli-catalog sketch c00088 (seed 804): a moser-spindle at about 1e-8 scale
 # whose measured lengths no conformation of one cluster fits.
 SPINDLE_1E8 = {

@@ -1,6 +1,11 @@
+import enum
 import json
 import math
 import random
+import re
+import sys
+from collections import OrderedDict
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +37,7 @@ from gcs2d import (
     point_line_distance,
     serialize,
 )
-from gcs2d.graph import angle, tangency
+from gcs2d.graph import _indented_json_one_pass, angle, indented_json, tangency
 
 from support import random_mixed_graph
 
@@ -262,6 +267,73 @@ class TestSerialization:
         ]
         g = build_graph(entities, constraints)
         assert parse(serialize(g)) == g
+
+
+# Text that json escapes or writes as is: quotes, backslashes, control
+# characters, non-ASCII and lone surrogates, besides any code point.
+_json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+    st.characters(exclude_categories=()),
+))
+_json_leaves = st.one_of(
+    _json_text,
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([[], {}, [[]], {"": {}}, [{}, []]]),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_json_text, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestIndentedJson:
+    """The one-pass writer against ``json.dumps(..., indent=2)``, called
+    directly, so it is checked on interpreters that do not select it."""
+
+    @given(_json_trees)
+    def test_matches_json_dumps(self, doc):
+        assert _indented_json_one_pass(doc) == json.dumps(doc, indent=2)
+
+    def test_subclasses_and_keys_read_as_json_reads_them(self):
+        class Kind(enum.IntEnum):
+            A = 3
+
+        class Pair(NamedTuple):
+            x: float
+            y: float
+
+        class Text(str):
+            def __str__(self):
+                return "other"
+
+        doc = {7: Kind.A, 2.5: Pair(1.0, math.inf), math.inf: Text("t"), False: [Text("u")],
+               None: OrderedDict(b=[], a={}), Text("k"): (Kind.A, True, 1)}
+        assert _indented_json_one_pass(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{1}, b"x", 1j, object(), {(1, 2): 0}, [{"a": frozenset()}]],
+                             ids=["set", "bytes", "complex", "object", "tuple-key", "nested"])
+    def test_an_unsupported_value_raises_what_json_raises(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+            _indented_json_one_pass(doc)
+
+    def test_the_writer_is_picked_by_the_interpreter(self):
+        # Python 3.13 encodes indent in C, before it json runs generators.
+        if sys.version_info >= (3, 13):
+            assert (indented_json.func, indented_json.keywords) == (json.dumps, {"indent": 2})
+        else:
+            assert indented_json is _indented_json_one_pass
 
 
 # ------------------------------------------------------- validation, pinned

@@ -247,14 +247,26 @@ class TestFailureModes:
             execute(plan, g, (0, 0))
         assert err.value.entity == "L"
 
-    @pytest.mark.parametrize("shared, cluster, error", [
-        # The cluster's plan places A and D, not C.
-        (("A", "C"), (5, frozenset({5, 6})), (MissingPlacementError, "entity 'C' has no placement")),
-        # It places L, as a line.
-        (("A", "L"), (3, frozenset({3, 5})), (UnsupportedStepError, "entity 'L' is not placed as a point")),
-    ], ids=["unplaced", "not a point"])
-    def test_an_alignment_refuses_a_shared_entity_its_cluster_lacks(self, shared, cluster, error):
+    @pytest.mark.parametrize("walk, shared, cluster, error", [
+        pytest.param(walk, *case, id=name + suffix)
+        for walk, suffix in ((solve_module._walk, ""), (reference_walk, "-reference"))
+        for name, case in {
+            # The cluster's plan places A and D, not C.
+            "unplaced": (("A", "C"), (5, frozenset({5, 6})),
+                         (MissingPlacementError, "entity 'C' has no placement")),
+            # It places L, as a line.
+            "not a point": (("A", "L"), (3, frozenset({3, 5})),
+                            (UnsupportedStepError, "entity 'L' is not placed as a point")),
+        }.items()
+    ])
+    def test_an_alignment_refuses_a_shared_entity_its_cluster_lacks(self, monkeypatch, walk,
+                                                                     shared, cluster, error):
+        # The reference checks the shared pair where compiling does: before
+        # an owned endpoint the cluster lacks (D), also under the leaf
+        # check that enumeration runs.
         from gcs2d.decompose import Plan, PlaceByTwoLoci
+
+        monkeypatch.setattr(solve_module, "_walk", walk)
 
         g = build_graph(
             [point("A"), point("B"), point("C"), point("D"), line("L")],
@@ -267,6 +279,8 @@ class TestFailureModes:
         plan = Plan(0, 0, (PlaceByTwoLoci("C", (1, 2)), PlaceByTwoLoci("L", (3, 4)), align))
         with pytest.raises(error[0], match=error[1]):
             execute(plan, g)
+        with pytest.raises(error[0], match=error[1]):
+            enumerate_solutions(plan, g)
 
     def test_merge_with_a_base_plan_is_refused(self):
         from gcs2d.decompose import Plan
