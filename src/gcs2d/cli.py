@@ -7,7 +7,8 @@ error whose class names a ``reason`` prints ``{"error": {"reason",
 "message"[, "entity"]}}`` and exits 2; any other error writes one line to
 stderr, leaves stdout empty and exits 1.  Every command writes parseable
 output (JSON, DOT or SVG) to stdout; diagnostics go to stderr.  JSON output
-is ``json.dumps(doc, indent=2)`` byte for byte, from ``graph.indented_json``.
+is ``json.dumps(doc, indent=2)`` byte for byte, from ``graph.indented_json``,
+which hands json any document its one-pass writer does not take.
 All path arguments accept ``-`` for stdin, one of them per call.  The
 environment variable GCS_TOL overrides the default residual tolerance of
 1e-9.  A reader that closes stdout early (``gcs2d generate --n 3000 |
@@ -19,11 +20,12 @@ things carry across calls:
 
 - the parser, built on the first call, with the namespaces of the 256 argv
   lists used last that parsed (a usage error or ``--help`` prints again);
-- the document parsed last, as its text and graph: a call that reads the
-  same text again parses nothing;
+- the document parsed last, by its text, in an ``lru_cache`` of one entry
+  (``_parsed``): a call that reads the same text again parses nothing;
 - the diagnosis, decomposition, plan and compiled program of the structure
-  analysed last, which the library keeps by structure
-  (``ConstraintGraph._kept``), a plan or program only for the same
+  analysed last, which the library keeps by structure in an ``lru_cache``
+  of one entry (``graph._structure_results``, read through
+  ``ConstraintGraph._kept``), a plan or program only for the same
   decomposition or plan object it was built from, so a sketch and its
   re-valued or rescaled copies share them.
 
@@ -121,23 +123,18 @@ def _read_text(path: str) -> str:
         raise _Failure(f"cannot read {path!r}: {exc}") from exc
 
 
-# The document parsed last, as (text, graph): a call that reads the same
-# text again gets the same graph object, with all the library keeps on it.
-_last_document: tuple[str | None, ConstraintGraph | None] = (None, None)
-
-
 def _read_graph(path: str) -> ConstraintGraph:
     """The graph in the document at ``path``, which is read on every call
     and parsed again only when its text differs from the last document's."""
-    global _last_document
-    text = _read_text(path)
-    # One read of the pair, as graph._last_structure is read: the graph
-    # returned is the one stored with ``text``.
-    last_text, g = _last_document
-    if text != last_text:
-        g = parse(text)
-        _last_document = (text, g)
-    return g
+    return _parsed(_read_text(path))
+
+
+# The document parsed last, by its text: a call that reads the same text
+# again gets the same graph object, with all the library keeps on it.  It
+# calls the module's ``parse`` when it runs, which bench/spans.py wraps.
+@lru_cache(maxsize=1)
+def _parsed(text: str) -> ConstraintGraph:
+    return parse(text)
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -197,7 +194,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _Failure(verdict={"reason": reason, **_evidence(diagnosis)})
 
     plan = extract_plan(decompose(g), g)
-    if args.all or not args.branch:  # without either, the first solution the walk finds
+    if not args.branch:  # --all, or else the first solution the walk finds
         found = enumerate_solutions(plan, g, limit=args.limit if args.all else 1, tol=tol)
         solutions = [sol for _, sol in found]
     else:  # a replay of one path
@@ -274,8 +271,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="extract and execute a construction plan")
     p.add_argument("path")
-    p.add_argument("--branch", default="", help="comma-separated root choices")
-    p.add_argument("--all", action="store_true", help="enumerate all solution branches")
+    branch_or_all = p.add_mutually_exclusive_group()
+    branch_or_all.add_argument("--branch", default="", help="comma-separated root choices")
+    branch_or_all.add_argument("--all", action="store_true", help="enumerate all solution branches")
     p.add_argument("--limit", type=int, default=16)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--emit-plan", action="store_true")

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple
 
@@ -158,19 +158,11 @@ class ConstraintGraph(_Graph):
         structure: its entity ids and kinds and constraint kinds and
         endpoints, in order.  No structural layer reads a value, so a
         re-valued or rescaled copy of a graph gets the same dict when no
-        other structure was analysed in between.  The graph keeps the dict
-        it got, whatever is analysed later."""
-        global _last_structure
-        key = (tuple((e.id, e.kind) for e in self.entities),
-               tuple((c.kind, c.between) for c in self.constraints))
-        # One read of the pair: another thread may replace it meanwhile, and
-        # the dict returned must be the one stored with ``key``.  A race
-        # costs at most a second analysis, never another structure's results.
-        last_key, kept = _last_structure
-        if last_key != key:
-            kept = {}
-            _last_structure = (key, kept)
-        return kept
+        other structure was analysed in between (:func:`_structure_results`,
+        an ``lru_cache`` of one entry).  The graph keeps the dict it got,
+        whatever is analysed later."""
+        return _structure_results((tuple((e.id, e.kind._value_) for e in self.entities),
+                                   tuple((c.kind._value_, c.between) for c in self.constraints)))
 
     def _kept(self, name: str, key: object, build: Callable[[], object]) -> object:
         """The result kept under ``name`` if it was built from this ``key``
@@ -207,9 +199,13 @@ class ConstraintGraph(_Graph):
         return sum(dof(e.kind) for e in self.entities)
 
 
-# The structure analysed last, as (key, results): the analyses of one
+# The results of the structure analysed last, by its key: the analyses of one
 # structure serve every graph of it until another structure is analysed.
-_last_structure: tuple[tuple | None, dict[str, object]] = (None, {})
+# Kinds enter the key as their values, since hashing an enum member runs
+# Python code.
+@lru_cache(maxsize=1)
+def _structure_results(key: tuple) -> dict[str, object]:
+    return {}
 
 
 def build_graph(entities: Iterable[Entity], constraints: Iterable[Constraint]) -> ConstraintGraph:
@@ -331,34 +327,6 @@ _LEAF = {
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda _: "null",
 }
-# How json reads a subclass of a JSON type, in the order it tests them: a
-# graph built in Python may hold numpy's float64 values and str_ ids.
-_PLAIN = (
-    (str, str.__str__),
-    (int, int.__int__),
-    (float, float.__float__),
-    ((list, tuple), list),
-    (dict, lambda d: dict(d.items())),
-)
-
-
-def _plain(o: object) -> object:
-    for base, plain in _PLAIN:
-        if isinstance(o, base):
-            return plain(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _key_text(key: object) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _LEAF[type(key)](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _pieces(o: object, nl: str, put: Callable[[str], None]) -> None:
@@ -372,7 +340,7 @@ def _pieces(o: object, nl: str, put: Callable[[str], None]) -> None:
         inner = nl + "  "
         sep, rest = "{" + inner, "," + inner
         for k, v in o.items():
-            put(sep + encode_basestring_ascii(k if type(k) is str else _key_text(k)) + ": ")
+            put(sep + encode_basestring_ascii(k) + ": ")  # TypeError: not a str
             leaf = _LEAF.get(type(v))
             if leaf is None:
                 _pieces(v, inner, put)
@@ -396,21 +364,20 @@ def _pieces(o: object, nl: str, put: Callable[[str], None]) -> None:
             sep = rest
         put(nl + "]")
     else:
-        leaf = _LEAF.get(t)
-        if leaf is None:
-            _pieces(_plain(o), nl, put)
-        else:
-            put(leaf(o))
+        put(_LEAF[t](o))  # KeyError: not an exact JSON type
 
 
 def _indented_json_one_pass(doc: object) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, built as one list of
     pieces in one recursive pass instead of through the generators json
-    runs whenever ``indent`` is set before Python 3.13.  A value json
-    cannot encode raises the same TypeError; a cyclic one raises
-    RecursionError where json raises ValueError."""
+    runs whenever ``indent`` is set before Python 3.13.  Only the exact
+    JSON types with str keys take that pass; any other document (a
+    subclass, another key or value, a cycle) goes to json whole."""
     pieces: list[str] = []
-    _pieces(doc, "\n", pieces.append)
+    try:
+        _pieces(doc, "\n", pieces.append)
+    except (KeyError, TypeError, RecursionError):
+        return json.dumps(doc, indent=2)
     return "".join(pieces)
 
 

@@ -187,25 +187,18 @@ def _missing(entity_id: str) -> MissingPlacementError:
 
 def _raising(exc: GcsError) -> Callable[..., NoReturn]:
     """A compiled step, or part of one, that raises a copy of ``exc``
-    whenever it runs."""
-    kept = _fresh(exc)
+    whenever it runs.  ``copy.copy`` copies an error without its
+    traceback, cause or context, so an error kept to be raised again is
+    kept and raised as such copies: a raised error's traceback holds the
+    frames it passed, and through them whatever keeps the error."""
+    import copy  # only a failing compile needs it, not a cold start
+
+    kept = copy.copy(exc)
 
     def fail(*args: object) -> NoReturn:
-        raise _fresh(kept)
+        raise copy.copy(kept)
 
     return fail
-
-
-def _fresh(exc: GcsError) -> GcsError:
-    """A copy of ``exc``, built as ``copy.copy`` builds it, without its
-    traceback, cause or context.  An error that is kept to be raised again
-    is kept and raised as such copies: a raised error's traceback holds the
-    frames it passed, and through them whatever keeps the error."""
-    made, args, *state = exc.__reduce__()
-    fresh = made(*args)
-    for attributes in state:
-        fresh.__dict__.update(attributes)
-    return fresh
 
 
 def _order_points(points: list[Point2]) -> list[Point2]:

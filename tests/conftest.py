@@ -12,9 +12,10 @@ import gcs2d.graph  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def fresh_structure_memo(monkeypatch):
+def fresh_structure_memo():
     """Start every test with no structure analysed and no document parsed by
-    the CLI, so that no count or result depends on the tests that ran
-    before it."""
-    monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
-    monkeypatch.setattr(gcs2d.cli, "_last_document", (None, None))
+    the CLI, by clearing their ``lru_cache`` memos
+    (``graph._structure_results`` and ``cli._parsed``), so that no count or
+    result depends on the tests that ran before it."""
+    gcs2d.graph._structure_results.cache_clear()
+    gcs2d.cli._parsed.cache_clear()

@@ -595,6 +595,15 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_all_and_branch_together_are_a_usage_error(capsys, triangle_file):
+    # --all would otherwise win and drop the selector without a word.
+    assert main(["solve", str(triangle_file), "--all", "--branch", "0,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: gcs2d solve")
+    assert err.endswith("error: argument --branch: not allowed with argument --all\n")
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -848,8 +857,8 @@ class TestStructureReuse:
         calls, expected = [], []
 
         def fresh(argv):
-            monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
-            monkeypatch.setattr(gcs2d.cli, "_last_document", (None, None))
+            gcs2d.graph._structure_results.cache_clear()
+            gcs2d.cli._parsed.cache_clear()
             monkeypatch.setattr(gcs2d.cli, "_parser", None)
             calls.append(argv)
             expected.append(self.call(capsys, argv))
@@ -869,8 +878,8 @@ class TestStructureReuse:
         assert {code for code, _, _ in expected} == {0, 2}
         assert sum("--branch" in argv for argv in calls) > 100  # not only the bad ones
 
-        monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))
-        monkeypatch.setattr(gcs2d.cli, "_last_document", (None, None))
+        gcs2d.graph._structure_results.cache_clear()
+        gcs2d.cli._parsed.cache_clear()
         for argv, want in zip(calls, expected):
             assert self.call(capsys, argv) == want, argv
 

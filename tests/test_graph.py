@@ -328,6 +328,24 @@ class TestIndentedJson:
         with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
             _indented_json_one_pass(doc)
 
+    @staticmethod
+    def cyclic(kind):
+        if kind == "list":
+            doc = [1, {"a": []}]
+            doc[1]["a"].append(doc)
+        else:
+            doc = {"a": [1, {}]}
+            doc["a"][1]["b"] = doc
+        return doc
+
+    @pytest.mark.parametrize("kind", ["list", "dict"])
+    def test_a_cycle_raises_what_json_raises(self, kind):
+        with pytest.raises(ValueError) as want:
+            json.dumps(self.cyclic(kind), indent=2)
+        for write in (_indented_json_one_pass, indented_json):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                write(self.cyclic(kind))
+
     def test_the_writer_is_picked_by_the_interpreter(self):
         # Python 3.13 encodes indent in C, before it json runs generators.
         if sys.version_info >= (3, 13):

@@ -2,6 +2,8 @@ import gc
 import json
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from typing import NamedTuple
 
@@ -524,7 +526,7 @@ class TestPlanReuse:
         """What the three structural layers return on ``g``, or the type and
         message of the error each raises.  Nothing analysed before is
         reused: a copy would otherwise get the kept results of ``g``."""
-        gcs2d.graph._last_structure = (None, {})
+        gcs2d.graph._structure_results.cache_clear()
         out = []
         for layer in (diagnose_pebble, decompose, plan_for):
             try:
@@ -567,6 +569,50 @@ class TestPlanReuse:
             copies += [self.with_values(g, scaled(f), lambda r, f=f: r * f) for f in (1e-10, 1e10)]
             for copy in copies:
                 assert self.structural_outcomes(copy) == expected
+
+    def test_threads_get_their_own_structures_results(self):
+        # Threads that analyse graphs of two structures at once, with the
+        # same entity ids, each get their own structure's diagnosis,
+        # decomposition and plan (a plan for one, NotReducibleError for the
+        # other), never the other's, though the structure analysed last
+        # changes under them all the time.
+        structures = [random_laman(9, seed, 0.5) for seed in (3, 4)]
+        expected = [self.structural_outcomes(g) for g in structures]
+        assert expected[0] != expected[1]
+        start, wrong = threading.Barrier(4, timeout=60), []
+
+        def outcomes(g):
+            out = []
+            for layer in (diagnose_pebble, decompose, plan_for):
+                try:
+                    out.append(layer(g))
+                except GcsError as exc:
+                    out.append((type(exc), str(exc)))
+            return out
+
+        def analyse(first):
+            start.wait()
+            for i in range(300):
+                s = (first + i) % 2
+                try:
+                    got = outcomes(ConstraintGraph(*structures[s]))  # nothing kept on it yet
+                except Exception as exc:  # a thread's error would not fail the test
+                    got = exc
+                if got != expected[s]:
+                    wrong.append((first, i, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter lets
+        try:
+            threads = [threading.Thread(target=analyse, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
 
 class TestWalkerEquivalence:
@@ -988,7 +1034,7 @@ class TestResidualRule:
         # step owns on every path.  The dead end blames the steps that place
         # its endpoints; backtracking chronologically from it instead took
         # 86,501 step evaluations to reach the same error.
-        monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))  # compile afresh
+        gcs2d.graph._structure_results.cache_clear()  # compile afresh
         g = recombination_chain(5)
         plan = plan_for(g)
         evaluations = count_evaluations(monkeypatch)
@@ -1288,7 +1334,7 @@ class TestRecombinationReads:
 
     def test_chain_solves_first_and_second_clusters_once_and_never_a_base(self, monkeypatch):
         length = 30
-        monkeypatch.setattr(gcs2d.graph, "_last_structure", (None, {}))  # compile afresh
+        gcs2d.graph._structure_results.cache_clear()  # compile afresh
         g = recombination_chain(length)
         plan = plan_for(g)
         merges = [s for s in plan.steps if isinstance(s, TriangleMerge)]
