@@ -14,15 +14,21 @@ the next unused id.  The fixpoint is found incrementally, with candidates on
 two min-heaps keyed by sorted parent ids.  One pass over the constraints
 queues the seeds' candidates: constraints on the same two entities pair up,
 and each graph triangle over two-DOF entities gives a triple.  Then an index
-maps each entity to the live clusters holding it, and a merged cluster is
-matched only against clusters sharing an entity with it, found in the same
-pass over its entities that puts it in the index in place of its parents;
-its triangle partners are found by grouping the neighbours hinged to it by
-their far two-DOF entity.  A live cluster's entity set never changes, so a candidate
-stays valid until one of its parents is merged away; such dead candidates
-are dropped when popped.  Because a fresh id is always the largest so far,
-popping the smallest live key makes the same choice as rescanning every
-live pair and triple.
+maps each entity to the handles of the live clusters holding it.  A merged
+cluster takes over its largest parent's handle, so that parent's entities
+stay indexed, and the other parents' handles are retired.  Only the
+entities those smaller parents bring in are visited, and the merged cluster
+is matched only against clusters sharing one of them: a candidate using
+none of them was one with the largest parent and is queued already.  So, as
+in union by size, growing one cluster a point at a time no longer walks
+all of it at every merge.  A live cluster's entity set never changes, so a
+candidate stays valid while its parents live.  One with a merged-away
+parent is re-keyed when popped to the clusters now holding its parents'
+handles and goes back on its heap if the rule still holds for them; a
+retired handle drops it.  Because a fresh id is always the largest so far,
+a re-keyed candidate never sorts before the key it replaces, and popping
+the smallest live key makes the same choice as rescanning every live pair
+and triple.
 
 From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
@@ -103,9 +109,11 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
     lexicographically smallest sorted parent ids merges first; merged
     clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  The seeds'
     candidates come from one pass over the constraints; a merged cluster's
-    come through an entity -> live-cluster index, its triangle partners
-    grouped by their far two-DOF entity.  Candidates wait on two heaps, so
-    no step rescans the live clusters.
+    from the entities its smaller parents bring in, through an entity ->
+    handle index in which it takes over its largest parent's handle.
+    Candidates wait on two heaps and are re-keyed to their parents' heirs
+    when popped, so no step rescans the live clusters or the whole of a
+    growing one.
 
     The result is kept with ``g``'s structure, so a later call on ``g`` or
     on a re-valued copy runs no second fixpoint.
@@ -119,7 +127,13 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
     everything = seed_clusters(g)
     live = dict(enumerate(everything))  # a cluster's id is its index
-    holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}  # entity -> live holders
+    # ``holders`` maps an entity to the handles of the live clusters holding
+    # it, ``owner`` a handle to its live cluster (None once retired) and
+    # ``handle`` every cluster id, live or not, to its handle; a seed's
+    # handle is its id.
+    handle = list(range(g.m))
+    owner: list[int | None] = list(range(g.m))
+    holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}
     # The seeds' candidates, in one pass, a quarter faster than entering
     # each seed as a merged cluster: two seeds on one pair of entities, in
     # either order, and three spanning a triangle u < v < w of two-DOF
@@ -148,56 +162,89 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     heapify(pairs)
     heapify(triangles)
 
-    def enter(c: Cluster, parents: tuple[int, ...]) -> None:
-        """Index merged cluster ``c`` in place of its ``parents`` and queue
-        every candidate it completes; ``c.id`` is the largest live id, so it
-        goes last in each key.  ``c`` holds every entity of its parents, so
-        one pass over its entities drops them from the index."""
-        gone = set(parents)
-        hinge: dict[int, str] = {}  # neighbour -> the first entity it shares with c
-        paired: set[int] = set()  # neighbours sharing two or more
-        for e in c.entity_ids:
-            held = holders[e]
-            held -= gone
-            for k in held:
-                if k in hinge:
-                    paired.add(k)
-                else:
-                    hinge[k] = e
-            held.add(c.id)
+    def enter(c: Cluster, parents: tuple[Cluster, ...]) -> None:
+        """Index merged cluster ``c`` under its largest parent's handle,
+        retire the other parents' handles and queue every candidate that
+        uses an entity they bring in; ``c.id`` is the largest live id, so it
+        goes last in each key.  A candidate using only the largest parent's
+        entities was one with that parent and is queued already."""
+        sizes = [len(p.entity_ids) for p in parents]
+        heir = parents[sizes.index(max(sizes))]
+        mine = handle[heir.id]
+        handle.append(mine)
+        owner[mine] = c.id
         live[c.id] = c
-        for k in paired:
-            heappush(pairs, (k, c.id))
-        # Neighbours hinged to c (a single, two-DOF shared entity), by each
-        # of their other two-DOF entities: two neighbours in one group that
-        # share nothing else close a triangle with c.  Single shared
-        # entities on all three sides force the three hinges to differ.
-        far: dict[str, list[int]] = {}
-        for k, x in hinge.items():
-            if x in two_dof and k not in paired:
-                for y in live[k].entity_ids:
+        brought: set[str] = set()
+        for p in parents:
+            if p is not heir:
+                gone = handle[p.id]
+                owner[gone] = None
+                for e in p.entity_ids:
+                    holders[e].discard(gone)
+                brought |= p.entity_ids
+        old, ours = heir.entity_ids, c.entity_ids
+        new = brought - old  # a pass over what they bring, not over c
+        met = {owner[h] for e in new for h in holders[e]}
+        for e in new:
+            holders[e].add(mine)
+        for k in met:
+            near = live[k].entity_ids
+            shared = near & ours
+            if len(shared) > 1:
+                heappush(pairs, (k, c.id))
+                continue
+            # Hinged to c at x: a cluster b holding one of k's other
+            # two-DOF entities and sharing nothing else with k closes a
+            # triangle if it is hinged to c at another two-DOF entity.  If
+            # that entity is new, b meets k from its side too: queue once.
+            (x,) = shared
+            if x in two_dof:
+                for y in near:
                     if y != x and y in two_dof:
-                        far.setdefault(y, []).append(k)
-        for group in far.values():
-            if len(group) > 1:
-                for n, a in enumerate(group):
-                    a_entities = live[a].entity_ids
-                    for b in group[n + 1:]:
-                        if len(a_entities & live[b].entity_ids) == 1:
-                            heappush(triangles, (a, b, c.id) if a < b else (b, a, c.id))
+                        for h in holders[y]:
+                            b = owner[h]
+                            far = live[b].entity_ids
+                            hinges = far & ours
+                            if len(hinges) == 1 and len(far & near) == 1:
+                                (z,) = hinges
+                                if z != x and z in two_dof and (z in old or k < b):
+                                    heappush(triangles, (k, b, c.id) if k < b else (b, k, c.id))
+
+    def pop(heap: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+        """Smallest queued candidate whose parents are all live, or None.  A
+        candidate with a merged-away parent goes back re-keyed to the
+        clusters now holding its parents' handles, unless one was retired or
+        the rule no longer holds; an heir's id is larger, so the new key
+        never sorts before the one it replaces."""
+        while heap:
+            key = heappop(heap)
+            if all(map(live.__contains__, key)):
+                return key
+            now = [owner[handle[i]] for i in key]
+            if None in now:
+                continue
+            # Heirs hold their ancestors' entities, so a pair still shares
+            # two; a triangle's parents must still share one each.
+            if len(now) == 3:
+                a, b, c = [live[i].entity_ids for i in now]
+                if not len(a & b) == len(b & c) == len(c & a) == 1:
+                    continue
+            now.sort()
+            heappush(heap, tuple(now))
+        return None
 
     while True:
-        parents = _pop_live(pairs, live) or _pop_live(triangles, live)
+        parents = pop(pairs) or pop(triangles)
         if parents is None:
             break
         fresh = len(everything)
         if len(parents) == 2:
-            p, q = live.pop(parents[0]), live.pop(parents[1])
+            taken = p, q = live.pop(parents[0]), live.pop(parents[1])
             a, b = p.entity_ids, q.entity_ids
             record = tuple.__new__(MergeRecord, ("R2", fresh, parents, tuple(sorted(a & b))))
             entities, owned = a | b, p.owned_constraints | q.owned_constraints
         else:
-            p, q, r = live.pop(parents[0]), live.pop(parents[1]), live.pop(parents[2])
+            taken = p, q, r = live.pop(parents[0]), live.pop(parents[1]), live.pop(parents[2])
             a, b, c = p.entity_ids, q.entity_ids, r.entity_ids
             (x,), (y,), (z,) = a & b, b & c, c & a
             record = tuple.__new__(MergeRecord, ("R1", fresh, parents, (x, y, z)))
@@ -205,7 +252,7 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
             owned = p.owned_constraints | q.owned_constraints | r.owned_constraints
         merged = tuple.__new__(Cluster, (fresh, entities, owned, record))
         everything.append(merged)
-        enter(merged, parents)
+        enter(merged, taken)
 
     # Ids grow in the order clusters go live, so ``live`` is in id order.
     final = tuple(live.values())
@@ -218,16 +265,6 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
     return DecompositionResult(final, log, klass, nontrivial, tuple(everything))
-
-
-def _pop_live(heap: list[tuple[int, ...]], live: dict[int, Cluster]) -> tuple[int, ...] | None:
-    """Smallest queued candidate whose parents are all still live, or None;
-    candidates with a merged-away parent are discarded on the way."""
-    while heap:
-        key = heappop(heap)
-        if all(map(live.__contains__, key)):
-            return key
-    return None
 
 
 def classify(g: ConstraintGraph) -> ReducibilityClass:

@@ -121,6 +121,15 @@ class TestReferenceEquivalence:
             g = random_laman(n, rng.randrange(10**6), rng.random())
             assert decompose(g) == reference_decompose(g)
 
+    @pytest.mark.parametrize("n", [60, 90, 120, 160])
+    def test_long_growth(self, n):
+        # Past n = 40: one cluster grows a point per merge over many
+        # merges (p_h2 = 0), or a few clusters do among edge splits.
+        for p_h2 in (0.0, 0.3):
+            for seed in (1, 2):
+                g = random_laman(n, seed, p_h2)
+                assert decompose(g) == reference_decompose(g), (p_h2, seed)
+
     @settings(deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_random_mixed_graphs(self, rng):
@@ -209,10 +218,23 @@ class TestLargeFixpoint:
         assert result.reducibility is ReducibilityClass.PARTIALLY_REDUCIBLE
 
     def test_fully_reducible(self):
-        g = random_laman(300, 1, 0.0)
+        g = random_laman(1000, 1, 0.0)
         result = decompose(g)
         assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
-        assert len(result.merge_log) == 298
+        assert len(result.merge_log) == 998
+        clusters = result.all_clusters
+        merged: set[int] = set()
+        for record in result.merge_log:
+            assert record.rule == "R1"
+            assert all(p < record.new_cluster for p in record.parents)
+            assert merged.isdisjoint(record.parents)
+            merged.update(record.parents)
+            c = clusters[record.new_cluster]
+            parents = [clusters[p] for p in record.parents]
+            assert c.merge is record
+            assert c.entity_ids == frozenset().union(*[p.entity_ids for p in parents])
+            assert c.owned_constraints == frozenset().union(
+                *[p.owned_constraints for p in parents])
 
 
 class TestDecompose:
