@@ -34,10 +34,12 @@ From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
 entity holding two constraints into the placed set), falling back to
 recombination of independently solved clusters through virtual distances and
-rigid alignment.  The plans are built in one pass over the clusters in merge
-(id) order, each from its children's, which are built before it.  A cluster
-that cannot be recombined holds its refusal in place of a plan, and the
-refusal counts only if the root's plan reads that cluster.  Plans are purely
+rigid alignment.  One pass over the merges in id order records what each adds
+to its base child's steps, or the refusal it holds if it cannot be
+recombined; a refusal counts only if the root's plan reads that cluster.  A
+plan, one flat tuple of steps, is then assembled only for the root and each
+cluster a recombination step reads, from the records along its chain of base
+children, so extraction is linear in the steps.  Plans are purely
 structural: a recombination step references the sub-plans of the clusters it
 reads and holds no number, so this module never solves anything and one plan
 serves every re-valuation of the same graph.  :mod:`gcs2d.solve` carries
@@ -330,15 +332,16 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     placed sequentially from two constraints into the already-placed set, the
     node becomes PlaceByTwoLoci steps; otherwise the non-base clusters are
     recombined through a TriangleMerge over virtual distances plus rigid
-    alignments, which reference the clusters' own plans.  The plans are
-    built in one pass in merge order.  A recombination over a shared entity
-    that is not a point is refused with UnsupportedStepError, but only if
-    the root's plan reads that cluster: a child that a sequential extension
-    places need not be plannable itself.  The plan holds no values of
-    ``g``, so it serves every graph with the same structure: it is kept with
-    ``g``'s structure under the ``result`` object it was built from, so a
-    later call with that same object returns it again.  Both
-    NotReducibleError refusals run on every call.
+    alignments, which reference the clusters' own plans.  One pass in merge
+    order records what each merge adds; plans are then assembled, once
+    each, only for the root and the clusters a recombination reads.  A
+    recombination over a shared entity that is not a point is refused with
+    UnsupportedStepError, but only if the root's plan reads that cluster: a
+    child that a sequential extension places need not be plannable itself.
+    The plan holds no values of ``g``, so it serves every graph with the
+    same structure: it is kept with ``g``'s structure under the ``result``
+    object it was built from, so a later call with that same object returns
+    it again.  Both NotReducibleError refusals run on every call.
     """
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
@@ -349,78 +352,113 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
 
 def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     # A cluster's id is its index and every merge comes after its parents,
-    # so one pass in id order finds each child's plan built.  A cluster that
-    # cannot be recombined holds its refusal in place of a plan, which counts
-    # only where a plan reads it: a merge reads its base child, then checks
-    # its own shared entities, then reads its first and second child.
+    # so one pass in id order finds each child's record made.  A merge
+    # records its base child and what it adds to that child's steps, or its
+    # refusal, which counts only where a plan reads it: a merge reads its
+    # base child, then checks its own shared entities, then reads its first
+    # and second child.
     clusters = result.all_clusters
     root = result.final_clusters[0].id
-    plans: list[Plan | UnsupportedStepError] = []
-    for cluster in clusters[: root + 1]:
-        if cluster.merge is None:
-            (constraint,) = cluster.owned_constraints
-            plans.append(Plan(cluster.id, constraint, (), cluster.owned_constraints))
-            continue
-        children = [clusters[p] for p in cluster.merge.parents]
-        base_child = min(children, key=lambda c: (-len(c.entity_ids), c.id))
-        base_plan = plans[base_child.id]
-        if not isinstance(base_plan, Plan):
-            plans.append(base_plan)
+    ends = [c.between for c in g.constraints]
+    m = g.m
+    made: list = [None] * (root + 1)  # a seed's stays None
+    for cluster in clusters[m : root + 1]:
+        parents = cluster.merge.parents
+        _, base = min([(-len(clusters[p].entity_ids), p) for p in parents])
+        if isinstance(made[base], UnsupportedStepError):
+            made[cluster.id] = made[base]
             continue
         # What the merge adds is read off its other children, not off the
         # cluster: a strip's base child holds all of it but one point.
-        others = [c for c in children if c is not base_child]
-        pool = sorted(set().union(*[c.owned_constraints for c in others]))
-        unplaced = set().union(*[c.entity_ids for c in others]) - base_child.entity_ids
+        base_child = clusters[base]
+        others = [clusters[p] for p in parents if p != base]
+        pool: set[int] = set()
+        unplaced: set[str] = set()
+        for c in others:
+            pool |= c.owned_constraints
+            unplaced |= c.entity_ids
+        unplaced -= base_child.entity_ids
+        # Each unplaced entity's constraints, in index order, and other ends.
+        near: dict[str, list[tuple[int, str]]] = {e: [] for e in unplaced}
+        for i in sorted(pool):
+            a, b = ends[i]
+            if a in near:
+                near[a].append((i, b))
+            if b in near:
+                near[b].append((i, a))
 
         # Sequential extension: place entities one at a time from two
         # constraints whose other endpoints are already placed.
         steps: list[PlanStep] = []
         while unplaced:
             for target in sorted(unplaced):
-                ready = [i for i in pool if target in (ends := g.constraints[i].between)
-                         and next(e for e in ends if e != target) not in unplaced]
+                ready = [i for i, other in near[target] if other not in unplaced]
                 if len(ready) >= 2:
                     steps.append(PlaceByTwoLoci(target, (ready[0], ready[1])))
                     unplaced.remove(target)
                     break
             else:
                 break
+        if not unplaced:
+            made[cluster.id] = (base, steps, None)
+            continue
 
-        if unplaced:
-            # Recombination of independently solved clusters.  Only a
-            # triangle merge gets here: in a graph with no over-constrained
-            # subset, the parents of a pair merge hold the same entities, so
-            # the base child places them all.
-            placed = set(base_child.entity_ids)
-            steps = []
-            first, second = sorted(others, key=lambda c: c.id)
-            (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
-                                base_child.entity_ids & second.entity_ids,
-                                first.entity_ids & second.entity_ids)
-            refusals = [UnsupportedStepError(
-                f"triangle recombination needs shared points, got "
-                f"{g.kind_of(e).value} {e!r}") for e in (u, v, w)
-                if g.kind_of(e) is not EntityKind.POINT]
-            refusals += [p for p in (plans[first.id], plans[second.id]) if not isinstance(p, Plan)]
-            if refusals:
-                plans.append(refusals[0])
-                continue
-            steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
-                                       (plans[first.id], plans[second.id])))
-            placed.add(w)
-            for child, pair in ((first, (u, w)), (second, (v, w))):
-                if child.entity_ids <= placed:
-                    continue
-                steps.append(AlignCluster(child.id, tuple(sorted(pair)), plans[child.id]))
+        # Recombination of independently solved clusters.  Only a triangle
+        # merge gets here: in a graph with no over-constrained subset, the
+        # parents of a pair merge hold the same entities, so the base child
+        # places them all.
+        first, second = sorted(others, key=lambda c: c.id)
+        (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
+                            base_child.entity_ids & second.entity_ids,
+                            first.entity_ids & second.entity_ids)
+        refusals = [UnsupportedStepError(
+            f"triangle recombination needs shared points, got "
+            f"{g.kind_of(e).value} {e!r}") for e in (u, v, w)
+            if g.kind_of(e) is not EntityKind.POINT]
+        refusals += [r for r in (made[first.id], made[second.id])
+                     if isinstance(r, UnsupportedStepError)]
+        if refusals:
+            made[cluster.id] = refusals[0]
+            continue
+        placed = base_child.entity_ids | {w}
+        aligned = []
+        for child, pair in ((first, (u, w)), (second, (v, w))):
+            if not child.entity_ids <= placed:
+                aligned.append((child.id, tuple(sorted(pair))))
                 placed |= child.entity_ids
+        made[cluster.id] = (base, (), ((u, v, w), (base, first.id, second.id), aligned))
+    if isinstance(made[root], UnsupportedStepError):
+        raise made[root]
 
-        plans.append(Plan(base_plan.base_cluster, base_plan.base_constraint,
-                          base_plan.steps + tuple(steps), cluster.owned_constraints))
-    plan = plans[root]
-    if not isinstance(plan, Plan):
-        raise plan
-    return plan
+    # Plans are assembled only for the root and the clusters a recombination
+    # reads, each from the records along its chain of base children.  A
+    # recombination reads its merge's first and second child, never a base
+    # child, so no two of these chains share a cluster and the assembly is
+    # linear in the steps.  Those children have smaller ids than the merge,
+    # so in id order the plans a recombination reads are assembled first.
+    chains: dict[int, tuple[int, list]] = {}  # by cluster: its seed, its chain
+    tops = [root]
+    for top in tops:
+        chain, k = [], top
+        while k >= m:
+            chain.append(made[k])
+            k, _, recombined = made[k]
+            if recombined is not None:
+                tops += recombined[1][1:]  # the first and second child
+        chains[top] = k, chain
+    plans: dict[int, Plan] = {}
+    for top in sorted(chains):
+        seed, chain = chains[top]
+        steps = []
+        for _, added, recombined in reversed(chain):
+            steps += added
+            if recombined is not None:
+                points, ids, aligned = recombined
+                steps.append(TriangleMerge(points, ids, (plans[ids[1]], plans[ids[2]])))
+                steps += [AlignCluster(c, pair, plans[c]) for c, pair in aligned]
+        (constraint,) = clusters[seed].owned_constraints
+        plans[top] = Plan(seed, constraint, tuple(steps), clusters[top].owned_constraints)
+    return plans[root]
 
 
 # --------------------------------------------------------------- JSON mirrors

@@ -174,6 +174,11 @@ class ConstraintGraph(_Graph):
             made = kept[name] = (key, build())
         return made[1]
 
+    def __getstate__(self) -> dict[str, object]:
+        """The instance dict without the kept structural results, which hold
+        closures; a copy finds them again by structure."""
+        return {k: v for k, v in vars(self).items() if k != "_analyses"}
+
     @property
     def n(self) -> int:
         return len(self.entities)

@@ -446,16 +446,19 @@ def _circle_roots(target: str, p: Point2, ra: float, q: Point2, rb: float):
         raise EmptyIntersectionError(f"no locus intersection places {target!r}") from None
     except CoincidentError:
         raise UnderDeterminedError(target, "coincident loci leave the target free") from None
+    # Points are built with ``tuple.__new__``: a NamedTuple's own
+    # ``__new__`` is Python code, and this runs for most steps of a walk.
     if tangent:
-        return [(Point2(*roots[0]),)], True
+        return [(tuple.__new__(Point2, roots[0]),)], True
+    first, second = roots
     (x1, y1), (x2, y2) = roots
     if math.hypot(x2 - x1, y2 - y1) <= EPS:  # one root, as _point_kernel merges them
-        return [(Point2(x1, y1),)], False
+        return [(tuple.__new__(Point2, first),)], False
     # The centroid as _order_points sums it, from 0.
     cx, cy = (0.0 + x1 + x2) / 2, (0.0 + y1 + y2) / 2
     if _root_key(x2, y2, cx, cy) < _root_key(x1, y1, cx, cy):
-        x1, y1, x2, y2 = x2, y2, x1, y1
-    return [(Point2(x1, y1),), (Point2(x2, y2),)], False
+        first, second = second, first
+    return [(tuple.__new__(Point2, first),), (tuple.__new__(Point2, second),)], False
 
 
 def _point_loci(kind: str, anchor: Placement, value: float) -> list[Placement]:
@@ -784,9 +787,9 @@ def _run(
                 placements = dict(base)
                 placements.update(zip(program.ids, placed))
                 placements.pop(None, None)  # the walked clusters' local copies
-                yield Solution(placements, tuple([f.pick for f in frames if len(f.options) > 1]),
-                               tuple(dict.fromkeys([steps[k].at for k, f in enumerate(frames)
-                                                    if f.tangent])))
+                yield tuple.__new__(Solution, (
+                    placements, tuple([f.pick for f in frames if len(f.options) > 1]),
+                    tuple(dict.fromkeys([steps[k].at for k, f in enumerate(frames) if f.tangent]))))
             else:
                 failure = failure or VerificationError(f"residual {base_worst} exceeds {tol}")
         # Take back roots, deepest first, up to the latest blamed frame (each

@@ -46,7 +46,7 @@ from gcs2d import (
     seed_clusters,
     unsigned_line_angle,
 )
-from gcs2d.decompose import AlignCluster, PlaceByTwoLoci, Plan, TriangleMerge
+from gcs2d.decompose import AlignCluster, PlaceByTwoLoci, Plan, PlanStep, TriangleMerge
 from gcs2d.errors import (
     CoincidentError,
     CoincidentPointsError,
@@ -271,6 +271,54 @@ def measured_graph(g: ConstraintGraph, placements: dict[str, Placement]) -> Cons
     return build_graph(g.entities, new_constraints)
 
 
+def recombination_chain(length):
+    """A triangle strip a, b, c1..cL (each point joined to the two before it)
+    and, per level j, a fresh point x_j tied to the adjacent strip points
+    s_j, s_j+1 through two rigid strips s, t1, t2, t3, x_j (each point joined
+    to the two before it; t1 only to s).  Every level is a triangle
+    recombination whose base is the strip grown so far.  Values are measured
+    from the grid embedding with seed 0."""
+    strip = ["a", "b"] + [f"c{k}" for k in range(1, length + 1)]
+    pairs = [("a", "b")] + [(strip[k - d], strip[k]) for k in range(2, len(strip)) for d in (2, 1)]
+    names = list(strip)
+    for j in range(1, length + 1):
+        x = f"x{j}"
+        names.append(x)
+        for end in strip[j : j + 2]:
+            t1, t2, t3 = (f"{end}_{x}_{i}" for i in (1, 2, 3))
+            names += [t1, t2, t3]
+            pairs += [(end, t1), (end, t2), (t1, t2), (t1, t3), (t2, t3), (t2, x), (t3, x)]
+    g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
+    return measured_graph(g, grid_embedding(g, random.Random(0)))
+
+
+def nested_triangles(levels, strip=5):
+    """A cluster between points p and q: at level 0 a rigid strip of
+    ``strip`` points p, t1, ..., q, each joined to the two before it; at
+    level k a fresh point r and three level k - 1 clusters between p and r,
+    r and q, p and q.  Each level nests one triangle recombination inside
+    the first and second clusters of the next."""
+    names, pairs = ["p", "q"], []
+
+    def fresh():
+        names.append(f"v{len(names)}")
+        return names[-1]
+
+    def cluster(p, q, level):
+        if level == 0:
+            chain = [p, *(fresh() for _ in range(strip - 2)), q]
+            for k in range(1, strip):
+                pairs.extend((chain[j], chain[k]) for j in (k - 2, k - 1) if j >= 0)
+            return
+        r = fresh()
+        for a, b in ((p, r), (r, q), (p, q)):
+            cluster(a, b, level - 1)
+
+    cluster("p", "q", levels)
+    g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
+    return measured_graph(g, grid_embedding(g, random.Random(0)))
+
+
 def placements_close(a: Placement, b: Placement, tol: float) -> bool:
     if isinstance(a, Point2) and isinstance(b, Point2):
         return a.close_to(b, tol)
@@ -398,6 +446,85 @@ def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
     return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))
+
+
+def reference_build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
+    """:func:`gcs2d.decompose._build_plan` by building a plan for every
+    cluster, in id order, each a copy of its base child's steps plus those
+    its merge adds: quadratic in n, kept as the reference."""
+    # A cluster's id is its index and every merge comes after its parents,
+    # so one pass in id order finds each child's plan built.  A cluster that
+    # cannot be recombined holds its refusal in place of a plan, which counts
+    # only where a plan reads it: a merge reads its base child, then checks
+    # its own shared entities, then reads its first and second child.
+    clusters = result.all_clusters
+    root = result.final_clusters[0].id
+    plans: list[Plan | UnsupportedStepError] = []
+    for cluster in clusters[: root + 1]:
+        if cluster.merge is None:
+            (constraint,) = cluster.owned_constraints
+            plans.append(Plan(cluster.id, constraint, (), cluster.owned_constraints))
+            continue
+        children = [clusters[p] for p in cluster.merge.parents]
+        base_child = min(children, key=lambda c: (-len(c.entity_ids), c.id))
+        base_plan = plans[base_child.id]
+        if not isinstance(base_plan, Plan):
+            plans.append(base_plan)
+            continue
+        # What the merge adds is read off its other children, not off the
+        # cluster: a strip's base child holds all of it but one point.
+        others = [c for c in children if c is not base_child]
+        pool = sorted(set().union(*[c.owned_constraints for c in others]))
+        unplaced = set().union(*[c.entity_ids for c in others]) - base_child.entity_ids
+
+        # Sequential extension: place entities one at a time from two
+        # constraints whose other endpoints are already placed.
+        steps: list[PlanStep] = []
+        while unplaced:
+            for target in sorted(unplaced):
+                ready = [i for i in pool if target in (ends := g.constraints[i].between)
+                         and next(e for e in ends if e != target) not in unplaced]
+                if len(ready) >= 2:
+                    steps.append(PlaceByTwoLoci(target, (ready[0], ready[1])))
+                    unplaced.remove(target)
+                    break
+            else:
+                break
+
+        if unplaced:
+            # Recombination of independently solved clusters.  Only a
+            # triangle merge gets here: in a graph with no over-constrained
+            # subset, the parents of a pair merge hold the same entities, so
+            # the base child places them all.
+            placed = set(base_child.entity_ids)
+            steps = []
+            first, second = sorted(others, key=lambda c: c.id)
+            (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
+                                base_child.entity_ids & second.entity_ids,
+                                first.entity_ids & second.entity_ids)
+            refusals = [UnsupportedStepError(
+                f"triangle recombination needs shared points, got "
+                f"{g.kind_of(e).value} {e!r}") for e in (u, v, w)
+                if g.kind_of(e) is not EntityKind.POINT]
+            refusals += [p for p in (plans[first.id], plans[second.id]) if not isinstance(p, Plan)]
+            if refusals:
+                plans.append(refusals[0])
+                continue
+            steps.append(TriangleMerge((u, v, w), (base_child.id, first.id, second.id),
+                                       (plans[first.id], plans[second.id])))
+            placed.add(w)
+            for child, pair in ((first, (u, w)), (second, (v, w))):
+                if child.entity_ids <= placed:
+                    continue
+                steps.append(AlignCluster(child.id, tuple(sorted(pair)), plans[child.id]))
+                placed |= child.entity_ids
+
+        plans.append(Plan(base_plan.base_cluster, base_plan.base_constraint,
+                          base_plan.steps + tuple(steps), cluster.owned_constraints))
+    plan = plans[root]
+    if not isinstance(plan, Plan):
+        raise plan
+    return plan
 
 
 def count_structural_work(monkeypatch) -> Counter:

@@ -40,11 +40,15 @@ from gcs2d import (
     random_laman,
     seed_clusters,
 )
+from gcs2d.decompose import _build_plan
 from gcs2d.graph import fixed_circle, free_circle, incidence, tangency
 from support import (
     count_structural_work,
     measured_graph,
+    nested_triangles,
     random_mixed_graph,
+    recombination_chain,
+    reference_build_plan,
     reference_decompose,
     sample_embedding,
 )
@@ -235,6 +239,16 @@ class TestLargeFixpoint:
             assert c.entity_ids == frozenset().union(*[p.entity_ids for p in parents])
             assert c.owned_constraints == frozenset().union(
                 *[p.owned_constraints for p in parents])
+        # Its plan places every point but the base's in turn, each from two
+        # constraints no other step or the base uses.
+        plan = extract_plan(result, g)
+        assert len(plan.steps) == 998
+        assert all(isinstance(step, PlaceByTwoLoci) for step in plan.steps)
+        base = g.constraints[plan.base_constraint].between
+        targets = [step.target for step in plan.steps]
+        assert len(set(targets)) == 998 and set(targets) == set(g.entity_ids) - set(base)
+        used = [plan.base_constraint] + [i for step in plan.steps for i in step.constraints]
+        assert len(used) == len(set(used)) == 1997
 
 
 class TestDecompose:
@@ -346,17 +360,21 @@ STRIP = ("a1 t", "a1 x1", "t x1", "t x2", "x1 x2", "x1 x3", "x2 x3", "x2 x4", "x
          "x4 x5", "x4 x6", "x5 x6")
 
 
+# Fully reducible sketches whose plan is refused over a shared line.
+REFUSED = [
+    HINGED,
+    # The merge's base is HINGED's cluster, which is read before the merge
+    # checks its own shared entities, b1, a2 and the line N.
+    HINGED + ("b1 c1", "b1 c2", "c1 c2", "c1 N", "c2 N", "a2 N"),
+    # The merge's base is the strip, and HINGED's cluster shares the line B
+    # with the seed t-B: the merge checks B before it reads HINGED's cluster.
+    HINGED + STRIP + ("t B",),
+]
+
+
 class TestExtractPlan:
-    @pytest.mark.parametrize("pairs, shared", [
-        (HINGED, "L"),
-        # The merge's base is HINGED's cluster, which is read before the
-        # merge checks its own shared entities, b1, a2 and the line N.
-        (HINGED + ("b1 c1", "b1 c2", "c1 c2", "c1 N", "c2 N", "a2 N"), "L"),
-        # The merge's base is the strip, and HINGED's cluster shares the
-        # line B with the seed t-B: the merge checks B before it reads
-        # HINGED's cluster.
-        (HINGED + STRIP + ("t B",), "B"),
-    ], ids=["hinged", "base-first", "own-check-first"])
+    @pytest.mark.parametrize("pairs, shared", zip(REFUSED, ["L", "L", "B"]),
+                             ids=["hinged", "base-first", "own-check-first"])
     def test_recombination_over_a_shared_line_is_refused(self, pairs, shared):
         g = sketch(*pairs)
         result = decompose(g)
@@ -378,6 +396,36 @@ class TestExtractPlan:
         plan = extract_plan(result, g)
         assert all(isinstance(s, PlaceByTwoLoci) for s in plan.steps)
         assert len(plan.steps) == g.n - 2
+
+    def test_plans_match_the_reference_builder(self):
+        # The builder assembles plans only where read; the reference builds
+        # one for every cluster.  Plans must be equal, and refusals of the
+        # same class with the same message.
+        def built(build, result, g):
+            try:
+                return build(result, g)
+            except UnsupportedStepError as exc:
+                return type(exc), str(exc)
+
+        graphs = [fixture(name) for name in fixture_names()]
+        graphs += [random_laman(n, 100 * n + k, p_h2 / 10)
+                   for n in range(4, 41) for p_h2 in range(7) for k in range(3)]
+        graphs += [recombination_chain(k) for k in range(1, 6)]
+        graphs += [nested_triangles(k) for k in range(1, 4)]
+        graphs += [random_mixed_graph(random.Random(seed)) for seed in range(2000)]
+        graphs += [sketch(*pairs) for pairs in REFUSED + [HINGED + STRIP + ("t a2",)]]
+        compared = refused = 0
+        for g in graphs:
+            if g.n < 2:
+                continue
+            result = decompose(g)
+            if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
+                continue
+            got = built(_build_plan, result, g)
+            assert got == built(reference_build_plan, result, g)
+            compared += 1
+            refused += not isinstance(got, Plan)
+        assert compared >= 400 and refused >= len(REFUSED)
 
     def test_triangle_plan_is_base_plus_one_placement(self):
         g = fixture("triangle")

@@ -66,8 +66,10 @@ from support import (
     count_structural_work,
     grid_embedding,
     measured_graph,
+    nested_triangles,
     placements_close,
     random_mixed_graph,
+    recombination_chain,
     reference_congruence_signature,
     reference_is_generic,
     reference_walk,
@@ -1069,27 +1071,6 @@ class TestDeepPlans:
         assert verify(g, sol).passed
 
 
-def recombination_chain(length):
-    """A triangle strip a, b, c1..cL (each point joined to the two before it)
-    and, per level j, a fresh point x_j tied to the adjacent strip points
-    s_j, s_j+1 through two rigid strips s, t1, t2, t3, x_j (each point joined
-    to the two before it; t1 only to s).  Every level is a triangle
-    recombination whose base is the strip grown so far.  Values are measured
-    from the grid embedding with seed 0."""
-    strip = ["a", "b"] + [f"c{k}" for k in range(1, length + 1)]
-    pairs = [("a", "b")] + [(strip[k - d], strip[k]) for k in range(2, len(strip)) for d in (2, 1)]
-    names = list(strip)
-    for j in range(1, length + 1):
-        x = f"x{j}"
-        names.append(x)
-        for end in strip[j : j + 2]:
-            t1, t2, t3 = (f"{end}_{x}_{i}" for i in (1, 2, 3))
-            names += [t1, t2, t3]
-            pairs += [(end, t1), (end, t2), (t1, t2), (t1, t3), (t2, t3), (t2, x), (t3, x)]
-    g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
-    return measured_graph(g, grid_embedding(g, random.Random(0)))
-
-
 def broken_chain(length):
     """:func:`recombination_chain` with one distance of its last level's
     strips stretched fifty-fold, so that strip cannot close."""
@@ -1098,33 +1079,6 @@ def broken_chain(length):
     k = next(k for k, c in enumerate(constraints) if f"x{length}" in c.between)
     constraints[k] = distance(*constraints[k].between, 50 * constraints[k].value)
     return build_graph(g.entities, constraints)
-
-
-def nested_triangles(levels, strip=5):
-    """A cluster between points p and q: at level 0 a rigid strip of
-    ``strip`` points p, t1, ..., q, each joined to the two before it; at
-    level k a fresh point r and three level k - 1 clusters between p and r,
-    r and q, p and q.  Each level nests one triangle recombination inside
-    the first and second clusters of the next."""
-    names, pairs = ["p", "q"], []
-
-    def fresh():
-        names.append(f"v{len(names)}")
-        return names[-1]
-
-    def cluster(p, q, level):
-        if level == 0:
-            chain = [p, *(fresh() for _ in range(strip - 2)), q]
-            for k in range(1, strip):
-                pairs.extend((chain[j], chain[k]) for j in (k - 2, k - 1) if j >= 0)
-            return
-        r = fresh()
-        for a, b in ((p, r), (r, q), (p, q)):
-            cluster(a, b, level - 1)
-
-    cluster("p", "q", levels)
-    g = build_graph([point(v) for v in names], [distance(p, q, 1.0) for p, q in pairs])
-    return measured_graph(g, grid_embedding(g, random.Random(0)))
 
 
 def recombination_over(kind):

@@ -21,7 +21,11 @@ from gcs2d import (
     Plan,
     Point2,
     Solution,
+    decompose,
+    diagnose_pebble,
     distance,
+    enumerate_solutions,
+    extract_plan,
     fixture,
     parse,
     serialize,
@@ -68,9 +72,19 @@ def test_fields_are_read_only():
             setattr(value, field, None)
 
 
+def solved_spindle():
+    """The Moser spindle after every structural layer and a solve, which
+    keep their results, a compiled program among them, with its structure."""
+    g = parse(serialize(fixture("moser-spindle")))
+    diagnose_pebble(g)
+    enumerate_solutions(extract_plan(decompose(g), g), g)
+    return g
+
+
 @pytest.mark.parametrize("make", [lambda: LineRep(3 * math.pi + 0.25, 2.0),
-                                  lambda: parse(serialize(fixture("moser-spindle")))],
-                         ids=["line", "graph"])
+                                  lambda: parse(serialize(fixture("moser-spindle"))),
+                                  solved_spindle],
+                         ids=["line", "graph", "solved-graph"])
 def test_pickle_and_deepcopy_give_an_equal_object(make):
     value = make()
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
@@ -94,6 +108,14 @@ def test_errors_pickle_and_copy_with_their_message_and_entity(error):
     for copied in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
         assert type(copied) is type(error) and str(copied) == str(error)
         assert getattr(copied, "entity", None) == getattr(error, "entity", None)
+
+
+def test_graph_copies_carry_no_kept_results_and_find_them_by_structure():
+    g = solved_spindle()
+    plan = extract_plan(decompose(g), g)
+    for copied in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert "_analyses" not in vars(copied)
+        assert extract_plan(decompose(copied), copied) is plan
 
 
 def test_graph_copies_keep_their_cached_lookups():
