@@ -10,8 +10,9 @@ free-radius circle would weld clusters into a non-rigid aggregate.
 The rewrite is deterministic: each step applies the pair rule if any live pair
 qualifies, else the triangle rule, and within a rule picks the candidate whose
 sorted parent ids are lexicographically smallest.  The merged cluster takes
-the next unused id.  The fixpoint is found incrementally, with candidates on
-two min-heaps keyed by sorted parent ids.  One pass over the constraints
+the next unused id.  The fixpoint is found incrementally, with both rules'
+candidates on one min-heap keyed (2, i, j) for a pair and (3, i, j, k) for a
+triangle, so the key states that order.  One pass over the constraints
 queues the seeds' candidates: constraints on the same two entities pair up,
 and each graph triangle over two-DOF entities gives a triple.  Then an index
 maps each entity to the handles of the live clusters holding it.  A merged
@@ -20,15 +21,15 @@ stay indexed, and the other parents' handles are retired.  Only the
 entities those smaller parents bring in are visited, and the merged cluster
 is matched only against clusters sharing one of them: a candidate using
 none of them was one with the largest parent and is queued already.  So, as
-in union by size, growing one cluster a point at a time no longer walks
-all of it at every merge.  A live cluster's entity set never changes, so a
-candidate stays valid while its parents live.  One with a merged-away
-parent is re-keyed when popped to the clusters now holding its parents'
-handles and goes back on its heap if the rule still holds for them; a
-retired handle drops it.  Because a fresh id is always the largest so far,
-a re-keyed candidate never sorts before the key it replaces, and popping
-the smallest live key makes the same choice as rescanning every live pair
-and triple.
+in union by size (Tarjan 1975), growing one cluster a point at a time no
+longer walks all of it at every merge.  A live cluster's entity set never
+changes, so a candidate stays valid while its parents live.  One with a
+merged-away parent is re-keyed when popped to the clusters now holding its
+parents' handles, for which its rule still holds, and goes back on the
+heap; a retired handle drops it.  Because a fresh id is always the largest
+so far, a re-keyed candidate never sorts before the key it replaces, and
+popping the smallest live key makes the same choice as rescanning every
+live pair and triple.
 
 From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
@@ -52,7 +53,7 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Union
 
-from .errors import NotReducibleError, TooSmallError, UnsupportedStepError
+from .errors import BadValueError, NotReducibleError, TooSmallError, UnsupportedStepError
 from .graph import ConstraintGraph, EntityKind, dof
 from .rigidity import Verdict, diagnose_pebble
 
@@ -113,9 +114,9 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
     candidates come from one pass over the constraints; a merged cluster's
     from the entities its smaller parents bring in, through an entity ->
     handle index in which it takes over its largest parent's handle.
-    Candidates wait on two heaps and are re-keyed to their parents' heirs
-    when popped, so no step rescans the live clusters or the whole of a
-    growing one.
+    Candidates of both rules wait on one heap and are re-keyed to their
+    parents' heirs when popped, so no step rescans the live clusters or the
+    whole of a growing one.
 
     The result is kept with ``g``'s structure, so a later call on ``g`` or
     on a re-valued copy runs no second fixpoint.
@@ -127,21 +128,20 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
 
 def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
-    everything = seed_clusters(g)
-    live = dict(enumerate(everything))  # a cluster's id is its index
+    everything = seed_clusters(g)  # a cluster's id is its index
     # ``holders`` maps an entity to the handles of the live clusters holding
     # it, ``owner`` a handle to its live cluster (None once retired) and
     # ``handle`` every cluster id, live or not, to its handle; a seed's
-    # handle is its id.
+    # handle is its id, and cluster k is live while ``owner[handle[k]] == k``.
     handle = list(range(g.m))
     owner: list[int | None] = list(range(g.m))
     holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}
-    # The seeds' candidates, in one pass, a quarter faster than entering
-    # each seed as a merged cluster: two seeds on one pair of entities, in
-    # either order, and three spanning a triangle u < v < w of two-DOF
-    # entities.
+    # The seeds' candidates, in one pass, which halves the fixpoint's time
+    # on small graphs against entering each seed as a merged cluster: two
+    # seeds on one pair of entities, in either order, and three spanning a
+    # triangle u < v < w of two-DOF entities.
     joins: dict[str, dict[str, list[int]]] = {e: {} for e in g.entity_ids}  # seeds by ends
-    pairs: list[tuple[int, ...]] = []
+    heap: list[tuple[int, ...]] = []
     for i, (_, (a, b), _) in enumerate(g.constraints):
         holders[a].add(i)
         holders[b].add(i)
@@ -149,9 +149,8 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
         if ids is None:
             joins[a][b] = joins[b][a] = [i]
         else:
-            pairs += [(j, i) for j in ids]
+            heap += [(2, j, i) for j in ids]
             ids.append(i)
-    triangles: list[tuple[int, ...]] = []
     for u in two_dof:
         near_u = joins[u]
         for v, uv in near_u.items():
@@ -159,10 +158,9 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                 near_v = joins[v]
                 for w in near_u.keys() & near_v.keys():
                     if w > v and w in two_dof:
-                        triangles += [tuple(sorted((i, j, k)))
-                                      for i in uv for j in near_v[w] for k in near_u[w]]
-    heapify(pairs)
-    heapify(triangles)
+                        heap += [(3, *sorted((i, j, k)))
+                                 for i in uv for j in near_v[w] for k in near_u[w]]
+    heapify(heap)
 
     def enter(c: Cluster, parents: tuple[Cluster, ...]) -> None:
         """Index merged cluster ``c`` under its largest parent's handle,
@@ -175,7 +173,6 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
         mine = handle[heir.id]
         handle.append(mine)
         owner[mine] = c.id
-        live[c.id] = c
         brought: set[str] = set()
         for p in parents:
             if p is not heir:
@@ -190,10 +187,10 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
         for e in new:
             holders[e].add(mine)
         for k in met:
-            near = live[k].entity_ids
+            near = everything[k].entity_ids
             shared = near & ours
             if len(shared) > 1:
-                heappush(pairs, (k, c.id))
+                heappush(heap, (2, k, c.id))
                 continue
             # Hinged to c at x: a cluster b holding one of k's other
             # two-DOF entities and sharing nothing else with k closes a
@@ -205,48 +202,42 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                     if y != x and y in two_dof:
                         for h in holders[y]:
                             b = owner[h]
-                            far = live[b].entity_ids
+                            far = everything[b].entity_ids
                             hinges = far & ours
                             if len(hinges) == 1 and len(far & near) == 1:
                                 (z,) = hinges
                                 if z != x and z in two_dof and (z in old or k < b):
-                                    heappush(triangles, (k, b, c.id) if k < b else (b, k, c.id))
+                                    heappush(heap, (3, k, b, c.id) if k < b else (3, b, k, c.id))
 
-    def pop(heap: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-        """Smallest queued candidate whose parents are all live, or None.  A
-        candidate with a merged-away parent goes back re-keyed to the
-        clusters now holding its parents' handles, unless one was retired or
-        the rule no longer holds; an heir's id is larger, so the new key
-        never sorts before the one it replaces."""
+    def pop() -> tuple[int, ...] | None:
+        """The parents of the smallest queued candidate whose parents are
+        all live, or None.  A candidate with a merged-away parent goes back
+        re-keyed to the clusters now holding its parents' handles, unless
+        one was retired; an heir's id is larger, so the new key never sorts
+        before the one it replaces.  Heirs hold their ancestors' entities,
+        so a re-keyed pair still shares two.  A triangle pops only once no
+        pair is queued, so no two live clusters share two entities: its
+        parents' heirs are three distinct clusters, each two of which still
+        share exactly the entity they shared before."""
         while heap:
-            key = heappop(heap)
-            if all(map(live.__contains__, key)):
-                return key
-            now = [owner[handle[i]] for i in key]
-            if None in now:
-                continue
-            # Heirs hold their ancestors' entities, so a pair still shares
-            # two; a triangle's parents must still share one each.
-            if len(now) == 3:
-                a, b, c = [live[i].entity_ids for i in now]
-                if not len(a & b) == len(b & c) == len(c & a) == 1:
-                    continue
-            now.sort()
-            heappush(heap, tuple(now))
+            rule, *parents = heappop(heap)
+            now = [owner[handle[i]] for i in parents]
+            if now == parents:
+                return tuple(parents)
+            if None not in now:
+                now.sort()
+                heappush(heap, (rule, *now))
         return None
 
-    while True:
-        parents = pop(pairs) or pop(triangles)
-        if parents is None:
-            break
+    while (parents := pop()) is not None:
         fresh = len(everything)
         if len(parents) == 2:
-            taken = p, q = live.pop(parents[0]), live.pop(parents[1])
+            taken = p, q = everything[parents[0]], everything[parents[1]]
             a, b = p.entity_ids, q.entity_ids
             record = tuple.__new__(MergeRecord, ("R2", fresh, parents, tuple(sorted(a & b))))
             entities, owned = a | b, p.owned_constraints | q.owned_constraints
         else:
-            taken = p, q, r = live.pop(parents[0]), live.pop(parents[1]), live.pop(parents[2])
+            taken = p, q, r = everything[parents[0]], everything[parents[1]], everything[parents[2]]
             a, b, c = p.entity_ids, q.entity_ids, r.entity_ids
             (x,), (y,), (z,) = a & b, b & c, c & a
             record = tuple.__new__(MergeRecord, ("R1", fresh, parents, (x, y, z)))
@@ -256,8 +247,7 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
         everything.append(merged)
         enter(merged, taken)
 
-    # Ids grow in the order clusters go live, so ``live`` is in id order.
-    final = tuple(live.values())
+    final = tuple([everything[k] for k in sorted(k for k in owner if k is not None)])
     log = tuple([c.merge for c in everything[g.m:]])
     nontrivial = sum(1 for c in final if not c.is_seed)
     if len(final) == 1 and final[0].entity_ids == set(g.entity_ids):
@@ -341,13 +331,28 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     The plan holds no values of ``g``, so it serves every graph with the
     same structure: it is kept with ``g``'s structure under the ``result``
     object it was built from, so a later call with that same object returns
-    it again.  Both NotReducibleError refusals run on every call.
+    it again.  Both NotReducibleError refusals run on every call.  Building
+    refuses, with BadValueError, a ``result`` that cannot be ``g``'s: one
+    whose first ``g.m`` clusters are not ``g``'s seeds, or whose next
+    cluster is not a merge.
     """
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
     if diagnose_pebble(g).verdict is not Verdict.WELL_CONSTRAINED:
         raise NotReducibleError("plan extraction needs a well-constrained graph")
-    return g._kept("plan", result, lambda: _build_plan(result, g))
+    return g._kept("plan", result, lambda: _build_plan(_checked(result, g), g))
+
+
+def _checked(result: DecompositionResult, g: ConstraintGraph) -> DecompositionResult:
+    """``result``, unless it cannot be a decomposition of ``g``.  The one
+    kept for ``g``'s structure is ``g``'s, and is not compared again."""
+    kept = g._analyses.get("decompose")
+    if kept is not None and kept[1] is result:
+        return result
+    clusters, m = result.all_clusters, g.m
+    if clusters[:m] != tuple(seed_clusters(g)) or len(clusters) > m and clusters[m].is_seed:
+        raise BadValueError("the decomposition is not one of this graph")
+    return result
 
 
 def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:

@@ -126,10 +126,6 @@ def random_laman(n: int, seed: int, p_h2: float = 0.3) -> ConstraintGraph:
     )
 
 
-def _is_laman_raw(vertices: list[str], edges: list[frozenset[str]]) -> bool:
-    return is_laman_edges(vertices, [tuple(sorted(e)) for e in edges])
-
-
 def reduction_sequence(g: ConstraintGraph) -> HennebergSequence | None:
     """Find a vertex-addition history of a point-distance graph.
 
@@ -144,7 +140,7 @@ def reduction_sequence(g: ConstraintGraph) -> HennebergSequence | None:
     _require_points(g)
     vertices = sorted(g.entity_ids)
     edges = [frozenset(c.between) for c in g.constraints]
-    if not _is_laman_raw(vertices, edges):
+    if not is_laman_edges(vertices, edges):
         return None
     removed: list[HennebergStep] = []
     while len(vertices) > 2:
@@ -176,7 +172,7 @@ def _peel(
         others = [x for x in vertices if x != v]
         for a, b, third in ((n0, n1, n2), (n0, n2, n1), (n1, n2, n0)):
             trial = rest + [frozenset((a, b))]
-            if _is_laman_raw(others, trial):
+            if is_laman_edges(others, trial):
                 return H2(v, (a, b), third), trial
     raise AssertionError("a minimally rigid graph on 3+ vertices has a removable vertex")
 

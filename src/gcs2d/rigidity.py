@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import KindMismatchError, TooSmallError
 from .graph import ConstraintGraph, deficiency, dof
@@ -181,11 +181,12 @@ def is_laman(g: ConstraintGraph) -> bool:
     return is_laman_edges(list(g.entity_ids), [c.between for c in g.constraints])
 
 
-def is_laman_edges(vertices: list[str], edges: list[tuple[str, str]]) -> bool:
+def is_laman_edges(vertices: list[str], edges: Sequence[Iterable[str]]) -> bool:
     """True iff ``edges`` (pairs of ``vertices``, repeats allowed) make a
     minimally rigid bar framework on ``vertices`` in the plane: exactly
     2|V| - 3 edges and no subset of k >= 2 vertices spanning more than
-    2k - 3 of them."""
+    2k - 3 of them.  An edge may be any two-element iterable, a tuple or a
+    frozenset, in either order: the verdict does not depend on it."""
     if len(edges) != 2 * len(vertices) - 3:
         return False
     state, _, leftover = _pebble_run(vertices, {v: 2 for v in vertices}, edges)

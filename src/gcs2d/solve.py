@@ -185,6 +185,14 @@ def _missing(entity_id: str) -> MissingPlacementError:
     return MissingPlacementError(f"entity {entity_id!r} has no placement yet")
 
 
+def _index(g: ConstraintGraph, ci: object) -> int:
+    """``ci``, a constraint index a plan gives, checked: UnsupportedStepError
+    for a bool, any other non-int or an index outside ``range(g.m)``."""
+    if isinstance(ci, bool) or not isinstance(ci, int) or not 0 <= ci < g.m:
+        raise UnsupportedStepError(f"plan names constraint {ci!r}, not one of the graph's {g.m}")
+    return ci
+
+
 def _raising(exc: GcsError) -> Callable[..., NoReturn]:
     """A compiled step, or part of one, that raises a copy of ``exc``
     whenever it runs.  ``copy.copy`` copies an error without its
@@ -252,8 +260,9 @@ def _compile(plan: Plan, g: ConstraintGraph) -> _Program:
     local copies of the cluster's entities in the cluster's own gauge and
     own the constraints the cluster owns.  The plan's own steps measure
     every constraint of ``g``, or a leaf's check raises for the first with
-    an endpoint no step places."""
-    built = _Builder(g, list(g.constraints[plan.base_constraint].between))
+    an endpoint no step places.  A base constraint that is not one of
+    ``g``'s is refused here; a step's bad index, when the walk reaches it."""
+    built = _Builder(g, list(g.constraints[_index(g, plan.base_constraint)].between))
     index = {e: i for i, e in enumerate(built.ids)}  # of the plan's entities placed so far
     built.emit(plan.steps, index, None)
     built.own(range(len(g.constraints)), index)
@@ -301,13 +310,13 @@ class _Builder:
         here the first time it is read."""
         if cluster not in self.clusters:
             base = len(self.ids)
-            a, b = self.g.constraints[sub.base_constraint].between
+            a, b = self.g.constraints[_index(self.g, sub.base_constraint)].between
             local = self.clusters[cluster] = {a: base, b: base + 1}
             self.bases.append((sub.base_constraint, base))
             self.ids.extend((None, None, None))
             self.placer.extend((-1, -1, -1))
             self.emit(sub.steps, local, at, base + 2)
-            self.own(sorted(sub.owned_constraints), local)
+            self.own(sub.owned_constraints, local)
         return self.clusters[cluster]
 
     def copies(self, count: int, sources: list[tuple[Mapping[str, int], Container[str]]]) -> None:
@@ -329,9 +338,10 @@ class _Builder:
         return local[a], local[b]
 
     def own(self, constraints: Iterable[int], index: Mapping[str, int]) -> None:
-        """Give each of ``constraints`` to the step that places its last
-        endpoint in ``index``'s slots, or note an endpoint none places."""
-        for ci in constraints:
+        """Give each of ``constraints``, in index order, to the step that
+        places its last endpoint in ``index``'s slots, or note an endpoint
+        none places."""
+        for ci in sorted([_index(self.g, ci) for ci in constraints]):
             c = self.g.constraints[ci]
             a, b = c.between
             if a in index and b in index:
@@ -356,6 +366,9 @@ def _compile_step(
     whenever it runs and reads and places nothing."""
     try:
         if isinstance(step, PlaceByTwoLoci):
+            if len(step.constraints) != 2:
+                raise UnsupportedStepError(
+                    f"two loci need two constraints, got {step.constraints!r}")
             kind = g.kind_of(step.target)._value_
             if kind not in ("point", "line"):
                 raise UnsupportedStepError(f"cannot place a {kind} by two loci")
@@ -376,7 +389,7 @@ def _endpoint(g: ConstraintGraph, ci: int, target: str,
               index: Mapping[str, int]) -> tuple[str, int, str]:
     """The kind of constraint ``ci``, and the index and shape of its
     endpoint other than ``target``, which must be placed before the step."""
-    c = g.constraints[ci]
+    c = g.constraints[_index(g, ci)]
     a, b = c.between
     if target not in c.between:
         raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
@@ -566,7 +579,8 @@ def _align_kernel(
     s0, s1 = step.shared
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
-    ends = [e for ci in sorted(step.plan.owned_constraints) for e in g.constraints[ci].between]
+    owned = sorted([_index(g, ci) for ci in step.plan.owned_constraints])
+    ends = [e for ci in owned for e in g.constraints[ci].between]
     if all(e in index for e in ends):
         raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
     local = built.walk(step.cluster, step.plan, at)
@@ -681,7 +695,11 @@ def execute(plan: Plan, g: ConstraintGraph, branches: Sequence[int] = ()) -> Sol
 def enumerate_solutions(
     plan: Plan, g: ConstraintGraph, limit: int = 16, tol: float = DEFAULT_TOL
 ) -> list[tuple[tuple[int, ...], Solution]]:
-    """All verifying solutions (up to ``limit``) in deterministic branch order."""
+    """All verifying solutions (up to ``limit``) in deterministic branch order.
+    Raises BadBranchError for a ``limit`` that is not an ``int`` (a bool
+    too) or is below 1."""
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise BadBranchError(f"limit {limit!r} is not an integer")
     if limit < 1:
         raise BadBranchError(f"limit must be >= 1, got {limit}")
     walk = islice(_walk(plan, g, None, tol), min(limit, sys.maxsize))  # no walk yields more

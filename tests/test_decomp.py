@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcs2d import (
     AlignCluster,
+    BadValueError,
     Constraint,
     EntityKind,
     MergeRecord,
@@ -40,7 +41,7 @@ from gcs2d import (
     random_laman,
     seed_clusters,
 )
-from gcs2d.decompose import _build_plan
+from gcs2d.decompose import _build_plan, _fixpoint
 from gcs2d.graph import fixed_circle, free_circle, incidence, tangency
 from support import (
     count_structural_work,
@@ -426,6 +427,17 @@ class TestExtractPlan:
             compared += 1
             refused += not isinstance(got, Plan)
         assert compared >= 400 and refused >= len(REFUSED)
+
+    @pytest.mark.parametrize("g", [fixture("triangle"), random_laman(12, 1, 0.0)],
+                             ids=["triangle", "laman-12"])
+    def test_a_decomposition_of_another_graph_is_refused(self, g):
+        spindle = fixture("moser-spindle")
+        result = _fixpoint(spindle)  # not the one kept for the spindle's structure
+        with pytest.raises(BadValueError,
+                           match="^the decomposition is not one of this graph$") as err:
+            extract_plan(result, g)
+        assert err.value.reason is None
+        assert extract_plan(result, spindle) == extract_plan(decompose(spindle), spindle)
 
     def test_triangle_plan_is_base_plus_one_placement(self):
         g = fixture("triangle")

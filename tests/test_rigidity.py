@@ -256,13 +256,13 @@ class TestReferenceGame:
 
     def test_reduction_edge_lists(self, monkeypatch):
         checked = []
-        is_laman_raw = gcs2d.henneberg._is_laman_raw
+        is_laman_edges = gcs2d.henneberg.is_laman_edges
 
         def recorded(vertices, edges):
-            checked.append((list(vertices), [tuple(sorted(e)) for e in edges]))
-            return is_laman_raw(vertices, edges)
+            checked.append((list(vertices), [tuple(e) for e in edges]))  # as the game unpacks them
+            return is_laman_edges(vertices, edges)
 
-        monkeypatch.setattr(gcs2d.henneberg, "_is_laman_raw", recorded)
+        monkeypatch.setattr(gcs2d.henneberg, "is_laman_edges", recorded)
         rng = random.Random(3)
         for n in range(3, 40):
             g = random_laman(n, rng.randrange(10**6), rng.random())

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -285,6 +286,28 @@ class TestFailureModes:
             execute(plan, g)
         with pytest.raises(error[0], match=error[1]):
             enumerate_solutions(plan, g)
+
+    @pytest.mark.parametrize("plan, message", [
+        pytest.param(Plan(0, 7, (PlaceByTwoLoci("C", (1, 2)),)), "plan names constraint 7",
+                     id="base-past-the-end"),
+        pytest.param(Plan(0, 0, (PlaceByTwoLoci("C", (1, 99)),)), "plan names constraint 99",
+                     id="step-past-the-end"),
+        pytest.param(Plan(0, 0, (PlaceByTwoLoci("C", (-1, 1)),)), "plan names constraint -1",
+                     id="step-negative"),
+        pytest.param(Plan(0, 0, (PlaceByTwoLoci("C", (True, 2)),)), "plan names constraint True",
+                     id="step-bool"),
+        pytest.param(Plan(0, 0, (PlaceByTwoLoci("C", (1,)),)), "two loci need two constraints",
+                     id="step-one-locus"),
+    ])
+    def test_a_constraint_the_graph_cannot_give_is_refused(self, monkeypatch, plan, message):
+        # Neither read as another constraint nor escaping as an IndexError
+        # or ValueError.
+        g = fixture("triangle")
+        evaluations = count_evaluations(monkeypatch)
+        for run in (lambda: execute(plan, g), lambda: enumerate_solutions(plan, g)):
+            with pytest.raises(UnsupportedStepError, match=f"^{message}"):
+                run()
+        assert bool(evaluations) is (plan.base_constraint == 0)  # a bad base before any walk
 
     def test_merge_with_a_base_plan_is_refused(self):
         from gcs2d.decompose import Plan
@@ -1622,12 +1645,14 @@ class TestLazyWalk:
     stops the search where it stops taking solutions, and a walk frees its
     state however it ends."""
 
-    @pytest.mark.parametrize("limit", [0, -3])
+    @pytest.mark.parametrize("limit", [0, -3, True, 2.5, "3", None])
     def test_limit_below_one_is_refused(self, monkeypatch, limit):
         g = triangle_graph(3, 4, 5)
         plan = plan_for(g)
         evaluations = count_evaluations(monkeypatch)
-        with pytest.raises(BadBranchError, match=rf"^limit must be >= 1, got {limit}$"):
+        message = (f"limit must be >= 1, got {limit}" if type(limit) is int
+                   else f"limit {limit!r} is not an integer")
+        with pytest.raises(BadBranchError, match=rf"^{re.escape(message)}$"):
             enumerate_solutions(plan, g, limit=limit)
         assert not evaluations
 
