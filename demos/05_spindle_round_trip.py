@@ -5,19 +5,20 @@ rhombus directly, pins the far tip through virtual distances measured in the
 second rhombus's own frame, then glues that rhombus on with a rigid motion.
 A forward simulation closes the loop: sample random coordinates, measure all
 edge lengths from them, solve the measured graph, and find the sample again
-among the enumerated branches.
+among the enumerated branches, or exit with status 1.
 """
 
 import random
+import sys
 
 from gcs2d import (
     Constraint,
-    alignment_motions,
     build_graph,
     decompose,
     enumerate_solutions,
     extract_plan,
     fixture,
+    rigid_align,
     verify,
 )
 
@@ -52,16 +53,18 @@ def main():
     base = measured.constraints[plan.base_constraint].between
 
     hit = 0
+    src = (sample[base[0]], sample[base[1]])
     for _, candidate in found:
-        for motion in alignment_motions(
-            (sample[base[0]], sample[base[1]]),
-            (candidate.placements[base[0]], candidate.placements[base[1]]),
-        ):
+        dst = (candidate.placements[base[0]], candidate.placements[base[1]])
+        for reflect in (False, True):  # the base pair's direct and mirrored motion
+            motion = rigid_align(src, dst, reflect)
             moved = {v: motion.apply(p) for v, p in sample.items()}
             if all(moved[v].close_to(candidate.placements[v], 1e-7) for v in moved):
                 hit += 1
     print(f"\ngeneric spindle: {len(found)} embeddings enumerated,"
           f" {hit} match the random sample up to a motion")
+    if not hit:
+        sys.exit("the round trip failed: no embedding matches the random sample")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ from .geometry import (
     Motion,
     Placement,
     Point2,
-    alignment_motions,
     fold_angle,
     intersect_circle_circle,
     intersect_line_circle,
@@ -78,7 +77,6 @@ from .graph import (
     fixed_circle,
     free_circle,
     incidence,
-    induced_subgraph,
     line,
     parse,
     point,

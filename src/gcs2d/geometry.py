@@ -301,50 +301,3 @@ def rigid_align(
     ty = d1.y - (sin_r * sx + cos_r * sy)
     return Motion(reflect=reflect, rotation=rotation, translation=(tx, ty))
 
-
-def alignment_motions(
-    src: tuple[Placement, Placement],
-    dst: tuple[Placement, Placement],
-    tol: float = EPS,
-) -> list[Motion]:
-    """All isometries mapping the source pair onto the destination pair.
-
-    Supports (point, point) pairs, which admit a direct and a reflected
-    motion, and (point, line) pairs, which admit two motions generically and
-    four when the point lies on the line.  Candidates come back in a fixed
-    order (direct motions before reflected ones).
-    """
-    if isinstance(src[0], Point2) and isinstance(src[1], Point2):
-        if not (isinstance(dst[0], Point2) and isinstance(dst[1], Point2)):
-            raise LengthMismatchError("pair kinds differ between source and destination")
-        return [rigid_align(src, dst, reflect=False), rigid_align(src, dst, reflect=True)]
-
-    # Normalise to (point, line) order on both sides.
-    def split(pair):
-        a, b = pair
-        if isinstance(a, Point2) and isinstance(b, LineRep):
-            return a, b
-        if isinstance(a, LineRep) and isinstance(b, Point2):
-            return b, a
-        raise LengthMismatchError("alignment supports (point,point) and (point,line) pairs only")
-
-    ps, ls = split(src)
-    pd, ld = split(dst)
-    offs, offd = abs(ls.signed_offset(ps)), abs(ld.signed_offset(pd))
-    if abs(offs - offd) > max(tol, EPS * max(1.0, offd)):
-        raise LengthMismatchError(f"point-line distances differ: {offs} vs {offd}")
-
-    candidates: list[Motion] = []
-    for reflect in (False, True):
-        theta_s = -ls.theta if reflect else ls.theta
-        for phi in (ld.theta - theta_s, ld.theta - theta_s + math.pi):
-            cos_r, sin_r = math.cos(phi), math.sin(phi)
-            px, py = ps.x, (-ps.y if reflect else ps.y)
-            tx = pd.x - (cos_r * px - sin_r * py)
-            ty = pd.y - (sin_r * px + cos_r * py)
-            motion = Motion(reflect=reflect, rotation=phi, translation=(tx, ty))
-            if lines_close(motion.apply_line(ls), ld, max(tol, 1e-7)):
-                candidates.append(motion)
-    if not candidates:
-        raise LengthMismatchError("no motion maps the source pair onto the destination pair")
-    return candidates

@@ -200,9 +200,6 @@ class ConstraintGraph(_Graph):
     def kind_of(self, entity_id: str) -> EntityKind:
         return self.entity(entity_id).kind
 
-    def dof_total(self) -> int:
-        return sum(dof(e.kind) for e in self.entities)
-
 
 # The results of the structure analysed last, by its key: the analyses of one
 # structure serve every graph of it until another structure is analysed.
@@ -266,17 +263,6 @@ def build_graph(entities: Iterable[Entity], constraints: Iterable[Constraint]) -
     return ConstraintGraph(ents, cons)
 
 
-def induced_subgraph(g: ConstraintGraph, ids: Iterable[str]) -> ConstraintGraph:
-    """Subgraph on ``ids`` keeping exactly the constraints with both ends inside."""
-    keep = set(ids)
-    for entity_id in keep:
-        if entity_id not in g._entity_map:
-            raise UnknownEndpointError(f"no entity with id {entity_id!r}")
-    ents = tuple(e for e in g.entities if e.id in keep)
-    cons = tuple(c for c in g.constraints if c.between[0] in keep and c.between[1] in keep)
-    return ConstraintGraph(ents, cons)
-
-
 def deficiency(g: ConstraintGraph) -> int:
     """Missing-constraint count: sum of entity DOF minus 3, minus the edge count.
 
@@ -285,7 +271,7 @@ def deficiency(g: ConstraintGraph) -> int:
     """
     if g.n < 2:
         raise TooSmallError("deficiency needs at least two entities")
-    return g.dof_total() - 3 - g.m
+    return sum(dof(e.kind) for e in g.entities) - 3 - g.m
 
 
 # ------------------------------------------------------------------- JSON I/O

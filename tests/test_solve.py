@@ -9,6 +9,7 @@ from collections import Counter
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gcs2d import (
     AlignCluster,
@@ -62,6 +63,7 @@ from gcs2d import (
 import gcs2d.graph
 import gcs2d.solve as solve_module
 from gcs2d.decompose import Plan, PlaceByTwoLoci
+from gcs2d.geometry import EPS
 
 from support import (
     count_structural_work,
@@ -79,6 +81,10 @@ from support import (
     solution_matches_sample,
     triangle_graph,
 )
+
+
+# The plans of the 3-4-5 triangle's three edges, one cluster each.
+EDGES = tuple(Plan(i, i, (), frozenset({i})) for i in range(3))
 
 
 def plan_for(g):
@@ -310,13 +316,35 @@ class TestFailureModes:
         assert bool(evaluations) is (plan.base_constraint == 0)  # a bad base before any walk
 
     def test_merge_with_a_base_plan_is_refused(self):
-        from gcs2d.decompose import Plan
-
         g = triangle_graph(3, 4, 5)
-        edges = tuple(Plan(i, i, (), frozenset({i})) for i in range(3))
-        merge = TriangleMerge(("A", "B", "C"), (0, 1, 2), edges)  # base, first, second
-        with pytest.raises(ValueError):
+        merge = TriangleMerge(("A", "B", "C"), (0, 1, 2), EDGES)  # base, first, second
+        with pytest.raises(UnsupportedStepError,
+                           match="^triangle merge needs 3 points, 3 clusters and 2 plans,"
+                                 " got 3, 3 and 3$"):
             execute(Plan(0, 0, (merge,)), g)
+
+    @pytest.mark.parametrize("walk", [solve_module._walk, reference_walk],
+                             ids=["walker", "reference"])
+    @pytest.mark.parametrize("step, got", [
+        (TriangleMerge(("A", "C"), (0, 1, 2), EDGES[1:]), "2, 3 and 2"),
+        (TriangleMerge(("A", "B", "C", "A"), (0, 1, 2), EDGES[1:]), "4, 3 and 2"),
+        (TriangleMerge(("A", "B", "C"), (0, 1), EDGES[1:]), "3, 2 and 2"),
+        (TriangleMerge(("A", "B", "C"), (0, 1, 2, 0), EDGES[1:]), "3, 4 and 2"),
+        (TriangleMerge(("A", "B", "C"), (0, 1, 2), EDGES[1:2]), "3, 3 and 1"),
+        (AlignCluster(1, ("A",), EDGES[1]), "('A',)"),
+        (AlignCluster(1, ("A", "B", "C"), EDGES[1]), "('A', 'B', 'C')"),
+    ], ids=["two-points", "four-points", "two-clusters", "four-clusters", "one-plan",
+            "one-shared", "three-shared"])
+    def test_a_recombination_of_another_shape_is_refused(self, monkeypatch, walk, step, got):
+        # Each once escaped as a bare ValueError from unpacking or zip().
+        monkeypatch.setattr(solve_module, "_walk", walk)
+        g = triangle_graph(3, 4, 5)
+        plan = Plan(0, 0, (step,))
+        shape = ("triangle merge needs 3 points, 3 clusters and 2 plans"
+                 if isinstance(step, TriangleMerge) else "alignment needs 2 shared points")
+        for run in (lambda: execute(plan, g), lambda: enumerate_solutions(plan, g)):
+            with pytest.raises(UnsupportedStepError, match=f"^{re.escape(f'{shape}, got {got}')}$"):
+                run()
 
 
 class TestMoserSpindle:
@@ -638,6 +666,57 @@ class TestPlanReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not wrong
+
+
+@st.composite
+def circle_pairs(draw):
+    """Two circles, a center and a radius each: crossing or apart, tangent
+    within about EPS outside or inside, concentric, coincident, with a
+    radius no circle has, and with lengths past 1e150."""
+    coord, radius = st.floats(-10.0, 10.0), st.floats(1e-3, 20.0)
+    jitter = draw(st.floats(-2 * EPS, 2 * EPS))
+    turn = draw(st.floats(0.0, 2 * math.pi))
+    x1, y1, ra, rb = draw(coord), draw(coord), draw(radius), draw(radius)
+    shape = draw(st.sampled_from(["any", "outer", "inner", "concentric", "coincident"]))
+    if shape == "any":
+        x2, y2 = draw(coord), draw(coord)
+    else:
+        d = {"outer": ra + rb, "inner": abs(ra - rb)}.get(shape, 0.0) + jitter
+        x2, y2 = x1 + d * math.cos(turn), y1 + d * math.sin(turn)
+        if shape == "coincident":
+            rb = ra + draw(st.floats(-2 * EPS, 2 * EPS))
+    bad = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    if draw(st.integers(0, 5)) == 0:
+        ra = draw(bad)
+    if draw(st.integers(0, 5)) == 0:
+        rb = draw(bad)
+    scale = draw(st.sampled_from([1.0, 1.0, 1e151, 1e160, 1e300]))
+    return (Point2(x1 * scale, y1 * scale), ra * scale, Point2(x2 * scale, y2 * scale), rb * scale)
+
+
+class TestTwoDistanceFastPath:
+    """A point at two distances is placed from coordinates
+    (``_circle_roots``), not through the loci of the general point step
+    (``_point_loci``, ``_intersect_loci`` and ``_loci_roots``' dedupe and
+    order); the two must agree on every input."""
+
+    @staticmethod
+    def outcome(place, *args):
+        try:
+            roots, tangent = place(*args)
+        except GcsError as exc:
+            return type(exc), str(exc)
+        assert all(type(p) is Point2 for (p,) in roots)
+        return repr(roots), tangent
+
+    @given(circle_pairs())
+    def test_the_same_roots_in_the_same_order_and_the_same_errors(self, pair):
+        p, ra, q, rb = pair
+        fast = self.outcome(solve_module._circle_roots, "T", p, ra, q, rb)
+        general = self.outcome(
+            lambda: solve_module._loci_roots("T", solve_module._point_loci("distance", p, ra),
+                                             solve_module._point_loci("distance", q, rb)))
+        assert fast == general
 
 
 class TestWalkerEquivalence:
@@ -1655,6 +1734,22 @@ class TestLazyWalk:
         with pytest.raises(BadBranchError, match=rf"^{re.escape(message)}$"):
             enumerate_solutions(plan, g, limit=limit)
         assert not evaluations
+
+    @pytest.mark.parametrize("walk", [solve_module._walk, reference_walk],
+                             ids=["walker", "reference"])
+    @pytest.mark.parametrize("tol", ["x", True, None, -1.0, math.nan], ids=repr)
+    def test_a_bad_tolerance_is_refused_before_any_work(self, monkeypatch, walk, tol):
+        g = triangle_graph(3, 4, 5)
+        plan = plan_for(g)
+        sol = execute(plan, g)
+        walks = []
+        monkeypatch.setattr(solve_module, "_walk", lambda *args: walks.append(args) or walk(*args))
+        message = rf"^tol must be a non-negative number, got {re.escape(repr(tol))}$"
+        with pytest.raises(BadValueError, match=message):
+            enumerate_solutions(plan, g, tol=tol)
+        with pytest.raises(BadValueError, match=message):
+            verify(g, sol, tol)
+        assert not walks
 
     @pytest.mark.parametrize("limit", [2**63 - 1, 2**63, 10**20])
     def test_a_limit_past_every_walk_takes_every_solution(self, limit):
