@@ -16,20 +16,26 @@ triangle, so the key states that order.  One pass over the constraints
 queues the seeds' candidates: constraints on the same two entities pair up,
 and each graph triangle over two-DOF entities gives a triple.  Then an index
 maps each entity to the handles of the live clusters holding it.  A merged
-cluster takes over its largest parent's handle, so that parent's entities
-stay indexed, and the other parents' handles are retired.  Only the
-entities those smaller parents bring in are visited, and the merged cluster
-is matched only against clusters sharing one of them: a candidate using
-none of them was one with the largest parent and is queued already.  So, as
-in union by size (Tarjan 1975), growing one cluster a point at a time no
-longer walks all of it at every merge.  A live cluster's entity set never
+cluster takes over its heir's handle, the heir being its first largest
+parent, so that parent's entities stay indexed, and the other parents'
+handles are retired.  It also takes the heir's entity and constraint sets
+and grows them in place by the smaller parents' sets; the heir keeps none
+of its own, seeds stay whole, and a cluster's sets are frozen once they stop
+growing.  Only the entities the smaller parents bring in (the merge's
+``added``, found before the growth) are visited, and the merged cluster is
+matched only against clusters sharing one of them: a candidate using none
+of them was one with the heir and is queued already.  So, as in union by
+size (Tarjan 1975), an entity is visited and copied only when it is in a
+smaller parent, O(log n) times, and a fully reducible graph decomposes in
+O(n log n) time and keeps O(n) set entries.  A live cluster's entity set never
 changes, so a candidate stays valid while its parents live.  One with a
 merged-away parent is re-keyed when popped to the clusters now holding its
 parents' handles, for which its rule still holds, and goes back on the
 heap; a retired handle drops it.  Because a fresh id is always the largest
 so far, a re-keyed candidate never sorts before the key it replaces, and
 popping the smallest live key makes the same choice as rescanning every
-live pair and triple.
+live pair and triple.  Each merge records its heir and ``added`` in the
+result's ``growth``.
 
 From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
@@ -38,6 +44,8 @@ recombination of independently solved clusters through virtual distances and
 rigid alignment.  One pass over the merges in id order records what each adds
 to its base child's steps, or the refusal it holds if it cannot be
 recombined; a refusal counts only if the root's plan reads that cluster.  A
+merge's base child is its heir, and what it adds is read off its growth
+record and its other children, never off the base child's sets.  A
 plan, one flat tuple of steps, is then assembled only for the root and each
 cluster a recombination step reads, from the records along its chain of base
 children, so extraction is linear in the steps.  Plans are purely
@@ -70,11 +78,13 @@ class MergeRecord(NamedTuple):
 
 class Cluster(NamedTuple):
     """A solvable sub-assembly: entity ids plus the constraints it owns, and
-    the merge that made it (None for a seed, which owns one constraint)."""
+    the merge that made it (None for a seed, which owns one constraint).
+    A merged cluster whose sets a later merge took over and grew, its heir
+    there, carries None for both: they are its parents' unions."""
 
     id: int
-    entity_ids: frozenset[str]
-    owned_constraints: frozenset[int]
+    entity_ids: frozenset[str] | None
+    owned_constraints: frozenset[int] | None
     merge: MergeRecord | None = None
 
     @property
@@ -89,11 +99,17 @@ class ReducibilityClass(Enum):
 
 
 class DecompositionResult(NamedTuple):
+    """The fixpoint's outcome.  ``all_clusters`` holds every cluster by id,
+    ``growth`` per merge, in log order, the parent whose sets the merged
+    cluster took (its heir, the first largest) and the entities the other
+    parents add to them."""
+
     final_clusters: tuple[Cluster, ...]
     merge_log: tuple[MergeRecord, ...]
     reducibility: ReducibilityClass
     nontrivial_cluster_count: int
     all_clusters: tuple[Cluster, ...]
+    growth: tuple[tuple[int, frozenset[str]], ...]
 
 
 def seed_clusters(g: ConstraintGraph) -> list[Cluster]:
@@ -110,13 +126,17 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
 
     Pairs go before triangles, and within each rule the candidate with the
     lexicographically smallest sorted parent ids merges first; merged
-    clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  The seeds'
-    candidates come from one pass over the constraints; a merged cluster's
-    from the entities its smaller parents bring in, through an entity ->
-    handle index in which it takes over its largest parent's handle.
-    Candidates of both rules wait on one heap and are re-keyed to their
-    parents' heirs when popped, so no step rescans the live clusters or the
-    whole of a growing one.
+    clusters take ids ``g.m``, ``g.m + 1``, ... in merge order.  The seeds
+    and their candidates come from one pass over the constraints; a merged
+    cluster's candidates from the entities its smaller parents bring in,
+    through an entity -> handle index in which it takes over its heir's
+    handle, the heir being its first largest parent.  Candidates of both
+    rules wait on one heap and are re-keyed to their parents' heirs when
+    popped, so no step rescans the live clusters or the whole of a growing
+    one.  A merged cluster grows its heir's sets in place, so the heir, in
+    ``all_clusters``, carries None for both sets; seeds, final clusters and
+    clusters merged as a smaller parent keep theirs.  ``growth`` records,
+    per merge, its heir and the entities the other parents add.
 
     The result is kept with ``g``'s structure, so a later call on ``g`` or
     on a re-valued copy runs no second fixpoint.
@@ -128,7 +148,6 @@ def decompose(g: ConstraintGraph) -> DecompositionResult:
 
 def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     two_dof = {e.id for e in g.entities if dof(e.kind) == 2}
-    everything = seed_clusters(g)  # a cluster's id is its index
     # ``holders`` maps an entity to the handles of the live clusters holding
     # it, ``owner`` a handle to its live cluster (None once retired) and
     # ``handle`` every cluster id, live or not, to its handle; a seed's
@@ -136,13 +155,17 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     handle = list(range(g.m))
     owner: list[int | None] = list(range(g.m))
     holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}
-    # The seeds' candidates, in one pass, which halves the fixpoint's time
-    # on small graphs against entering each seed as a merged cluster: two
-    # seeds on one pair of entities, in either order, and three spanning a
-    # triangle u < v < w of two-DOF entities.
+    # One pass over the constraints makes the seeds and their candidates,
+    # which halves the fixpoint's time on small graphs against entering
+    # each seed as a merged cluster: two seeds on one pair of entities, in
+    # either order, and three spanning a triangle u < v < w of two-DOF
+    # entities.  Seeds are built with ``tuple.__new__``, as in
+    # :func:`seed_clusters`.
+    everything: list[Cluster] = []  # a cluster's id is its index
     joins: dict[str, dict[str, list[int]]] = {e: {} for e in g.entity_ids}  # seeds by ends
     heap: list[tuple[int, ...]] = []
     for i, (_, (a, b), _) in enumerate(g.constraints):
+        everything.append(tuple.__new__(Cluster, (i, frozenset((a, b)), frozenset((i,)), None)))
         holders[a].add(i)
         holders[b].add(i)
         ids = joins[a].get(b)
@@ -151,40 +174,37 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
         else:
             heap += [(2, j, i) for j in ids]
             ids.append(i)
-    for u in two_dof:
-        near_u = joins[u]
+    for u, near_u in joins.items():  # in entity order, as the dicts were made
+        if u not in two_dof:
+            continue
         for v, uv in near_u.items():
             if v > u and v in two_dof:
                 near_v = joins[v]
-                for w in near_u.keys() & near_v.keys():
-                    if w > v and w in two_dof:
+                small, large = (near_u, near_v) if len(near_u) < len(near_v) else (near_v, near_u)
+                for w in small:
+                    if w > v and w in large and w in two_dof:
                         heap += [(3, *sorted((i, j, k)))
                                  for i in uv for j in near_v[w] for k in near_u[w]]
     heapify(heap)
 
-    def enter(c: Cluster, parents: tuple[Cluster, ...]) -> None:
-        """Index merged cluster ``c`` under its largest parent's handle,
-        retire the other parents' handles and queue every candidate that
-        uses an entity they bring in; ``c.id`` is the largest live id, so it
-        goes last in each key.  A candidate using only the largest parent's
-        entities was one with that parent and is queued already."""
-        sizes = [len(p.entity_ids) for p in parents]
-        heir = parents[sizes.index(max(sizes))]
+    def enter(c: Cluster, heir: Cluster, others: tuple[Cluster, ...],
+              added: frozenset[str]) -> None:
+        """Index merged cluster ``c`` under its heir's handle, retire the
+        other parents' handles and queue every candidate that uses an
+        entity they bring in (``added``); ``c.id`` is the largest live id,
+        so it goes last in each key.  A candidate using only the heir's
+        entities was one with the heir and is queued already."""
         mine = handle[heir.id]
         handle.append(mine)
         owner[mine] = c.id
-        brought: set[str] = set()
-        for p in parents:
-            if p is not heir:
-                gone = handle[p.id]
-                owner[gone] = None
-                for e in p.entity_ids:
-                    holders[e].discard(gone)
-                brought |= p.entity_ids
-        old, ours = heir.entity_ids, c.entity_ids
-        new = brought - old  # a pass over what they bring, not over c
-        met = {owner[h] for e in new for h in holders[e]}
-        for e in new:
+        for p in others:
+            gone = handle[p.id]
+            owner[gone] = None
+            for e in p.entity_ids:
+                holders[e].discard(gone)
+        ours = c.entity_ids
+        met = {owner[h] for e in added for h in holders[e]}  # a pass over what they bring
+        for e in added:
             holders[e].add(mine)
         for k in met:
             near = everything[k].entity_ids
@@ -195,7 +215,7 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
             # Hinged to c at x: a cluster b holding one of k's other
             # two-DOF entities and sharing nothing else with k closes a
             # triangle if it is hinged to c at another two-DOF entity.  If
-            # that entity is new, b meets k from its side too: queue once.
+            # that entity is added, b meets k from its side too: queue once.
             (x,) = shared
             if x in two_dof:
                 for y in near:
@@ -206,7 +226,7 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                             hinges = far & ours
                             if len(hinges) == 1 and len(far & near) == 1:
                                 (z,) = hinges
-                                if z != x and z in two_dof and (z in old or k < b):
+                                if z != x and z in two_dof and (z not in added or k < b):
                                     heappush(heap, (3, k, b, c.id) if k < b else (3, b, k, c.id))
 
     def pop() -> tuple[int, ...] | None:
@@ -229,34 +249,66 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                 heappush(heap, (rule, *now))
         return None
 
+    def freeze(c: Cluster) -> Cluster:
+        """Merged cluster ``c`` with its sets frozen, in its place: they
+        stop growing once it merges as a smaller parent, or once the
+        fixpoint ends with it live."""
+        frozen = everything[c.id] = tuple.__new__(
+            Cluster, (c.id, frozenset(c.entity_ids), frozenset(c.owned_constraints), c.merge))
+        return frozen
+
+    growth: list[tuple[int, frozenset[str]]] = []
     while (parents := pop()) is not None:
         fresh = len(everything)
+        # The heir is the first largest parent; the others bring ``brought``.
         if len(parents) == 2:
-            taken = p, q = everything[parents[0]], everything[parents[1]]
+            p, q = everything[parents[0]], everything[parents[1]]
             a, b = p.entity_ids, q.entity_ids
-            record = tuple.__new__(MergeRecord, ("R2", fresh, parents, tuple(sorted(a & b))))
-            entities, owned = a | b, p.owned_constraints | q.owned_constraints
+            rule, shared = "R2", tuple(sorted(a & b))
+            heir, others, brought = (p, (q,), b) if len(a) >= len(b) else (q, (p,), a)
         else:
-            taken = p, q, r = everything[parents[0]], everything[parents[1]], everything[parents[2]]
+            p, q, r = everything[parents[0]], everything[parents[1]], everything[parents[2]]
             a, b, c = p.entity_ids, q.entity_ids, r.entity_ids
             (x,), (y,), (z,) = a & b, b & c, c & a
-            record = tuple.__new__(MergeRecord, ("R1", fresh, parents, (x, y, z)))
-            entities = a | b | c
-            owned = p.owned_constraints | q.owned_constraints | r.owned_constraints
+            rule, shared = "R1", (x, y, z)
+            if len(a) >= len(b) and len(a) >= len(c):
+                heir, others, brought = p, (q, r), b | c
+            elif len(b) >= len(c):
+                heir, others, brought = q, (p, r), a | c
+            else:
+                heir, others, brought = r, (p, q), a | b
+        added = frozenset(brought - heir.entity_ids)
+        # The merged cluster grows its heir's sets in place, so each entity
+        # is copied only when it is in a smaller parent (Tarjan 1975).  A
+        # seed's sets stay whole; a merged heir keeps none of its own, and
+        # a merged smaller parent's stop growing here.
+        entities, owned = heir.entity_ids, heir.owned_constraints
+        if heir.merge is None:
+            entities, owned = set(entities), set(owned)
+        else:
+            everything[heir.id] = tuple.__new__(Cluster, (heir.id, None, None, heir.merge))
+        for p in others:
+            entities |= p.entity_ids
+            owned |= p.owned_constraints
+            if p.merge is not None:
+                freeze(p)
+        record = tuple.__new__(MergeRecord, (rule, fresh, parents, shared))
         merged = tuple.__new__(Cluster, (fresh, entities, owned, record))
         everything.append(merged)
-        enter(merged, taken)
+        growth.append((heir.id, added))
+        enter(merged, heir, others, added)
 
-    final = tuple([everything[k] for k in sorted(k for k in owner if k is not None)])
+    final = tuple([everything[k] if everything[k].merge is None else freeze(everything[k])
+                   for k in sorted(k for k in owner if k is not None)])
     log = tuple([c.merge for c in everything[g.m:]])
     nontrivial = sum(1 for c in final if not c.is_seed)
-    if len(final) == 1 and final[0].entity_ids == set(g.entity_ids):
+    if len(final) == 1 and len(final[0].entity_ids) == g.n:
         klass = ReducibilityClass.FULLY_REDUCIBLE
     elif not log and len(final) > 1:
         klass = ReducibilityClass.IRREDUCIBLE
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
-    return DecompositionResult(final, log, klass, nontrivial, tuple(everything))
+    return DecompositionResult(final, log, klass, nontrivial, tuple(everything), tuple(growth))
 
 
 def classify(g: ConstraintGraph) -> ReducibilityClass:
@@ -334,7 +386,8 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     it again.  Both NotReducibleError refusals run on every call.  Building
     refuses, with BadValueError, a ``result`` that cannot be ``g``'s: one
     whose first ``g.m`` clusters are not ``g``'s seeds, or whose next
-    cluster is not a merge.
+    cluster is not a merge; and one whose root is a cluster merged into its
+    heir, which carries no sets.
     """
     if result.reducibility is not ReducibilityClass.FULLY_REDUCIBLE:
         raise NotReducibleError(f"graph is {result.reducibility.value}")
@@ -352,6 +405,9 @@ def _checked(result: DecompositionResult, g: ConstraintGraph) -> DecompositionRe
     clusters, m = result.all_clusters, g.m
     if clusters[:m] != tuple(seed_clusters(g)) or len(clusters) > m and clusters[m].is_seed:
         raise BadValueError("the decomposition is not one of this graph")
+    root = result.final_clusters[0]
+    if root.owned_constraints is None:
+        raise BadValueError(f"cluster {root.id} was merged into its heir and has no sets to plan")
     return result
 
 
@@ -361,28 +417,24 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
     # records its base child and what it adds to that child's steps, or its
     # refusal, which counts only where a plan reads it: a merge reads its
     # base child, then checks its own shared entities, then reads its first
-    # and second child.
+    # and second child.  The base child is the merge's heir, which holds no
+    # sets of its own once merged: what the merge adds is read off its
+    # growth record and its other children, whose sets stopped growing
+    # there.
     clusters = result.all_clusters
     root = result.final_clusters[0].id
     ends = [c.between for c in g.constraints]
     m = g.m
     made: list = [None] * (root + 1)  # a seed's stays None
-    for cluster in clusters[m : root + 1]:
-        parents = cluster.merge.parents
-        _, base = min([(-len(clusters[p].entity_ids), p) for p in parents])
+    for k, (base, added) in enumerate(result.growth[: root + 1 - m], m):
         if isinstance(made[base], UnsupportedStepError):
-            made[cluster.id] = made[base]
+            made[k] = made[base]
             continue
-        # What the merge adds is read off its other children, not off the
-        # cluster: a strip's base child holds all of it but one point.
-        base_child = clusters[base]
-        others = [clusters[p] for p in parents if p != base]
+        others = [clusters[p] for p in clusters[k].merge.parents if p != base]
         pool: set[int] = set()
-        unplaced: set[str] = set()
         for c in others:
             pool |= c.owned_constraints
-            unplaced |= c.entity_ids
-        unplaced -= base_child.entity_ids
+        unplaced = set(added)
         # Each unplaced entity's constraints, in index order, and other ends.
         near: dict[str, list[tuple[int, str]]] = {e: [] for e in unplaced}
         for i in sorted(pool):
@@ -405,16 +457,16 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
             else:
                 break
         if not unplaced:
-            made[cluster.id] = (base, steps, None)
+            made[k] = (base, steps, None)
             continue
 
         # Recombination of independently solved clusters.  Only a triangle
         # merge gets here: in a graph with no over-constrained subset, the
         # parents of a pair merge hold the same entities, so the base child
-        # places them all.
-        first, second = sorted(others, key=lambda c: c.id)
-        (u,), (v,), (w,) = (base_child.entity_ids & first.entity_ids,
-                            base_child.entity_ids & second.entity_ids,
+        # places them all.  Parents are in id order; each child meets the
+        # base child in what it holds that the merge does not add.
+        first, second = others
+        (u,), (v,), (w,) = (first.entity_ids - added, second.entity_ids - added,
                             first.entity_ids & second.entity_ids)
         refusals = [UnsupportedStepError(
             f"triangle recombination needs shared points, got "
@@ -423,15 +475,13 @@ def _build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
         refusals += [r for r in (made[first.id], made[second.id])
                      if isinstance(r, UnsupportedStepError)]
         if refusals:
-            made[cluster.id] = refusals[0]
+            made[k] = refusals[0]
             continue
-        placed = base_child.entity_ids | {w}
-        aligned = []
-        for child, pair in ((first, (u, w)), (second, (v, w))):
-            if not child.entity_ids <= placed:
-                aligned.append((child.id, tuple(sorted(pair))))
-                placed |= child.entity_ids
-        made[cluster.id] = (base, (), ((u, v, w), (base, first.id, second.id), aligned))
+        # A child is aligned unless the base child and w place it already.
+        aligned = [(child.id, tuple(sorted(pair)))
+                   for child, pair in ((first, (u, w)), (second, (v, w)))
+                   if not child.entity_ids & added <= {w}]
+        made[k] = (base, (), ((u, v, w), (base, first.id, second.id), aligned))
     if isinstance(made[root], UnsupportedStepError):
         raise made[root]
 

@@ -268,8 +268,10 @@ def _compile(plan: Plan, g: ConstraintGraph) -> _Program:
     built = _Builder(g, list(g.constraints[_index(g, plan.base_constraint)].between))
     index = {e: i for i, e in enumerate(built.ids)}  # of the plan's entities placed so far
     built.emit(plan.steps, index, None)
-    built.own(range(len(g.constraints)), index)
-    steps = [_Step(kernel, frozenset(blame), *rest) for kernel, blame, *rest in built.steps]
+    built.own(range(g.m), index)
+    # Built with ``tuple.__new__``: a NamedTuple's own ``__new__`` is Python code.
+    steps = [tuple.__new__(_Step, (kernel, frozenset(blame), *rest))
+             for kernel, blame, *rest in built.steps]
     return _Program(plan.base_constraint, tuple(built.ids), tuple(steps), built.owns,
                     built.unplaced, tuple(built.bases))
 
@@ -310,7 +312,12 @@ class _Builder:
 
     def walk(self, cluster: int, sub: Plan, at: int) -> dict[str, int]:
         """The local slots of ``cluster``, whose plan ``sub`` is compiled
-        here the first time it is read."""
+        here the first time it is read.  A cluster id that is not an int, or
+        a plan that is not a Plan, is refused."""
+        if isinstance(cluster, bool) or not isinstance(cluster, int) or not isinstance(sub, Plan):
+            raise UnsupportedStepError(
+                f"a recombined cluster needs an int id and a Plan, got {cluster!r} and a "
+                f"{type(sub).__name__}")
         if cluster not in self.clusters:
             base = len(self.ids)
             a, b = self.g.constraints[_index(self.g, sub.base_constraint)].between
@@ -319,7 +326,7 @@ class _Builder:
             self.ids.extend((None, None, None))
             self.placer.extend((-1, -1, -1))
             self.emit(sub.steps, local, at, base + 2)
-            self.own(sub.owned_constraints, local)
+            self.own(sorted([_index(self.g, ci) for ci in sub.owned_constraints]), local)
         return self.clusters[cluster]
 
     def copies(self, count: int, sources: list[tuple[Mapping[str, int], Container[str]]]) -> None:
@@ -341,10 +348,10 @@ class _Builder:
         return local[a], local[b]
 
     def own(self, constraints: Iterable[int], index: Mapping[str, int]) -> None:
-        """Give each of ``constraints``, in index order, to the step that
-        places its last endpoint in ``index``'s slots, or note an endpoint
-        none places."""
-        for ci in sorted([_index(self.g, ci) for ci in constraints]):
+        """Give each of ``constraints``, checked indices in increasing
+        order, to the step that places its last endpoint in ``index``'s
+        slots, or note an endpoint none places."""
+        for ci in constraints:
             c = self.g.constraints[ci]
             a, b = c.between
             if a in index and b in index:
@@ -366,9 +373,11 @@ def _compile_step(
     walks each cluster the step recombines before the plan step ``at``.  A
     structural fault, such as an anchor not placed before it as the shape
     (``graph._SHAPE``) its constraint needs, makes a step that raises it
-    whenever it runs and reads and places nothing."""
+    whenever it runs and reads and places nothing.  So does a step a field
+    of which is not of its type."""
     try:
         if isinstance(step, PlaceByTwoLoci):
+            _typed(step, (str, _SEQUENCE))
             if len(step.constraints) != 2:
                 raise UnsupportedStepError(
                     f"two loci need two constraints, got {step.constraints!r}")
@@ -380,12 +389,29 @@ def _compile_step(
             return kernel, [index[e] for ci in step.constraints
                             for e in g.constraints[ci].between if e != step.target], (step.target,)
         if isinstance(step, TriangleMerge):
+            _typed(step, (_SEQUENCE, _SEQUENCE, _SEQUENCE))
             return _triangle_kernel(step, g, index, built, at)
         if isinstance(step, AlignCluster):
+            _typed(step, (int, _SEQUENCE, Plan))
             return _align_kernel(step, g, index, built, at)
         raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
     except GcsError as exc:
         return _raising(exc), (), ()
+
+
+_SEQUENCE = (tuple, list)
+
+
+def _typed(step: tuple, types: tuple) -> None:
+    """Refuse ``step`` if a field is not of its type in ``types``, which
+    its kernel would meet as a bare TypeError or AttributeError.  The
+    entries of a sequence are checked where they are read."""
+    if not all(map(isinstance, step, types)):
+        name, value, kind = next(f for f in zip(step._fields, step, types)
+                                 if not isinstance(f[1], f[2]))
+        names = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
+        raise UnsupportedStepError(
+            f"{type(step).__name__} {name} must be of type {names}, got {value!r}")
 
 
 def _endpoint(g: ConstraintGraph, ci: int, target: str,

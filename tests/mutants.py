@@ -1,0 +1,145 @@
+"""Mutation gate: each mutant listed here must make the tests it names fail.
+
+Run from the repository root::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+The named tests first run on an unmutated copy of ``src/`` and ``tests/``,
+where each must pass.  Then, for each mutant, a fresh copy gets the mutant's
+exact-snippet replacements, and each test the mutant names, run there on its
+own, must fail.  A snippet that does not occur exactly once fails the
+script, so the list keeps up with the code; a change that deletes the code a
+mutant targets deletes the mutant too.  The copies and everything pytest
+writes stay in one temporary directory, removed at the end.  The whole list
+takes about a minute on two cores.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+DECOMPOSE = "src/gcs2d/decompose.py"
+EQUIVALENCE = "tests/test_decomp.py::TestReferenceEquivalence"
+PLANS = "tests/test_decomp.py::TestExtractPlan::test_plans_match_the_reference_builder"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    edits: tuple[tuple[str, str], ...]  # (exact snippet, replacement)
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = (
+    # The decomposition fixpoint.
+    Mutant("triangle keys sort before pair keys", DECOMPOSE, (
+        ("heap += [(2, j, i) for j in ids]", "heap += [(4, j, i) for j in ids]"),
+        ("heappush(heap, (2, k, c.id))", "heappush(heap, (4, k, c.id))"),
+    ), (f"{EQUIVALENCE}::test_parallel_seeds_inside_a_triangle",
+        f"{EQUIVALENCE}::test_random_mixed_graph_sweep")),
+    Mutant("no re-key of stale candidates", DECOMPOSE, (
+        ("                now.sort()\n                heappush(heap, (rule, *now))\n",
+         "                pass\n"),
+    ), (f"{EQUIVALENCE}::test_random_laman",
+        "tests/test_decomp.py::TestLargeFixpoint::test_fully_reducible")),
+    # The hinge k shares with b.  The checks of x and z are not mutated: a
+    # merged cluster that brings in entities holds only two-DOF ones.
+    Mutant("no two-DOF hinge check", DECOMPOSE, (
+        ("                    if y != x and y in two_dof:", "                    if y != x:"),
+    ), (f"{EQUIVALENCE}::test_fixtures",)),
+    Mutant("heir taken as the smallest parent", DECOMPOSE, (
+        ("if len(a) >= len(b) else (q, (p,), a)", "if len(a) <= len(b) else (q, (p,), a)"),
+        ("if len(a) >= len(b) and len(a) >= len(c):", "if len(a) <= len(b) and len(a) <= len(c):"),
+        ("elif len(b) >= len(c):", "elif len(b) <= len(c):"),
+    ), (f"{EQUIVALENCE}::test_fixtures", PLANS)),
+    Mutant("added computed after the growth", DECOMPOSE, (
+        ("        added = frozenset(brought - heir.entity_ids)\n", ""),
+        ("        record = tuple.__new__(MergeRecord,",
+         "        added = frozenset(brought - heir.entity_ids)\n"
+         "        record = tuple.__new__(MergeRecord,"),
+    ), (f"{EQUIVALENCE}::test_random_laman",
+        "tests/test_decomp.py::TestLargeFixpoint::test_fully_reducible")),
+    Mutant("hinge test on z in added", DECOMPOSE, (
+        ("(z not in added or k < b)", "(z in added or k < b)"),
+    ), (f"{EQUIVALENCE}::test_random_laman",)),
+    # The plan builder.
+    Mutant("children's refusals before the merge's own shared points", DECOMPOSE, (
+        ("            made[k] = refusals[0]\n", "            made[k] = refusals[-1]\n"),
+    ), (PLANS,)),
+    Mutant("an unsorted aligned pair", DECOMPOSE, (
+        ("aligned = [(child.id, tuple(sorted(pair)))", "aligned = [(child.id, pair)"),
+    ), (PLANS,)),
+    Mutant("aligning a child that is already placed", DECOMPOSE, (
+        ("                   if not child.entity_ids & added <= {w}]", "                   ]"),
+    ), (PLANS, "tests/test_decomp.py::TestExtractPlan::test_moser_spindle_plan_shape")),
+)
+
+
+def copy_tree(into: Path) -> Path:
+    """A copy of ``src/`` and ``tests/`` under ``into``, without caches."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, into / part, ignore=skip)
+    return into
+
+
+def outcome(tree: Path, test: str) -> str:
+    """"passed" or "failed" for the pytest node id ``test`` run in
+    ``tree``; anything else (no test collected, a collection error) stops
+    the script, so a mutant that breaks the import is not counted killed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+        cwd=tree, env=env, capture_output=True, text=True, check=False)
+    if run.returncode in (0, 1):
+        return ("passed", "failed")[run.returncode]
+    raise SystemExit(f"pytest exited {run.returncode} on {test} in {tree.name}:\n"
+                     f"{run.stdout[-2000:]}")
+
+
+def apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    for snippet, replacement in mutant.edits:
+        if text.count(snippet) != 1:
+            raise SystemExit(f"{mutant.name}: snippet found {text.count(snippet)} times in "
+                             f"{mutant.path}: {snippet!r}")
+        text = text.replace(snippet, replacement)
+    path.write_text(text)
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    if unknown := set(names) - {m.name for m in MUTANTS}:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    start = time.perf_counter()
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="gcs2d-mutants-") as scratch:
+        clean = copy_tree(Path(scratch) / "clean")
+        for test in dict.fromkeys(t for m in chosen for t in m.tests):
+            if outcome(clean, test) != "passed":
+                raise SystemExit(f"{test} fails without a mutant")
+        for k, mutant in enumerate(chosen):
+            tree = copy_tree(Path(scratch) / f"mutant-{k}")
+            apply(tree, mutant)
+            alive = [t for t in mutant.tests if outcome(tree, t) == "passed"]
+            print(("SURVIVED " if alive else "killed   ") + mutant.name
+                  + (f" (passed: {', '.join(alive)})" if alive else ""), flush=True)
+            if alive:
+                survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed in "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

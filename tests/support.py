@@ -1,6 +1,7 @@
 """Shared helpers: independent recounts, the dict-based reference pebble game,
 embedding sampling, congruence checks with the alignment oracle that moves a
-sample onto a solution, the exhaustive reference decomposition
+sample onto a solution, the exhaustive reference decomposition with the
+materialiser that gives a decomposition's taken-over clusters their sets,
 and the chronological reference walker with its unbound step resolution,
 mapping-based recombination and residuals, and pairwise conformation
 identity."""
@@ -499,7 +500,29 @@ def reference_decompose(g: ConstraintGraph) -> DecompositionResult:
         klass = ReducibilityClass.IRREDUCIBLE
     else:
         klass = ReducibilityClass.PARTIALLY_REDUCIBLE
-    return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything))
+    # Per merge: its first largest parent, and what the others add to it.
+    growth = []
+    for record in log:
+        children = [everything[p] for p in record.parents]
+        base = min(children, key=lambda c: (-len(c.entity_ids), c.id))
+        brought = frozenset().union(*[c.entity_ids for c in children if c is not base])
+        growth.append((base.id, brought - base.entity_ids))
+    return DecompositionResult(final, tuple(log), klass, nontrivial, tuple(everything),
+                               tuple(growth))
+
+
+def materialised(result: DecompositionResult) -> DecompositionResult:
+    """``result`` with every cluster's sets: one that a merge took over as
+    its heir carries none, and gets the union of its parents' here, in id
+    order.  Quadratic in n, for tests only."""
+    clusters: list[Cluster] = []
+    for c in result.all_clusters:
+        if c.entity_ids is None:
+            parents = [clusters[p] for p in c.merge.parents]
+            c = Cluster(c.id, frozenset().union(*[p.entity_ids for p in parents]),
+                        frozenset().union(*[p.owned_constraints for p in parents]), c.merge)
+        clusters.append(c)
+    return result._replace(all_clusters=tuple(clusters))
 
 
 def reference_build_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
@@ -510,8 +533,9 @@ def reference_build_plan(result: DecompositionResult, g: ConstraintGraph) -> Pla
     # so one pass in id order finds each child's plan built.  A cluster that
     # cannot be recombined holds its refusal in place of a plan, which counts
     # only where a plan reads it: a merge reads its base child, then checks
-    # its own shared entities, then reads its first and second child.
-    clusters = result.all_clusters
+    # its own shared entities, then reads its first and second child.  It
+    # reads every cluster's sets, and none of the result's growth records.
+    clusters = materialised(result).all_clusters
     root = result.final_clusters[0].id
     plans: list[Plan | UnsupportedStepError] = []
     for cluster in clusters[: root + 1]:

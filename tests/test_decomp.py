@@ -44,6 +44,7 @@ from gcs2d.decompose import _build_plan, _fixpoint
 from gcs2d.graph import fixed_circle, free_circle, incidence, tangency
 from support import (
     count_structural_work,
+    materialised,
     measured_graph,
     nested_triangles,
     random_mixed_graph,
@@ -113,7 +114,7 @@ class TestReferenceEquivalence:
     def test_fixtures(self):
         for name in fixture_names():
             g = fixture(name)
-            assert decompose(g) == reference_decompose(g), name
+            assert materialised(decompose(g)) == reference_decompose(g), name
 
     def test_random_laman(self):
         # Every n in 3-40 once, then sizes leaning small, because the
@@ -123,7 +124,7 @@ class TestReferenceEquivalence:
         sizes += [rng.randint(3, rng.randint(3, 40)) for _ in range(500 - len(sizes))]
         for n in sizes:
             g = random_laman(n, rng.randrange(10**6), rng.random())
-            assert decompose(g) == reference_decompose(g)
+            assert materialised(decompose(g)) == reference_decompose(g)
 
     @pytest.mark.parametrize("n", [60, 90, 120, 160])
     def test_long_growth(self, n):
@@ -132,18 +133,18 @@ class TestReferenceEquivalence:
         for p_h2 in (0.0, 0.3):
             for seed in (1, 2):
                 g = random_laman(n, seed, p_h2)
-                assert decompose(g) == reference_decompose(g), (p_h2, seed)
+                assert materialised(decompose(g)) == reference_decompose(g), (p_h2, seed)
 
     @settings(deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_random_mixed_graphs(self, rng):
         g = random_mixed_graph(rng)
-        assert decompose(g) == reference_decompose(g)
+        assert materialised(decompose(g)) == reference_decompose(g)
 
     def test_random_mixed_graph_sweep(self):
         for seed in range(2000):
             g = random_mixed_graph(random.Random(seed))
-            assert decompose(g) == reference_decompose(g), seed
+            assert materialised(decompose(g)) == reference_decompose(g), seed
 
     def test_reversed_and_repeated_parallel_constraints(self):
         # Constraints on the same two entities, in either order, pair up
@@ -155,7 +156,7 @@ class TestReferenceEquivalence:
             + [distance("P0", "P1", 1.0), distance("P2", "P1", 1.0)],
         )
         result = decompose(g)
-        assert result == reference_decompose(g)
+        assert materialised(result) == reference_decompose(g)
         assert [r.parents for r in result.merge_log] == [(0, 1), (2, 3), (4, 5), (8, 9),
                                                          (10, 11)]
 
@@ -167,7 +168,7 @@ class TestReferenceEquivalence:
              distance("D", "B", 1.0), distance("D", "C", 1.0)],
         )
         result = decompose(g)
-        assert result == reference_decompose(g)
+        assert materialised(result) == reference_decompose(g)
         assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
 
     @pytest.mark.parametrize("hinge", [free_circle("K"), fixed_circle("K", 1.0)])
@@ -182,7 +183,7 @@ class TestReferenceEquivalence:
              distance("D", "A", 1.0)],
         )
         result = decompose(g)
-        assert result == reference_decompose(g)
+        assert materialised(result) == reference_decompose(g)
         rules = [r.rule for r in result.merge_log]
         assert rules == (["R1"] if hinge.kind is EntityKind.CIRCLE_FREE_RADIUS
                          else ["R1", "R1", "R1"])
@@ -226,7 +227,7 @@ class TestLargeFixpoint:
         result = decompose(g)
         assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
         assert len(result.merge_log) == 998
-        clusters = result.all_clusters
+        clusters = materialised(result).all_clusters
         merged: set[int] = set()
         for record in result.merge_log:
             assert record.rule == "R1"
@@ -249,6 +250,20 @@ class TestLargeFixpoint:
         assert len(set(targets)) == 998 and set(targets) == set(g.entity_ids) - set(base)
         used = [plan.base_constraint] + [i for step in plan.steps for i in step.constraints]
         assert len(used) == len(set(used)) == 1997
+
+
+    def test_a_result_holds_linear_sets(self):
+        # A merge grows its heir's sets in place, and the heir keeps none,
+        # so a result holds O(n + m) set entries in all: seeds, final
+        # clusters, growth records and the clusters that still own sets.
+        # A copy per merge held about 6.0 M entries here.
+        g = random_laman(2000, 1, 0.0)
+        result = decompose(g)
+        held = {id(s): len(s) for c in result.final_clusters + result.all_clusters
+                for s in (c.entity_ids, c.owned_constraints) if s is not None}
+        held |= {id(added): len(added) for _, added in result.growth}
+        assert sum(held.values()) < 10 * (g.n + g.m)
+        assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
 
 
 class TestDecompose:
@@ -298,7 +313,7 @@ class TestDecompose:
         graphs += [random_laman(n, seed) for n in (4, 6, 8) for seed in range(5)]
         for g in graphs:
             result = decompose(g)
-            for cluster in result.all_clusters:
+            for cluster in materialised(result).all_clusters:
                 if cluster.is_seed:
                     continue
                 ents = [e for e in g.entities if e.id in cluster.entity_ids]
@@ -327,7 +342,7 @@ class TestDecompose:
         for g in graphs:
             over = diagnose_pebble(g).verdict is Verdict.OVER_CONSTRAINED
             result = decompose(g)
-            by_id = {c.id: c.entity_ids for c in result.all_clusters}
+            by_id = {c.id: c.entity_ids for c in materialised(result).all_clusters}
             for record in result.merge_log:
                 if record.rule == "R2":
                     p, q = (by_id[k] for k in record.parents)
@@ -590,7 +605,7 @@ class TestStructureMemo:
         counts = count_structural_work(monkeypatch)
         kept = extract_plan(decompose(g), g)
         own = reference_decompose(g)
-        assert own == decompose(g) and own is not decompose(g)
+        assert own == materialised(decompose(g)) and own is not decompose(g)
         plan = extract_plan(own, g)
         assert plan == kept and plan is not kept and counts["plans"] == 2
         assert extract_plan(own, g) is plan and counts["plans"] == 2
@@ -599,6 +614,15 @@ class TestStructureMemo:
         part = own._replace(final_clusters=(inner,))
         assert extract_plan(part, g).owned_constraints == inner.owned_constraints
         assert inner.owned_constraints != kept.owned_constraints and counts["plans"] == 3
+
+    def test_a_root_merged_into_its_heir_is_refused(self):
+        # Such a cluster keeps no sets, so no plan can own its constraints.
+        g = fixture("moser-spindle")
+        result = decompose(g)
+        taken = [c for c in result.all_clusters if c.entity_ids is None]
+        assert taken and all(c.owned_constraints is None for c in taken)
+        with pytest.raises(BadValueError, match=f"^cluster {taken[0].id} was merged into its heir"):
+            extract_plan(result._replace(final_clusters=(taken[0],)), g)
 
     def test_a_foreign_plan_gets_its_own_program(self, monkeypatch):
         g = fixture("moser-spindle")

@@ -347,6 +347,24 @@ class TestFailureModes:
                 run()
 
 
+    @pytest.mark.parametrize("step, message", [
+        (TriangleMerge(None, (0, 1, 2), EDGES[1:]),
+         "TriangleMerge points must be of type tuple or list, got None"),
+        (AlignCluster(1, None, EDGES[1]), "AlignCluster shared must be of type tuple or list, got None"),
+        (TriangleMerge(("A", "B", "C"), (0, 1, 2), (None, None)),
+         "a recombined cluster needs an int id and a Plan, got 1 and a NoneType"),
+        (PlaceByTwoLoci("C", None), "PlaceByTwoLoci constraints must be of type tuple or list, got None"),
+        (PlaceByTwoLoci(["C"], (1, 2)), "PlaceByTwoLoci target must be of type str, got ['C']"),
+    ], ids=["merge-points", "align-shared", "merge-plans", "place-constraints", "place-target"])
+    def test_a_step_field_of_the_wrong_type_is_refused(self, step, message):
+        # Each once escaped as a bare TypeError or AttributeError.
+        g = triangle_graph(3, 4, 5)
+        plan = Plan(0, 0, (step,))
+        for run in (lambda: execute(plan, g), lambda: enumerate_solutions(plan, g)):
+            with pytest.raises(UnsupportedStepError, match=f"^{re.escape(message)}$"):
+                run()
+
+
 class TestMoserSpindle:
     def test_eight_verified_solutions(self):
         g = fixture("moser-spindle")
