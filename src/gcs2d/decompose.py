@@ -155,17 +155,14 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
     handle = list(range(g.m))
     owner: list[int | None] = list(range(g.m))
     holders: dict[str, set[int]] = {e: set() for e in g.entity_ids}
-    # One pass over the constraints makes the seeds and their candidates,
-    # which halves the fixpoint's time on small graphs against entering
-    # each seed as a merged cluster: two seeds on one pair of entities, in
-    # either order, and three spanning a triangle u < v < w of two-DOF
-    # entities.  Seeds are built with ``tuple.__new__``, as in
-    # :func:`seed_clusters`.
-    everything: list[Cluster] = []  # a cluster's id is its index
+    # One pass over the constraints queues the seeds' candidates, which
+    # halves the fixpoint's time on small graphs against entering each seed
+    # as a merged cluster: two seeds on one pair of entities, in either
+    # order, and three spanning a triangle u < v < w of two-DOF entities.
+    everything = seed_clusters(g)  # a cluster's id is its index
     joins: dict[str, dict[str, list[int]]] = {e: {} for e in g.entity_ids}  # seeds by ends
     heap: list[tuple[int, ...]] = []
     for i, (_, (a, b), _) in enumerate(g.constraints):
-        everything.append(tuple.__new__(Cluster, (i, frozenset((a, b)), frozenset((i,)), None)))
         holders[a].add(i)
         holders[b].add(i)
         ids = joins[a].get(b)
@@ -214,20 +211,22 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                 continue
             # Hinged to c at x: a cluster b holding one of k's other
             # two-DOF entities and sharing nothing else with k closes a
-            # triangle if it is hinged to c at another two-DOF entity.  If
-            # that entity is added, b meets k from its side too: queue once.
+            # triangle if it is hinged to c at another entity.  If that
+            # entity is added, b meets k from its side too: queue once.  The
+            # hinges x and z are c's, and c brings in entities, so it holds
+            # three or more, which makes them all two-DOF: a cluster holding
+            # a free-radius circle never grows past its two entities.
             (x,) = shared
-            if x in two_dof:
-                for y in near:
-                    if y != x and y in two_dof:
-                        for h in holders[y]:
-                            b = owner[h]
-                            far = everything[b].entity_ids
-                            hinges = far & ours
-                            if len(hinges) == 1 and len(far & near) == 1:
-                                (z,) = hinges
-                                if z != x and z in two_dof and (z not in added or k < b):
-                                    heappush(heap, (3, k, b, c.id) if k < b else (3, b, k, c.id))
+            for y in near:
+                if y != x and y in two_dof:
+                    for h in holders[y]:
+                        b = owner[h]
+                        far = everything[b].entity_ids
+                        hinges = far & ours
+                        if len(hinges) == 1 and len(far & near) == 1:
+                            (z,) = hinges
+                            if z != x and (z not in added or k < b):
+                                heappush(heap, (3, k, b, c.id) if k < b else (3, b, k, c.id))
 
     def pop() -> tuple[int, ...] | None:
         """The parents of the smallest queued candidate whose parents are

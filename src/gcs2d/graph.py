@@ -411,6 +411,9 @@ def graph_from_dict(doc: object) -> ConstraintGraph:
     raw_constraints = doc.get("constraints")
     if not isinstance(raw_entities, list) or not isinstance(raw_constraints, list):
         raise ParseError("graph document needs 'entities' and 'constraints' arrays")
+    # Records are built with ``tuple.__new__``: a NamedTuple's own
+    # ``__new__`` is Python code, and this runs per entity and constraint.
+    new = tuple.__new__
     entities = []
     for raw in raw_entities:
         if not isinstance(raw, dict):
@@ -420,15 +423,15 @@ def graph_from_dict(doc: object) -> ConstraintGraph:
             raise ParseError(f"entity id must be a nonempty string, got {entity_id!r}")
         kind = raw.get("kind")
         if kind == "point":
-            entities.append(Entity(entity_id, _POINT))
+            entities.append(new(Entity, (entity_id, _POINT, None)))
         elif kind == "line":
-            entities.append(Entity(entity_id, _LINE))
+            entities.append(new(Entity, (entity_id, _LINE, None)))
         elif kind == "circle":
             known = raw.get("radius_known")
             if not isinstance(known, bool):
                 raise ParseError(f"circle {entity_id!r} needs a boolean radius_known")
             radius = _float(raw.get("radius"), f"circle {entity_id!r} radius")
-            entities.append(Entity(entity_id, _CIRCLE[known], radius))
+            entities.append(new(Entity, (entity_id, _CIRCLE[known], radius)))
         else:
             raise ParseError(f"unknown entity kind {kind!r}")
     constraints = []
@@ -445,7 +448,7 @@ def graph_from_dict(doc: object) -> ConstraintGraph:
         value = raw.get("value")
         if type(value) is not float:
             value = _float(value, "constraint value")
-        constraints.append(Constraint(_KIND_BY_NAME[kind_name], (between[0], between[1]), value))
+        constraints.append(new(Constraint, (_KIND_BY_NAME[kind_name], tuple(between), value)))
     return build_graph(entities, constraints)
 
 

@@ -100,8 +100,11 @@ def _pebble_run(
         while pebbles[u] + pebbles[v] < 4:
             # Depth-first search along directed edges, from u and then from
             # v, for a free pebble outside {u, v}; on success the path is
-            # reversed and the pebble moves to the start.
+            # reversed and the pebble moves to the start.  A start with no
+            # out-arcs reaches nothing, so its search is skipped.
             for start in (u, v):
+                if not out[start]:
+                    continue
                 stamp += 1
                 stamps[start] = stamp
                 stack = [start]

@@ -265,13 +265,13 @@ def _compile(plan: Plan, g: ConstraintGraph) -> _Program:
     every constraint of ``g``, or a leaf's check raises for the first with
     an endpoint no step places.  A base constraint that is not one of
     ``g``'s is refused here; a step's bad index, when the walk reaches it."""
-    built = _Builder(g, list(g.constraints[_index(g, plan.base_constraint)].between))
+    built = _Builder(g, plan.base_constraint)
     index = {e: i for i, e in enumerate(built.ids)}  # of the plan's entities placed so far
     built.emit(plan.steps, index, None)
     built.own(range(g.m), index)
     # Built with ``tuple.__new__``: a NamedTuple's own ``__new__`` is Python code.
-    steps = [tuple.__new__(_Step, (kernel, frozenset(blame), *rest))
-             for kernel, blame, *rest in built.steps]
+    steps = [tuple.__new__(_Step, (kernel, frozenset(blame), places, owns, at))
+             for kernel, blame, places, owns, at in built.steps]
     return _Program(plan.base_constraint, tuple(built.ids), tuple(steps), built.owns,
                     built.unplaced, tuple(built.bases))
 
@@ -282,10 +282,15 @@ class _Builder:
     its blame still growing), the constraints the bases own, each walked
     cluster's base and, by cluster id, its local slots, the walked clusters
     each copy a recombination step places is moved from, and the first
-    endpoint found unplaced."""
+    endpoint found unplaced.  Steps read ``g`` through tables made once:
+    each entity's kind value by id, each constraint's ends and kind value."""
 
-    def __init__(self, g: ConstraintGraph, ids: list[str | None]):
-        self.g, self.ids, self.placer = g, ids, [-1] * len(ids)
+    def __init__(self, g: ConstraintGraph, base: int):
+        self.g, self.entity_kind = g, {e.id: e.kind._value_ for e in g.entities}
+        self.ends = [c.between for c in g.constraints]
+        self.constraint_kind = [c.kind._value_ for c in g.constraints]
+        self.ids: list[str | None] = list(self.ends[_index(g, base)])
+        self.placer = [-1, -1]
         self.steps, self.owns, self.bases, self.clusters = [], [], [], {}
         self.moved: dict[int, list[tuple[Mapping[str, int], Container[str]]]] = {}
         self.unplaced: str | None = None
@@ -299,7 +304,7 @@ class _Builder:
         own: list[int] = []  # the slots the cluster's steps place
         for k, step in enumerate(steps):
             here = k if at is None else at
-            kernel, reads, places = _compile_step(step, self.g, index, self, here)
+            kernel, reads, places = _compile_step(step, self, index, here)
             if flips is not None and places:
                 kernel = _one_per_orbit(kernel, flips, tuple(own))
                 own.extend(range(len(ids), len(ids) + len(places)))
@@ -320,7 +325,7 @@ class _Builder:
                 f"{type(sub).__name__}")
         if cluster not in self.clusters:
             base = len(self.ids)
-            a, b = self.g.constraints[_index(self.g, sub.base_constraint)].between
+            a, b = self.ends[_index(self.g, sub.base_constraint)]
             local = self.clusters[cluster] = {a: base, b: base + 1}
             self.bases.append((sub.base_constraint, base))
             self.ids.extend((None, None, None))
@@ -351,22 +356,23 @@ class _Builder:
         """Give each of ``constraints``, checked indices in increasing
         order, to the step that places its last endpoint in ``index``'s
         slots, or note an endpoint none places."""
+        ends, kinds, placer = self.ends, self.constraint_kind, self.placer
         for ci in constraints:
-            c = self.g.constraints[ci]
-            a, b = c.between
+            a, b = ends[ci]
             if a in index and b in index:
-                ends = self.placer[index[a]], self.placer[index[b]]
-                last = max(ends)  # the step that owns it
+                i, j = index[a], index[b]
+                p, q = placer[i], placer[j]
+                last = p if p > q else q  # the step that owns it
                 _, blame, _, owns, _ = self.steps[last] if last >= 0 else (
                     None, set(), None, self.owns, None)
-                blame.update(ends)
-                owns.append((c.kind._value_, index[a], index[b], ci))
+                blame.update((p, q))
+                owns.append((kinds[ci], i, j, ci))
             elif self.unplaced is None:
                 self.unplaced = b if a in index else a
 
 
 def _compile_step(
-    step, g: ConstraintGraph, index: Mapping[str, int], built: _Builder, at: int
+    step, built: _Builder, index: Mapping[str, int], at: int
 ) -> tuple[Kernel, Sequence[int], Sequence[str]]:
     """A plan step's kernel, the slots its roots depend on and the entities
     it places, given the slots of the entities placed before it; ``built``
@@ -381,19 +387,18 @@ def _compile_step(
             if len(step.constraints) != 2:
                 raise UnsupportedStepError(
                     f"two loci need two constraints, got {step.constraints!r}")
-            kind = g.kind_of(step.target)._value_
+            # kind_of raises UnknownEndpointError for an id the graph lacks.
+            kind = built.entity_kind.get(step.target) or built.g.kind_of(step.target)._value_
             if kind not in ("point", "line"):
                 raise UnsupportedStepError(f"cannot place a {kind} by two loci")
             make = _point_kernel if kind == "point" else _line_kernel
-            kernel = make(step.target, step.constraints, g, index)
-            return kernel, [index[e] for ci in step.constraints
-                            for e in g.constraints[ci].between if e != step.target], (step.target,)
+            return (*make(step.target, step.constraints, built, index), (step.target,))
         if isinstance(step, TriangleMerge):
             _typed(step, (_SEQUENCE, _SEQUENCE, _SEQUENCE))
-            return _triangle_kernel(step, g, index, built, at)
+            return _triangle_kernel(step, built, index, at)
         if isinstance(step, AlignCluster):
             _typed(step, (int, _SEQUENCE, Plan))
-            return _align_kernel(step, g, index, built, at)
+            return _align_kernel(step, built, index, at)
         raise UnsupportedStepError(f"unknown plan step {type(step).__name__}")
     except GcsError as exc:
         return _raising(exc), (), ()
@@ -414,28 +419,27 @@ def _typed(step: tuple, types: tuple) -> None:
             f"{type(step).__name__} {name} must be of type {names}, got {value!r}")
 
 
-def _endpoint(g: ConstraintGraph, ci: int, target: str,
+def _endpoint(built: _Builder, ci: int, target: str,
               index: Mapping[str, int]) -> tuple[str, int, str]:
     """The kind of constraint ``ci``, and the index and shape of its
     endpoint other than ``target``, which must be placed before the step."""
-    c = g.constraints[_index(g, ci)]
-    a, b = c.between
-    if target not in c.between:
-        raise UnsupportedStepError(f"constraint {c.between} does not touch {target!r}")
-    anchor = b if target == a else a
+    between = built.ends[_index(built.g, ci)]
+    if target not in between:
+        raise UnsupportedStepError(f"constraint {between} does not touch {target!r}")
+    anchor = between[1] if target == between[0] else between[0]
     if anchor not in index:
         raise _missing(anchor)
-    return c.kind._value_, index[anchor], _SHAPE[g.kind_of(anchor)._value_]
+    return built.constraint_kind[ci], index[anchor], _SHAPE[built.entity_kind[anchor]]
 
 
-def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
-                  index: Mapping[str, int]) -> Kernel:
+def _point_kernel(target: str, constraints: tuple[int, int], built: _Builder,
+                  index: Mapping[str, int]) -> tuple[Kernel, tuple[int, int]]:
     """A point on two loci, each a circle about a point (distance), the line
     or circle it lies on (incidence) or the lines at an offset from a line
-    (point_line_distance)."""
+    (point_line_distance); and the slots of the two anchors."""
     loci = []  # per constraint: its kind, its anchor's index and its own
     for ci in constraints:
-        kind, i, shape = _endpoint(g, ci, target, index)
+        kind, i, shape = _endpoint(built, ci, target, index)
         if kind == "distance":
             if shape != "point":
                 raise UnsupportedStepError("distance locus needs a placed point anchor")
@@ -456,10 +460,11 @@ def _point_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
     # A property test in tests/test_solve.py holds the two paths to the same
     # roots, tangent flags and errors.
     if ka == kb == "distance":
-        return lambda placed, values: _circle_roots(
-            target, placed[ia], values[ca], placed[ib], values[cb])
-    return lambda placed, values: _loci_roots(
-        target, _point_loci(ka, placed[ia], values[ca]), _point_loci(kb, placed[ib], values[cb]))
+        return (lambda placed, values: _circle_roots(
+            target, placed[ia], values[ca], placed[ib], values[cb])), (ia, ib)
+    return (lambda placed, values: _loci_roots(
+        target, _point_loci(ka, placed[ia], values[ca]), _point_loci(kb, placed[ib], values[cb])
+    )), (ia, ib)
 
 
 def _loci_roots(target: str, group_a: list[Placement], group_b: list[Placement]):
@@ -539,14 +544,14 @@ def _intersect_loci(a: Placement, b: Placement) -> tuple[list[Point2], bool, boo
     return list(hit.points), hit.tangent, False
 
 
-def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
-                 index: Mapping[str, int]) -> Kernel:
+def _line_kernel(target: str, constraints: tuple[int, int], built: _Builder,
+                 index: Mapping[str, int]) -> tuple[Kernel, tuple[int, int]]:
     """A line through two points, or through a point at an angle to a line
-    (two lines, or one where they agree).  Two angles fix its direction but
-    never its offset."""
+    (two lines, or one where they agree), and the slots of the two anchors.
+    Two angles fix its direction but never its offset."""
     anchors = []  # per constraint: whether it is an angle, its anchor's index and its own
     for ci in constraints:
-        kind, i, shape = _endpoint(g, ci, target, index)
+        kind, i, shape = _endpoint(built, ci, target, index)
         if (kind, shape) not in (("incidence", "point"), ("angle", "line")):
             raise UnsupportedStepError(f"cannot place line {target!r} from a {kind} constraint")
         anchors.append((kind == "angle", i, ci))
@@ -560,7 +565,7 @@ def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
             except CoincidentPointsError:
                 raise UnderDeterminedError(target, "both incident points coincide") from None
 
-        return through_points
+        return through_points, (ip, iq)
 
     def at_angle(placed: list, values: Sequence[float]):
         p, ref, alpha = placed[ip], placed[iq], values[ci]
@@ -570,11 +575,11 @@ def _line_kernel(target: str, constraints: tuple[int, int], g: ConstraintGraph,
         lines.sort(key=lambda l: (l.theta, l.c))
         return [(l,) for l in lines], False
 
-    return at_angle
+    return at_angle, (ip, iq)
 
 
 def _triangle_kernel(
-    step: TriangleMerge, g: ConstraintGraph, index: Mapping[str, int], built: _Builder, at: int
+    step: TriangleMerge, built: _Builder, index: Mapping[str, int], at: int
 ) -> tuple[Kernel, Sequence[int], Sequence[str]]:
     """A triangle merge's kernel, read slots and placed entities: it places
     the one unplaced shared point p2 at the virtual distances |p2 p0| and
@@ -591,9 +596,9 @@ def _triangle_kernel(
             "triangle merge expects exactly the third shared point unplaced")
     first, second = (built.walk(cluster, sub, at) for cluster, sub in
                      zip(step.clusters[1:], step.plans))
-    i0, i1 = _point_slots(g, index, (p0, p1))  # anchors, then pairs as measured
-    _point_slots(g, second, (p1, p2))
-    _point_slots(g, first, (p2, p0))
+    i0, i1 = _point_slots(built, index, (p0, p1))  # anchors, then pairs as measured
+    _point_slots(built, second, (p1, p2))
+    _point_slots(built, first, (p2, p0))
     (j1, j2), (k2, k0) = built.pair(second, p1, p2), built.pair(first, p2, p0)
     built.copies(1, [(first, (p0,)), (second, (p1,))])
 
@@ -607,7 +612,7 @@ def _triangle_kernel(
 
 
 def _align_kernel(
-    step: AlignCluster, g: ConstraintGraph, index: Mapping[str, int], built: _Builder, at: int
+    step: AlignCluster, built: _Builder, index: Mapping[str, int], at: int
 ) -> tuple[Kernel, Sequence[int], Sequence[str]]:
     """An alignment's kernel, read slots and placed entities: it maps the
     walked cluster's local copy of the shared pair onto the placed pair by
@@ -622,12 +627,12 @@ def _align_kernel(
     s0, s1 = step.shared
     if missing := [s for s in step.shared if s not in index]:
         raise _missing(missing[0])
-    owned = sorted([_index(g, ci) for ci in step.plan.owned_constraints])
-    ends = [e for ci in owned for e in g.constraints[ci].between]
+    owned = sorted([_index(built.g, ci) for ci in step.plan.owned_constraints])
+    ends = [e for ci in owned for e in built.ends[ci]]
     if all(e in index for e in ends):
         raise UnsupportedStepError(f"alignment of cluster {step.cluster} has nothing left to place")
     local = built.walk(step.cluster, step.plan, at)
-    j0, j1 = _point_slots(g, local, step.shared)
+    j0, j1 = _point_slots(built, local, step.shared)
     if lacking := [e for e in ends if e not in local]:
         raise _missing(lacking[0])
     unplaced = [e for e in sorted(local) if e not in index]
@@ -653,13 +658,13 @@ def _align_kernel(
     return kernel, [i0, i1, j0, j1, *copies], unplaced
 
 
-def _point_slots(g: ConstraintGraph, slots: Mapping[str, int], points: Sequence[str]) -> list[int]:
+def _point_slots(built: _Builder, slots: Mapping[str, int], points: Sequence[str]) -> list[int]:
     """The slots of ``points`` in ``slots``, each of which must hold it,
     placed as a point."""
     for p in points:
         if p not in slots:
             raise _missing(p)
-        if _SHAPE[g.kind_of(p)._value_] != "point":
+        if _SHAPE[built.entity_kind[p]] != "point":
             raise UnsupportedStepError(f"entity {p!r} is not placed as a point")
     return [slots[p] for p in points]
 

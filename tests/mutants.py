@@ -12,7 +12,7 @@ own, must fail.  A snippet that does not occur exactly once fails the
 script, so the list keeps up with the code; a change that deletes the code a
 mutant targets deletes the mutant too.  The copies and everything pytest
 writes stay in one temporary directory, removed at the end.  The whole list
-takes about a minute on two cores.  pytest does not collect this file.
+takes about 50 s on two cores.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 DECOMPOSE = "src/gcs2d/decompose.py"
+RIGIDITY = "src/gcs2d/rigidity.py"
+SOLVE = "src/gcs2d/solve.py"
 EQUIVALENCE = "tests/test_decomp.py::TestReferenceEquivalence"
 PLANS = "tests/test_decomp.py::TestExtractPlan::test_plans_match_the_reference_builder"
+GAME = "tests/test_rigidity.py::TestReferenceGame"
+RESIDUALS = "tests/test_solve.py::TestResidualRule"
 
 
 class Mutant(NamedTuple):
@@ -51,10 +55,12 @@ MUTANTS = (
          "                pass\n"),
     ), (f"{EQUIVALENCE}::test_random_laman",
         "tests/test_decomp.py::TestLargeFixpoint::test_fully_reducible")),
-    # The hinge k shares with b.  The checks of x and z are not mutated: a
-    # merged cluster that brings in entities holds only two-DOF ones.
+    # The hinge k shares with b.  The fixpoint does not test c's hinges x
+    # and z: a merged cluster that brings in entities holds only two-DOF
+    # ones, as test_a_cluster_of_three_or_more_entities_holds_only_two_dof_ones
+    # checks.
     Mutant("no two-DOF hinge check", DECOMPOSE, (
-        ("                    if y != x and y in two_dof:", "                    if y != x:"),
+        ("                if y != x and y in two_dof:", "                if y != x:"),
     ), (f"{EQUIVALENCE}::test_fixtures",)),
     Mutant("heir taken as the smallest parent", DECOMPOSE, (
         ("if len(a) >= len(b) else (q, (p,), a)", "if len(a) <= len(b) else (q, (p,), a)"),
@@ -81,6 +87,32 @@ MUTANTS = (
     Mutant("aligning a child that is already placed", DECOMPOSE, (
         ("                   if not child.entity_ids & added <= {w}]", "                   ]"),
     ), (PLANS, "tests/test_decomp.py::TestExtractPlan::test_moser_spindle_plan_shape")),
+    # The pebble game.
+    Mutant("no arc reversal along a pebble's path", RIGIDITY, (
+        ("                        out[prev].remove(found)\n"
+         "                        out[found].append(prev)\n", ""),
+    ), (f"{GAME}::test_fixtures",)),
+    Mutant("a search skipped from a start with one out-arc", RIGIDITY, (
+        ("                if not out[start]:", "                if len(out[start]) < 2:"),
+    ), (f"{GAME}::test_fixtures",
+        f"{GAME}::test_an_overloaded_edge_after_searches_from_arc_less_endpoints")),
+    # The branch walker.
+    Mutant("a residual equal to the tolerance is a dead end", SOLVE, (
+        ("worst := _owned_worst(steps[i - 1].owns, placed, values)) <= tol:",
+         "worst := _owned_worst(steps[i - 1].owns, placed, values)) < tol:"),
+    ), (f"{RESIDUALS}::test_pruning_removes_no_solution",)),
+    Mutant("no residual pruning", SOLVE, (
+        ("        if i and tol is not None and not (",
+         "        if False and i and tol is not None and not ("),
+    ), (f"{RESIDUALS}::test_a_residual_dead_end_jumps_back_to_the_steps_it_blames",
+        "tests/test_solve.py::TestRecombinationReads"
+        "::test_a_cluster_is_pruned_at_the_step_owning_its_failing_residual")),
+    # _root_key orders every step's roots, the two-distance step's too.
+    Mutant("roots ordered by angle only", SOLVE, (
+        ("    return (math.atan2(y - cy, x - cx) % (2.0 * math.pi), x, y)",
+         "    return (math.atan2(y - cy, x - cx) % (2.0 * math.pi),)"),
+    ), ("tests/test_solve.py::TestTwoDistanceFastPath"
+        "::test_two_roots_come_by_angle_then_coordinates",)),
 )
 
 

@@ -188,6 +188,22 @@ class TestReferenceEquivalence:
         assert rules == (["R1"] if hinge.kind is EntityKind.CIRCLE_FREE_RADIUS
                          else ["R1", "R1", "R1"])
 
+    def test_a_cluster_of_three_or_more_entities_holds_only_two_dof_ones(self):
+        # The fixpoint's hinge test leans on this: a merged cluster that
+        # brings in entities holds three or more, so its hinges are two-DOF.
+        graphs = [fixture(name) for name in fixture_names()]
+        graphs += [random_mixed_graph(random.Random(seed)) for seed in range(3000)]
+        checked = beside_a_free_circle = 0
+        for g in graphs:
+            dofs = {e.id: dof(e.kind) for e in g.entities}
+            result = decompose(g)
+            for c in (*result.final_clusters, *result.all_clusters):
+                if c.entity_ids is not None and len(c.entity_ids) >= 3:
+                    assert {dofs[e] for e in c.entity_ids} == {2}, (g, c)
+                    checked += 1
+                    beside_a_free_circle += 3 in dofs.values()
+        assert checked > 800 and beside_a_free_circle > 100, (checked, beside_a_free_circle)
+
 
 class TestLargeFixpoint:
     """Graphs beyond the reference's reach: check the fixpoint directly."""

@@ -241,6 +241,17 @@ class TestReferenceGame:
             outcomes.append(_pebble_run(*args)[0])
         assert outcomes.count("over") == 1731  # so witnesses get compared
 
+    def test_an_overloaded_edge_after_searches_from_arc_less_endpoints(self):
+        # C-A gathers a pebble while C holds no out-arc yet: a search from
+        # C reaches nothing and is not run.  D-C and D-B skip D so, and B-C
+        # skips B; A-D, which overloads K4, skips A before its witness.
+        ids = ["A", "B", "C", "D"]
+        dofs = dict.fromkeys(ids, 2)
+        edges = [("A", "B"), ("C", "A"), ("D", "C"), ("D", "B"), ("B", "C"), ("A", "D")]
+        assert self.same_game(ids, dofs, edges)
+        assert _pebble_run(ids, dofs, edges) == ("over", frozenset(ids), 0)
+        assert _pebble_run(ids, dofs, edges[:-1]) == ("ok", None, 0)
+
     def test_laman_graphs_with_an_edge_removed_or_repeated(self):
         rng = random.Random(7)
         for n in range(3, 121):

@@ -63,7 +63,7 @@ from gcs2d import (
 import gcs2d.graph
 import gcs2d.solve as solve_module
 from gcs2d.decompose import Plan, PlaceByTwoLoci
-from gcs2d.geometry import EPS
+from gcs2d.geometry import EPS, circle_circle_roots
 
 from support import (
     count_structural_work,
@@ -735,6 +735,31 @@ class TestTwoDistanceFastPath:
             lambda: solve_module._loci_roots("T", solve_module._point_loci("distance", p, ra),
                                              solve_module._point_loci("distance", q, rb)))
         assert fast == general
+
+    @pytest.mark.parametrize("p, ra, q, rb", [
+        # Mirrored across the horizontal line through their centroid, then
+        # the vertical one, each with the centers either way round.
+        (Point2(-1.0, 2.0), 3.0, Point2(3.0, 2.0), 2.5),
+        (Point2(3.0, 2.0), 2.5, Point2(-1.0, 2.0), 3.0),
+        (Point2(1.5, -4.0), 3.0, Point2(1.5, 0.5), 2.0),
+        (Point2(1.5, 0.5), 2.0, Point2(1.5, -4.0), 3.0),
+        # Near-tangent: the roots lie 2e-4 apart.
+        (Point2(0.0, 0.0), 1.0, Point2(math.cos(1.0) * 2, math.sin(1.0) * 2), 1.0 + 1e-8),
+        # Centers past 1e308 apart from the origin, where the centroid's x
+        # is inf: both roots lie at angle pi, and their coordinates decide.
+        (Point2(1.5e308, 1e307), 1e307, Point2(1.5e308, 0.0), 1e307),
+        (Point2(1.5e308, 0.0), 1e307, Point2(1.5e308, 1e307), 1e307),
+    ])
+    def test_two_roots_come_by_angle_then_coordinates(self, p, ra, q, rb):
+        raw, tangent = circle_circle_roots(p.x, p.y, ra, q.x, q.y, rb)
+        assert not tangent
+        (x1, y1), (x2, y2) = raw
+        cx, cy = (0.0 + x1 + x2) / 2, (0.0 + y1 + y2) / 2
+        expected = sorted(raw, key=lambda r: (math.atan2(r[1] - cy, r[0] - cx) % (2 * math.pi),
+                                              *r))
+        roots, tangent = solve_module._circle_roots("T", p, ra, q, rb)
+        assert [tuple(root) for (root,) in roots] == expected
+        assert not tangent
 
 
 class TestWalkerEquivalence:
