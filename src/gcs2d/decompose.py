@@ -397,9 +397,8 @@ def extract_plan(result: DecompositionResult, g: ConstraintGraph) -> Plan:
 
 def _checked(result: DecompositionResult, g: ConstraintGraph) -> DecompositionResult:
     """``result``, unless it cannot be a decomposition of ``g``.  The one
-    kept for ``g``'s structure is ``g``'s, and is not compared again."""
-    kept = g._analyses.get("decompose")
-    if kept is not None and kept[1] is result:
+    :func:`decompose` keeps for ``g`` is ``g``'s, and is not compared again."""
+    if result is decompose(g):
         return result
     clusters, m = result.all_clusters, g.m
     if clusters[:m] != tuple(seed_clusters(g)) or len(clusters) > m and clusters[m].is_seed:

@@ -4,8 +4,9 @@ The executor fixes the gauge through the plan's base constraint (first entity
 at the origin, second along the positive x axis, or the line equal to the x
 axis for incidence-style bases).  Each subsequent step resolves to line and
 circle intersections; steps with two or more roots consume one entry of the
-branch selector.  Roots are ordered by angle around their centroid and then
-lexicographically by coordinates, so selectors are stable across runs.
+branch selector.  Roots placing a point are ordered by angle around their
+centroid, then by coordinates; roots placing a line by ``(theta, c)``; an
+alignment's by the proper motion first, so selectors are stable across runs.
 
 One depth-first walker yields each solution at its leaf: :func:`execute`
 takes the first on a selector's path, :func:`enumerate_solutions` up to
@@ -54,12 +55,11 @@ without three points, three clusters and two plans, and an alignment
 without two shared points.  A walked cluster must place what it owns:
 compiling refuses an alignment whose cluster's plan leaves an endpoint of
 an owned constraint unplaced, with MissingPlacementError, as it refuses a
-shared point the cluster lacks.
-After a solution, the steps on its path take back roots one at a time
-again, so the solutions, their order and the reported failure (the first
-met in branch order) are those of chronological backtracking, which the
-reference walker in ``tests/support.py`` does, resolving every step
-afresh.
+shared point the cluster lacks.  After a solution, the steps on its path
+take back roots one at a time again, so the solutions, their order and the
+reported failure (the first met in branch order) are those of chronological
+backtracking, which the reference walker in ``tests/support.py`` does,
+resolving every step afresh.
 """
 
 from __future__ import annotations
@@ -142,6 +142,9 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
     a, b = c.between
     ka, kb = g.kind_of(a)._value_, g.kind_of(b)._value_
     kind = c.kind._value_
+    if "circle_free_radius" in (ka, kb):
+        raise UnderDeterminedError(a if ka == "circle_free_radius" else b,
+                                   "a free-radius circle cannot anchor a base placement")
 
     if kind == "distance":
         return {a: Point2(0.0, 0.0), b: Point2(c.value, 0.0)}
@@ -153,19 +156,14 @@ def base_placements(g: ConstraintGraph, constraint_index: int) -> dict[str, Plac
         p, other, other_kind = (a, b, kb) if ka == "point" else (b, a, ka)
         if other_kind == "line":
             return {p: Point2(0.0, 0.0), other: X_AXIS}
-        if other_kind == "circle_fixed_radius":
-            r = g.entity(other).radius
-            return {p: Point2(0.0, 0.0), other: CircleRep(Point2(r, 0.0), r)}
-        raise UnderDeterminedError(other, "a free-radius circle cannot anchor a base placement")
+        r = g.entity(other).radius
+        return {p: Point2(0.0, 0.0), other: CircleRep(Point2(r, 0.0), r)}
 
     if kind == "point_line_distance":
         p, l = (a, b) if ka == "point" else (b, a)
         return {l: X_AXIS, p: Point2(0.0, c.value)}
 
     # Tangency base: canonical external tangency along the x axis.
-    for name, entity_kind in ((a, ka), (b, kb)):
-        if entity_kind == "circle_free_radius":
-            raise UnderDeterminedError(name, "a free-radius circle cannot anchor a base placement")
     if ka == "line" or kb == "line":
         l, k = (a, b) if ka == "line" else (b, a)
         r = g.entity(k).radius
@@ -455,8 +453,8 @@ def _point_kernel(target: str, constraints: tuple[int, int], built: _Builder,
     # The common step, solved from coordinates in half the time of the loci.
     # It stays a path of its own: sending it through _loci_roots's shared
     # dedupe and order gave the same answers, but took the search-laman
-    # benchmark's p50 from 1.90-1.91 to 2.01-2.03 ms, about 6.5% slower (4
-    # of 4 alternating 5-s runs at seed 401, 2-core Xeon VM, Python 3.11.7).
+    # benchmark's p50 from 1.77-1.80 to 2.03-2.05 ms, about 14% slower (3
+    # alternating pairs of 10-s runs at seed 401, 2-core Xeon VM, Python 3.11.7).
     # A property test in tests/test_solve.py holds the two paths to the same
     # roots, tangent flags and errors.
     if ka == kb == "distance":
@@ -803,10 +801,9 @@ def _run(
     over the slice its step places, and no step reads what a later one
     places.  Every base, the plan's and each walked cluster's, is placed
     before the first step, so a leaf checks the constraints they all own.
-    Dead ends backjump as the module
-    describes (Prosser 1993): a step's roots and owned residuals depend only
-    on what the steps it blames place, and its blame only on the plan, so a
-    skipped subtree holds no leaf.
+    Dead ends backjump as the module describes (Prosser 1993): a step's roots
+    and owned residuals depend only on what the steps it blames place, and
+    its blame only on the plan, so a skipped subtree holds no leaf.
     """
     base = base_placements(g, program.base_constraint)
     steps = program.steps
@@ -822,7 +819,7 @@ def _run(
     yielded = False
     failure: GcsError | None = None  # the first one recorded
     frames: list[_Frame] = []
-    cursor = 0  # branching steps on the path, i.e. the next selector entry
+    entries = None if selector is None else iter(selector)  # a selector's walk is one path
     while True:
         i = len(frames)  # the top frame's root, if any, is placed and not yet checked
         if i and tol is not None and not (
@@ -834,8 +831,8 @@ def _run(
             try:
                 options, tangent = kernel(placed, values)
                 first, last = 0, len(options) - 1
-                if selector is not None and last:
-                    first = last = selector[cursor] if cursor < len(selector) else 0
+                if entries is not None and last:
+                    first = last = next(entries, 0)
                     if not 0 <= first < len(options):
                         raise BadBranchError(
                             f"branch {first} out of range for step {at} with {len(options)} roots"
@@ -845,14 +842,13 @@ def _run(
             else:
                 placed[places] = options[first]
                 frames.append(_Frame(options, first, last, tangent, blame))
-                cursor += len(options) > 1
                 continue
         else:  # a leaf: one that fails ends the walk, as every leaf fails alike
             blame = frozenset()  # (and a selector's walk has no other)
-            if selector is not None and cursor < len(selector):
+            if entries is not None and next(entries, None) is not None:
                 failure = failure or BadBranchError(
-                    f"selector has {len(selector)} entries but only {cursor} steps branch"
-                )
+                    f"selector has {len(selector)} entries but only "
+                    f"{sum([len(f.options) > 1 for f in frames])} steps branch")
             elif tol is not None and program.unplaced is not None:
                 raise _missing(program.unplaced)  # a constraint on it is measured at each leaf
             elif tol is None or base_worst <= tol:
@@ -881,7 +877,6 @@ def _run(
                     break
                 blame = top.conflicts
             frames.pop()
-            cursor -= len(top.options) > 1
         if not frames:
             break
         top.pick += 1

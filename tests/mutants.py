@@ -6,13 +6,14 @@ Run from the repository root::
     python tests/mutants.py NAME ...   # the named ones
 
 The named tests first run on an unmutated copy of ``src/`` and ``tests/``,
-where each must pass.  Then, for each mutant, a fresh copy gets the mutant's
-exact-snippet replacements, and each test the mutant names, run there on its
-own, must fail.  A snippet that does not occur exactly once fails the
-script, so the list keeps up with the code; a change that deletes the code a
-mutant targets deletes the mutant too.  The copies and everything pytest
-writes stay in one temporary directory, removed at the end.  The whole list
-takes about 50 s on two cores.  pytest does not collect this file.
+all in one pytest process, where each must pass.  Then, for each mutant, a
+fresh copy gets the mutant's exact-snippet replacements, and each test the
+mutant names, run there on its own, must fail.  A snippet that does not
+occur exactly once fails the script, so the list keeps up with the code; a
+change that deletes the code a mutant targets deletes the mutant too.  The
+copies and everything pytest writes stay in one temporary directory,
+removed at the end.  The whole list takes about 60 s on two cores.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ EQUIVALENCE = "tests/test_decomp.py::TestReferenceEquivalence"
 PLANS = "tests/test_decomp.py::TestExtractPlan::test_plans_match_the_reference_builder"
 GAME = "tests/test_rigidity.py::TestReferenceGame"
 RESIDUALS = "tests/test_solve.py::TestResidualRule"
+WALKER = "tests/test_solve.py::TestWalkerEquivalence"
+GLUING = "tests/test_solve.py::TestGluing"
+READS = "tests/test_solve.py::TestRecombinationReads"
+CLI_SOLVE = "tests/test_cli.py::TestSolve"
 
 
 class Mutant(NamedTuple):
@@ -113,6 +118,65 @@ MUTANTS = (
          "    return (math.atan2(y - cy, x - cx) % (2.0 * math.pi),)"),
     ), ("tests/test_solve.py::TestTwoDistanceFastPath"
         "::test_two_roots_come_by_angle_then_coordinates",)),
+    # The walk's blame, leaves and selector.
+    Mutant("a solution that ends the walk", SOLVE, (
+        ("if f.tangent]))))\n", "if f.tangent]))))\n                return\n"),
+    ), ("tests/test_solve.py::TestTriangle::test_exactly_two_solutions",)),
+    Mutant("no yield-time failure clear", SOLVE, (
+        ("                yielded, failure = True, None", "                yielded = True"),
+    ), ("tests/test_solve.py::TestLazyWalk::test_every_walk_frees_its_state",)),
+    Mutant("a residual dead end that blames nothing", SOLVE, (
+        ("            blame = steps[i - 1].blame", "            blame = frozenset()"),
+    ), (f"{WALKER}::test_residual_failures[0.0]",)),
+    Mutant("blaming only the owner", SOLVE, (
+        ("                blame.update((p, q))", "                blame.add(last)"),
+    ), (f"{WALKER}::test_a_residual_blames_the_step_that_places_its_other_endpoint[1.0]",)),
+    Mutant("blame without the owned endpoints", SOLVE, (
+        ("                blame.update((p, q))\n", ""),
+    ), (f"{WALKER}::test_a_residual_blames_the_step_that_places_its_other_endpoint[1.0]",)),
+    Mutant("the base's residual checked before the first step", SOLVE, (
+        ("    base_worst = _owned_worst(program.owns, placed, values)\n",
+         "    base_worst = _owned_worst(program.owns, placed, values)\n"
+         "    if tol is not None and not base_worst <= tol:\n"
+         "        raise VerificationError(f\"residual {base_worst} exceeds {tol}\")\n"),
+    ), (f"{CLI_SOLVE}::test_under_determined_reason_at_zero_tolerance",)),
+    Mutant("a selector entry read at a one-root step", SOLVE, (
+        ("                if entries is not None and last:", "                if entries is not None:"),
+    ), (f"{CLI_SOLVE}::test_a_bare_solve_takes_the_first_solution_of_the_walk",)),
+    # The point steps' roots.
+    Mutant("general-path root dedupe at 1e-3", SOLVE, (
+        ("if not any(p.close_to(q) for q in points):",
+         "if not any(p.close_to(q, 1e-3) for q in points):"),
+    ), (f"{WALKER}::test_two_roots_closer_than_a_thousandth_stay_two",)),
+    Mutant("no root merge in the two-distance step", SOLVE, (
+        ("    if math.hypot(x2 - x1, y2 - y1) <= EPS:", "    if False:"),
+    ), ("tests/test_solve.py::TestTwoDistanceFastPath"
+        "::test_the_same_roots_in_the_same_order_and_the_same_errors",)),
+    Mutant("a line-circle step that keeps one root", SOLVE, (
+        ("            hit = intersect_line_circle(*((a, b) if isinstance(a, LineRep) else (b, a)))\n",
+         "            hit = intersect_line_circle(*((a, b) if isinstance(a, LineRep) else (b, a)))\n"
+         "            hit = hit._replace(points=hit.points[:1])\n"),
+    ), ("tests/test_solve.py::TestOtherLoci::test_point_line_distance_gives_four_roots",)),
+    # Recombination: walked clusters and gluing.
+    Mutant("inlined cluster steps own nothing", SOLVE, (
+        ("            self.own(sorted([_index(self.g, ci) for ci in sub.owned_constraints]), local)\n",
+         ""),
+    ), (f"{READS}::test_an_inlined_step_owns_what_the_cluster_owns",)),
+    Mutant("a triangle merge that reads its distances off the clusters it reads", SOLVE, (
+        ("(j1, j2), (k2, k0) = built.pair(second, p1, p2), built.pair(first, p2, p0)",
+         "(j1, j2), (k2, k0) = (second[p1], second[p2]), (first[p2], first[p0])"),
+    ), (f"{READS}::test_nested_clusters[5-10000]",)),
+    Mutant("alignment by the proper motion only", SOLVE, (
+        ("motions = [rigid_align(src, dst, False), rigid_align(src, dst, True)]",
+         "motions = [rigid_align(src, dst, False)] * 2"),
+    ), ("tests/test_solve.py::TestMoserSpindle::test_eight_verified_solutions",)),
+    Mutant("a cluster that is its own mirror image, glued twice", SOLVE, (
+        ("        if all(map(_alike, proper, reflected)):\n            return [proper], False\n", ""),
+    ), (f"{GLUING}::test_a_cluster_its_own_mirror_image",)),
+    Mutant("the orbit filter at a cluster's first step only", SOLVE, (
+        ("            if flips is not None and places:",
+         "            if flips is not None and places and not own:"),
+    ), (f"{GLUING}::test_an_angle_base[1.5707963267948966-2]",)),
 )
 
 
@@ -124,14 +188,19 @@ def copy_tree(into: Path) -> Path:
     return into
 
 
+def run_pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    """The pytest node ids ``tests`` run in ``tree``, in one process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True, check=False)
+
+
 def outcome(tree: Path, test: str) -> str:
     """"passed" or "failed" for the pytest node id ``test`` run in
     ``tree``; anything else (no test collected, a collection error) stops
     the script, so a mutant that breaks the import is not counted killed."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
-        cwd=tree, env=env, capture_output=True, text=True, check=False)
+    run = run_pytest(tree, [test])
     if run.returncode in (0, 1):
         return ("passed", "failed")[run.returncode]
     raise SystemExit(f"pytest exited {run.returncode} on {test} in {tree.name}:\n"
@@ -157,9 +226,10 @@ def main(names: list[str]) -> int:
     survivors = []
     with tempfile.TemporaryDirectory(prefix="gcs2d-mutants-") as scratch:
         clean = copy_tree(Path(scratch) / "clean")
-        for test in dict.fromkeys(t for m in chosen for t in m.tests):
-            if outcome(clean, test) != "passed":
-                raise SystemExit(f"{test} fails without a mutant")
+        run = run_pytest(clean, list(dict.fromkeys(t for m in chosen for t in m.tests)))
+        if run.returncode != 0:
+            raise SystemExit(f"the named tests do not all pass without a mutant:\n"
+                             f"{run.stdout[-2000:]}")
         for k, mutant in enumerate(chosen):
             tree = copy_tree(Path(scratch) / f"mutant-{k}")
             apply(tree, mutant)

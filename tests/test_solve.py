@@ -9,7 +9,7 @@ from collections import Counter
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gcs2d import (
     AlignCluster,
@@ -727,6 +727,16 @@ class TestTwoDistanceFastPath:
         assert all(type(p) is Point2 for (p,) in roots)
         return repr(roots), tangent
 
+    # Near-tangent pairs, inside and outside, at lengths 1e5 to 1e11, whose
+    # roots rounding brings within EPS although no gap is within EPS: the
+    # two-distance step merges them as the general one does.  The strategy
+    # draws such a pair only by chance.
+    @example((Point2(-816360.0645591769, -288461.0872117217), 1621579.0050815158,
+              Point2(-655553.7879893158, -1891649.1563205896), 10346.357846089764))
+    @example((Point2(47744.36732028278, -445509.6625920387), 1165354.1125952727,
+              Point2(-282489.9888774695, -1573237.2580446796), 9730.67564715914))
+    @example((Point2(-13809286593.477505, -40566197233.17434), 186431150724.44534,
+              Point2(-114529819336.51138, 91370974356.88327), 20443069937.827248))
     @given(circle_pairs())
     def test_the_same_roots_in_the_same_order_and_the_same_errors(self, pair):
         p, ra, q, rb = pair
@@ -894,6 +904,19 @@ class TestWalkerEquivalence:
     def test_tangent_root(self, monkeypatch):
         walked = self.assert_same(monkeypatch, fixture("degenerate-triangle"))
         assert walked[0][0][2] == (0,)  # step 0 met a double root
+
+    def test_two_roots_closer_than_a_thousandth_stay_two(self, monkeypatch):
+        # The base places C at (0, 1 - 1e-8); P lies on the x axis at
+        # distance 1 from it.  The general point step finds P's two roots
+        # 2.8e-4 apart, far past EPS, and keeps both.
+        g = build_graph([line("L"), point("C"), point("P")],
+                        [point_line_distance("C", "L", 1.0 - 1e-8), incidence("P", "L"),
+                         distance("C", "P", 1.0)])
+        found = enumerate_solutions(plan_for(g), g)
+        assert [sel for sel, _ in found] == [(0,), (1,)]
+        p, q = (sol.placements["P"] for _, sol in found)
+        assert p.distance_to(q) == pytest.approx(2 * math.sqrt(2e-8), rel=1e-6)  # 2.8e-4
+        assert len(self.assert_same(monkeypatch, g)[2]) == 2
 
     def test_coincident_loci(self, monkeypatch):
         g = build_graph(
@@ -1525,6 +1548,17 @@ class TestRecombinationReads:
             enumerate_solutions(plan, g, limit=16)
         cluster = plan.steps[0].plan
         assert [evaluations[id(step)] for step in cluster.steps[:3]] == [1, 1, 0]
+        assert evaluations.total() == 2
+
+    def test_an_inlined_step_owns_what_the_cluster_owns(self, monkeypatch):
+        # The test above on an 8-point strip: D's inlined step, not the
+        # alignment that places the cluster's copies, owns A-D, so the walk
+        # ends at D's roots, where one that checked A-D only at the
+        # alignment would glue each of the cluster's 32 leaves.
+        g, plan = aligned_strip(random.Random(0), "ABCDEFGH", error=0.5)
+        evaluations = count_evaluations(monkeypatch)
+        with pytest.raises(VerificationError, match="^residual 0.57.* exceeds 1e-09$"):
+            enumerate_solutions(plan, g, limit=16)
         assert evaluations.total() == 2
 
     def test_a_cluster_reports_the_first_failure_its_walk_meets(self, monkeypatch):
