@@ -7,35 +7,35 @@ exactly one two-DOF entity each (three distinct entities in total).  The
 triangle rule is restricted to two-DOF shared entities because a shared
 free-radius circle would weld clusters into a non-rigid aggregate.
 
-The rewrite is deterministic: each step applies the pair rule if any live pair
-qualifies, else the triangle rule, and within a rule picks the candidate whose
-sorted parent ids are lexicographically smallest.  The merged cluster takes
-the next unused id.  The fixpoint is found incrementally, with both rules'
-candidates on one min-heap keyed (2, i, j) for a pair and (3, i, j, k) for a
-triangle, so the key states that order.  One pass over the constraints
-queues the seeds' candidates: constraints on the same two entities pair up,
-and each graph triangle over two-DOF entities gives a triple.  Then an index
-maps each entity to the handles of the live clusters holding it.  A merged
-cluster takes over its heir's handle, the heir being its first largest
-parent, so that parent's entities stay indexed, and the other parents'
-handles are retired.  It also takes the heir's entity and constraint sets
-and grows them in place by the smaller parents' sets; the heir keeps none
-of its own, seeds stay whole, and a cluster's sets are frozen once they stop
-growing.  Only the entities the smaller parents bring in (the merge's
-``added``, found before the growth) are visited, and the merged cluster is
-matched only against clusters sharing one of them: a candidate using none
-of them was one with the heir and is queued already.  So, as in union by
-size (Tarjan 1975), an entity is visited and copied only when it is in a
-smaller parent, O(log n) times, and a fully reducible graph decomposes in
-O(n log n) time and keeps O(n) set entries.  A live cluster's entity set never
-changes, so a candidate stays valid while its parents live.  One with a
-merged-away parent is re-keyed when popped to the clusters now holding its
-parents' handles, for which its rule still holds, and goes back on the
-heap; a retired handle drops it.  Because a fresh id is always the largest
-so far, a re-keyed candidate never sorts before the key it replaces, and
-popping the smallest live key makes the same choice as rescanning every
-live pair and triple.  Each merge records its heir and ``added`` in the
-result's ``growth``.
+The rewrite is deterministic: each step applies the pair rule if any live
+pair qualifies, else the triangle rule, and within a rule picks the
+candidate whose sorted parent ids are lexicographically smallest.  The
+merged cluster takes the next unused id.  The fixpoint is found
+incrementally, with both rules' candidates on one min-heap keyed (2, i, j)
+for a pair and (3, i, j, k) for a triangle, so the key states that order.
+One pass over the constraints queues the seeds' candidates: constraints on
+the same two entities pair up, and each graph triangle over two-DOF entities
+gives a triple.  Then an index maps each entity to the handles of the live
+clusters holding it.  A merged cluster takes over its heir's handle, the
+heir being its first largest parent, so that parent's entities stay indexed,
+and the other parents' handles are retired.  It also takes the heir's entity
+and constraint sets and grows them in place by the smaller parents' sets;
+once the fixpoint ends, a merged heir keeps none of its own, seeds stay
+whole, and every other merged cluster's sets are frozen.  Only the entities
+the smaller parents bring in (the merge's ``added``, found before the
+growth) are visited, and the merged cluster is matched only against clusters
+sharing one of them: a candidate using none of them was one with the heir
+and is queued already.  So, as in union by size (Tarjan 1975), an entity is
+visited and copied only when it is in a smaller parent, O(log n) times, and
+a fully reducible graph decomposes in O(n log n) time and keeps O(n) set
+entries.  A live cluster's entity set never changes, so a candidate stays
+valid while its parents live.  One with a merged-away parent is re-keyed
+when popped to the clusters now holding its parents' handles, for which its
+rule still holds, and goes back on the heap; a retired handle drops it.
+Because a fresh id is always the largest so far, a re-keyed candidate never
+sorts before the key it replaces, and popping the smallest live key makes
+the same choice as rescanning every live pair and triple.  Each merge
+records its heir and ``added`` in the result's ``growth``.
 
 From a fully reduced graph a construction plan is extracted: the merge tree is
 replayed with a preference for sequential placements (any still-unplaced
@@ -248,14 +248,6 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                 heappush(heap, (rule, *now))
         return None
 
-    def freeze(c: Cluster) -> Cluster:
-        """Merged cluster ``c`` with its sets frozen, in its place: they
-        stop growing once it merges as a smaller parent, or once the
-        fixpoint ends with it live."""
-        frozen = everything[c.id] = tuple.__new__(
-            Cluster, (c.id, frozenset(c.entity_ids), frozenset(c.owned_constraints), c.merge))
-        return frozen
-
     growth: list[tuple[int, frozenset[str]]] = []
     while (parents := pop()) is not None:
         fresh = len(everything)
@@ -278,27 +270,28 @@ def _fixpoint(g: ConstraintGraph) -> DecompositionResult:
                 heir, others, brought = r, (p, q), a | b
         added = frozenset(brought - heir.entity_ids)
         # The merged cluster grows its heir's sets in place, so each entity
-        # is copied only when it is in a smaller parent (Tarjan 1975).  A
-        # seed's sets stay whole; a merged heir keeps none of its own, and
-        # a merged smaller parent's stop growing here.
+        # is copied only when it is in a smaller parent (Tarjan 1975); a
+        # seed's sets stay whole.
         entities, owned = heir.entity_ids, heir.owned_constraints
         if heir.merge is None:
             entities, owned = set(entities), set(owned)
-        else:
-            everything[heir.id] = tuple.__new__(Cluster, (heir.id, None, None, heir.merge))
         for p in others:
             entities |= p.entity_ids
             owned |= p.owned_constraints
-            if p.merge is not None:
-                freeze(p)
         record = tuple.__new__(MergeRecord, (rule, fresh, parents, shared))
         merged = tuple.__new__(Cluster, (fresh, entities, owned, record))
         everything.append(merged)
         growth.append((heir.id, added))
         enter(merged, heir, others, added)
 
-    final = tuple([everything[k] if everything[k].merge is None else freeze(everything[k])
-                   for k in sorted(k for k in owner if k is not None)])
+    # No merge reads a retired cluster, so each merged one is finished here:
+    # an heir keeps no sets of its own, every other one keeps its sets frozen.
+    heirs = {k for k, _ in growth}
+    for c in everything[g.m:]:
+        sets = (None, None) if c.id in heirs else (
+            frozenset(c.entity_ids), frozenset(c.owned_constraints))
+        everything[c.id] = tuple.__new__(Cluster, (c.id, *sets, c.merge))
+    final = tuple([everything[k] for k in sorted(k for k in owner if k is not None)])
     log = tuple([c.merge for c in everything[g.m:]])
     nontrivial = sum(1 for c in final if not c.is_seed)
     if len(final) == 1 and len(final[0].entity_ids) == g.n:

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .graph import (
     ConstraintGraph,
-    ConstraintKind,
     angle,
     build_graph,
     distance,
@@ -67,33 +66,29 @@ class HennebergSequence(NamedTuple):
 
 def extend_h1(g: ConstraintGraph, new_id: str, u: str, w: str) -> ConstraintGraph:
     """Add ``new_id`` joined to ``u`` and ``w`` by placeholder distances."""
-    _require_points(g)
-    _attachments(set(g.entity_ids), H1(new_id, (u, w)))
-    return build_graph(
-        list(g.entities) + [point(new_id)],
-        list(g.constraints)
-        + [distance(new_id, u, PLACEHOLDER_DISTANCE), distance(new_id, w, PLACEHOLDER_DISTANCE)],
-    )
+    return _extend(g, H1(new_id, (u, w)))
 
 
 def extend_h2(g: ConstraintGraph, new_id: str, split_edge: tuple[str, str], z: str) -> ConstraintGraph:
     """Split the edge (u, w): delete it and join ``new_id`` to u, w and ``z``."""
+    return _extend(g, H2(new_id, split_edge, z))
+
+
+def _extend(g: ConstraintGraph, step: HennebergStep) -> ConstraintGraph:
+    """``g`` grown by ``step``: an edge split first deletes the first edge
+    on its split pair, then placeholder distances join the new point to
+    each vertex the step attaches it to."""
     _require_points(g)
-    u, w = split_edge
-    _attachments(set(g.entity_ids), H2(new_id, (u, w), z))
-    remaining = list(g.constraints)
-    for i, c in enumerate(remaining):
-        if c.kind is ConstraintKind.DISTANCE and frozenset(c.between) == frozenset((u, w)):
-            del remaining[i]
-            break
-    else:
-        raise MissingEdgeError(f"no distance edge between {u!r} and {w!r}")
-    remaining += [
-        distance(new_id, u, PLACEHOLDER_DISTANCE),
-        distance(new_id, w, PLACEHOLDER_DISTANCE),
-        distance(new_id, z, PLACEHOLDER_DISTANCE),
-    ]
-    return build_graph(list(g.entities) + [point(new_id)], remaining)
+    attach = _attachments(set(g.entity_ids), step)
+    constraints = list(g.constraints)
+    if isinstance(step, H2):
+        u, w = step.split_edge
+        split = next((i for i, c in enumerate(constraints) if set(c.between) == {u, w}), None)
+        if split is None:
+            raise MissingEdgeError(f"no distance edge between {u!r} and {w!r}")
+        del constraints[split]
+    constraints += [distance(step.new, v, PLACEHOLDER_DISTANCE) for v in attach]
+    return build_graph(list(g.entities) + [point(step.new)], constraints)
 
 
 def random_laman(n: int, seed: int, p_h2: float = 0.3) -> ConstraintGraph:

@@ -231,7 +231,7 @@ class _Step(NamedTuple):
     step it is, or before which it walks a cluster that step reads."""
 
     kernel: Kernel
-    blame: frozenset[int]
+    blame: set[int]
     places: slice
     owns: list[tuple[str, int, int, int]]  # (kind, endpoint slots, constraint index)
     at: int
@@ -267,21 +267,18 @@ def _compile(plan: Plan, g: ConstraintGraph) -> _Program:
     index = {e: i for i, e in enumerate(built.ids)}  # of the plan's entities placed so far
     built.emit(plan.steps, index, None)
     built.own(range(g.m), index)
-    # Built with ``tuple.__new__``: a NamedTuple's own ``__new__`` is Python code.
-    steps = [tuple.__new__(_Step, (kernel, frozenset(blame), places, owns, at))
-             for kernel, blame, places, owns, at in built.steps]
-    return _Program(plan.base_constraint, tuple(built.ids), tuple(steps), built.owns,
+    return _Program(plan.base_constraint, tuple(built.ids), tuple(built.steps), built.owns,
                     built.unplaced, tuple(built.bases))
 
 
 class _Builder:
     """A program as :func:`_compile` builds it: the id in each slot, the
-    step that places each (-1 a base), the steps (each one's _Step fields,
-    its blame still growing), the constraints the bases own, each walked
-    cluster's base and, by cluster id, its local slots, the walked clusters
-    each copy a recombination step places is moved from, and the first
-    endpoint found unplaced.  Steps read ``g`` through tables made once:
-    each entity's kind value by id, each constraint's ends and kind value."""
+    step that places each (-1 a base), the steps (each one's blame still
+    growing), the constraints the bases own, each walked cluster's base
+    and, by cluster id, its local slots, the walked clusters each copy a
+    recombination step places is moved from, and the first endpoint found
+    unplaced.  Steps read ``g`` through tables made once: each entity's kind
+    value by id, each constraint's ends and kind value."""
 
     def __init__(self, g: ConstraintGraph, base: int):
         self.g, self.entity_kind = g, {e.id: e.kind._value_ for e in g.entities}
@@ -306,8 +303,10 @@ class _Builder:
             if flips is not None and places:
                 kernel = _one_per_orbit(kernel, flips, tuple(own))
                 own.extend(range(len(ids), len(ids) + len(places)))
-            self.steps.append((kernel, {placer[s] for s in reads},
-                               slice(len(ids), len(ids) + len(places)), [], here))
+            # Built with ``tuple.__new__``: a NamedTuple's own ``__new__`` is Python code.
+            self.steps.append(tuple.__new__(_Step, (
+                kernel, {placer[s] for s in reads}, slice(len(ids), len(ids) + len(places)),
+                [], here)))
             for e in places:
                 index[e] = len(ids)
                 ids.append(e if at is None else None)
@@ -769,7 +768,7 @@ class _Frame:
     __slots__ = ("options", "pick", "last", "tangent", "conflicts")
 
     def __init__(self, options: list[tuple[Placement, ...]], pick: int, last: int,
-                 tangent: bool, conflicts: frozenset[int] | None):
+                 tangent: bool, conflicts: set[int] | None):
         self.options, self.pick, self.last = options, pick, last
         self.tangent, self.conflicts = tangent, conflicts
 

@@ -7,13 +7,14 @@ Run from the repository root::
 
 The named tests first run on an unmutated copy of ``src/`` and ``tests/``,
 all in one pytest process, where each must pass.  Then, for each mutant, a
-fresh copy gets the mutant's exact-snippet replacements, and each test the
-mutant names, run there on its own, must fail.  A snippet that does not
-occur exactly once fails the script, so the list keeps up with the code; a
-change that deletes the code a mutant targets deletes the mutant too.  The
-copies and everything pytest writes stay in one temporary directory,
-removed at the end.  The whole list takes about 60 s on two cores.  pytest
-does not collect this file.
+fresh copy gets the mutant's exact-snippet replacements, and the tests the
+mutant names run there in one pytest process, where each must fail; its
+``-rA`` summary tells which passed.  Two mutants run at a time.  A snippet
+that does not occur exactly once fails the script, so the list keeps up
+with the code; a change that deletes the code a mutant targets deletes the
+mutant too.  The copies and everything pytest writes stay in one temporary
+directory, removed at the end.  The whole list takes about 45 s on two
+cores.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,6 +84,12 @@ MUTANTS = (
     Mutant("hinge test on z in added", DECOMPOSE, (
         ("(z not in added or k < b)", "(z in added or k < b)"),
     ), (f"{EQUIVALENCE}::test_random_laman",)),
+    # A set compares equal to a frozenset, so only a type check sees this.
+    Mutant("merged clusters left unfrozen", DECOMPOSE, (
+        ("frozenset(c.entity_ids), frozenset(c.owned_constraints))",
+         "c.entity_ids, c.owned_constraints)"),
+    ), ("tests/test_decomp.py::TestLargeFixpoint"
+        "::test_merged_heirs_carry_no_sets_and_every_other_cluster_frozensets",)),
     # The plan builder.
     Mutant("children's refusals before the merge's own shared points", DECOMPOSE, (
         ("            made[k] = refusals[0]\n", "            made[k] = refusals[-1]\n"),
@@ -152,6 +160,13 @@ MUTANTS = (
         ("    if math.hypot(x2 - x1, y2 - y1) <= EPS:", "    if False:"),
     ), ("tests/test_solve.py::TestTwoDistanceFastPath"
         "::test_the_same_roots_in_the_same_order_and_the_same_errors",)),
+    # Compiling a step checks its structure before any kernel runs; only a
+    # graph built past build_graph's checks reaches this one.
+    Mutant("a distance locus's point-anchor check dropped", SOLVE, (
+        ("            if shape != \"point\":\n"
+         "                raise UnsupportedStepError(\"distance locus needs a placed point anchor\")\n",
+         "            pass\n"),
+    ), (f"{WALKER}::test_malformed_steps_fail_when_reached",)),
     Mutant("a line-circle step that keeps one root", SOLVE, (
         ("            hit = intersect_line_circle(*((a, b) if isinstance(a, LineRep) else (b, a)))\n",
          "            hit = intersect_line_circle(*((a, b) if isinstance(a, LineRep) else (b, a)))\n"
@@ -188,23 +203,31 @@ def copy_tree(into: Path) -> Path:
     return into
 
 
-def run_pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    """The pytest node ids ``tests`` run in ``tree``, in one process."""
+def passing(tree: Path, tests: list[str]) -> list[str]:
+    """Those of the pytest node ids ``tests`` that pass when all run in
+    ``tree`` in one process: each of its cases has a ``PASSED`` line in the
+    ``-rA`` summary and none a ``FAILED`` or ``ERROR`` line.  An exit code
+    other than 0 or 1 (no test collected, a collection error) stops the
+    script, so a mutant that breaks the import is not counted killed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
         cwd=tree, env=env, capture_output=True, text=True, check=False)
+    if run.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {run.returncode} in {tree.name}:\n{run.stdout[-2000:]}")
+    summary = [line.split(" - ")[0].split(" ", 1) for line in run.stdout.splitlines()
+               if line.startswith(("PASSED ", "FAILED ", "ERROR "))]
+    return [t for t in tests
+            if {outcome for outcome, node in summary
+                if node == t or node.startswith(t + "[")} == {"PASSED"}]
 
 
-def outcome(tree: Path, test: str) -> str:
-    """"passed" or "failed" for the pytest node id ``test`` run in
-    ``tree``; anything else (no test collected, a collection error) stops
-    the script, so a mutant that breaks the import is not counted killed."""
-    run = run_pytest(tree, [test])
-    if run.returncode in (0, 1):
-        return ("passed", "failed")[run.returncode]
-    raise SystemExit(f"pytest exited {run.returncode} on {test} in {tree.name}:\n"
-                     f"{run.stdout[-2000:]}")
+def survivors(into: Path, mutant: Mutant) -> list[str]:
+    """The tests ``mutant`` names that pass on a copy under ``into`` that it
+    mutates."""
+    tree = copy_tree(into)
+    apply(tree, mutant)
+    return passing(tree, list(mutant.tests))
 
 
 def apply(tree: Path, mutant: Mutant) -> None:
@@ -223,24 +246,26 @@ def main(names: list[str]) -> int:
     if unknown := set(names) - {m.name for m in MUTANTS}:
         raise SystemExit(f"unknown mutants: {sorted(unknown)}")
     start = time.perf_counter()
-    survivors = []
+    survived = []
     with tempfile.TemporaryDirectory(prefix="gcs2d-mutants-") as scratch:
-        clean = copy_tree(Path(scratch) / "clean")
-        run = run_pytest(clean, list(dict.fromkeys(t for m in chosen for t in m.tests)))
-        if run.returncode != 0:
-            raise SystemExit(f"the named tests do not all pass without a mutant:\n"
-                             f"{run.stdout[-2000:]}")
-        for k, mutant in enumerate(chosen):
-            tree = copy_tree(Path(scratch) / f"mutant-{k}")
-            apply(tree, mutant)
-            alive = [t for t in mutant.tests if outcome(tree, t) == "passed"]
-            print(("SURVIVED " if alive else "killed   ") + mutant.name
-                  + (f" (passed: {', '.join(alive)})" if alive else ""), flush=True)
-            if alive:
-                survivors.append(mutant.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed in "
+        named = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        passed = passing(copy_tree(Path(scratch) / "clean"), named)
+        if missing := [t for t in named if t not in passed]:
+            raise SystemExit(f"named tests that do not pass without a mutant: {missing}")
+        pool = ThreadPoolExecutor(2)  # each mutant's pytest is a process of its own
+        try:
+            runs = pool.map(survivors, [Path(scratch) / f"mutant-{k}" for k in range(len(chosen))],
+                            chosen)
+            for mutant, alive in zip(chosen, runs):
+                print(("SURVIVED " if alive else "killed   ") + mutant.name
+                      + (f" (passed: {', '.join(alive)})" if alive else ""), flush=True)
+                if alive:
+                    survived.append(mutant.name)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants killed in "
           f"{time.perf_counter() - start:.0f} s")
-    return 1 if survivors else 0
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":

@@ -281,6 +281,25 @@ class TestLargeFixpoint:
         assert sum(held.values()) < 10 * (g.n + g.m)
         assert result.reducibility is ReducibilityClass.FULLY_REDUCIBLE
 
+    def test_merged_heirs_carry_no_sets_and_every_other_cluster_frozensets(self):
+        # README's contract on a result's cluster sets.  A set compares
+        # equal to a frozenset, so the reference equivalence tests do not
+        # see a cluster left unfrozen.
+        rng = random.Random(40)
+        graphs = [fixture(name) for name in fixture_names()]
+        graphs += [random_laman(rng.randint(3, 40), seed, rng.random()) for seed in range(100)]
+        graphs += [random_laman(200, 1, p_h2) for p_h2 in (0.0, 0.5)]
+        graphs += [random_mixed_graph(random.Random(seed)) for seed in range(300)]
+        for g in graphs:
+            result = decompose(g)
+            heirs = {k for k, _ in result.growth if k >= g.m}
+            for c in result.all_clusters + result.final_clusters:
+                sets = (c.entity_ids, c.owned_constraints)
+                if c.id in heirs:
+                    assert sets == (None, None), c.id
+                else:
+                    assert [type(s) for s in sets] == [frozenset, frozenset], c.id
+
 
 class TestDecompose:
     def test_classification_corpus(self):
